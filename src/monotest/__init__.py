@@ -12,17 +12,12 @@ harness estimates size and power over reference designs.
 
 from .bootstrap import (
     BootConfig,
-    BootMatrix,
     BootRun,
     TestReport,
     bootstrap_run,
-    critical_onestep,
-    critical_plugin,
-    critical_stepdown,
     p_value,
     quantile_upper,
     run_report,
-    wild_panel,
 )
 from .errors import DataError, DegenerateVarianceError
 from .models import (
@@ -46,7 +41,6 @@ from .scales import (
     build_z_local_set,
     epanechnikov,
     kernel_Q,
-    multi_peak_Q,
     uniform,
 )
 from .sigma import (
@@ -76,9 +70,7 @@ from .statistic import (
     Sample,
     StudentizedField,
     evaluate_field,
-    multivariate_field,
     sensitivity_A,
-    studentized_field,
     test_function_b,
     test_function_b_naive,
     variance_hat,
@@ -90,17 +82,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootConfig",
-    "BootMatrix",
     "BootRun",
     "TestReport",
     "bootstrap_run",
-    "critical_onestep",
-    "critical_plugin",
-    "critical_stepdown",
     "p_value",
     "quantile_upper",
     "run_report",
-    "wild_panel",
     "DataError",
     "DegenerateVarianceError",
     "AdditiveFit",
@@ -121,7 +108,6 @@ __all__ = [
     "build_z_local_set",
     "epanechnikov",
     "kernel_Q",
-    "multi_peak_Q",
     "uniform",
     "SIGMA_METHODS",
     "PolyFit",
@@ -145,9 +131,7 @@ __all__ = [
     "Sample",
     "StudentizedField",
     "evaluate_field",
-    "multivariate_field",
     "sensitivity_A",
-    "studentized_field",
     "test_function_b",
     "test_function_b_naive",
     "variance_hat",

@@ -20,24 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scales import ScaleSet
-from .statistic import Sample, StudentizedField, evaluate_field
+from .statistic import Sample, StudentizedField, _sigma_values, evaluate_field
 from .sigma import SigmaEstimate
 
 __all__ = [
     "BootConfig",
-    "BootMatrix",
     "BootRun",
     "TestReport",
-    "wild_panel",
     "quantile_upper",
-    "critical_plugin",
-    "critical_onestep",
-    "critical_stepdown",
     "p_value",
     "bootstrap_run",
     "run_report",
 ]
 
+# critical-value methods, in report and Monte Carlo table order
 CV_METHODS = ("pi", "os", "sd")
 
 
@@ -72,19 +68,15 @@ class BootConfig:
 
 
 @dataclass(frozen=True)
-class BootMatrix:
-    """Bootstrap draws t*_b(s): one row per draw, one column per active scale."""
-
-    draws: np.ndarray
-    scale_ids: np.ndarray
-
-
-@dataclass(frozen=True)
 class BootRun:
-    """Everything one wild-bootstrap pass produces, on a single shared panel."""
+    """Everything one wild-bootstrap pass produces, on a single shared panel.
+
+    ``draws`` holds t*_b(s): one row per draw, one column per active scale,
+    in the order of ``field.active_ids``.
+    """
 
     field: StudentizedField
-    boot: BootMatrix
+    draws: np.ndarray
     c_pi: float
     c_pi_gamma: float
     os_ids: np.ndarray
@@ -97,9 +89,9 @@ class BootRun:
 
     def maxima(self, method: str) -> np.ndarray:
         """Per-draw maxima over the selected set of the given method."""
-        ids = {"pi": self.boot.scale_ids, "os": self.os_ids, "sd": self.sd_ids}[method]
-        cols = np.searchsorted(self.boot.scale_ids, ids)
-        return self.boot.draws[:, cols].max(axis=1)
+        ids = {"pi": self.field.active_ids, "os": self.os_ids, "sd": self.sd_ids}[method]
+        cols = np.searchsorted(self.field.active_ids, ids)
+        return self.draws[:, cols].max(axis=1)
 
     def critical_value(self, method: str) -> float:
         return {"pi": self.c_pi, "os": self.c_os, "sd": self.c_sd}[method]
@@ -131,22 +123,6 @@ class TestReport:
     @property
     def reject(self) -> bool:
         return self.T > self.critical_value
-
-
-def wild_panel(sigma, n: int, B: int, seed: int):
-    """Multiplier panel eps[i, b] ~ N(0, 1) and the products y*[i, b] = sigma_i * eps[i, b].
-
-    The panel is a deterministic function of the seed through a counter-based
-    generator, so identical seeds give bit-identical panels regardless of how
-    the draws are later traversed.
-    """
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    eps = gen.standard_normal((int(n), int(B)))
-    values = getattr(sigma, "values", sigma)
-    ystar = np.asarray(values, dtype=float).reshape(-1, 1) * eps
-    return eps, ystar
 
 
 def quantile_upper(values, level: float) -> float:
@@ -191,7 +167,7 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     n = sample.n
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     eps = gen.standard_normal((n, cfg.B))
-    sig = np.asarray(getattr(sigma, "values", sigma), dtype=float).reshape(-1)
+    sig = _sigma_values(sigma)
     draws = (field.a_matrix @ (sig[:, None] * eps)).T  # (B, active)
 
     full_max = draws.max(axis=1)
@@ -234,7 +210,7 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
 
     return BootRun(
         field=field,
-        boot=BootMatrix(draws=draws, scale_ids=active),
+        draws=draws,
         c_pi=c_pi,
         c_pi_gamma=c_pi_gamma,
         os_ids=active[os_cols],
@@ -247,24 +223,6 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     )
 
 
-def critical_plugin(sample, sigma, set_, cfg) -> tuple[float, BootMatrix]:
-    """Plug-in critical value: upper alpha quantile of maxima over all active scales."""
-    run = bootstrap_run(sample, sigma, set_, cfg)
-    return run.c_pi, run.boot
-
-
-def critical_onestep(sample, sigma, set_, cfg) -> tuple[float, np.ndarray]:
-    """One-step critical value and the selected scale ids."""
-    run = bootstrap_run(sample, sigma, set_, cfg)
-    return run.c_os, run.os_ids
-
-
-def critical_stepdown(sample, sigma, set_, cfg) -> tuple[float, np.ndarray, int]:
-    """Step-down critical value, the fixed-point scale ids, and the iteration count."""
-    run = bootstrap_run(sample, sigma, set_, cfg)
-    return run.c_sd, run.sd_ids, run.stepdown_iterations
-
-
 def run_report(
     sample: Sample,
     sigma: SigmaEstimate,
@@ -275,7 +233,7 @@ def run_report(
     """Assemble a full test report for the configured critical-value method."""
     run = bootstrap_run(sample, sigma, set_, cfg)
     warnings = list(run.warnings)
-    inactive = set_.p - run.boot.scale_ids.size
+    inactive = set_.p - run.field.active_ids.size
     if inactive:
         warnings.append(f"{inactive} of {set_.p} scales inactive (numerically zero variance)")
     T = run.field.T

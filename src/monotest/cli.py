@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .bootstrap import BootConfig, TestReport, run_report
+from .bootstrap import CV_METHODS, BootConfig, TestReport, run_report
 from .errors import DataError, DegenerateVarianceError
 from .models import (
     additive_adjust,
@@ -52,8 +52,6 @@ MODELS = (
     "endogenous",
     "selection",
 )
-
-CV_CHOICES = ("pi", "os", "sd")
 
 
 # ---------------------------------------------------------------- CSV input
@@ -339,7 +337,7 @@ def _cmd_mc(args) -> int:
     results = run_mc(
         designs,
         _split(args.sigma) or ["rice"],
-        tuple(_split(args.cv)) or ("pi", "os", "sd"),
+        tuple(_split(args.cv)) or CV_METHODS,
         reps=args.reps,
         B=args.boot,
         alpha=args.alpha,
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser(
         "test", parents=[data, boot], help="run the monotonicity test on a CSV file"
     )
-    p_test.add_argument("--cv", default="sd", choices=CV_CHOICES, help="critical-value method")
+    p_test.add_argument("--cv", default="sd", choices=CV_METHODS, help="critical-value method")
     p_test.add_argument(
         "--threads",
         type=int,
@@ -421,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sizes", default="100,200,500", help="comma-separated sample sizes")
     p_mc.add_argument("--noise", default="normal", choices=("normal", "uniform", "both"))
     p_mc.add_argument("--sigma", default="rice", help="comma-separated sigma methods")
-    p_mc.add_argument("--cv", default="pi,os,sd", help="comma-separated critical-value methods")
+    p_mc.add_argument(
+        "--cv", default=",".join(CV_METHODS), help="comma-separated critical-value methods"
+    )
     p_mc.add_argument("--reps", type=int, default=1000)
     p_mc.add_argument("--boot", type=int, default=500, help="bootstrap draws per replication")
     p_mc.add_argument("--alpha", type=float, default=0.1)

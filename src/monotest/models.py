@@ -253,14 +253,8 @@ def selection_adjust(x, z, d, y, pscore_degree: int = 3, L: int = 4) -> Adjusted
     if n1 <= 1 + 2 * L:
         raise DataError(f"too few selected rows ({n1}) for the second-stage series fit")
 
-    blocks = [_PowerBlock(x, pscore_degree, "x block")] + [
-        _PowerBlock(z[:, j], pscore_degree, f"z[{j}] block") for j in range(z.shape[1])
-    ]
-    design = np.column_stack(
-        [np.ones(n), blocks[0].design(x)] + [b.design(z[:, j]) for j, b in enumerate(blocks[1:])]
-    )
-    beta = _lstsq_checked(design, mask.astype(float), [b.name for b in blocks])
-    pscore = np.clip(design @ beta, PSCORE_CLAMP, 1.0 - PSCORE_CLAMP)
+    fitted = additive_series_fit(x, z, mask.astype(float), L=pscore_degree).fitted
+    pscore = np.clip(fitted, PSCORE_CLAMP, 1.0 - PSCORE_CLAMP)
 
     x_sel, y_sel, p_sel = x[mask], y[mask], pscore[mask]
     warnings = []

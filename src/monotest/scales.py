@@ -31,7 +31,6 @@ __all__ = [
     "UNIFORM",
     "KERNELS",
     "kernel_Q",
-    "multi_peak_Q",
     "build_basic_set",
     "build_custom_set",
     "build_z_local_set",
@@ -144,30 +143,6 @@ def kernel_Q(x1: float, x2: float, s: Scale, kernel: Kernel = EPANECHNIKOV) -> f
     base = kernel((x1 - s.x) / s.h) * kernel((x2 - s.x) / s.h)
     # 0.0 ** 0.0 == 1.0, so the k == 0 case needs no special treatment
     return abs(x1 - x2) ** s.k * base
-
-
-def multi_peak_Q(
-    x1: float,
-    x2: float,
-    peaks,
-    h: float,
-    k: float = 0.0,
-    kernel: Kernel = EPANECHNIKOV,
-) -> float:
-    """Sum of kernel_Q over several window centers sharing one bandwidth.
-
-    Useful when deviations from monotonicity are expected in more than one
-    region: the summed weighting picks up all of them at once.
-    """
-    peaks = np.atleast_1d(np.asarray(peaks, dtype=float))
-    if peaks.size == 0:
-        raise ValueError("peaks must be non-empty")
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    total = 0.0
-    for x in peaks:
-        total += kernel((x1 - x) / h) * kernel((x2 - x) / h)
-    return abs(x1 - x2) ** float(k) * total
 
 
 def _bandwidth_grid(h_max: float, h_min: float, u: float) -> list[float]:

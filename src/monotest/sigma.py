@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .statistic import Sample
+from .statistic import Sample, _sort_order
 
 __all__ = [
     "SigmaEstimate",
@@ -31,6 +31,7 @@ __all__ = [
     "estimate_sigma",
 ]
 
+# a method's index here is part of every Monte Carlo seed: append only
 SIGMA_METHODS = ("rice", "local-rice", "residual", "two-step-poly")
 
 
@@ -55,20 +56,12 @@ class SigmaEstimate:
         return self.values.size
 
 
-def _sorted_xy(sample: Sample):
-    if sample.sorted_by_x:
-        return np.arange(sample.n), sample.x, sample.y
-    order = np.argsort(sample.x, kind="stable")
-    return order, sample.x[order], sample.y[order]
-
-
 def rice_global(sample: Sample) -> SigmaEstimate:
     """Constant sigma from mean squared differences of y between x-neighbors.
 
     After sorting by x, sigma_hat = sqrt(sum of (y_{i+1} - y_i)^2 / (2n)).
     """
-    _, _, ys = _sorted_xy(sample)
-    d = np.diff(ys)
+    d = np.diff(sample.y[_sort_order(sample)])
     value = math.sqrt(float(np.sum(d * d)) / (2.0 * sample.n))
     return SigmaEstimate(np.full(sample.n, value), "rice", {})
 
@@ -90,8 +83,9 @@ def rice_local(sample: Sample, b_n: float | None = None) -> SigmaEstimate:
         b_n = default_local_bandwidth(sample)
     if not b_n > 0:
         raise ValueError(f"b_n must be positive, got {b_n!r}")
-    order, xs, ys = _sorted_xy(sample)
-    d2 = np.diff(ys) ** 2
+    order = _sort_order(sample)
+    xs = sample.x[order]
+    d2 = np.diff(sample.y[order]) ** 2
     csum = np.concatenate(([0.0], np.cumsum(d2)))
     lo = np.searchsorted(xs, xs - b_n, side="left")
     hi = np.searchsorted(xs, xs + b_n, side="right")

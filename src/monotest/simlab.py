@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootConfig, run_report
+from .bootstrap import CV_METHODS, BootConfig, run_report
 from .errors import DataError, DegenerateVarianceError
 from .scales import build_basic_set
-from .sigma import estimate_sigma
+from .sigma import SIGMA_METHODS, estimate_sigma
 from .statistic import Sample
 
 __all__ = [
@@ -44,11 +44,8 @@ CASES = {
     4: (1.0, 1.5, 4.0, 0.1),
 }
 
+# a noise's index here is part of every replication seed: append only
 NOISES = ("normal", "uniform")
-
-_NOISE_ID = {"normal": 0, "uniform": 1}
-_SIGMA_ID = {"rice": 0, "local-rice": 1, "residual": 2, "two-step-poly": 3}
-_CV_ORDER = {"pi": 0, "os": 1, "sd": 2}
 
 
 @dataclass(frozen=True)
@@ -121,9 +118,9 @@ def gen_design(design: McDesign, seed: int) -> Sample:
 
 
 def _rep_seeds(master_seed: int, design: McDesign, sigma_method: str, rep: int):
+    ids = (NOISES.index(design.noise), SIGMA_METHODS.index(sigma_method))
     ss = np.random.SeedSequence(
-        entropy=int(master_seed),
-        spawn_key=(design.case, design.n, _NOISE_ID[design.noise], _SIGMA_ID[sigma_method], rep),
+        entropy=int(master_seed), spawn_key=(design.case, design.n, *ids, rep)
     )
     data_seed, boot_seed = (int(v) for v in ss.generate_state(2, dtype=np.uint64))
     return data_seed, boot_seed
@@ -148,7 +145,7 @@ def _mc_rep(args):
 def run_mc(
     designs,
     sigma_methods,
-    cv_methods=("pi", "os", "sd"),
+    cv_methods=CV_METHODS,
     reps: int = 1000,
     B: int = 500,
     alpha: float = 0.1,
@@ -166,12 +163,12 @@ def run_mc(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     for cv in cv_methods:
-        if cv not in _CV_ORDER:
+        if cv not in CV_METHODS:
             raise ValueError(f"unknown critical-value method {cv!r}")
     results: list[McResult] = []
     for design in designs:
         for sigma_method in sigma_methods:
-            if sigma_method not in _SIGMA_ID:
+            if sigma_method not in SIGMA_METHODS:
                 raise ValueError(f"unknown sigma method {sigma_method!r}")
             start = time.perf_counter()
             args = [
@@ -189,16 +186,13 @@ def run_mc(
             ok = np.array([r[0] for r in rows], dtype=bool)
             failures = int((~ok).sum())
             if failures > 0.01 * reps:
-                raise RuntimeError(
+                raise DataError(
                     f"{failures}/{reps} replications failed in cell "
                     f"(case={design.case}, n={design.n}, noise={design.noise}, sigma={sigma_method})"
                 )
             denom = max(int(ok.sum()), 1)
-            by_cv = {
-                "pi": np.array([r[1] for r in rows], dtype=bool),
-                "os": np.array([r[2] for r in rows], dtype=bool),
-                "sd": np.array([r[3] for r in rows], dtype=bool),
-            }
+            # columns 1.. of a row are the rejections in CV_METHODS order
+            by_cv = dict(zip(CV_METHODS, np.array([r[1:] for r in rows], dtype=bool).T))
             for cv in cv_methods:
                 results.append(
                     McResult(
@@ -219,7 +213,8 @@ def run_mc(
 
 
 def _sort_key(r: McResult):
-    return (r.noise, r.case, r.n, _SIGMA_ID[r.sigma_method], _CV_ORDER[r.cv_method])
+    ids = (SIGMA_METHODS.index(r.sigma_method), CV_METHODS.index(r.cv_method))
+    return (r.noise, r.case, r.n, *ids)
 
 
 def results_to_csv(results) -> str:

@@ -19,7 +19,9 @@ adding a constant to Y cannot leak into b through rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,8 +40,6 @@ __all__ = [
     "test_function_b",
     "test_function_b_naive",
     "variance_hat",
-    "studentized_field",
-    "multivariate_field",
     "evaluate_field",
     "sensitivity_A",
 ]
@@ -59,7 +59,6 @@ class Sample:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray | None = None
-    sorted_by_x: bool = field(init=False, default=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).reshape(-1)
@@ -81,7 +80,6 @@ class Sample:
             if not np.all(np.isfinite(z)):
                 raise DataError("z contains non-finite values")
             object.__setattr__(self, "z", z)
-        object.__setattr__(self, "sorted_by_x", bool(np.all(x[1:] >= x[:-1])))
 
     @property
     def n(self) -> int:
@@ -110,9 +108,7 @@ class StudentizedField:
 
 
 def _sort_order(sample: Sample) -> np.ndarray:
-    if sample.sorted_by_x:
-        return np.arange(sample.n)
-    # stable: ties keep original order
+    # stable: ties keep original order, and sorted x gives arange
     return np.argsort(sample.x, kind="stable")
 
 
@@ -121,23 +117,6 @@ def _window_bounds(xs: np.ndarray, s: Scale, kernel: Kernel) -> tuple[int, int]:
     lo = int(np.searchsorted(xs, s.x - radius, side="right"))
     hi = int(np.searchsorted(xs, s.x + radius, side="left"))
     return lo, hi
-
-
-def _tie_runs(xw: np.ndarray):
-    """Maximal runs of equal values in a sorted array, as (start, stop) pairs."""
-    runs = []
-    m = xw.size
-    i = 0
-    while i < m - 1:
-        if xw[i + 1] == xw[i]:
-            j = i + 1
-            while j < m - 1 and xw[j + 1] == xw[j]:
-                j += 1
-            runs.append((i, j + 1))
-            i = j + 1
-        else:
-            i += 1
-    return runs
 
 
 def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
@@ -161,12 +140,13 @@ def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
         d = yw[:-1] - yw[1:]
         b = float(np.dot(d, pref * suff))
         # tied x: sign is zero, but the cut construction above counted
-        # within-tie pairs, so remove them with the same local telescoping
-        for a, stop in _tie_runs(xw):
-            for t in range(a, stop - 1):
-                pg = csum[t + 1] - csum[a]
-                sg = csum[stop] - csum[t + 1]
-                b -= (yw[t] - yw[t + 1]) * pg * sg
+        # within-tie pairs, so remove them with the same local telescoping;
+        # the run around a tied cut is left[cut]..right[cut], and the terms
+        # are subtracted one cut at a time in cut order to keep b's bits
+        tie = np.flatnonzero(xw[1:] == xw[:-1])
+        pg = csum[tie + 1] - csum[left[tie]]
+        sg = csum[right[tie]] - csum[tie + 1]
+        b = functools.reduce(operator.sub, (d[tie] * pg * sg).tolist(), b)
         return w, b
     if k == 1.0:
         xc = xw - xw[0]  # guard against cancellation for windows far from 0
@@ -280,7 +260,40 @@ def _sigma_values(sigma) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1)
 
 
-def _build_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
+def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
+    """Evaluate b, V, and t = scale_weight * b / sqrt(V) on every scale.
+
+    Parameters
+    ----------
+    sample : Sample
+    set_ : ScaleSet
+        Either no scale carries a z-cell, or every scale does; z-cell scales
+        weight observation pairs by Q(x1, x2, s) times
+        K((z1 - z_loc)/z_bw) * K((z2 - z_loc)/z_bw), so the statistic probes
+        monotonicity in x within each cell.
+    sigma : SigmaEstimate or array_like
+        Per-observation standard deviations (entries may be negative for
+        residual-based estimates; only their squares enter V).
+
+    Raises
+    ------
+    DataError
+        If z-cells do not match the sample's z columns, or sigma has the
+        wrong length.
+    DegenerateVarianceError
+        If every scale is inactive, which signals a data/bandwidth mismatch.
+    """
+    if any(s.z_loc is not None for s in set_.scales):
+        if sample.z is None:
+            raise DataError("sample has no z columns")
+        if set_.z_kernel is None:
+            raise DataError("scale set has no z_kernel")
+        d = sample.z.shape[1]
+        for s in set_.scales:
+            if s.z_loc is None:
+                raise DataError("either every scale needs a z-cell or none may have one")
+            if len(s.z_loc) != d:
+                raise DataError(f"z_loc dimension {len(s.z_loc)} does not match z dimension {d}")
     sig = _sigma_values(sigma)
     if sig.size != sample.n:
         raise DataError(f"sigma length {sig.size} does not match sample size {sample.n}")
@@ -308,59 +321,10 @@ def _build_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
     )
 
 
-def studentized_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
-    """Evaluate b, V, and t = scale_weight * b / sqrt(V) on every scale.
-
-    Parameters
-    ----------
-    sample : Sample
-    set_ : ScaleSet
-        Univariate scales only; use :func:`multivariate_field` for z-cells.
-    sigma : SigmaEstimate or array_like
-        Per-observation standard deviations (entries may be negative for
-        residual-based estimates; only their squares enter V).
-
-    Raises
-    ------
-    DegenerateVarianceError
-        If every scale is inactive, which signals a data/bandwidth mismatch.
-    """
-    if any(s.z_loc is not None for s in set_.scales):
-        raise ValueError("scale set carries z-cells; use multivariate_field")
-    return _build_field(sample, set_, sigma)
-
-
-def multivariate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
-    """Studentized field with the product weighting localized in z.
-
-    Observation pairs are weighted by Q(x1, x2, s) times
-    K((z1 - z_loc)/z_bw) * K((z2 - z_loc)/z_bw), so the statistic probes
-    monotonicity in x within each z-cell.
-    """
-    if sample.z is None:
-        raise DataError("sample has no z columns")
-    if set_.z_kernel is None:
-        raise DataError("scale set has no z_kernel")
-    d = sample.z.shape[1]
-    for s in set_.scales:
-        if s.z_loc is None:
-            raise DataError("every scale needs a z-cell; use studentized_field otherwise")
-        if len(s.z_loc) != d:
-            raise DataError(f"z_loc dimension {len(s.z_loc)} does not match z dimension {d}")
-    return _build_field(sample, set_, sigma)
-
-
-def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
-    """Dispatch to studentized_field or multivariate_field based on the set."""
-    if any(s.z_loc is not None for s in set_.scales):
-        return multivariate_field(sample, set_, sigma)
-    return studentized_field(sample, set_, sigma)
-
-
 def sensitivity_A(sample: Sample, set_: ScaleSet, sigma_true_or_hat) -> float:
     """Largest normalized influence A_n = max over scales of max_i |w_i(s)| / sqrt(V(s)).
 
     Depends only on X, the scale set, and the supplied sigma sequence; small
     values mean no single observation can dominate any scale's statistic.
     """
-    return _build_field(sample, set_, sigma_true_or_hat).A_n
+    return evaluate_field(sample, set_, sigma_true_or_hat).A_n

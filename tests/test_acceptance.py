@@ -30,11 +30,11 @@ from monotest import (
     build_basic_set,
     endogenous_adjust,
     estimate_sigma,
+    evaluate_field,
     kernel_Q,
     partial_linear_adjust,
     results_to_csv,
     run_mc,
-    studentized_field,
     variance_hat,
 )
 from monotest import weights_w as eval_w  # aliased so pytest does not collect it
@@ -157,14 +157,14 @@ def test_acceptance_5_exact_invariants(capsys):
         x = np.sort(rng.uniform(-1.0, 1.0, 60))
         y = rng.integers(-64, 65, 60) / 64.0
         set_ = build_basic_set(x)
-        T0 = studentized_field(Sample(x, y), set_, estimate_sigma(Sample(x, y), "rice")).T
+        T0 = evaluate_field(Sample(x, y), set_, estimate_sigma(Sample(x, y), "rice")).T
         for c in (1.0, -17.25, 1024.0):
             shifted = Sample(x, y + c)
-            if studentized_field(shifted, set_, estimate_sigma(shifted, "rice")).T != T0:
+            if evaluate_field(shifted, set_, estimate_sigma(shifted, "rice")).T != T0:
                 failures.append(f"location invariance (c={c})")
         for c in (4.0, 0.25, 1024.0):  # powers of two scale exactly
             scaled = Sample(x, c * y)
-            if studentized_field(scaled, set_, estimate_sigma(scaled, "rice")).T != T0:
+            if evaluate_field(scaled, set_, estimate_sigma(scaled, "rice")).T != T0:
                 failures.append(f"scale invariance (c={c})")
         if failures:
             break
@@ -181,7 +181,7 @@ def test_acceptance_5_exact_invariants(capsys):
             build_basic_set(sample.x),
             BootConfig(B=100, seed=1000 + i),
         )
-        nested = set(run.sd_ids) <= set(run.os_ids) <= set(run.boot.scale_ids)
+        nested = set(run.sd_ids) <= set(run.os_ids) <= set(run.field.active_ids)
         ordered = run.c_sd <= run.c_os <= run.c_pi
         if not (nested and ordered):
             failures.append(f"nesting/ordering (dataset {i})")
@@ -192,7 +192,7 @@ def test_acceptance_5_exact_invariants(capsys):
         sample = _monotone_noiseless(rng, int(rng.integers(30, 80)))
         set_ = build_basic_set(sample.x)
         ones = SigmaEstimate(np.ones(sample.n), "constant", {})
-        field = studentized_field(sample, set_, ones)
+        field = evaluate_field(sample, set_, ones)
         if field.b.max() > 0.0:
             failures.append(f"monotone sign property (dataset {i}, max b {field.b.max():.3e})")
             break
@@ -265,7 +265,7 @@ def test_acceptance_7_slope_equivalence(capsys):
             b = eval_b(sample, s, UNIFORM)
             ratios.append(b / numerator)
 
-            field = studentized_field(
+            field = evaluate_field(
                 sample,
                 ScaleSet((s,), kernel=UNIFORM),
                 SigmaEstimate(np.ones(n), "constant", {}),

@@ -9,14 +9,10 @@ from monotest import (
     bootstrap_run,
     build_basic_set,
     build_custom_set,
-    critical_onestep,
-    critical_plugin,
-    critical_stepdown,
     estimate_sigma,
     p_value,
     quantile_upper,
     run_report,
-    wild_panel,
 )
 
 
@@ -54,18 +50,6 @@ def test_p_value_add_one():
     assert p_value(6.0, maxima) == 0.1
 
 
-def test_wild_panel_deterministic():
-    sig = np.array([0.5, 1.0, 2.0])
-    eps1, ystar1 = wild_panel(sig, n=3, B=8, seed=123)
-    eps2, ystar2 = wild_panel(sig, n=3, B=8, seed=123)
-    np.testing.assert_array_equal(eps1, eps2)
-    np.testing.assert_array_equal(ystar1, ystar2)
-    np.testing.assert_array_equal(ystar1, sig[:, None] * eps1)
-    eps3, _ = wild_panel(sig, n=3, B=8, seed=124)
-    assert not np.array_equal(eps1, eps3)
-    assert eps1.shape == (3, 8)
-
-
 def test_boot_config_validation():
     assert BootConfig(method="SD").method == "sd"
     with pytest.raises(ValueError):
@@ -96,7 +80,7 @@ def _random_run(seed, n=60, B=150):
 def test_nesting_and_ordering():
     for seed in range(12):
         run, *_ = _random_run(seed)
-        active = set(run.boot.scale_ids.tolist())
+        active = set(run.field.active_ids.tolist())
         os_ids = set(run.os_ids.tolist())
         sd_ids = set(run.sd_ids.tolist())
         assert sd_ids <= os_ids <= active
@@ -117,17 +101,20 @@ def test_rejection_indicators_nest():
 def test_run_is_deterministic():
     run1, sample, sig, set_, cfg = _random_run(5)
     run2 = bootstrap_run(sample, sig, set_, cfg)
-    np.testing.assert_array_equal(run1.boot.draws, run2.boot.draws)
+    np.testing.assert_array_equal(run1.draws, run2.draws)
     assert run1.c_pi == run2.c_pi
     assert run1.c_os == run2.c_os
     assert run1.c_sd == run2.c_sd
     np.testing.assert_array_equal(run1.sd_ids, run2.sd_ids)
+    # the multiplier panel is a function of the seed: another seed, other draws
+    run3 = bootstrap_run(sample, sig, set_, BootConfig(B=cfg.B, seed=cfg.seed + 1))
+    assert not np.array_equal(run1.draws, run3.draws)
 
 
 def test_draws_shape_and_maxima():
     run, *_ = _random_run(9, n=40, B=64)
-    assert run.boot.draws.shape == (64, run.boot.scale_ids.size)
-    np.testing.assert_array_equal(run.maxima("pi"), run.boot.draws.max(axis=1))
+    assert run.draws.shape == (64, run.field.active_ids.size)
+    np.testing.assert_array_equal(run.maxima("pi"), run.draws.max(axis=1))
     assert run.critical_value("pi") == run.c_pi
     assert run.critical_value("os") == run.c_os
     assert run.critical_value("sd") == run.c_sd
@@ -160,7 +147,7 @@ def test_steep_monotone_triggers_fallback():
     set_ = build_basic_set(x)
     sig = np.full(50, 1e-3)
     run = bootstrap_run(sample, sig, set_, BootConfig(B=100, seed=3))
-    assert np.all(run.field.t[run.boot.scale_ids] < -2.0 * run.c_pi_gamma)
+    assert np.all(run.field.t[run.field.active_ids] < -2.0 * run.c_pi_gamma)
     assert run.os_ids.size == 1
     assert run.sd_ids.size == 1
     assert any("fallback" in w for w in run.warnings)
@@ -168,20 +155,6 @@ def test_steep_monotone_triggers_fallback():
     run2 = bootstrap_run(sample, sig, set_, BootConfig(B=100, seed=3, fallback="argmax"))
     best = np.nanargmax(run2.field.t)
     assert run2.os_ids.tolist() == [best]
-
-
-def test_wrappers_agree_with_full_run():
-    run, sample, sig, set_, cfg = _random_run(41)
-    c_pi, boot = critical_plugin(sample, sig, set_, cfg)
-    assert c_pi == run.c_pi
-    np.testing.assert_array_equal(boot.draws, run.boot.draws)
-    c_os, os_ids = critical_onestep(sample, sig, set_, cfg)
-    assert c_os == run.c_os
-    np.testing.assert_array_equal(os_ids, run.os_ids)
-    c_sd, sd_ids, iters = critical_stepdown(sample, sig, set_, cfg)
-    assert c_sd == run.c_sd
-    np.testing.assert_array_equal(sd_ids, run.sd_ids)
-    assert iters == run.stepdown_iterations
 
 
 def test_report_fields():

@@ -347,6 +347,15 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
     assert "--cases" in _stderr_error(capsys)["message"]
 
 
+def test_exit_2_on_mc_failure_budget(capsys):
+    # n=2 leaves no scale with two points in its window, so every
+    # replication fails and the cell is over its failure budget
+    assert main(["mc", "--cases", "1", "--sizes", "2", "--reps", "50", "--boot", "20"]) == 2
+    obj = _stderr_error(capsys)
+    assert obj["error"] == "DataError"
+    assert "50/50 replications failed" in obj["message"]
+
+
 def test_exit_2_on_unwritable_out(tmp_path, capsys):
     path = _data_csv(tmp_path)
     rc = main(["test", path, "--boot", "20", "--out", str(tmp_path / "no_dir" / "o.json")])

@@ -1,0 +1,123 @@
+"""Golden CLI outputs: every report, diag and mc table must stay byte-identical.
+
+Each case runs ``monotest.cli.main`` in-process from inside ``tests/golden``
+on small committed CSVs and compares the exit code and the bytes written to
+stdout and stderr with the files recorded there.  Refactors that keep the
+numbers must keep these files unchanged; a change that is meant to alter an
+output re-records them and says why.
+
+Record (inputs and outputs) with the package under test on the path:
+
+    PYTHONPATH=src python3 tests/test_golden.py --record
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from monotest.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+FAST = ["--boot", "60", "--seed", "5"]
+
+# name -> argv; every file named in an argv lives in tests/golden
+CASES = {
+    "test_rice_sd": ["test", "main.csv", *FAST],
+    "test_rice_pi": ["test", "main.csv", "--cv", "pi", *FAST],
+    "test_rice_os": ["test", "main.csv", "--cv", "os", *FAST],
+    "test_local_rice": ["test", "main.csv", "--sigma", "local-rice", *FAST],
+    "test_residual": ["test", "main.csv", "--sigma", "residual", *FAST],
+    "test_two_step": ["test", "main.csv", "--sigma", "two-step-poly", "--sigma-degree", "2", *FAST],
+    "test_k_half": ["test", "main.csv", "--k", "0.5", *FAST],
+    "test_k_one_uniform": ["test", "main.csv", "--k", "1", "--kernel", "uniform", *FAST],
+    "test_uniform": ["test", "main.csv", "--kernel", "uniform", "--cv", "os", *FAST],
+    "test_h_set": ["test", "main.csv", "--h-set", "0.9,0.3", "--alpha", "0.05", *FAST],
+    "test_ties_k0": ["test", "ties.csv", *FAST],
+    "test_ties_k0_uniform": ["test", "ties.csv", "--kernel", "uniform", "--cv", "pi", *FAST],
+    "test_ties_k_half": ["test", "ties.csv", "--k", "0.5", *FAST],
+    "test_ties_k1": ["test", "ties.csv", "--k", "1", *FAST],
+    "test_partial_linear": ["test", "main.csv", "--model", "partial-linear", "--z-cols", "z", *FAST],
+    "test_additive": ["test", "main.csv", "--model", "additive", "--z-cols", "z,z2", "--L", "3", *FAST],
+    "test_endogenous": ["test", "main.csv", "--model", "endogenous", "--u-cols", "u", *FAST],
+    "test_selection": [
+        "test", "main.csv", "--model", "selection", "--z-cols", "z", "--d-col", "d", *FAST,
+    ],
+    "test_zcell": ["test", "main.csv", "--model", "nonparametric-z", "--z-cols", "z", *FAST],
+    "test_zcell_ties_2d": [
+        "test", "ties.csv", "--model", "nonparametric-z", "--z-cols", "z,z2", "--z-cells", "2",
+        "--cv", "pi", *FAST,
+    ],
+    "diag_simple": ["diag", "main.csv", "--h-set", "0.8,0.4"],
+    "diag_zcell": [
+        "diag", "ties.csv", "--model", "nonparametric-z", "--z-cols", "z", "--z-cells", "2",
+        "--sigma", "local-rice",
+    ],
+    "mc_csv": [
+        "mc", "--cases", "1,3", "--sizes", "30", "--reps", "3", "--boot", "20",
+        "--sigma", "rice,residual", "--seed", "4",
+    ],
+    "mc_text": [
+        "mc", "--cases", "2,4", "--sizes", "25,30", "--reps", "2", "--boot", "20",
+        "--noise", "both", "--cv", "sd,pi", "--format", "text",
+    ],
+    "error_bad_cell": ["test", "bad.csv", *FAST],
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return f"exit {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert _run(CASES[name]).encode("utf-8") == expected
+
+
+def _write_csv(path: Path, cols: dict) -> None:
+    names = list(cols)
+    rows = zip(*(cols[k] for k in names))
+    lines = [",".join(names)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    rng = np.random.default_rng(20121212)
+    n = 80
+    u = rng.uniform(-1.0, 1.0, n)
+    x = 0.7 * u + 0.3 * rng.uniform(-1.0, 1.0, n)
+    z = rng.uniform(-1.0, 1.0, n)
+    z2 = rng.uniform(-1.0, 1.0, n)
+    d = (z + 0.5 * rng.standard_normal(n) > -0.4).astype(float)
+    y = x - 0.8 * np.exp(-20.0 * x**2) + 0.5 * z + 0.15 * rng.standard_normal(n)
+    _write_csv(GOLDEN / "main.csv", {"x": x, "y": y, "z": z, "z2": z2, "u": u, "d": d})
+
+    m = 60
+    xt = np.round(rng.uniform(-1.0, 1.0, m), 1)  # a 0.1 grid: every window has ties
+    zt = rng.uniform(0.0, 1.0, m)
+    zt2 = np.round(rng.uniform(0.0, 1.0, m), 1)
+    yt = 0.3 * xt - 0.5 * np.exp(-30.0 * xt**2) + 0.1 * rng.standard_normal(m)
+    _write_csv(GOLDEN / "ties.csv", {"x": xt, "y": yt, "z": zt, "z2": zt2})
+
+    (GOLDEN / "bad.csv").write_text("x,y\n0.1,1.0\n0.2,oops\n0.3,2.0\n", encoding="utf-8")
+
+    os.chdir(GOLDEN)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.txt").write_bytes(_run(argv).encode("utf-8"))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    _record()

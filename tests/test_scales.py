@@ -13,7 +13,6 @@ from monotest import (
     build_z_local_set,
     epanechnikov,
     kernel_Q,
-    multi_peak_Q,
     uniform,
 )
 from monotest.scales import EPANECHNIKOV, KERNELS, UNIFORM
@@ -82,24 +81,6 @@ def test_kernel_Q_symmetric_and_nonnegative():
         q = kernel_Q(x1, x2, s)
         assert q >= 0.0
         assert q == kernel_Q(x2, x1, s)
-
-
-def test_multi_peak_single_peak_matches_kernel_Q():
-    assert multi_peak_Q(0.25, 0.75, [0.5], 0.5) == kernel_Q(0.25, 0.75, Scale(0.5, 0.5))
-
-
-def test_multi_peak_sums_over_centers():
-    # peak 0: K(0.25)K(0.75), peak 1: K(-0.75)K(-0.25); both 0.703125 * 0.328125
-    got = multi_peak_Q(0.25, 0.75, [0.0, 1.0], 1.0)
-    assert got == 2 * 0.703125 * 0.328125
-    assert got == 0.46142578125
-
-
-def test_multi_peak_validation():
-    with pytest.raises(ValueError):
-        multi_peak_Q(0.0, 0.5, [], 0.5)
-    with pytest.raises(ValueError):
-        multi_peak_Q(0.0, 0.5, [0.0], -1.0)
 
 
 def test_scale_validation():

@@ -8,6 +8,7 @@ import pytest
 import monotest.simlab as simlab
 from monotest import (
     CASES,
+    DataError,
     McDesign,
     McResult,
     gen_design,
@@ -110,7 +111,7 @@ def test_run_mc_validation():
 def test_run_mc_failure_budget(monkeypatch):
     # a broken replication counts as a failure; over 1 percent aborts the cell
     monkeypatch.setattr(simlab, "_mc_rep", lambda args: (False, False, False, False))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(DataError, match="replications failed"):
         run_mc([McDesign(1, 50)], ["rice"], reps=5, B=10)
 
     calls = {"k": 0}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotest import (
     DataError,
@@ -11,9 +13,7 @@ from monotest import (
     ScaleSet,
     build_custom_set,
     evaluate_field,
-    multivariate_field,
     sensitivity_A,
-    studentized_field,
     variance_hat,
     weights_w,
     weights_w_naive,
@@ -45,7 +45,7 @@ def test_two_point_variance_and_T():
     w = weights_w(TWO_POINT, MID_SCALE)
     v = variance_hat(w, [1.0, 1.0])
     assert v == 0.200225830078125  # 2 * 0.31640625^2
-    field = studentized_field(TWO_POINT, ScaleSet(scales=(MID_SCALE,)), [1.0, 1.0])
+    field = evaluate_field(TWO_POINT, ScaleSet(scales=(MID_SCALE,)), [1.0, 1.0])
     np.testing.assert_allclose(field.T, 1.0 / np.sqrt(2.0), rtol=0, atol=0)
     np.testing.assert_allclose(field.A_n, 1.0 / np.sqrt(2.0), rtol=0, atol=0)
     assert field.b[0] == 0.31640625
@@ -102,6 +102,61 @@ def test_constant_y_gives_exactly_zero_b():
         assert eval_b(sample, Scale(0.5, 0.6)) == 0.0
 
 
+@st.composite
+def _tied_config(draw):
+    # x on a grid of at most 6 values, so every window is made of tie runs
+    grid = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(2, 40))
+    x = 0.25 * np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)), dtype=float)
+    y = np.array(
+        draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n))
+    )
+    center = 0.25 * draw(st.sampled_from(grid))
+    # h below the grid step keeps one tie run alone in the window; wider
+    # windows have runs ending exactly at their first and last point
+    h = draw(st.sampled_from([0.1, 0.3, 0.6, 1.1, 5.0]))
+    kern = draw(st.sampled_from([EPANECHNIKOV, UNIFORM]))
+    return Sample(x=x, y=y), Scale(center + draw(st.sampled_from([0.0, 0.05])), h), kern
+
+
+def _b_k0_loop(sample, s, kern):
+    # k=0 fast path with the tie correction as a Python loop over tie runs,
+    # in cut order: the arithmetic the vectorized correction must reproduce
+    xs = np.sort(sample.x, kind="stable")
+    ys = sample.y[np.argsort(sample.x, kind="stable")]
+    lo = np.searchsorted(xs, s.x - s.h, side="right")
+    hi = np.searchsorted(xs, s.x + s.h, side="left")
+    if hi - lo < 2:
+        return 0.0
+    xw, yw = xs[lo:hi], ys[lo:hi]
+    csum = np.concatenate(([0.0], np.cumsum(kern((xw - s.x) / s.h))))
+    pref = csum[1:-1]
+    b = float(np.dot(yw[:-1] - yw[1:], pref * (csum[-1] - pref)))
+    for t in range(xw.size - 1):
+        if xw[t] == xw[t + 1]:
+            a = np.searchsorted(xw, xw[t], side="left")
+            stop = np.searchsorted(xw, xw[t], side="right")
+            b -= (yw[t] - yw[t + 1]) * (csum[t + 1] - csum[a]) * (csum[stop] - csum[t + 1])
+    return b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tied_config())
+def test_tie_correction_matches_naive(config):
+    sample, s, kern = config
+    b_fast = eval_b(sample, s, kern)
+    assert b_fast == _b_k0_loop(sample, s, kern)
+    b_naive = eval_b_naive(sample, s, kern)
+    # relative to the absolute pair terms the fast path sums, tied pairs
+    # included: it adds them over the cuts and then subtracts them again
+    kx = np.asarray(kern((sample.x - s.x) / s.h), dtype=float)
+    scale = 0.5 * float(kx @ np.abs(sample.y[:, None] - sample.y[None, :]) @ kx)
+    assert abs(b_fast - b_naive) <= 1e-10 * max(scale, 1e-300)
+    # constant y on tied x: every adjacent difference is zero, so b is exactly 0
+    flat = Sample(x=sample.x, y=np.full(sample.n, sample.y[0]))
+    assert eval_b(flat, s, kern) == 0.0
+
+
 def test_b_nonpositive_on_noiseless_monotone():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -141,15 +196,15 @@ def test_T_location_and_scale_invariance():
     y = rng.integers(-128, 129, size=60) / 64.0
     sig = rng.uniform(0.5, 2.0, 60)
     set_ = build_custom_set(np.unique(x)[::7], [0.5, 0.25])
-    T0 = studentized_field(Sample(x=x, y=y), set_, sig).T
+    T0 = evaluate_field(Sample(x=x, y=y), set_, sig).T
     # dyadic shift of lattice y: exact
-    T_shift = studentized_field(Sample(x=x, y=y + 5.5), set_, sig).T
+    T_shift = evaluate_field(Sample(x=x, y=y + 5.5), set_, sig).T
     assert T_shift == T0
     # scale by a power of two: exact in binary floating point
-    T_pow2 = studentized_field(Sample(x=x, y=4.0 * y), set_, 4.0 * sig).T
+    T_pow2 = evaluate_field(Sample(x=x, y=4.0 * y), set_, 4.0 * sig).T
     assert T_pow2 == T0
     # generic positive scale: equal up to roundoff
-    T_gen = studentized_field(Sample(x=x, y=0.3 * y), set_, 0.3 * sig).T
+    T_gen = evaluate_field(Sample(x=x, y=0.3 * y), set_, 0.3 * sig).T
     np.testing.assert_allclose(T_gen, T0, rtol=1e-12)
 
 
@@ -165,7 +220,7 @@ def test_empty_window_scale_is_inactive():
     x = rng.uniform(0, 1, 30)
     sample = Sample(x=x, y=rng.normal(size=30))
     set_ = ScaleSet(scales=(Scale(0.5, 0.4), Scale(25.0, 0.1)))
-    field = studentized_field(sample, set_, np.ones(30))
+    field = evaluate_field(sample, set_, np.ones(30))
     np.testing.assert_array_equal(field.active_ids, [0])
     assert np.isnan(field.t[1])
     assert field.v_hat[1] == 0.0
@@ -176,7 +231,7 @@ def test_all_scales_degenerate_raises():
     sample = Sample(x=[0.0, 1.0, 2.0], y=[0.0, 1.0, 2.0])
     set_ = ScaleSet(scales=(Scale(50.0, 0.1), Scale(-50.0, 0.1)))
     with pytest.raises(DegenerateVarianceError):
-        studentized_field(sample, set_, np.ones(3))
+        evaluate_field(sample, set_, np.ones(3))
 
 
 def test_a_matrix_reproduces_t():
@@ -184,7 +239,7 @@ def test_a_matrix_reproduces_t():
     x = rng.uniform(0, 1, 40)
     y = rng.normal(size=40)
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
-    field = studentized_field(Sample(x=x, y=y), set_, np.ones(40))
+    field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40))
     # rows of a_matrix are w / sqrt(v): acting on y recovers the t values
     np.testing.assert_allclose(
         field.a_matrix @ y, field.t[field.active_ids], rtol=0, atol=1e-10
@@ -196,8 +251,8 @@ def test_scale_weights_multiply_t_but_not_A_n():
     x = rng.uniform(0, 1, 40)
     y = rng.normal(size=40)
     scales = tuple(Scale(c, 0.4) for c in (0.3, 0.7))
-    plain = studentized_field(Sample(x=x, y=y), ScaleSet(scales=scales), np.ones(40))
-    weighted = studentized_field(
+    plain = evaluate_field(Sample(x=x, y=y), ScaleSet(scales=scales), np.ones(40))
+    weighted = evaluate_field(
         Sample(x=x, y=y),
         ScaleSet(scales=scales, scale_weights=(2.0, 0.5)),
         np.ones(40),
@@ -215,7 +270,7 @@ def test_sensitivity_matches_field():
     x = rng.uniform(0, 1, 50)
     sample = Sample(x=x, y=rng.normal(size=50))
     set_ = build_custom_set([0.25, 0.75], [0.5])
-    field = studentized_field(sample, set_, np.ones(50))
+    field = evaluate_field(sample, set_, np.ones(50))
     assert sensitivity_A(sample, set_, np.ones(50)) == field.A_n
     assert 0.0 < field.A_n < 1.0
 
@@ -245,7 +300,7 @@ def test_z_cell_field_matches_naive():
     )
     base = build_custom_set([0.4, 0.6], [0.5])
     set_ = build_z_local_set(base, z_locs=[(0.3, 0.7), (0.6, 0.4)], z_bws=[0.5])
-    field = multivariate_field(sample, set_, np.ones(n))
+    field = evaluate_field(sample, set_, np.ones(n))
     for r, s in enumerate(set_.scales):
         b_naive = _naive_z_field(sample, s, set_.kernel, set_.z_kernel)
         np.testing.assert_allclose(field.b[r], b_naive, rtol=0, atol=1e-12)
@@ -256,29 +311,16 @@ def test_z_cell_validation():
     base = build_custom_set([0.5], [0.5])
     zset = build_z_local_set(base, z_locs=[(0.5,)], z_bws=[0.5])
     no_z = Sample(x=rng.uniform(0, 1, 10), y=rng.normal(size=10))
-    with pytest.raises(DataError):
-        multivariate_field(no_z, zset, np.ones(10))
     with_z = Sample(x=no_z.x, y=no_z.y, z=rng.uniform(0, 1, (10, 2)))
+    for field_fn in (evaluate_field, sensitivity_A):
+        with pytest.raises(DataError):
+            field_fn(no_z, zset, np.ones(10))
+        with pytest.raises(DataError):
+            field_fn(with_z, zset, np.ones(10))  # z_loc is 1-d, z is 2-d
+    # a set that mixes plain and z-cell scales is rejected too
+    mixed = ScaleSet(scales=base.scales + zset.scales, z_kernel=zset.z_kernel)
     with pytest.raises(DataError):
-        multivariate_field(with_z, zset, np.ones(10))  # z_loc is 1-d, z is 2-d
-    with pytest.raises(ValueError):
-        studentized_field(with_z, zset, np.ones(10))
-
-
-def test_evaluate_field_dispatch():
-    rng = np.random.default_rng(71)
-    n = 30
-    sample = Sample(
-        x=rng.uniform(0, 1, n), y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1))
-    )
-    plain = build_custom_set([0.5], [0.5])
-    zset = build_z_local_set(plain, z_locs=[(0.5,)], z_bws=[1.0])
-    assert evaluate_field(sample, plain, np.ones(n)).T == studentized_field(
-        sample, plain, np.ones(n)
-    ).T
-    assert evaluate_field(sample, zset, np.ones(n)).T == multivariate_field(
-        sample, zset, np.ones(n)
-    ).T
+        evaluate_field(Sample(x=no_z.x, y=no_z.y, z=no_z.x), mixed, np.ones(10))
 
 
 def test_sample_validation():
@@ -290,11 +332,8 @@ def test_sample_validation():
         Sample(x=[1.0, np.nan], y=[1.0, 2.0])
     with pytest.raises(DataError):
         Sample(x=[1.0, 2.0], y=[1.0, 2.0], z=np.ones((3, 1)))
-    s = Sample(x=[3.0, 1.0, 2.0], y=[1.0, 2.0, 3.0])
-    assert not s.sorted_by_x
-    assert Sample(x=[1.0, 2.0, 2.0], y=[0.0, 0.0, 0.0]).sorted_by_x
 
 
 def test_sigma_length_mismatch():
     with pytest.raises(DataError):
-        studentized_field(TWO_POINT, ScaleSet(scales=(MID_SCALE,)), [1.0, 1.0, 1.0])
+        evaluate_field(TWO_POINT, ScaleSet(scales=(MID_SCALE,)), [1.0, 1.0, 1.0])
