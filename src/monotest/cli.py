@@ -12,9 +12,12 @@ Three subcommands:
     List the scale set and the sensitivity diagnostic A_n for a dataset
     without running the test itself.
 
-Exit codes: 0 success, 2 data or configuration error, 3 degenerate variance
-on every scale.  Reports use fixed field order and 17 significant digits, so
-identical invocations produce byte-identical output.
+Exit codes: 0 success, 2 data or configuration error (including a field too
+large to allocate), 3 degenerate variance on every scale.  An out-of-memory
+kill by the operating system, which overcommit can cause instead of a failed
+allocation, ends the process before it can report anything.  Reports use
+fixed field order and 17 significant digits, so identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -165,6 +168,15 @@ def _write_out(out: str, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _field_too_large(base: Sample, set_) -> MemoryError:
+    p, n = set_.p, base.n
+    return MemoryError(
+        f"out of memory: {p} scales x {n} observations need a {p} x {n} weight matrix "
+        f"of about {p * n * 8 / 2**20:.0f} MiB (p * n * 8 bytes); "
+        "use fewer bandwidths (--h-set) or fewer rows"
+    )
+
+
 def _emit_error(exc: BaseException) -> None:
     sys.stderr.write(
         _render_json(
@@ -297,7 +309,10 @@ def _cmd_test(args) -> int:
     cfg = BootConfig(
         alpha=args.alpha, gamma=args.gamma, B=args.boot, seed=args.seed, method=args.cv
     )
-    report = run_report(base, sig, set_, cfg, model=args.model)
+    try:
+        report = run_report(base, sig, set_, cfg, model=args.model)
+    except MemoryError:
+        raise _field_too_large(base, set_) from None
     _write_out(args.out, report_to_json(report, extra_warnings))
     return 0
 
@@ -305,7 +320,10 @@ def _cmd_test(args) -> int:
 def _cmd_diag(args) -> int:
     base, set_, _ = _prepare_case(args)
     sig = _estimate(args, base)
-    a_n = sensitivity_A(base, set_, sig)
+    try:
+        a_n = sensitivity_A(base, set_, sig)
+    except MemoryError:
+        raise _field_too_large(base, set_) from None
     scales = [
         [s.x, s.h] + (list(s.z_loc) + [s.z_bw] if s.z_loc is not None else [])
         for s in set_.scales
@@ -441,7 +459,7 @@ def main(argv=None) -> int:
     except DegenerateVarianceError as exc:
         _emit_error(exc)
         return 3
-    except (DataError, ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (DataError, ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         _emit_error(exc)
         return 2
 

@@ -356,6 +356,25 @@ def test_exit_2_on_mc_failure_budget(capsys):
     assert "50/50 replications failed" in obj["message"]
 
 
+def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
+    # the allocation failure is simulated: nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    path = _data_csv(tmp_path, n=40)
+    monkeypatch.setattr("monotest.cli.run_report", out_of_memory)
+    assert main(["test", path, "--h-set", "0.5,0.25", "--boot", "20"]) == 2
+    obj = _stderr_error(capsys)
+    assert obj["schema"] == "monotest/error1"
+    assert obj["error"] == "MemoryError"
+    p = np.unique(load_columns(path, ["x"])["x"]).size * 2
+    assert f"{p} scales x 40 observations" in obj["message"]
+    assert f"{p} x 40 weight matrix" in obj["message"]
+    monkeypatch.setattr("monotest.cli.sensitivity_A", out_of_memory)
+    assert main(["diag", path]) == 2
+    assert _stderr_error(capsys)["error"] == "MemoryError"
+
+
 def test_exit_2_on_unwritable_out(tmp_path, capsys):
     path = _data_csv(tmp_path)
     rc = main(["test", path, "--boot", "20", "--out", str(tmp_path / "no_dir" / "o.json")])

@@ -8,7 +8,10 @@ output re-records them and says why.
 
 Record (inputs and outputs) with the package under test on the path:
 
-    PYTHONPATH=src python3 tests/test_golden.py --record
+    PYTHONPATH=src python3 tests/test_golden.py --record [CASE ...]
+
+With case names, only those outputs and the input files their argv names
+are written, so a new case can be recorded without touching the others.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from monotest.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FAST = ["--boot", "60", "--seed", "5"]
+BLOCK_H = "1.2,0.9,0.7,0.5,0.35,0.25,0.18,0.12,0.08,0.05"
 
 # name -> argv; every file named in an argv lives in tests/golden
 CASES = {
@@ -67,6 +71,9 @@ CASES = {
         "--noise", "both", "--cv", "sd,pi", "--format", "text",
     ],
     "error_bad_cell": ["test", "bad.csv", *FAST],
+    # 2,350 scales on tied x: more than two statistic.FIELD_BLOCK blocks, the last partial
+    "test_blocks_k0": ["test", "blocks.csv", "--h-set", BLOCK_H, *FAST],
+    "test_blocks_k1": ["test", "blocks.csv", "--h-set", BLOCK_H, "--k", "1", *FAST],
 }
 
 
@@ -84,15 +91,15 @@ def test_golden_output(name, monkeypatch):
     assert _run(CASES[name]).encode("utf-8") == expected
 
 
-def _write_csv(path: Path, cols: dict) -> None:
+def _csv_text(cols: dict) -> str:
     names = list(cols)
     rows = zip(*(cols[k] for k in names))
     lines = [",".join(names)] + [",".join(repr(float(v)) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _record() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+def _inputs() -> dict:
+    """Every input file's text, by file name."""
     rng = np.random.default_rng(20121212)
     n = 80
     u = rng.uniform(-1.0, 1.0, n)
@@ -101,23 +108,41 @@ def _record() -> None:
     z2 = rng.uniform(-1.0, 1.0, n)
     d = (z + 0.5 * rng.standard_normal(n) > -0.4).astype(float)
     y = x - 0.8 * np.exp(-20.0 * x**2) + 0.5 * z + 0.15 * rng.standard_normal(n)
-    _write_csv(GOLDEN / "main.csv", {"x": x, "y": y, "z": z, "z2": z2, "u": u, "d": d})
+    files = {"main.csv": _csv_text({"x": x, "y": y, "z": z, "z2": z2, "u": u, "d": d})}
 
     m = 60
     xt = np.round(rng.uniform(-1.0, 1.0, m), 1)  # a 0.1 grid: every window has ties
     zt = rng.uniform(0.0, 1.0, m)
     zt2 = np.round(rng.uniform(0.0, 1.0, m), 1)
     yt = 0.3 * xt - 0.5 * np.exp(-30.0 * xt**2) + 0.1 * rng.standard_normal(m)
-    _write_csv(GOLDEN / "ties.csv", {"x": xt, "y": yt, "z": zt, "z2": zt2})
+    files["ties.csv"] = _csv_text({"x": xt, "y": yt, "z": zt, "z2": zt2})
 
-    (GOLDEN / "bad.csv").write_text("x,y\n0.1,1.0\n0.2,oops\n0.3,2.0\n", encoding="utf-8")
+    files["bad.csv"] = "x,y\n0.1,1.0\n0.2,oops\n0.3,2.0\n"
 
+    # its own stream: the files above do not depend on it
+    rng = np.random.default_rng(2024)
+    nb = 350
+    xb = np.round(rng.uniform(-1.0, 1.0, nb) / 0.005) * 0.005  # a 0.005 grid: tied x
+    yb = xb - 0.6 * np.exp(-25.0 * (xb - 0.2) ** 2) + 0.2 * rng.standard_normal(nb)
+    files["blocks.csv"] = _csv_text({"x": xb, "y": yb})
+    return files
+
+
+def _record(names) -> None:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    names = names or list(CASES)
+    GOLDEN.mkdir(exist_ok=True)
+    inputs = _inputs()
+    for fname in sorted({arg for name in names for arg in CASES[name] if arg in inputs}):
+        (GOLDEN / fname).write_text(inputs[fname], encoding="utf-8")
     os.chdir(GOLDEN)
-    for name, argv in CASES.items():
-        (GOLDEN / f"{name}.txt").write_bytes(_run(argv).encode("utf-8"))
+    for name in names:
+        (GOLDEN / f"{name}.txt").write_bytes(_run(CASES[name]).encode("utf-8"))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"]:
         sys.exit(__doc__)
-    _record()
+    _record(sys.argv[2:])

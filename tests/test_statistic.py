@@ -1,5 +1,7 @@
 """Test functions, weights, variances, and the studentized maximum."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,8 @@ from monotest import (
 # aliased so pytest does not collect them as test functions
 from monotest import test_function_b as eval_b
 from monotest import test_function_b_naive as eval_b_naive
-from monotest.scales import EPANECHNIKOV, UNIFORM, build_z_local_set
+from monotest import statistic
+from monotest.scales import EPANECHNIKOV, UNIFORM, build_basic_set, build_z_local_set
 
 TWO_POINT = Sample(x=[0.25, 0.75], y=[1.0, 0.0])
 MID_SCALE = Scale(x=0.5, h=0.5)
@@ -126,8 +129,8 @@ def _b_k0_loop(sample, s, kern):
     ys = sample.y[np.argsort(sample.x, kind="stable")]
     lo = np.searchsorted(xs, s.x - s.h, side="right")
     hi = np.searchsorted(xs, s.x + s.h, side="left")
-    if hi - lo < 2:
-        return 0.0
+    if hi - lo < 2 or xs[lo] == xs[hi - 1]:
+        return 0.0  # no pair with nonzero sign: fewer than two points, or one tie run
     xw, yw = xs[lo:hi], ys[lo:hi]
     csum = np.concatenate(([0.0], np.cumsum(kern((xw - s.x) / s.h))))
     pref = csum[1:-1]
@@ -155,6 +158,133 @@ def test_tie_correction_matches_naive(config):
     # constant y on tied x: every adjacent difference is zero, so b is exactly 0
     flat = Sample(x=sample.x, y=np.full(sample.n, sample.y[0]))
     assert eval_b(flat, s, kern) == 0.0
+
+
+def test_single_tie_run_window_is_exactly_zero():
+    # every pair in the window is tied, so no pair has a nonzero sign
+    sample = Sample(x=[0.0, 0.0], y=[0.0, 1.5])
+    for k in (0.0, 0.5, 1.0):
+        s = Scale(0.0, 0.5, k)
+        assert eval_b(sample, s) == 0.0
+        np.testing.assert_array_equal(weights_w(sample, s), [0.0, 0.0])
+
+
+def _naive_w_b(sample, s, x_kernel, z_kernel):
+    """Direct double sums for w and b, with the z-cell product weighting.
+
+    Also returns the error scales of the fast path.  It forms suffix sums as
+    the window total minus a prefix sum, so its rounding error follows the
+    window's kernel mass G (and GX = sum g * |x - x_first|**k), not the size
+    of w or b: pairs with a tiny kernel weight next to a heavy window lose
+    relative accuracy.
+    """
+    x, y = sample.x, sample.y
+    kx = np.asarray(x_kernel((x - s.x) / s.h), dtype=float)
+    g = kx
+    if s.z_loc is not None:
+        for j in range(sample.z.shape[1]):
+            g = g * np.asarray(z_kernel((sample.z[:, j] - s.z_loc[j]) / s.z_bw), dtype=float)
+    dx = x[None, :] - x[:, None]
+    coef = np.sign(dx) * np.abs(dx) ** s.k * g[:, None] * g[None, :]
+    w = coef.sum(axis=1)
+    dy = y[:, None] - y[None, :]
+    b = 0.5 * float(np.sum(dy * coef))
+    inside = kx > 0
+    if not inside.any():
+        return w, b, 1e-300, 1e-300
+    xw = x[inside]
+    big_g = float(g.sum())
+    big_gx = float(np.sum(g[inside] * np.abs(xw - xw.min()) ** s.k))
+    span = float(xw.max() - xw.min()) ** s.k
+    scale_w = float(np.max(np.abs(w))) + float(g.max()) * (big_g * span + big_gx)
+    cut_d = np.abs(np.diff(y[inside][np.argsort(xw, kind="stable")])).sum()
+    pairs = 0.5 * float(np.sum(np.abs(dy) * np.abs(dx) ** s.k * g[:, None] * g[None, :]))
+    scale_b = pairs + float(cut_d) * big_g * (big_gx + big_g * span)
+    return w, b, scale_w, scale_b
+
+
+@st.composite
+def _field_config(draw):
+    n = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        # heavy ties: at most 5 distinct x
+        grid = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
+        x = 0.25 * np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)))
+    else:
+        x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+    d = draw(st.sampled_from([0, 1, 2]))
+    z = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d)))
+    sample = Sample(x=x, y=y, z=z.reshape(n, d) if d else None)
+    # h down to 0.01 leaves windows with one point, or none
+    scales = draw(
+        st.lists(
+            st.builds(
+                Scale,
+                st.one_of(st.sampled_from(x.tolist()), st.floats(-2.5, 2.5)),
+                st.sampled_from([0.01, 0.1, 0.3, 0.8, 3.0]),
+                st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    kern = draw(st.sampled_from([EPANECHNIKOV, UNIFORM]))
+    set_ = ScaleSet(scales=tuple(scales), kernel=kern)
+    if d:
+        locs = draw(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * d), min_size=1, max_size=2))
+        set_ = build_z_local_set(set_, z_locs=locs, z_bws=[draw(st.sampled_from([0.3, 2.0]))])
+    return sample, set_
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_config(), st.sampled_from([1, 2, 5]))
+def test_field_engine_matches_naive(config, block):
+    # a tiny block puts block boundaries inside every set
+    sample, set_ = config
+    with mock.patch.object(statistic, "FIELD_BLOCK", block):
+        W, b, absmax = statistic._field_arrays(sample, set_)
+    for r, s in enumerate(set_.scales):
+        w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
+        np.testing.assert_allclose(W[r], w_naive, rtol=0, atol=1e-10 * scale_w)
+        assert abs(b[r] - b_naive) <= 1e-10 * scale_b
+        assert absmax[r] == np.max(np.abs(W[r]))
+        if s.z_loc is None:
+            # the package's own oracles agree with the sums here
+            np.testing.assert_allclose(
+                weights_w_naive(sample, s, set_.kernel), w_naive, rtol=0, atol=1e-12 * scale_w
+            )
+            assert abs(eval_b_naive(sample, s, set_.kernel) - b_naive) <= 1e-12 * scale_b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(20, 70),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
+    # up to ~700 scales: several blocks of 64 and of the default size
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(-1, 1, n), digits)
+    sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
+    set_ = build_basic_set(sample.x, k=k)
+    if zcell:
+        set_ = build_z_local_set(set_, z_locs=[(0.3,), (0.7,)], z_bws=[0.5])
+    sig = rng.uniform(0.5, 2.0, n)
+    fields = []
+    for block in (64, statistic.FIELD_BLOCK):
+        with mock.patch.object(statistic, "FIELD_BLOCK", block):
+            arrays = statistic._field_arrays(sample, set_)
+            fields.append((arrays, evaluate_field(sample, set_, sig)))
+    (arrays64, f64), (arrays, f) = fields
+    for a64, a in zip(arrays64, arrays):
+        assert a64.tobytes() == a.tobytes()
+    for name in ("b", "v_hat", "t", "active_ids", "a_matrix"):
+        assert getattr(f64, name).tobytes() == getattr(f, name).tobytes(), name
+    assert (f64.T, f64.A_n) == (f.T, f.A_n)
 
 
 def test_b_nonpositive_on_noiseless_monotone():
@@ -275,21 +405,6 @@ def test_sensitivity_matches_field():
     assert 0.0 < field.A_n < 1.0
 
 
-def _naive_z_field(sample, s, x_kernel, z_kernel):
-    # direct double sum with the product weighting in z
-    x, y, z = sample.x, sample.y, sample.z
-    kx = np.asarray(x_kernel((x - s.x) / s.h), dtype=float)
-    kz = np.ones_like(kx)
-    for j in range(z.shape[1]):
-        kz = kz * np.asarray(z_kernel((z[:, j] - s.z_loc[j]) / s.z_bw), dtype=float)
-    g = kx * kz
-    total = 0.0
-    for i in range(x.size):
-        diff = x - x[i]
-        total += g[i] * np.sum((y[i] - y) * np.sign(diff) * np.abs(diff) ** s.k * g)
-    return 0.5 * total
-
-
 def test_z_cell_field_matches_naive():
     rng = np.random.default_rng(61)
     n = 50
@@ -302,7 +417,7 @@ def test_z_cell_field_matches_naive():
     set_ = build_z_local_set(base, z_locs=[(0.3, 0.7), (0.6, 0.4)], z_bws=[0.5])
     field = evaluate_field(sample, set_, np.ones(n))
     for r, s in enumerate(set_.scales):
-        b_naive = _naive_z_field(sample, s, set_.kernel, set_.z_kernel)
+        b_naive = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)[1]
         np.testing.assert_allclose(field.b[r], b_naive, rtol=0, atol=1e-12)
 
 
