@@ -168,7 +168,7 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     eps = gen.standard_normal((n, cfg.B))
     sig = _sigma_values(sigma)
-    draws = (field.a_matrix @ (sig[:, None] * eps)).T  # (B, active)
+    draws = field.apply(sig[:, None] * eps).T  # (B, active)
 
     full_max = draws.max(axis=1)
     c_pi = quantile_upper(full_max, 1.0 - cfg.alpha)

@@ -168,13 +168,15 @@ def _write_out(out: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _field_too_large(base: Sample, set_) -> MemoryError:
+def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError:
+    """What the field (and, with ``boot``, the bootstrap draws) allocate, as a MemoryError."""
     p, n = set_.p, base.n
-    return MemoryError(
-        f"out of memory: {p} scales x {n} observations need a {p} x {n} weight matrix "
-        f"of about {p * n * 8 / 2**20:.0f} MiB (p * n * 8 bytes); "
-        "use fewer bandwidths (--h-set) or fewer rows"
-    )
+    need = f"window weights of at most {p * n * 8 / 2**20:.0f} MiB (p * n * 8 bytes)"
+    fewer = "fewer bandwidths (--h-set) or rows"
+    if boot is not None:
+        need += f" and {boot} bootstrap draws of {p * boot * 8 / 2**20:.0f} MiB (p * B * 8 bytes)"
+        fewer = "fewer bandwidths (--h-set), rows or draws (--boot)"
+    return MemoryError(f"out of memory: {p} scales x {n} observations need {need}; use {fewer}")
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -312,7 +314,7 @@ def _cmd_test(args) -> int:
     try:
         report = run_report(base, sig, set_, cfg, model=args.model)
     except MemoryError:
-        raise _field_too_large(base, set_) from None
+        raise _field_too_large(base, set_, cfg.B) from None
     _write_out(args.out, report_to_json(report, extra_warnings))
     return 0
 

@@ -20,11 +20,12 @@ handles any other k.  The engine accumulates b(s) from adjacent differences
 of the sorted Y, so adding a constant to Y cannot leak into b through
 rounding.
 
-Memory: a field holds one dense p x n weight matrix W in original
-observation order.  It becomes the bootstrap's ``a_matrix`` in place when
-every scale is active (a copy of the active rows otherwise).  V takes one
-transient p x n square W * W; the engine's own temporaries are
-O(FIELD_BLOCK * n).
+Memory: w_i(s) is zero outside the window of s, so in sorted order each
+scale's weights are one contiguous band.  A field keeps only the window
+weights, flat per block of FIELD_BLOCK scales: the sum of the window sizes
+times 8 bytes, at most p * n * 8.  V sums each window on its own, and the
+bootstrap draws take one (FIELD_BLOCK x band width) panel at a time, so
+every temporary is O(FIELD_BLOCK * n).
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ __all__ = [
 VAR_RTOL = 1e-12
 VAR_FLOOR = 1e-300
 
-# The field engine evaluates this many scales at a time, so its temporaries
-# are O(FIELD_BLOCK * n) next to the p x n weight matrix; at n in the
-# thousands a block's flat arrays stay within a core's cache.
+# The field engine evaluates this many scales at a time, and keeps their
+# window weights as one band, so its temporaries and each draw panel are
+# O(FIELD_BLOCK * n); at n in the thousands a block's flat arrays stay
+# within a core's cache.
 FIELD_BLOCK = 128
 
 
@@ -105,10 +107,15 @@ class StudentizedField:
 
     ``t`` is scale_weight * b / sqrt(v_hat) on active scales and NaN on
     inactive ones; ``T`` is the maximum of t over ``active_ids``.
-    ``a_matrix`` holds, for each active scale, the row
-    scale_weight * w_i(s) / sqrt(v_hat(s)) in original observation order;
-    multiplying it with sigma_i * eps_i reproduces one bootstrap draw.
     ``A_n`` is the largest unweighted influence max |w_i(s)| / sqrt(v_hat(s)).
+
+    For each active scale the row a_i(s) = scale_weight * w_i(s) /
+    sqrt(v_hat(s)) is zero outside the window of s, so only the windows are
+    kept: ``bands`` holds, per block of scales, the tuple (cols, lo, m, a) of
+    their positions in ``active_ids``, their windows sorted[lo : lo + m]
+    (``order`` sorts the sample by x) and the flat window values a.
+    ``apply`` multiplies the rows with an array in observation order; with
+    sigma_i * eps_i it gives one bootstrap draw.
     """
 
     b: np.ndarray
@@ -116,13 +123,81 @@ class StudentizedField:
     t: np.ndarray
     T: float
     active_ids: np.ndarray
-    a_matrix: np.ndarray
     A_n: float
+    order: np.ndarray
+    bands: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def apply(self, e) -> np.ndarray:
+        """sum_i a_i(s) * e_i for every active scale; e has n rows in observation order.
+
+        Returns one row per active scale, in the order of ``active_ids``,
+        with e's columns (a vector for a 1-d e).  Each band becomes one
+        zero-filled (scales x band width) panel and one matrix product with
+        the sorted rows of e it covers.
+        """
+        es = np.asarray(e, dtype=float)[self.order]
+        out = np.empty((self.active_ids.size,) + es.shape[1:])
+        spans = [(int(lo.min()), int((lo + m).max())) for _, lo, m, _ in self.bands]
+        # every panel lives in one buffer and every product is written in
+        # place: fresh pages for each band cost about as much as the products
+        sizes = [band[0].size * (stop - start) for band, (start, stop) in zip(self.bands, spans)]
+        buf = np.empty(max(sizes, default=0))
+        for (cols, lo, m, a), (start, stop) in zip(self.bands, spans):
+            width = stop - start
+            panel = buf[: cols.size * width].reshape(cols.size, width)
+            panel.fill(0.0)
+            panel.ravel()[_window_index(np.arange(cols.size) * width - start + lo, m)[1]] = a
+            rows = out[cols[0] : cols[-1] + 1]
+            if rows.shape[0] == cols.size:  # adjacent in active_ids, as when all scales share k
+                np.matmul(panel, es[start:stop], out=rows)
+            else:
+                out[cols] = panel @ es[start:stop]
+        return out
 
 
 def _sort_order(sample: Sample) -> np.ndarray:
     # stable: ties keep original order, and sorted x gives arange
     return np.argsort(sample.x, kind="stable")
+
+
+def _window_index(lo: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each window starts in a block's flat arrays, and lo[r] + j for its point j.
+
+    The flat arrays hold window r at first[r] : first[r] + m[r]; the second
+    array has one entry per point, so with lo the window starts in sorted
+    order it is each point's sorted sample index.
+    """
+    first = np.cumsum(m) - m
+    idx = np.repeat(lo - first, m)
+    idx += np.arange(idx.size)
+    return first, idx
+
+
+def _window_bounds(xs, sx, sh, support):
+    """Each scale's window sorted[lo : hi], the points with |(x - s.x) / h| < support.
+
+    The kernel sees u = (x - s.x) / h, which can round to the other side of
+    the support than x does against s.x +- support * h: far from the origin
+    an ulp of x is a visible step in u.  So the bounds found by searchsorted
+    move until u itself agrees; u is monotone in x, so the points inside
+    stay contiguous and a tie run stays whole.
+    """
+    n = xs.size
+    radius = sh * support
+    lo = np.searchsorted(xs, sx - radius, side="right")
+    hi = np.searchsorted(xs, sx + radius, side="left")
+    # a bound is the first point j with u_j > -support (lo) or u_j >= support (hi):
+    # step back while the point before it qualifies, on while the point at it does not
+    for bound, past in ((lo, lambda u: u > -support), (hi, lambda u: u >= support)):
+        for shift, step in ((-1, -1), (0, 1)):
+            r = np.arange(bound.size)
+            while r.size:
+                j = bound[r] + shift
+                inside = (j >= 0) & (j < n)
+                r, j = r[inside], j[inside]
+                r = r[past((xs[j] - sx[r]) / sh[r]) == (step < 0)]
+                bound[r] += step
+    return lo, hi
 
 
 def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
@@ -217,7 +292,12 @@ def _block_k1(g, xw, xs, idx, rbase, m, wlo, whi, D, shape):
 
 
 def _field_arrays(sample: Sample, set_: ScaleSet):
-    """Weight matrix W (p x n, original observation order), b, and max_i |w_i(s)| per scale.
+    """Sort order, window weights as bands, b, and max_i |w_i(s)| per scale.
+
+    ``bands`` holds one tuple (rows, lo, m, w) per block: the block's scale
+    ids, their windows sorted[lo : lo + m] and the flat weights w, window
+    after window (see ``_window_index``).  Scales whose window has no pair
+    with nonzero sign are in no band; their w is zero.
 
     Only b's dot over a window's cuts (and, for general k, the double loop)
     runs per scale; everything else runs once per block of FIELD_BLOCK
@@ -229,14 +309,12 @@ def _field_arrays(sample: Sample, set_: ScaleSet):
     order = _sort_order(sample)
     xs = sample.x[order]
     ys = sample.y[order]
-    n, p = xs.size, set_.p
+    p = set_.p
     scales = set_.scales
     sx = np.array([s.x for s in scales])
     sh = np.array([s.h for s in scales])
     sk = np.array([s.k for s in scales])
-    radius = sh * set_.kernel.support_radius
-    lo = np.searchsorted(xs, sx - radius, side="right")
-    hi = np.searchsorted(xs, sx + radius, side="left")
+    lo, hi = _window_bounds(xs, sx, sh, set_.kernel.support_radius)
     # a pair with nonzero sign needs two distinct x: a window with fewer
     # points, or one made of a single tie run, keeps w = 0 and b = 0
     live = hi - lo >= 2
@@ -251,7 +329,7 @@ def _field_arrays(sample: Sample, set_: ScaleSet):
         zloc = np.array([s.z_loc for s in scales])
         zbw = np.array([s.z_bw for s in scales])
 
-    W = np.zeros((p, n))
+    bands = []
     b = np.zeros(p)
     absmax = np.zeros(p)
     for k in np.unique(sk[live]).tolist():
@@ -260,9 +338,7 @@ def _field_arrays(sample: Sample, set_: ScaleSet):
             rows = ids[start : start + FIELD_BLOCK]
             wlo, whi = lo[rows], hi[rows]
             m = whi - wlo
-            first = np.cumsum(m) - m  # where each window starts in the flat arrays
-            idx = np.repeat(wlo - first, m)
-            idx += np.arange(idx.size)  # sorted sample index of each window point
+            first, idx = _window_index(wlo, m)
             xw = xs[idx]
             u = xw - np.repeat(sx[rows], m)
             u /= np.repeat(sh[rows], m)
@@ -289,19 +365,20 @@ def _field_arrays(sample: Sample, set_: ScaleSet):
                 for r, (a, mm) in enumerate(zip(wlo.tolist(), m.tolist())):
                     win = slice(first[r], first[r] + mm)
                     w[win], b_rows[r] = _window_stats(xs[a : a + mm], g[win], ys[a : a + mm], k)
-            cells = np.repeat(rows * n, m)
-            cells += order[idx]
-            np.put(W, cells, w)
+            bands.append((rows, wlo, m, w))
             b[rows] = b_rows
             absmax[rows] = np.maximum.reduceat(np.abs(w), first)
-    return W, b, absmax
+    return order, bands, b, absmax
 
 
 def weights_w(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> np.ndarray:
     """w_i(s) = sum_j sign(X_j - X_i) * Q(X_i, X_j, s), with sign(0) = 0."""
     set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
-    W, _, _ = _field_arrays(sample, set_)
-    return W[0]
+    order, bands, _, _ = _field_arrays(sample, set_)
+    w = np.zeros(sample.n)
+    for _, lo, m, wb in bands:
+        w[order[_window_index(lo, m)[1]]] = wb
+    return w
 
 
 def weights_w_naive(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> np.ndarray:
@@ -323,7 +400,7 @@ def test_function_b(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> 
     b(s) = sum_i Y_i w_i(s), pinned against the naive oracle in the tests.
     """
     set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
-    _, b, _ = _field_arrays(sample, set_)
+    _, _, b, _ = _field_arrays(sample, set_)
     return float(b[0])
 
 
@@ -391,23 +468,36 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
     sig = _sigma_values(sigma)
     if sig.size != sample.n:
         raise DataError(f"sigma length {sig.size} does not match sample size {sample.n}")
-    W, b, absmax = _field_arrays(sample, set_)
-    # one BLAS product over every row: BLAS may round a row differently
-    # depending on how the rows are split among calls and threads, so a
-    # product per block would move some V, and A_n with them, by an ulp
-    v = (W * W) @ (sig * sig)
+    order, bands, b, absmax = _field_arrays(sample, set_)
+    # V window by window, summed left to right in sorted order: its rounding
+    # depends on the window alone, not on the block or a BLAS library
+    sig2 = (sig * sig)[order]
+    v = np.zeros(set_.p)
+    for rows, lo, m, w in bands:
+        first, idx = _window_index(lo, m)
+        ww = w * w
+        ww *= sig2[idx]
+        v[rows] = np.add.reduceat(ww, first)
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():
         raise DegenerateVarianceError("degenerate variance on every scale")
+    active_ids = np.flatnonzero(active)
     sw = set_.weights_vector()
     t = np.full(set_.p, np.nan)
     root_v = np.sqrt(v[active])
     t[active] = sw[active] * b[active] / root_v
     T = float(np.max(t[active]))
-    # rows sw * w / sqrt(v), scaled in place: W itself when every scale is active
-    a_matrix = W if active.all() else W[active]
-    a_matrix *= (sw[active] / root_v)[:, None]
+    # the bands of the active scales, w scaled in place to sw * w / sqrt(v)
+    field_bands = []
+    for rows, lo, m, w in bands:
+        keep = active[rows]
+        if not keep.all():
+            w = w[np.repeat(keep, m)]
+            rows, lo, m = rows[keep], lo[keep], m[keep]
+        if rows.size:
+            w *= np.repeat(sw[rows] / np.sqrt(v[rows]), m)
+            field_bands.append((np.searchsorted(active_ids, rows), lo, m, w))
     # rounding a division by a positive number is monotone, so this is
     # max over i of |w_i| / sqrt(v) bit for bit
     A_n = float(np.max(absmax[active] / root_v))
@@ -416,9 +506,10 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
         v_hat=v,
         t=t,
         T=T,
-        active_ids=np.flatnonzero(active),
-        a_matrix=a_matrix,
+        active_ids=active_ids,
         A_n=A_n,
+        order=order,
+        bands=tuple(field_bands),
     )
 
 

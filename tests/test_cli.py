@@ -369,10 +369,13 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     assert obj["error"] == "MemoryError"
     p = np.unique(load_columns(path, ["x"])["x"]).size * 2
     assert f"{p} scales x 40 observations" in obj["message"]
-    assert f"{p} x 40 weight matrix" in obj["message"]
+    assert "window weights of at most 0 MiB (p * n * 8 bytes)" in obj["message"]
+    assert "20 bootstrap draws of 0 MiB (p * B * 8 bytes)" in obj["message"]
     monkeypatch.setattr("monotest.cli.sensitivity_A", out_of_memory)
     assert main(["diag", path]) == 2
-    assert _stderr_error(capsys)["error"] == "MemoryError"
+    obj = _stderr_error(capsys)
+    assert obj["error"] == "MemoryError"
+    assert "window weights" in obj["message"] and "draws" not in obj["message"]
 
 
 def test_exit_2_on_unwritable_out(tmp_path, capsys):

@@ -12,11 +12,22 @@ Record (inputs and outputs) with the package under test on the path:
 
 With case names, only those outputs and the input files their argv names
 are written, so a new case can be recorded without touching the others.
+
+Before re-recording, compare the current outputs with the recorded ones:
+
+    PYTHONPATH=src python3 tests/test_golden.py --diff [CASE ...]
+
+prints one line per case: ``match``, or the largest relative change of a
+float plus every other difference (exit code, integers, strings, line
+structure).  It exits 1 if any case has more than float drift of at most
+FLOAT_DRIFT relative, the most a re-recording may absorb without a
+reason of its own.
 """
 
 import contextlib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -77,6 +88,50 @@ CASES = {
 }
 
 
+FLOAT_DRIFT = 1e-13
+# a number in the output; it is a float if it has a point or an exponent
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _diff(old: str, new: str) -> tuple[float, list[str]]:
+    """Largest relative float change between two outputs, and every other difference."""
+    old_lines, new_lines = old.split("\n"), new.split("\n")
+    if len(old_lines) != len(new_lines):
+        return 0.0, [f"{len(old_lines)} lines became {len(new_lines)}"]
+    worst, other = 0.0, []
+    for no, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        if _NUMBER.split(a) != _NUMBER.split(b):
+            other.append(f"line {no}: {a!r} became {b!r}")
+            continue
+        for u, v in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+            if u == v:
+                continue
+            if not re.search(r"[.eE]", u + v):
+                other.append(f"line {no}: integer {u} became {v}")
+                continue
+            fu, fv = float(u), float(v)
+            worst = max(worst, abs(fv - fu) / max(abs(fu), abs(fv)))
+    return worst, other
+
+
+def _show_diff(names) -> int:
+    """Print one line per case comparing its output now with the recorded one."""
+    os.chdir(GOLDEN)
+    failed = False
+    for name in names or sorted(CASES):
+        old = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        new = _run(CASES[name])
+        if new == old:
+            print(f"{name}: match")
+            continue
+        worst, other = _diff(old, new)
+        failed |= bool(other) or worst > FLOAT_DRIFT
+        print(f"{name}: floats moved by at most {worst:.2g} relative")
+        for line in other:
+            print(f"    {line}")
+    return int(failed)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -129,9 +184,6 @@ def _inputs() -> dict:
 
 
 def _record(names) -> None:
-    unknown = sorted(set(names) - set(CASES))
-    if unknown:
-        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     names = names or list(CASES)
     GOLDEN.mkdir(exist_ok=True)
     inputs = _inputs()
@@ -143,6 +195,11 @@ def _record(names) -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] != ["--record"]:
+    if sys.argv[1:2] not in (["--record"], ["--diff"]):
         sys.exit(__doc__)
+    unknown = sorted(set(sys.argv[2:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    if sys.argv[1] == "--diff":
+        sys.exit(_show_diff(sys.argv[2:]))
     _record(sys.argv[2:])

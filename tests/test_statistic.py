@@ -1,5 +1,10 @@
 """Test functions, weights, variances, and the studentized maximum."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monotest import (
+    BootConfig,
     DataError,
     DegenerateVarianceError,
     Sample,
     Scale,
     ScaleSet,
     build_custom_set,
+    estimate_sigma,
     evaluate_field,
+    run_report,
     sensitivity_A,
     variance_hat,
     weights_w,
@@ -169,6 +177,16 @@ def test_single_tie_run_window_is_exactly_zero():
         np.testing.assert_array_equal(weights_w(sample, s), [0.0, 0.0])
 
 
+def test_window_follows_the_kernel_argument():
+    # fl(1e8 + 0.1) is the window's upper end fl(s.x + h), yet its kernel
+    # argument (x - s.x) / h rounds to 0.99999994, inside the support
+    sample = Sample(x=[1e8, 1e8 + 0.1], y=[1.0, 0.0])
+    s = Scale(1e8, 0.1)
+    np.testing.assert_array_equal(weights_w(sample, s, UNIFORM), [1.0, -1.0])
+    assert eval_b(sample, s, UNIFORM) == 1.0
+    np.testing.assert_array_equal(weights_w_naive(sample, s, UNIFORM), [1.0, -1.0])
+
+
 def _naive_w_b(sample, s, x_kernel, z_kernel):
     """Direct double sums for w and b, with the z-cell product weighting.
 
@@ -204,7 +222,8 @@ def _naive_w_b(sample, s, x_kernel, z_kernel):
 
 
 @st.composite
-def _field_config(draw):
+def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0):
+    # x and the scale locations sit around `offset`
     n = draw(st.integers(2, 30))
     if draw(st.booleans()):
         # heavy ties: at most 5 distinct x
@@ -212,6 +231,7 @@ def _field_config(draw):
         x = 0.25 * np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)))
     else:
         x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    x = x + offset
     y = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
     d = draw(st.sampled_from([0, 1, 2]))
     z = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d)))
@@ -221,9 +241,9 @@ def _field_config(draw):
         st.lists(
             st.builds(
                 Scale,
-                st.one_of(st.sampled_from(x.tolist()), st.floats(-2.5, 2.5)),
+                st.one_of(st.sampled_from(x.tolist()), st.floats(-2.5, 2.5).map(offset.__add__)),
                 st.sampled_from([0.01, 0.1, 0.3, 0.8, 3.0]),
-                st.sampled_from([0.0, 0.5, 1.0]),
+                st.sampled_from(ks),
             ),
             min_size=1,
             max_size=12,
@@ -237,13 +257,38 @@ def _field_config(draw):
     return sample, set_
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_field_config(ks=(0.0, 0.5, 1.0, 2.0), offset=1e8))
+def test_field_far_from_origin_and_constant_y(config):
+    # x near 1e8 keeps about 8 significant digits below the offset
+    sample, set_ = config
+    W, b, _ = _dense_w(sample, set_)
+    for r, s in enumerate(set_.scales):
+        w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
+        np.testing.assert_allclose(W[r], w_naive, rtol=0, atol=1e-10 * scale_w)
+        assert abs(b[r] - b_naive) <= 1e-10 * scale_b
+    # every k: constant y has no adjacent difference, so b is exactly 0
+    for y0 in (0.0, sample.y[0], -3.7e5):
+        flat = Sample(x=sample.x, y=np.full(sample.n, y0), z=sample.z)
+        assert not statistic._field_arrays(flat, set_)[2].any()
+
+
+def _dense_w(sample, set_):
+    """The engine's banded weights spread into a dense p x n matrix, with b and max|w|."""
+    order, bands, b, absmax = statistic._field_arrays(sample, set_)
+    W = np.zeros((set_.p, sample.n))
+    for rows, lo, m, w in bands:
+        W[np.repeat(rows, m), order[statistic._window_index(lo, m)[1]]] = w
+    return W, b, absmax
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_field_config(), st.sampled_from([1, 2, 5]))
 def test_field_engine_matches_naive(config, block):
     # a tiny block puts block boundaries inside every set
     sample, set_ = config
     with mock.patch.object(statistic, "FIELD_BLOCK", block):
-        W, b, absmax = statistic._field_arrays(sample, set_)
+        W, b, absmax = _dense_w(sample, set_)
     for r, s in enumerate(set_.scales):
         w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
         np.testing.assert_allclose(W[r], w_naive, rtol=0, atol=1e-10 * scale_w)
@@ -257,6 +302,53 @@ def test_field_engine_matches_naive(config, block):
             assert abs(eval_b_naive(sample, s, set_.kernel) - b_naive) <= 1e-12 * scale_b
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_config(), st.sampled_from([1, 2, 5]), st.integers(0, 2**32 - 1))
+def test_apply_matches_naive_rows(config, block, seed):
+    # zero sigma on some points leaves live windows with V = 0, so small
+    # blocks mix active and inactive scales, and some have no active scale
+    sample, set_ = config
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.5, 2.0, sample.n) * rng.choice([-1.0, 0.0, 1.0], sample.n)
+    with mock.patch.object(statistic, "FIELD_BLOCK", block):
+        try:
+            field = evaluate_field(sample, set_, sig)
+        except DegenerateVarianceError:
+            return
+    e = rng.normal(size=(sample.n, 3))
+    got = field.apply(e)
+    assert got.shape == (field.active_ids.size, 3)
+    sw = set_.weights_vector()
+    for col, r in enumerate(field.active_ids):
+        s = set_.scales[r]
+        w = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)[0]
+        a = sw[r] * w / np.sqrt(np.sum(sig * sig * w * w))
+        # relative to the summed absolute terms of the product
+        assert np.all(np.abs(got[col] - a @ e) <= 1e-12 * (np.abs(a) @ np.abs(e)))
+
+
+def test_apply_skips_inactive_scales_within_and_across_blocks():
+    # sigma is zero above x = 0.83, so windows there have two or more
+    # distinct points but V = 0; an empty window is in no block at all,
+    # so blocks of 2 are [active, inactive], [inactive, inactive], [active, active]
+    x = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(3)
+    sample = Sample(x=x, y=rng.normal(size=41))
+    sig = np.where(x > 0.83, 0.0, 1.0)
+    scales = [(0.5, 0.4), (0.9, 0.05), (9.0, 0.1), (0.88, 0.04), (0.95, 0.04)]
+    scales += [(0.3, 0.3), (0.7, 0.3)]
+    set_ = ScaleSet(scales=tuple(Scale(c, h) for c, h in scales))
+    with mock.patch.object(statistic, "FIELD_BLOCK", 2):
+        field = evaluate_field(sample, set_, sig)
+    np.testing.assert_array_equal(field.active_ids, [0, 5, 6])
+    assert [cols.tolist() for cols, _, _, _ in field.bands] == [[0], [1, 2]]
+    assert field.b[[1, 3, 4]].all()  # live windows, not empty ones
+    W, _, _ = _dense_w(sample, set_)
+    A = W[field.active_ids] / np.sqrt(field.v_hat[field.active_ids])[:, None]
+    e = rng.normal(size=(41, 4))
+    np.testing.assert_allclose(field.apply(e), A @ e, rtol=1e-13, atol=1e-15)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(20, 70),
@@ -266,7 +358,8 @@ def test_field_engine_matches_naive(config, block):
     st.integers(0, 2**32 - 1),
 )
 def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
-    # up to ~700 scales: several blocks of 64 and of the default size
+    # up to ~700 scales: several blocks of 64 and of the default size, and
+    # one scale per block; V sums each window alone, so it keeps its bits
     rng = np.random.default_rng(seed)
     x = np.round(rng.uniform(-1, 1, n), digits)
     sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
@@ -274,17 +367,81 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
     if zcell:
         set_ = build_z_local_set(set_, z_locs=[(0.3,), (0.7,)], z_bws=[0.5])
     sig = rng.uniform(0.5, 2.0, n)
+    e = rng.normal(size=(n, 5))
     fields = []
-    for block in (64, statistic.FIELD_BLOCK):
+    for block in (1, 64, statistic.FIELD_BLOCK):
         with mock.patch.object(statistic, "FIELD_BLOCK", block):
-            arrays = statistic._field_arrays(sample, set_)
-            fields.append((arrays, evaluate_field(sample, set_, sig)))
-    (arrays64, f64), (arrays, f) = fields
-    for a64, a in zip(arrays64, arrays):
-        assert a64.tobytes() == a.tobytes()
-    for name in ("b", "v_hat", "t", "active_ids", "a_matrix"):
-        assert getattr(f64, name).tobytes() == getattr(f, name).tobytes(), name
-    assert (f64.T, f64.A_n) == (f.T, f.A_n)
+            fields.append((_dense_w(sample, set_), evaluate_field(sample, set_, sig)))
+    (arrays, f) = fields[-1]
+    A = np.zeros((f.active_ids.size, n))
+    for cols, lo, m, a in f.bands:
+        A[np.repeat(cols, m), f.order[statistic._window_index(lo, m)[1]]] = a
+    draws = f.apply(e)
+    scale = np.abs(A) @ np.abs(e)
+    np.testing.assert_allclose(draws, A @ e, rtol=0, atol=1e-13 * scale.max())
+    for other_arrays, other in fields[:-1]:
+        for a_other, a in zip(other_arrays, arrays):
+            assert a_other.tobytes() == a.tobytes()
+        for name in ("b", "v_hat", "t", "active_ids"):
+            assert getattr(other, name).tobytes() == getattr(f, name).tobytes(), name
+        assert (other.T, other.A_n) == (f.T, f.A_n)
+        # the draws' matrix products differ by panel shape, so only in rounding
+        assert np.all(np.abs(other.apply(e) - draws) <= 1e-13 * scale)
+
+
+def test_peak_memory_is_below_half_a_dense_matrix():
+    # a dense p x n weight matrix (or its square) would alone exceed the
+    # bound, in the field and in a whole test run with its draws
+    rng = np.random.default_rng(71)
+    n = 2000
+    sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
+    set_ = build_basic_set(sample.x)
+    sig = estimate_sigma(sample, "rice")
+    runs = {
+        "field": lambda: evaluate_field(sample, set_, sig),
+        "test": lambda: run_report(sample, sig, set_, BootConfig(B=50)),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < set_.p * n * 8 / 2, name
+    assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from monotest import Sample, build_basic_set, evaluate_field
+h = hashlib.sha256()
+rng = np.random.default_rng(5)
+for _ in range(40):
+    n = int(rng.integers(150, 450))
+    sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
+    field = evaluate_field(sample, build_basic_set(sample.x), rng.uniform(0.5, 2.0, n))
+    h.update(field.v_hat.tobytes())
+    h.update(np.array([field.T, field.A_n]).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_field_bits_do_not_depend_on_blas_threads():
+    # BLAS rounds a product by how it splits rows among threads; V, T and
+    # A_n use no BLAS product, so they keep their bits at any thread count
+    src = str(Path(statistic.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_b_nonpositive_on_noiseless_monotone():
@@ -364,16 +521,14 @@ def test_all_scales_degenerate_raises():
         evaluate_field(sample, set_, np.ones(3))
 
 
-def test_a_matrix_reproduces_t():
+def test_apply_reproduces_t():
     rng = np.random.default_rng(43)
     x = rng.uniform(0, 1, 40)
     y = rng.normal(size=40)
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
     field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40))
-    # rows of a_matrix are w / sqrt(v): acting on y recovers the t values
-    np.testing.assert_allclose(
-        field.a_matrix @ y, field.t[field.active_ids], rtol=0, atol=1e-10
-    )
+    # the rows are w / sqrt(v): acting on y recovers the t values
+    np.testing.assert_allclose(field.apply(y), field.t[field.active_ids], rtol=0, atol=1e-10)
 
 
 def test_scale_weights_multiply_t_but_not_A_n():
