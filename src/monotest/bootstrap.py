@@ -72,7 +72,8 @@ class BootRun:
     """Everything one wild-bootstrap pass produces, on a single shared panel.
 
     ``draws`` holds t*_b(s): one row per draw, one column per active scale,
-    in the order of ``field.active_ids``.
+    in the order of ``field.active_ids``.  ``pi_maxima``, ``os_maxima`` and
+    ``sd_maxima`` are its per-draw maxima over each method's selected set.
     """
 
     field: StudentizedField
@@ -86,15 +87,16 @@ class BootRun:
     c_sd: float
     stepdown_iterations: int
     warnings: tuple[str, ...]
+    pi_maxima: np.ndarray
+    os_maxima: np.ndarray
+    sd_maxima: np.ndarray
 
     def maxima(self, method: str) -> np.ndarray:
         """Per-draw maxima over the selected set of the given method."""
-        ids = {"pi": self.field.active_ids, "os": self.os_ids, "sd": self.sd_ids}[method]
-        cols = np.searchsorted(self.field.active_ids, ids)
-        return self.draws[:, cols].max(axis=1)
+        return getattr(self, f"{method}_maxima")
 
     def critical_value(self, method: str) -> float:
-        return {"pi": self.c_pi, "os": self.c_os, "sd": self.c_sd}[method]
+        return getattr(self, f"c_{method}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,15 @@ def _pick_fallback(gen, candidates: np.ndarray, t_active: np.ndarray, how: str) 
     return candidates[idx : idx + 1]
 
 
+def _max_over(draws: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per-draw maxima over the given columns, without copying them out."""
+    if cols.size == draws.shape[1]:
+        return draws.max(axis=1)
+    keep = np.zeros(draws.shape[1], dtype=bool)
+    keep[cols] = True
+    return draws.max(axis=1, initial=-np.inf, where=keep)
+
+
 def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: BootConfig) -> BootRun:
     """Run the full critical-value ladder on one shared multiplier panel.
 
@@ -163,12 +174,12 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     (or by argmax of t when cfg.fallback == 'argmax'), which keeps the
     nesting intact.
     """
-    field = evaluate_field(sample, set_, sigma)
-    n = sample.n
+    sig = _sigma_values(sigma, sample.n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    eps = gen.standard_normal((n, cfg.B))
-    sig = _sigma_values(sigma)
-    draws = field.apply(sig[:, None] * eps).T  # (B, active)
+    eps = gen.standard_normal((sample.n, cfg.B))
+    eps *= sig[:, None]
+    field = evaluate_field(sample, set_, sig, eps)
+    draws = field.draws.T  # (B, active)
 
     full_max = draws.max(axis=1)
     c_pi = quantile_upper(full_max, 1.0 - cfg.alpha)
@@ -186,12 +197,13 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     else:
         os_cols = _pick_fallback(gen, all_cols, t_active, cfg.fallback)
         warnings.append("one-step selection was empty; kept a single fallback scale")
-    os_max = draws[:, os_cols].max(axis=1)
+    os_max = _max_over(draws, os_cols)
     c_os = quantile_upper(os_max, 1.0 - cfg.alpha)
     c_os_gamma = quantile_upper(os_max, 1.0 - cfg.gamma)
 
     # step-down iteration to a fixed point, thresholds at the gamma level
     cur_cols = os_cols
+    sd_max = os_max
     c_cur = c_os_gamma
     iterations = 0
     while True:
@@ -199,14 +211,16 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
         keep = t_active[cur_cols] > (-c_pi_gamma - c_cur)
         if not keep.any():
             cur_cols = _pick_fallback(gen, cur_cols, t_active, cfg.fallback)
+            sd_max = _max_over(draws, cur_cols)
             warnings.append("step-down selection emptied; kept a single fallback scale")
             break
         nxt = cur_cols[keep]
         if nxt.size == cur_cols.size:
             break
         cur_cols = nxt
-        c_cur = quantile_upper(draws[:, cur_cols].max(axis=1), 1.0 - cfg.gamma)
-    c_sd = quantile_upper(draws[:, cur_cols].max(axis=1), 1.0 - cfg.alpha)
+        sd_max = _max_over(draws, cur_cols)
+        c_cur = quantile_upper(sd_max, 1.0 - cfg.gamma)
+    c_sd = quantile_upper(sd_max, 1.0 - cfg.alpha)
 
     return BootRun(
         field=field,
@@ -220,6 +234,9 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
         c_sd=c_sd,
         stepdown_iterations=iterations,
         warnings=tuple(warnings),
+        pi_maxima=full_max,
+        os_maxima=os_max,
+        sd_maxima=sd_max,
     )
 
 

@@ -43,7 +43,7 @@ from .models import (
 from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import SIGMA_METHODS, estimate_sigma
 from .simlab import McDesign, results_to_csv, results_to_text, run_mc
-from .statistic import Sample, sensitivity_A
+from .statistic import FIELD_BLOCK, Sample, sensitivity_A
 
 __all__ = ["main", "build_parser", "load_csv", "load_columns", "report_to_json"]
 
@@ -171,10 +171,13 @@ def _write_out(out: str, text: str) -> None:
 def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError:
     """What the field (and, with ``boot``, the bootstrap draws) allocate, as a MemoryError."""
     p, n = set_.p, base.n
-    need = f"window weights of at most {p * n * 8 / 2**20:.0f} MiB (p * n * 8 bytes)"
-    fewer = "fewer bandwidths (--h-set) or rows"
+    need = (
+        f"panels of {FIELD_BLOCK * (n + 1) * 8 / 2**20:.1f} MiB each"
+        f" (FIELD_BLOCK * (n + 1) * 8 bytes) for one block of {FIELD_BLOCK} scales at a time"
+    )
+    fewer = "fewer rows"
     if boot is not None:
-        need += f" and {boot} bootstrap draws of {p * boot * 8 / 2**20:.0f} MiB (p * B * 8 bytes)"
+        need = f"{boot} bootstrap draws of {p * boot * 8 / 2**20:.0f} MiB (p * B * 8 bytes) plus " + need
         fewer = "fewer bandwidths (--h-set), rows or draws (--boot)"
     return MemoryError(f"out of memory: {p} scales x {n} observations need {need}; use {fewer}")
 

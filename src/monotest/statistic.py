@@ -13,19 +13,20 @@ the statistic T = max over scales of b(s) / sqrt(V(s)).
 Two computation paths are provided: a block engine, and naive double-loop
 references used as oracles in the test suite.  The engine sorts X once,
 finds every scale's window and every tie run with one searchsorted each,
-and evaluates the scales FIELD_BLOCK at a time.  A block's windows are
-flattened into one array; prefix sums inside each window then give w and b
-in O(m) per scale for k in {0, 1}, and a direct double loop over the window
-handles any other k.  The engine accumulates b(s) from adjacent differences
-of the sorted Y, so adding a constant to Y cannot leak into b through
-rounding.
+and evaluates the scales FIELD_BLOCK at a time on one dense panel: a row
+per scale, a column per sorted observation of the block's span, the union
+of its windows.  The kernel is zero outside each window, so running sums
+along the rows give w and b in O(span) per scale for k in {0, 1}, and a
+direct double loop over the window handles any other k.  The engine
+accumulates b(s) from adjacent differences of the sorted Y, so adding a
+constant to Y cannot leak into b through rounding.
 
-Memory: w_i(s) is zero outside the window of s, so in sorted order each
-scale's weights are one contiguous band.  A field keeps only the window
-weights, flat per block of FIELD_BLOCK scales: the sum of the window sizes
-times 8 bytes, at most p * n * 8.  V sums each window on its own, and the
-bootstrap draws take one (FIELD_BLOCK x band width) panel at a time, so
-every temporary is O(FIELD_BLOCK * n).
+Memory: a block's panels are (FIELD_BLOCK x span) with span <= n + 1, and
+the engine keeps a handful of them only while it works on that block.  V
+sums each window on its own, and the bootstrap draws of a block are one
+matrix product of its panel, taken before the panel is dropped.  So no
+window weights outlive their block: a field costs O(FIELD_BLOCK * n + p)
+bytes, plus the p x columns product when it forms draws.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, DegenerateVarianceError
-from .scales import EPANECHNIKOV, Kernel, Scale, ScaleSet, kernel_Q
+from .scales import EPANECHNIKOV, Kernel, Scale, ScaleSet
 
 if TYPE_CHECKING:
     from .sigma import SigmaEstimate
@@ -60,11 +61,12 @@ __all__ = [
 VAR_RTOL = 1e-12
 VAR_FLOOR = 1e-300
 
-# The field engine evaluates this many scales at a time, and keeps their
-# window weights as one band, so its temporaries and each draw panel are
-# O(FIELD_BLOCK * n); at n in the thousands a block's flat arrays stay
-# within a core's cache.
-FIELD_BLOCK = 128
+# The field engine evaluates this many scales at a time on (FIELD_BLOCK x
+# span) panels, so its temporaries are O(FIELD_BLOCK * n) bytes: one panel
+# is at most FIELD_BLOCK * (n + 1) * 8 bytes, 1 MiB at n = 2000.  A smaller
+# block has a narrower span, which saves work where windows are short next
+# to it (small bandwidths, z-cells); each block costs fixed Python overhead.
+FIELD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,11 @@ class StudentizedField:
     inactive ones; ``T`` is the maximum of t over ``active_ids``.
     ``A_n`` is the largest unweighted influence max |w_i(s)| / sqrt(v_hat(s)).
 
-    For each active scale the row a_i(s) = scale_weight * w_i(s) /
-    sqrt(v_hat(s)) is zero outside the window of s, so only the windows are
-    kept: ``bands`` holds, per block of scales, the tuple (cols, lo, m, a) of
-    their positions in ``active_ids``, their windows sorted[lo : lo + m]
-    (``order`` sorts the sample by x) and the flat window values a.
-    ``apply`` multiplies the rows with an array in observation order; with
-    sigma_i * eps_i it gives one bootstrap draw.
+    ``draws`` is None unless ``evaluate_field`` was given an array e with n
+    rows in observation order.  Then it holds sum_i a_i(s) * e_i for every
+    active scale, one row per ``active_ids`` entry with e's columns, where
+    a_i(s) = scale_weight * w_i(s) / sqrt(v_hat(s)); with sigma_i * eps_i
+    it is one bootstrap draw.
     """
 
     b: np.ndarray
@@ -124,53 +124,12 @@ class StudentizedField:
     T: float
     active_ids: np.ndarray
     A_n: float
-    order: np.ndarray
-    bands: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-
-    def apply(self, e) -> np.ndarray:
-        """sum_i a_i(s) * e_i for every active scale; e has n rows in observation order.
-
-        Returns one row per active scale, in the order of ``active_ids``,
-        with e's columns (a vector for a 1-d e).  Each band becomes one
-        zero-filled (scales x band width) panel and one matrix product with
-        the sorted rows of e it covers.
-        """
-        es = np.asarray(e, dtype=float)[self.order]
-        out = np.empty((self.active_ids.size,) + es.shape[1:])
-        spans = [(int(lo.min()), int((lo + m).max())) for _, lo, m, _ in self.bands]
-        # every panel lives in one buffer and every product is written in
-        # place: fresh pages for each band cost about as much as the products
-        sizes = [band[0].size * (stop - start) for band, (start, stop) in zip(self.bands, spans)]
-        buf = np.empty(max(sizes, default=0))
-        for (cols, lo, m, a), (start, stop) in zip(self.bands, spans):
-            width = stop - start
-            panel = buf[: cols.size * width].reshape(cols.size, width)
-            panel.fill(0.0)
-            panel.ravel()[_window_index(np.arange(cols.size) * width - start + lo, m)[1]] = a
-            rows = out[cols[0] : cols[-1] + 1]
-            if rows.shape[0] == cols.size:  # adjacent in active_ids, as when all scales share k
-                np.matmul(panel, es[start:stop], out=rows)
-            else:
-                out[cols] = panel @ es[start:stop]
-        return out
+    draws: np.ndarray | None = None
 
 
 def _sort_order(sample: Sample) -> np.ndarray:
     # stable: ties keep original order, and sorted x gives arange
     return np.argsort(sample.x, kind="stable")
-
-
-def _window_index(lo: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each window starts in a block's flat arrays, and lo[r] + j for its point j.
-
-    The flat arrays hold window r at first[r] : first[r] + m[r]; the second
-    array has one entry per point, so with lo the window starts in sorted
-    order it is each point's sorted sample index.
-    """
-    first = np.cumsum(m) - m
-    idx = np.repeat(lo - first, m)
-    idx += np.arange(idx.size)
-    return first, idx
 
 
 def _window_bounds(xs, sx, sh, support):
@@ -205,7 +164,7 @@ def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
 
     ``gw`` carries the kernel factor for each observation (already multiplied
     by any z-cell factor).  A direct double loop over the window; k in
-    {0, 1} is evaluated by the block engine in ``_field_arrays`` instead.
+    {0, 1} is evaluated on the block panel in ``_field_blocks`` instead.
     """
     dx = xw[None, :] - xw[:, None]
     coef = np.sign(dx) * np.abs(dx) ** k
@@ -215,101 +174,107 @@ def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
     return w, b
 
 
-def _running_sums(vals: np.ndarray, cell: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Zero-padded running sums of a block's windows, one row per window.
+def _running_sums(panel: np.ndarray) -> np.ndarray:
+    """Running sums along each row of a panel, after a leading zero column.
 
-    ``cell`` is each value's flat index, one column right of its place in
-    its window, so row r starts with 0 and its first m[r] + 1 entries equal
-    ``np.concatenate(([0.0], np.cumsum(window_r)))`` bit for bit: an
-    accumulate adds strictly left to right.
+    The panel is zero before each row's window, and an accumulate adds
+    strictly left to right, so within the window these equal
+    ``np.concatenate(([0.0], np.cumsum(window)))`` bit for bit.
     """
-    out = np.zeros(shape)
-    out.ravel()[cell] = vals
-    return np.cumsum(out, axis=1, out=out)
+    out = np.empty((panel.shape[0], panel.shape[1] + 1))
+    out[:, 0] = 0.0
+    np.cumsum(panel, axis=1, out=out[:, 1:])
+    return out
 
 
-def _cut_dots(d: np.ndarray, lo: np.ndarray, m: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """b of each window: one dot of its m - 1 adjacent y differences with its cut weights."""
+def _cut_dots(d, lo, hi, cut) -> np.ndarray:
+    """b of each window: one dot of its adjacent y differences with its cut weights.
+
+    ``cut`` has a column per cut of the block's span, which starts at lo.min().
+    """
+    a = int(lo.min())
     return np.array(
         [
-            np.dot(d[a : a + mm - 1], cut[r, : mm - 1])
-            for r, (a, mm) in enumerate(zip(lo.tolist(), m.tolist()))
+            np.dot(d[l : h - 1], cut[r, l - a : h - a - 1])
+            for r, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
         ]
     )
 
 
-def _block_k0(g, idx, rbase, m, wlo, whi, L, R, D, shape):
-    """w and b of one block of windows for k = 0.
+def _block_k0(g, lo, hi, L, R, D, tied):
+    """w and b of one block for k = 0, from its kernel panel g.
 
     Window bounds are searchsorted values of x, so a window never splits a
-    tie run: the run L[j]:R[j] of each of its points lies inside it.
+    tie run: the run L[j]:R[j] of each of its points lies inside it, and so
+    does every tie run of the span.
     """
-    base = np.repeat(rbase, m)
-    after = idx + 1
-    after += base  # flat cell of the running sum just after each point
-    cs = _running_sums(g, after, shape)
-    flat = cs.ravel()
-    total = flat[whi + rbase]
-    run_end = R[idx]
-    # tied x: sign is zero, but the cuts also count the pairs within a tie
-    # run; a cut is tied when the run of its left point reaches past it
-    tie = run_end > idx + 1
-    left = L[idx] + base
-    right = run_end + base
-    w = np.repeat(total, m) - flat[right]
-    w -= flat[left]
+    rows, width = g.shape
+    a = int(lo.min())
+    cs = _running_sums(g)
+    total = cs[np.arange(rows), hi - a]
+    j = np.flatnonzero(tied[a : a + width - 1])  # span column of each tied cut's left point
+    # w_j = g_j * (kernel mass after j's tie run - kernel mass before it)
+    if j.size:
+        w = total[:, None] - cs[:, R[a : a + width] - a]
+        w -= cs[:, L[a : a + width] - a]
+    else:
+        w = total[:, None] - cs[:, 1:]
+        w -= cs[:, :-1]
     w *= g
     pref = cs[:, 1:-1]
     cut = total[:, None] - pref
     cut *= pref
-    b = _cut_dots(D, wlo, m, cut)
-    if tie.any():
-        after = after[tie]
-        mid = flat[after]
-        terms = D[idx[tie]] * (mid - flat[left[tie]]) * (flat[right[tie]] - mid)
-        # b minus the terms one at a time in cut order, as a running sum:
-        # x + (-t) is x - t exactly, and -0.0 padding leaves every sum as it is
-        sub = np.full(shape, -0.0)
+    b = _cut_dots(D, lo, hi, cut)
+    if j.size:
+        # tied x: sign is zero, but the cuts also count the pairs within a
+        # tie run; take each tied cut of each window out of b
+        sub = np.empty((rows, j.size + 1))
         sub[:, 0] = b
-        sub.ravel()[after] = -terms
-        b = np.cumsum(sub, axis=1, out=sub)[:, -1]
+        mid = cs[:, j + 1]
+        terms = np.multiply(D[j + a], mid - cs[:, L[j + a] - a], out=sub[:, 1:])
+        terms *= cs[:, R[j + a] - a] - mid
+        # outside its window a row's running sums are constant, so its terms
+        # there are +-0: zero them, as subtracting -0 turns a b of -0 into +0
+        terms[(j < (lo - a)[:, None]) | (j >= (hi - a - 1)[:, None])] = 0.0
+        # b minus the terms one at a time in cut order; x - 0.0 is x
+        b = np.subtract.reduce(sub, axis=1)
     return w, b
 
 
-def _block_k1(g, xw, xs, idx, rbase, m, wlo, whi, D, shape):
-    """w and b of one block of windows for k = 1."""
-    xc = xw - np.repeat(xs[wlo], m)  # window-relative: no cancellation far from 0
-    after = idx + 1
-    after += np.repeat(rbase, m)
-    cg = _running_sums(g, after, shape)
-    cxg = _running_sums(g * xc, after, shape)
-    tg = cg.ravel()[whi + rbase]
-    txg = cxg.ravel()[whi + rbase]
-    w = g * (np.repeat(txg, m) - xc * np.repeat(tg, m))
+def _block_k1(g, xs, lo, hi, D):
+    """w and b of one block for k = 1, from its kernel panel g."""
+    rows, width = g.shape
+    a = int(lo.min())
+    xc = xs[a : a + width] - xs[lo][:, None]  # window-relative: no cancellation far from 0
+    cg = _running_sums(g)
+    cxg = _running_sums(g * xc)
+    ends = (np.arange(rows), hi - a)
+    tg, txg = cg[ends], cxg[ends]
+    w = g * (txg[:, None] - xc * tg[:, None])
     pg, pxg = cg[:, 1:-1], cxg[:, 1:-1]
     cut = pg * (txg[:, None] - pxg) - pxg * (tg[:, None] - pg)
-    return w, _cut_dots(D, wlo, m, cut)
+    return w, _cut_dots(D, lo, hi, cut)
 
 
-def _field_arrays(sample: Sample, set_: ScaleSet):
-    """Sort order, window weights as bands, b, and max_i |w_i(s)| per scale.
+def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
+    """Yield (rows, lo, hi, w, b) for each block of scales, in sorted order ``order``.
 
-    ``bands`` holds one tuple (rows, lo, m, w) per block: the block's scale
-    ids, their windows sorted[lo : lo + m] and the flat weights w, window
-    after window (see ``_window_index``).  Scales whose window has no pair
-    with nonzero sign are in no band; their w is zero.
+    A block is at most FIELD_BLOCK scales that share k and whose window
+    holds a pair with nonzero sign; the others have w = 0 and b = 0 and are
+    in no block.  ``rows`` are the scale ids, sorted[lo : hi] their windows
+    and ``w`` the (rows x span) panel of their weights over the span
+    sorted[lo.min() : hi.max()], zero outside each window.  ``b`` is each
+    scale's test function.
 
     Only b's dot over a window's cuts (and, for general k, the double loop)
-    runs per scale; everything else runs once per block of FIELD_BLOCK
-    scales that share k.  b is accumulated over the m-1 cuts between
-    adjacent sorted observations: the pair (q, r), q < r, contributes
-    through every cut it straddles, which telescopes (y_q - y_r) into
-    adjacent differences and keeps b exactly zero for constant y.
+    runs per scale; everything else runs once per block.  b is accumulated
+    over the m-1 cuts between adjacent sorted observations: the pair (q, r),
+    q < r, contributes through every cut it straddles, which telescopes
+    (y_q - y_r) into adjacent differences and keeps b exactly zero for
+    constant y.
     """
-    order = _sort_order(sample)
     xs = sample.x[order]
     ys = sample.y[order]
-    p = set_.p
     scales = set_.scales
     sx = np.array([s.x for s in scales])
     sh = np.array([s.h for s in scales])
@@ -319,9 +284,11 @@ def _field_arrays(sample: Sample, set_: ScaleSet):
     # points, or one made of a single tie run, keeps w = 0 and b = 0
     live = hi - lo >= 2
     live[live] = xs[lo[live]] < xs[hi[live] - 1]
-    # sorted point j lies in the tie run L[j]:R[j]
+    # sorted point j lies in the tie run L[j]:R[j]; the cut after j is tied
+    # when x does not change across it
     L = np.searchsorted(xs, xs, side="left")
     R = np.searchsorted(xs, xs, side="right")
+    tied = xs[:-1] == xs[1:]
     D = ys[:-1] - ys[1:]
     zcell = scales[0].z_loc is not None
     if zcell:
@@ -329,55 +296,51 @@ def _field_arrays(sample: Sample, set_: ScaleSet):
         zloc = np.array([s.z_loc for s in scales])
         zbw = np.array([s.z_bw for s in scales])
 
-    bands = []
-    b = np.zeros(p)
-    absmax = np.zeros(p)
+    def block(rows, k):
+        # a function, so that none of its panels outlives the block
+        wlo, whi = lo[rows], hi[rows]
+        span = slice(int(wlo.min()), int(whi.max()))
+        # the kernel is zero where |u| >= support, which is outside the window
+        g = np.asarray(set_.kernel((xs[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
+        if zcell:
+            # the z-cell factor, a product over coordinates taken in order
+            bw = zbw[rows, None]
+            zf = set_.z_kernel((zs[span, 0] - zloc[rows, 0, None]) / bw)
+            for j in range(1, zs.shape[1]):
+                zf = zf * set_.z_kernel((zs[span, j] - zloc[rows, j, None]) / bw)
+            g *= zf
+        if k == 0.0:
+            return _block_k0(g, wlo, whi, L, R, D, tied)
+        if k == 1.0:
+            return _block_k1(g, xs, wlo, whi, D)
+        w = np.zeros_like(g)
+        b = np.empty(rows.size)
+        for r, (l, h) in enumerate(zip(wlo.tolist(), whi.tolist())):
+            win = slice(l - span.start, h - span.start)
+            w[r, win], b[r] = _window_stats(xs[l:h], g[r, win], ys[l:h], k)
+        return w, b
+
     for k in np.unique(sk[live]).tolist():
         ids = np.flatnonzero(live & (sk == k))
         for start in range(0, ids.size, FIELD_BLOCK):
             rows = ids[start : start + FIELD_BLOCK]
-            wlo, whi = lo[rows], hi[rows]
-            m = whi - wlo
-            first, idx = _window_index(wlo, m)
-            xw = xs[idx]
-            u = xw - np.repeat(sx[rows], m)
-            u /= np.repeat(sh[rows], m)
-            g = set_.kernel(u)
-            if zcell:
-                # the z-cell factor, a product over coordinates taken in order
-                bw = np.repeat(zbw[rows], m)
-                zf = set_.z_kernel((zs[idx, 0] - np.repeat(zloc[rows, 0], m)) / bw)
-                for j in range(1, zs.shape[1]):
-                    zf = zf * set_.z_kernel((zs[idx, j] - np.repeat(zloc[rows, j], m)) / bw)
-                g = g * zf
-            g = np.asarray(g, dtype=float)
-            # sorted point j of window r keeps its running sums in flat cell
-            # j + rbase[r] of the block's (windows, width) arrays
-            shape = (rows.size, int(m.max()) + 1)
-            rbase = np.arange(rows.size) * shape[1] - wlo
-            if k == 0.0:
-                w, b_rows = _block_k0(g, idx, rbase, m, wlo, whi, L, R, D, shape)
-            elif k == 1.0:
-                w, b_rows = _block_k1(g, xw, xs, idx, rbase, m, wlo, whi, D, shape)
-            else:
-                w = np.empty_like(g)
-                b_rows = np.empty(rows.size)
-                for r, (a, mm) in enumerate(zip(wlo.tolist(), m.tolist())):
-                    win = slice(first[r], first[r] + mm)
-                    w[win], b_rows[r] = _window_stats(xs[a : a + mm], g[win], ys[a : a + mm], k)
-            bands.append((rows, wlo, m, w))
-            b[rows] = b_rows
-            absmax[rows] = np.maximum.reduceat(np.abs(w), first)
-    return order, bands, b, absmax
+            yield (rows, lo[rows], hi[rows], *block(rows, k))
+
+
+def _one_scale(sample: Sample, s: Scale, kernel: Kernel):
+    """The sort order and the block of one scale, or None when its w is zero."""
+    order = _sort_order(sample)
+    set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
+    return order, next(_field_blocks(sample, set_, order), None)
 
 
 def weights_w(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> np.ndarray:
     """w_i(s) = sum_j sign(X_j - X_i) * Q(X_i, X_j, s), with sign(0) = 0."""
-    set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
-    order, bands, _, _ = _field_arrays(sample, set_)
+    order, block = _one_scale(sample, s, kernel)
     w = np.zeros(sample.n)
-    for _, lo, m, wb in bands:
-        w[order[_window_index(lo, m)[1]]] = wb
+    if block is not None:
+        _, lo, hi, wp, _ = block
+        w[order[lo[0] : hi[0]]] = wp[0]
     return w
 
 
@@ -399,9 +362,8 @@ def test_function_b(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> 
     Positive values indicate locally decreasing behavior; algebraically
     b(s) = sum_i Y_i w_i(s), pinned against the naive oracle in the tests.
     """
-    set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
-    _, _, b, _ = _field_arrays(sample, set_)
-    return float(b[0])
+    _, block = _one_scale(sample, s, kernel)
+    return 0.0 if block is None else float(block[4][0])
 
 
 def test_function_b_naive(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> float:
@@ -426,12 +388,32 @@ def variance_hat(w, sigma_hat) -> float:
     return float(np.sum(sig * sig * w * w))
 
 
-def _sigma_values(sigma) -> np.ndarray:
-    values = getattr(sigma, "values", sigma)
-    return np.asarray(values, dtype=float).reshape(-1)
+def _sigma_values(sigma, n: int) -> np.ndarray:
+    """The n per-observation standard deviations of a SigmaEstimate or an array."""
+    sig = np.asarray(getattr(sigma, "values", sigma), dtype=float).reshape(-1)
+    if sig.size != n:
+        raise DataError(f"sigma length {sig.size} does not match sample size {n}")
+    return sig
 
 
-def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
+def _keep_rows(out: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """out[ids] for increasing ids, moved up in place instead of copied.
+
+    Each run of adjacent ids is one forward copy between 1-d views, which
+    numpy makes element by element in order even where the two overlap.
+    """
+    flat = out.reshape(-1)
+    c = flat.size // out.shape[0]
+    top = 0
+    for run in np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1):
+        first = int(run[0])
+        if first != top:
+            flat[top * c : (top + run.size) * c] = flat[first * c : (first + run.size) * c]
+        top += run.size
+    return out[:top]
+
+
+def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> StudentizedField:
     """Evaluate b, V, and t = scale_weight * b / sqrt(V) on every scale.
 
     Parameters
@@ -445,11 +427,15 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
     sigma : SigmaEstimate or array_like
         Per-observation standard deviations (entries may be negative for
         residual-based estimates; only their squares enter V).
+    e : array_like, optional
+        n rows in observation order.  If given, the field's ``draws`` hold
+        sum_i scale_weight * w_i(s) / sqrt(V(s)) * e_i for every active
+        scale, formed block by block from the engine's panels.
 
     Raises
     ------
     DataError
-        If z-cells do not match the sample's z columns, or sigma has the
+        If z-cells do not match the sample's z columns, or sigma or e has the
         wrong length.
     DegenerateVarianceError
         If every scale is inactive, which signals a data/bandwidth mismatch.
@@ -465,39 +451,56 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
                 raise DataError("either every scale needs a z-cell or none may have one")
             if len(s.z_loc) != d:
                 raise DataError(f"z_loc dimension {len(s.z_loc)} does not match z dimension {d}")
-    sig = _sigma_values(sigma)
-    if sig.size != sample.n:
-        raise DataError(f"sigma length {sig.size} does not match sample size {sample.n}")
-    order, bands, b, absmax = _field_arrays(sample, set_)
-    # V window by window, summed left to right in sorted order: its rounding
-    # depends on the window alone, not on the block or a BLAS library
+    sig = _sigma_values(sigma, sample.n)
+    order = _sort_order(sample)
     sig2 = (sig * sig)[order]
-    v = np.zeros(set_.p)
-    for rows, lo, m, w in bands:
-        first, idx = _window_index(lo, m)
-        ww = w * w
-        ww *= sig2[idx]
-        v[rows] = np.add.reduceat(ww, first)
+    sw = set_.weights_vector()
+    p = set_.p
+    b = np.zeros(p)
+    v = np.zeros(p)
+    absmax = np.zeros(p)
+    if e is not None:
+        es = np.asarray(e, dtype=float)
+        if es.ndim == 0 or es.shape[0] != sample.n:
+            raise DataError(f"e must have one row per observation ({sample.n})")
+        es = es[order]
+        out = np.empty((p,) + es.shape[1:])
+    for rows, lo, hi, w, b_rows in _field_blocks(sample, set_, order):
+        a = int(lo.min())
+        span = slice(a, a + w.shape[1])
+        b[rows] = b_rows
+        # one spare cell, so every window's end is an index of the flat panel
+        flat = np.empty(w.size + 1)
+        flat[-1] = 0.0
+        panel = flat[:-1].reshape(w.shape)
+        absmax[rows] = np.abs(w, out=panel).max(axis=1)
+        # V window by window: reduceat sums exactly each window's cells, so
+        # its rounding depends on the window alone, not on the block or BLAS
+        np.multiply(w, w, out=panel)
+        panel *= sig2[span]
+        first = np.arange(rows.size) * w.shape[1] + lo - a
+        v_rows = np.add.reduceat(flat, np.stack((first, first + hi - lo), axis=1).ravel())[::2]
+        v[rows] = v_rows
+        if e is not None:
+            # scale each row to sw * w / sqrt(V), and form the block's products
+            # while its panel is at hand; rows with V = 0 are inactive
+            pos = v_rows > 0.0
+            f = np.zeros(rows.size)
+            f[pos] = sw[rows[pos]] / np.sqrt(v_rows[pos])
+            w *= f[:, None]
+            if rows[-1] - rows[0] + 1 == rows.size:  # adjacent ids, as when all scales share k
+                np.matmul(w, es[span], out=out[rows[0] : rows[-1] + 1])
+            else:
+                out[rows] = w @ es[span]
+        del w, flat, panel  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():
         raise DegenerateVarianceError("degenerate variance on every scale")
     active_ids = np.flatnonzero(active)
-    sw = set_.weights_vector()
-    t = np.full(set_.p, np.nan)
+    t = np.full(p, np.nan)
     root_v = np.sqrt(v[active])
     t[active] = sw[active] * b[active] / root_v
-    T = float(np.max(t[active]))
-    # the bands of the active scales, w scaled in place to sw * w / sqrt(v)
-    field_bands = []
-    for rows, lo, m, w in bands:
-        keep = active[rows]
-        if not keep.all():
-            w = w[np.repeat(keep, m)]
-            rows, lo, m = rows[keep], lo[keep], m[keep]
-        if rows.size:
-            w *= np.repeat(sw[rows] / np.sqrt(v[rows]), m)
-            field_bands.append((np.searchsorted(active_ids, rows), lo, m, w))
     # rounding a division by a positive number is monotone, so this is
     # max over i of |w_i| / sqrt(v) bit for bit
     A_n = float(np.max(absmax[active] / root_v))
@@ -505,11 +508,10 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma) -> StudentizedField:
         b=b,
         v_hat=v,
         t=t,
-        T=T,
+        T=float(np.max(t[active])),
         active_ids=active_ids,
         A_n=A_n,
-        order=order,
-        bands=tuple(field_bands),
+        draws=None if e is None else _keep_rows(out, active_ids),
     )
 
 

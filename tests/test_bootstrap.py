@@ -112,12 +112,25 @@ def test_run_is_deterministic():
 
 
 def test_draws_shape_and_maxima():
-    run, *_ = _random_run(9, n=40, B=64)
-    assert run.draws.shape == (64, run.field.active_ids.size)
-    np.testing.assert_array_equal(run.maxima("pi"), run.draws.max(axis=1))
-    assert run.critical_value("pi") == run.c_pi
-    assert run.critical_value("os") == run.c_os
-    assert run.critical_value("sd") == run.c_sd
+    # seed 8 keeps 109 of 120 scales after one-step selection, and the steep
+    # sample 37 of 240, then 15 after step-down, so their maxima skip columns
+    runs = [_random_run(seed, n=40, B=64)[0] for seed in (9, 8)]
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-1, 1, 80)
+    steep = Sample(x=x, y=4.0 * x + 0.3 * rng.standard_normal(80))
+    cfg = BootConfig(B=64, seed=1)
+    runs.append(bootstrap_run(steep, estimate_sigma(steep, "rice"), build_basic_set(x), cfg))
+    for run in runs:
+        assert run.draws.shape == (64, run.field.active_ids.size)
+        np.testing.assert_array_equal(run.maxima("pi"), run.draws.max(axis=1))
+        for method, ids in (("os", run.os_ids), ("sd", run.sd_ids)):
+            cols = np.searchsorted(run.field.active_ids, ids)
+            np.testing.assert_array_equal(run.maxima(method), run.draws[:, cols].max(axis=1))
+        assert run.critical_value("pi") == run.c_pi
+        assert run.critical_value("os") == run.c_os
+        assert run.critical_value("sd") == run.c_sd
+    assert runs[1].os_ids.size < runs[1].field.active_ids.size
+    assert runs[2].sd_ids.size < runs[2].os_ids.size
 
 
 def test_plugin_quantile_matches_definition():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from monotest import DataError, Sample, run_report, BootConfig, build_basic_set, estimate_sigma
+from monotest import statistic
 from monotest.cli import (
     build_parser,
     load_columns,
@@ -369,13 +370,18 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     assert obj["error"] == "MemoryError"
     p = np.unique(load_columns(path, ["x"])["x"]).size * 2
     assert f"{p} scales x 40 observations" in obj["message"]
-    assert "window weights of at most 0 MiB (p * n * 8 bytes)" in obj["message"]
-    assert "20 bootstrap draws of 0 MiB (p * B * 8 bytes)" in obj["message"]
+    panels = (
+        "panels of 0.0 MiB each (FIELD_BLOCK * (n + 1) * 8 bytes)"
+        f" for one block of {statistic.FIELD_BLOCK} scales"
+    )
+    assert "20 bootstrap draws of 0 MiB (p * B * 8 bytes) plus " + panels in obj["message"]
+    assert "window weights" not in obj["message"]
     monkeypatch.setattr("monotest.cli.sensitivity_A", out_of_memory)
     assert main(["diag", path]) == 2
     obj = _stderr_error(capsys)
     assert obj["error"] == "MemoryError"
-    assert "window weights" in obj["message"] and "draws" not in obj["message"]
+    assert "x 40 observations need " + panels in obj["message"]
+    assert "draws" not in obj["message"] and "window weights" not in obj["message"]
 
 
 def test_exit_2_on_unwritable_out(tmp_path, capsys):

@@ -222,10 +222,19 @@ def _naive_w_b(sample, s, x_kernel, z_kernel):
 
 
 @st.composite
-def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0):
+def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0, mixed=False):
     # x and the scale locations sit around `offset`
     n = draw(st.integers(2, 30))
-    if draw(st.booleans()):
+    if mixed:
+        # tied x on a grid at or below 0 next to free x above it, so a block
+        # can hold windows with tie runs and windows without
+        grid = draw(st.lists(st.integers(-6, 0), min_size=1, max_size=4, unique=True))
+        n_tied = draw(st.integers(1, n))
+        x = 0.25 * np.array(draw(st.lists(st.sampled_from(grid), min_size=n_tied, max_size=n_tied)))
+        free = draw(st.lists(st.floats(0.01, 2.0), min_size=n - n_tied, max_size=n - n_tied))
+        x = draw(st.permutations(np.concatenate((x, free)).tolist()))
+        x = np.array(x)
+    elif draw(st.booleans()):
         # heavy ties: at most 5 distinct x
         grid = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
         x = 0.25 * np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)))
@@ -257,29 +266,55 @@ def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0):
     return sample, set_
 
 
+def _dense_w(sample, set_):
+    """The engine's block panels spread into a dense p x n matrix W, with b."""
+    order = statistic._sort_order(sample)
+    W = np.zeros((set_.p, sample.n))
+    b = np.zeros(set_.p)
+    for rows, lo, hi, w, b_rows in statistic._field_blocks(sample, set_, order):
+        W[rows[:, None], order[lo.min() : hi.max()]] = w
+        b[rows] = b_rows
+    return W, b
+
+
+def _check_field_against_naive(sample, set_):
+    """The engine's w and b on every scale against the double sums; returns them.
+
+    Then a unit-sigma field: its draws for e = I_n are the dense rows
+    sw * w / sqrt(V) of the active scales, each entry one product with 1.0,
+    so they equal the scaled engine rows bit for bit.
+    """
+    W, b = _dense_w(sample, set_)
+    for r, s in enumerate(set_.scales):
+        w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
+        np.testing.assert_allclose(W[r], w_naive, rtol=0, atol=1e-10 * scale_w)
+        assert abs(b[r] - b_naive) <= 1e-10 * scale_b
+    n = sample.n
+    try:
+        field = evaluate_field(sample, set_, np.ones(n), np.eye(n))
+    except DegenerateVarianceError:
+        # every V underflows or is zero; x ~ 1e-294 with k = 1 does it
+        return W, b
+    assert field.b.tobytes() == b.tobytes()
+    np.testing.assert_allclose(field.v_hat, np.sum(W * W, axis=1), rtol=1e-13, atol=0)
+    active = field.active_ids
+    root_v = np.sqrt(field.v_hat[active])
+    sw = set_.weights_vector()[active]
+    np.testing.assert_array_equal(field.draws, W[active] * (sw / root_v)[:, None])
+    assert field.A_n == np.max(np.abs(W[active]).max(axis=1) / root_v)
+    return W, b
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_field_config(ks=(0.0, 0.5, 1.0, 2.0), offset=1e8))
 def test_field_far_from_origin_and_constant_y(config):
     # x near 1e8 keeps about 8 significant digits below the offset
     sample, set_ = config
-    W, b, _ = _dense_w(sample, set_)
-    for r, s in enumerate(set_.scales):
-        w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
-        np.testing.assert_allclose(W[r], w_naive, rtol=0, atol=1e-10 * scale_w)
-        assert abs(b[r] - b_naive) <= 1e-10 * scale_b
+    _check_field_against_naive(sample, set_)
     # every k: constant y has no adjacent difference, so b is exactly 0
     for y0 in (0.0, sample.y[0], -3.7e5):
         flat = Sample(x=sample.x, y=np.full(sample.n, y0), z=sample.z)
-        assert not statistic._field_arrays(flat, set_)[2].any()
-
-
-def _dense_w(sample, set_):
-    """The engine's banded weights spread into a dense p x n matrix, with b and max|w|."""
-    order, bands, b, absmax = statistic._field_arrays(sample, set_)
-    W = np.zeros((set_.p, sample.n))
-    for rows, lo, m, w in bands:
-        W[np.repeat(rows, m), order[statistic._window_index(lo, m)[1]]] = w
-    return W, b, absmax
+        assert not _dense_w(flat, set_)[1].any()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -288,14 +323,11 @@ def test_field_engine_matches_naive(config, block):
     # a tiny block puts block boundaries inside every set
     sample, set_ = config
     with mock.patch.object(statistic, "FIELD_BLOCK", block):
-        W, b, absmax = _dense_w(sample, set_)
-    for r, s in enumerate(set_.scales):
-        w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
-        np.testing.assert_allclose(W[r], w_naive, rtol=0, atol=1e-10 * scale_w)
-        assert abs(b[r] - b_naive) <= 1e-10 * scale_b
-        assert absmax[r] == np.max(np.abs(W[r]))
+        _check_field_against_naive(sample, set_)
+    for s in set_.scales:
         if s.z_loc is None:
             # the package's own oracles agree with the sums here
+            w_naive, b_naive, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
             np.testing.assert_allclose(
                 weights_w_naive(sample, s, set_.kernel), w_naive, rtol=0, atol=1e-12 * scale_w
             )
@@ -310,13 +342,13 @@ def test_apply_matches_naive_rows(config, block, seed):
     sample, set_ = config
     rng = np.random.default_rng(seed)
     sig = rng.uniform(0.5, 2.0, sample.n) * rng.choice([-1.0, 0.0, 1.0], sample.n)
+    e = rng.normal(size=(sample.n, 3))
     with mock.patch.object(statistic, "FIELD_BLOCK", block):
         try:
-            field = evaluate_field(sample, set_, sig)
+            field = evaluate_field(sample, set_, sig, e)
         except DegenerateVarianceError:
             return
-    e = rng.normal(size=(sample.n, 3))
-    got = field.apply(e)
+    got = field.draws
     assert got.shape == (field.active_ids.size, 3)
     sw = set_.weights_vector()
     for col, r in enumerate(field.active_ids):
@@ -325,6 +357,44 @@ def test_apply_matches_naive_rows(config, block, seed):
         a = sw[r] * w / np.sqrt(np.sum(sig * sig * w * w))
         # relative to the summed absolute terms of the product
         assert np.all(np.abs(got[col] - a @ e) <= 1e-12 * (np.abs(a) @ np.abs(e)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _field_config(ks=(0.0, 0.5, 1.0, 2.0), mixed=True),
+    st.sampled_from([1, 2, 5, 128]),
+    st.integers(0, 2**32 - 1),
+)
+def test_draws_on_spans_mixing_ties_match_naive(config, block, seed):
+    # a block's span holds tie runs in some windows and none in others, for
+    # every k; zero sigma on some points gives live scales with V = 0, so
+    # blocks mix active and inactive rows, and some have no active row
+    sample, set_ = config
+    n = sample.n
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
+    e = rng.normal(size=(n, 3))
+    with mock.patch.object(statistic, "FIELD_BLOCK", block):
+        try:
+            field = evaluate_field(sample, set_, sig, e)
+        except DegenerateVarianceError:
+            return
+    sw = set_.weights_vector()
+    sig2 = sig * sig
+    draws = dict(zip(field.active_ids.tolist(), field.draws))
+    for r, s in enumerate(set_.scales):
+        w, b, scale_w, scale_b = _naive_w_b(sample, s, set_.kernel, set_.z_kernel)
+        assert abs(field.b[r] - b) <= 1e-10 * scale_b
+        tol = 1e-10 * scale_w
+        v = float(sig2 @ (w * w))
+        assert abs(field.v_hat[r] - v) <= tol * (sig2 @ (2 * np.abs(w) + tol)) + 1e-12 * v
+        assert (r in draws) == (field.v_hat[r] > 1e-12 * field.v_hat.max())
+        if r in draws:
+            # w to the kernel-mass tolerance, then the product's own rounding
+            root_v = np.sqrt(field.v_hat[r])
+            a = sw[r] * w / root_v
+            bound = tol * abs(sw[r]) / root_v * np.abs(e).sum(axis=0)
+            assert np.all(np.abs(draws[r] - a @ e) <= bound + 1e-12 * (np.abs(a) @ np.abs(e)))
 
 
 def test_apply_skips_inactive_scales_within_and_across_blocks():
@@ -338,15 +408,19 @@ def test_apply_skips_inactive_scales_within_and_across_blocks():
     scales = [(0.5, 0.4), (0.9, 0.05), (9.0, 0.1), (0.88, 0.04), (0.95, 0.04)]
     scales += [(0.3, 0.3), (0.7, 0.3)]
     set_ = ScaleSet(scales=tuple(Scale(c, h) for c, h in scales))
-    with mock.patch.object(statistic, "FIELD_BLOCK", 2):
-        field = evaluate_field(sample, set_, sig)
-    np.testing.assert_array_equal(field.active_ids, [0, 5, 6])
-    assert [cols.tolist() for cols, _, _, _ in field.bands] == [[0], [1, 2]]
-    assert field.b[[1, 3, 4]].all()  # live windows, not empty ones
-    W, _, _ = _dense_w(sample, set_)
-    A = W[field.active_ids] / np.sqrt(field.v_hat[field.active_ids])[:, None]
     e = rng.normal(size=(41, 4))
-    np.testing.assert_allclose(field.apply(e), A @ e, rtol=1e-13, atol=1e-15)
+    with mock.patch.object(statistic, "FIELD_BLOCK", 2):
+        blocks = [rows.tolist() for rows, *_ in statistic._field_blocks(sample, set_, np.arange(41))]
+        field = evaluate_field(sample, set_, sig, e)
+        dense = evaluate_field(sample, set_, sig, np.eye(41)).draws
+    assert blocks == [[0, 1], [3, 4], [5, 6]]
+    np.testing.assert_array_equal(field.active_ids, [0, 5, 6])
+    assert field.b[[1, 3, 4]].all()  # live windows, not empty ones
+    for col, r in enumerate(field.active_ids):
+        w = _naive_w_b(sample, set_.scales[r], set_.kernel, None)[0]
+        a = w / np.sqrt(field.v_hat[r])
+        np.testing.assert_allclose(dense[col], a, rtol=0, atol=1e-13 * np.abs(a).max())
+    np.testing.assert_allclose(field.draws, dense @ e, rtol=1e-13, atol=1e-15)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -358,7 +432,7 @@ def test_apply_skips_inactive_scales_within_and_across_blocks():
     st.integers(0, 2**32 - 1),
 )
 def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
-    # up to ~700 scales: several blocks of 64 and of the default size, and
+    # up to ~700 scales: several blocks of 128 and of the default size, and
     # one scale per block; V sums each window alone, so it keeps its bits
     rng = np.random.default_rng(seed)
     x = np.round(rng.uniform(-1, 1, n), digits)
@@ -369,46 +443,61 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
     sig = rng.uniform(0.5, 2.0, n)
     e = rng.normal(size=(n, 5))
     fields = []
-    for block in (1, 64, statistic.FIELD_BLOCK):
+    for block in (1, 128, statistic.FIELD_BLOCK):
         with mock.patch.object(statistic, "FIELD_BLOCK", block):
-            fields.append((_dense_w(sample, set_), evaluate_field(sample, set_, sig)))
-    (arrays, f) = fields[-1]
-    A = np.zeros((f.active_ids.size, n))
-    for cols, lo, m, a in f.bands:
-        A[np.repeat(cols, m), f.order[statistic._window_index(lo, m)[1]]] = a
-    draws = f.apply(e)
+            fields.append(
+                (
+                    _dense_w(sample, set_),
+                    evaluate_field(sample, set_, sig, np.eye(n)),
+                    evaluate_field(sample, set_, sig, e),
+                )
+            )
+    arrays, dense, f = fields[-1]
+    A = dense.draws
     scale = np.abs(A) @ np.abs(e)
-    np.testing.assert_allclose(draws, A @ e, rtol=0, atol=1e-13 * scale.max())
-    for other_arrays, other in fields[:-1]:
+    np.testing.assert_allclose(f.draws, A @ e, rtol=0, atol=1e-13 * scale.max())
+    for other_arrays, other_dense, other in fields[:-1]:
+        # equal values; a zero outside a window may carry either sign
         for a_other, a in zip(other_arrays, arrays):
-            assert a_other.tobytes() == a.tobytes()
+            np.testing.assert_array_equal(a_other, a)
+        # with e = I every draw is one row entry times 1.0 plus exact zeros
+        np.testing.assert_array_equal(other_dense.draws, A)
         for name in ("b", "v_hat", "t", "active_ids"):
             assert getattr(other, name).tobytes() == getattr(f, name).tobytes(), name
         assert (other.T, other.A_n) == (f.T, f.A_n)
         # the draws' matrix products differ by panel shape, so only in rounding
-        assert np.all(np.abs(other.apply(e) - draws) <= 1e-13 * scale)
+        assert np.all(np.abs(other.draws - f.draws) <= 1e-13 * scale)
 
 
-def test_peak_memory_is_below_half_a_dense_matrix():
-    # a dense p x n weight matrix (or its square) would alone exceed the
-    # bound, in the field and in a whole test run with its draws
+def test_peak_memory_is_four_block_panels_plus_the_draws():
+    # On this tie-free k = 0 set the engine holds at most four (block x span)
+    # panels of at most FIELD_BLOCK * (n + 1) * 8 bytes at once: the kernel
+    # panel g, its running sums, w and the cut weights (evaluating the kernel
+    # takes fewer), and no panel outlives its block.  Beside them there are
+    # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
+    # masks) and a few n-vectors.  A test run adds the p x B draws, the n x B
+    # multiplier panel, which is scaled by sigma in place, and its sorted copy.
     rng = np.random.default_rng(71)
-    n = 2000
+    n, B = 2000, 50
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
     set_ = build_basic_set(sample.x)
     sig = estimate_sigma(sample, "rice")
+    field_bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
     runs = {
-        "field": lambda: evaluate_field(sample, set_, sig),
-        "test": lambda: run_report(sample, sig, set_, BootConfig(B=50)),
+        "field": (lambda: evaluate_field(sample, set_, sig), field_bound),
+        "test": (
+            lambda: run_report(sample, sig, set_, BootConfig(B=B)),
+            field_bound + set_.p * B * 8 + 2 * n * B * 8,
+        ),
     }
-    for name, run in runs.items():
+    for name, (run, bound) in runs.items():
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < set_.p * n * 8 / 2, name
+        assert peak < bound, (name, peak, bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
 
 
@@ -526,9 +615,9 @@ def test_apply_reproduces_t():
     x = rng.uniform(0, 1, 40)
     y = rng.normal(size=40)
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
-    field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40))
-    # the rows are w / sqrt(v): acting on y recovers the t values
-    np.testing.assert_allclose(field.apply(y), field.t[field.active_ids], rtol=0, atol=1e-10)
+    field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40), y)
+    # the rows are w / sqrt(v): their draws for e = y recover the t values
+    np.testing.assert_allclose(field.draws, field.t[field.active_ids], rtol=0, atol=1e-10)
 
 
 def test_scale_weights_multiply_t_but_not_A_n():
@@ -537,17 +626,19 @@ def test_scale_weights_multiply_t_but_not_A_n():
     y = rng.normal(size=40)
     scales = tuple(Scale(c, 0.4) for c in (0.3, 0.7))
     plain = evaluate_field(Sample(x=x, y=y), ScaleSet(scales=scales), np.ones(40))
-    weighted = evaluate_field(
-        Sample(x=x, y=y),
-        ScaleSet(scales=scales, scale_weights=(2.0, 0.5)),
-        np.ones(40),
-    )
+    weighted_set = ScaleSet(scales=scales, scale_weights=(2.0, 0.5))
+    weighted = evaluate_field(Sample(x=x, y=y), weighted_set, np.ones(40))
     np.testing.assert_allclose(
         weighted.t[weighted.active_ids],
         plain.t[plain.active_ids] * np.array([2.0, 0.5]),
         rtol=1e-14,
     )
     assert weighted.A_n == plain.A_n
+    # the draws' rows carry the weights too
+    e = rng.normal(size=(40, 3))
+    weighted_draws = evaluate_field(Sample(x=x, y=y), weighted_set, np.ones(40), e).draws
+    plain_draws = evaluate_field(Sample(x=x, y=y), ScaleSet(scales=scales), np.ones(40), e).draws
+    np.testing.assert_allclose(weighted_draws, plain_draws * np.array([[2.0], [0.5]]), rtol=1e-14)
 
 
 def test_sensitivity_matches_field():
