@@ -156,8 +156,6 @@ def _pick_fallback(gen, candidates: np.ndarray, t_active: np.ndarray, how: str) 
 
 def _max_over(draws: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Per-draw maxima over the given columns, without copying them out."""
-    if cols.size == draws.shape[1]:
-        return draws.max(axis=1)
     keep = np.zeros(draws.shape[1], dtype=bool)
     keep[cols] = True
     return draws.max(axis=1, initial=-np.inf, where=keep)

@@ -177,7 +177,8 @@ def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError
     )
     fewer = "fewer rows"
     if boot is not None:
-        need = f"{boot} bootstrap draws of {p * boot * 8 / 2**20:.0f} MiB (p * B * 8 bytes) plus " + need
+        draws = f"{boot} bootstrap draws of up to {p * boot * 8 / 2**20:.0f} MiB (p * B * 8 bytes)"
+        need = f"{draws} plus {need}"
         fewer = "fewer bandwidths (--h-set), rows or draws (--boot)"
     return MemoryError(f"out of memory: {p} scales x {n} observations need {need}; use {fewer}")
 

@@ -43,13 +43,7 @@ def epanechnikov(t):
     Accepts scalars or arrays; scalars come back as plain floats.
     """
     arr = np.asarray(t, dtype=float)
-    # 1 - t**2 > 0 exactly when |t| < 1, so a floor at 0 zeroes the outside
-    # (fmax also maps NaN to 0); in place, since the field engine calls this
-    # on whole (scales x span) panels
-    out = np.multiply(arr, arr, out=np.empty_like(arr))
-    np.subtract(1.0, out, out=out)
-    np.multiply(out, 0.75, out=out)
-    np.fmax(out, 0.0, out=out)
+    out = np.where(np.abs(arr) < 1.0, 0.75 * (1.0 - arr * arr), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

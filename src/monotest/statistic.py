@@ -26,7 +26,8 @@ the engine keeps a handful of them only while it works on that block.  V
 sums each window on its own, and the bootstrap draws of a block are one
 matrix product of its panel, taken before the panel is dropped.  So no
 window weights outlive their block: a field costs O(FIELD_BLOCK * n + p)
-bytes, plus the p x columns product when it forms draws.
+bytes, plus its draws when it forms them: one row of e's columns per live
+scale (a window with two distinct x), so at most p of them.
 """
 
 from __future__ import annotations
@@ -257,14 +258,14 @@ def _block_k1(g, xs, lo, hi, D):
 
 
 def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
-    """Yield (rows, lo, hi, w, b) for each block of scales, in sorted order ``order``.
+    """The live scales' mask, and a generator of (rows, lo, hi, w, b) per block.
 
-    A block is at most FIELD_BLOCK scales that share k and whose window
-    holds a pair with nonzero sign; the others have w = 0 and b = 0 and are
-    in no block.  ``rows`` are the scale ids, sorted[lo : hi] their windows
-    and ``w`` the (rows x span) panel of their weights over the span
-    sorted[lo.min() : hi.max()], zero outside each window.  ``b`` is each
-    scale's test function.
+    A scale is live when its window, in sorted order ``order``, holds a pair
+    with nonzero sign; the others have w = 0 and b = 0 and are in no block.
+    A block is at most FIELD_BLOCK live scales that share k.  ``rows`` are
+    the scale ids, sorted[lo : hi] their windows and ``w`` the (rows x span)
+    panel of their weights over the span sorted[lo.min() : hi.max()], zero
+    outside each window.  ``b`` is each scale's test function.
 
     Only b's dot over a window's cuts (and, for general k, the double loop)
     runs per scale; everything else runs once per block.  b is accumulated
@@ -320,18 +321,21 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
             w[r, win], b[r] = _window_stats(xs[l:h], g[r, win], ys[l:h], k)
         return w, b
 
-    for k in np.unique(sk[live]).tolist():
-        ids = np.flatnonzero(live & (sk == k))
-        for start in range(0, ids.size, FIELD_BLOCK):
-            rows = ids[start : start + FIELD_BLOCK]
-            yield (rows, lo[rows], hi[rows], *block(rows, k))
+    def blocks():
+        for k in np.unique(sk[live]).tolist():
+            ids = np.flatnonzero(live & (sk == k))
+            for start in range(0, ids.size, FIELD_BLOCK):
+                rows = ids[start : start + FIELD_BLOCK]
+                yield (rows, lo[rows], hi[rows], *block(rows, k))
+
+    return live, blocks()
 
 
 def _one_scale(sample: Sample, s: Scale, kernel: Kernel):
     """The sort order and the block of one scale, or None when its w is zero."""
     order = _sort_order(sample)
     set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
-    return order, next(_field_blocks(sample, set_, order), None)
+    return order, next(_field_blocks(sample, set_, order)[1], None)
 
 
 def weights_w(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> np.ndarray:
@@ -459,13 +463,16 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     b = np.zeros(p)
     v = np.zeros(p)
     absmax = np.zeros(p)
+    live, blocks = _field_blocks(sample, set_, order)
     if e is not None:
         es = np.asarray(e, dtype=float)
         if es.ndim == 0 or es.shape[0] != sample.n:
             raise DataError(f"e must have one row per observation ({sample.n})")
         es = es[order]
-        out = np.empty((p,) + es.shape[1:])
-    for rows, lo, hi, w, b_rows in _field_blocks(sample, set_, order):
+        # one row of draws per live scale, at its place among them
+        pos = np.cumsum(live) - 1
+        out = np.empty((int(live.sum()),) + es.shape[1:])
+    for rows, lo, hi, w, b_rows in blocks:
         a = int(lo.min())
         span = slice(a, a + w.shape[1])
         b[rows] = b_rows
@@ -484,14 +491,15 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         if e is not None:
             # scale each row to sw * w / sqrt(V), and form the block's products
             # while its panel is at hand; rows with V = 0 are inactive
-            pos = v_rows > 0.0
+            nonzero = v_rows > 0.0
             f = np.zeros(rows.size)
-            f[pos] = sw[rows[pos]] / np.sqrt(v_rows[pos])
+            f[nonzero] = sw[rows[nonzero]] / np.sqrt(v_rows[nonzero])
             w *= f[:, None]
-            if rows[-1] - rows[0] + 1 == rows.size:  # adjacent ids, as when all scales share k
-                np.matmul(w, es[span], out=out[rows[0] : rows[-1] + 1])
+            first, last = pos[rows[0]], pos[rows[-1]]
+            if last - first + 1 == rows.size:  # adjacent rows, as when all scales share k
+                np.matmul(w, es[span], out=out[first : last + 1])
             else:
-                out[rows] = w @ es[span]
+                out[pos[rows]] = w @ es[span]
         del w, flat, panel  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
@@ -511,7 +519,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         T=float(np.max(t[active])),
         active_ids=active_ids,
         A_n=A_n,
-        draws=None if e is None else _keep_rows(out, active_ids),
+        draws=None if e is None else _keep_rows(out, pos[active_ids]),
     )
 
 

@@ -374,7 +374,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
         "panels of 0.0 MiB each (FIELD_BLOCK * (n + 1) * 8 bytes)"
         f" for one block of {statistic.FIELD_BLOCK} scales"
     )
-    assert "20 bootstrap draws of 0 MiB (p * B * 8 bytes) plus " + panels in obj["message"]
+    assert "20 bootstrap draws of up to 0 MiB (p * B * 8 bytes) plus " + panels in obj["message"]
     assert "window weights" not in obj["message"]
     monkeypatch.setattr("monotest.cli.sensitivity_A", out_of_memory)
     assert main(["diag", path]) == 2

@@ -267,12 +267,17 @@ def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0, mixed=False):
 
 
 def _dense_w(sample, set_):
-    """The engine's block panels spread into a dense p x n matrix W, with b."""
+    """The engine's weights, window by window, in a dense p x n matrix W, with b.
+
+    Only each row's window cells are copied, so W is +0 outside the windows.
+    """
     order = statistic._sort_order(sample)
     W = np.zeros((set_.p, sample.n))
     b = np.zeros(set_.p)
-    for rows, lo, hi, w, b_rows in statistic._field_blocks(sample, set_, order):
-        W[rows[:, None], order[lo.min() : hi.max()]] = w
+    for rows, lo, hi, w, b_rows in statistic._field_blocks(sample, set_, order)[1]:
+        a = lo.min()
+        for r, l, h, w_row in zip(rows, lo, hi, w):
+            W[r, order[l:h]] = w_row[l - a : h - a]
         b[rows] = b_rows
     return W, b
 
@@ -410,7 +415,7 @@ def test_apply_skips_inactive_scales_within_and_across_blocks():
     set_ = ScaleSet(scales=tuple(Scale(c, h) for c, h in scales))
     e = rng.normal(size=(41, 4))
     with mock.patch.object(statistic, "FIELD_BLOCK", 2):
-        blocks = [rows.tolist() for rows, *_ in statistic._field_blocks(sample, set_, np.arange(41))]
+        blocks = [rows.tolist() for rows, *_ in statistic._field_blocks(sample, set_, np.arange(41))[1]]
         field = evaluate_field(sample, set_, sig, e)
         dense = evaluate_field(sample, set_, sig, np.eye(41)).draws
     assert blocks == [[0, 1], [3, 4], [5, 6]]
@@ -457,9 +462,8 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
     scale = np.abs(A) @ np.abs(e)
     np.testing.assert_allclose(f.draws, A @ e, rtol=0, atol=1e-13 * scale.max())
     for other_arrays, other_dense, other in fields[:-1]:
-        # equal values; a zero outside a window may carry either sign
         for a_other, a in zip(other_arrays, arrays):
-            np.testing.assert_array_equal(a_other, a)
+            assert a_other.tobytes() == a.tobytes()
         # with e = I every draw is one row entry times 1.0 plus exact zeros
         np.testing.assert_array_equal(other_dense.draws, A)
         for name in ("b", "v_hat", "t", "active_ids"):
@@ -475,8 +479,9 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     # panel g, its running sums, w and the cut weights (evaluating the kernel
     # takes fewer), and no panel outlives its block.  Beside them there are
     # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
-    # masks) and a few n-vectors.  A test run adds the p x B draws, the n x B
-    # multiplier panel, which is scaled by sigma in place, and its sorted copy.
+    # masks) and a few n-vectors.  A test run adds the draws, B per live scale
+    # and so at most p x B, the n x B multiplier panel, which is scaled by
+    # sigma in place, and its sorted copy.
     rng = np.random.default_rng(71)
     n, B = 2000, 50
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
