@@ -34,7 +34,6 @@ from .scales import (
     KERNELS,
     UNIFORM,
     Kernel,
-    Scale,
     ScaleSet,
     build_basic_set,
     build_custom_set,
@@ -71,11 +70,6 @@ from .statistic import (
     StudentizedField,
     evaluate_field,
     sensitivity_A,
-    test_function_b,
-    test_function_b_naive,
-    variance_hat,
-    weights_w,
-    weights_w_naive,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +95,6 @@ __all__ = [
     "KERNELS",
     "UNIFORM",
     "Kernel",
-    "Scale",
     "ScaleSet",
     "build_basic_set",
     "build_custom_set",
@@ -132,10 +125,5 @@ __all__ = [
     "StudentizedField",
     "evaluate_field",
     "sensitivity_A",
-    "test_function_b",
-    "test_function_b_naive",
-    "variance_hat",
-    "weights_w",
-    "weights_w_naive",
     "__version__",
 ]

@@ -5,11 +5,11 @@ counter-based generator and reuses it across all three critical values, so
 the subset structure S_sd within S_os within S_n transfers to the draws and
 the ordering c_sd <= c_os <= c_pi holds on every run, not just on average.
 
-The draws are t*_b(s) = scale_weight * sum_i (w_i(s) / sqrt(V(s))) * sigma_i
-* eps[i, b]; the plug-in critical value is an upper quantile of their
-per-draw maxima over all active scales, while the one-step and step-down
-values first discard scales whose observed studentized value lies far below
-zero, which sharpens power without giving up size control.
+The draws are t*_b(s) = sum_i (w_i(s) / sqrt(V(s))) * sigma_i * eps[i, b];
+the plug-in critical value is an upper quantile of their per-draw maxima
+over all active scales, while the one-step and step-down values first
+discard scales whose observed studentized value lies far below zero, which
+sharpens power without giving up size control.
 """
 
 from __future__ import annotations

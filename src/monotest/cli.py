@@ -330,17 +330,15 @@ def _cmd_diag(args) -> int:
         a_n = sensitivity_A(base, set_, sig)
     except MemoryError:
         raise _field_too_large(base, set_) from None
-    scales = [
-        [s.x, s.h] + (list(s.z_loc) + [s.z_bw] if s.z_loc is not None else [])
-        for s in set_.scales
-    ]
+    cells = [] if set_.z_loc is None else [set_.z_loc, set_.z_bw]
+    scales = np.column_stack([set_.x, set_.h, *cells]).tolist()
     pairs = [
         ("schema", "monotest/diag1"),
         ("n", base.n),
         ("p_scales", set_.p),
         ("kernel", set_.kernel.name),
-        ("k", float(args.k)),
-        ("bandwidths", sorted({s.h for s in set_.scales}, reverse=True)),
+        ("k", set_.k),
+        ("bandwidths", np.unique(set_.h)[::-1].tolist()),
         ("A_n", a_n),
         ("sigma_method", sig.method),
         ("model", args.model),
@@ -425,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "test", parents=[data, boot], help="run the monotonicity test on a CSV file"
     )
     p_test.add_argument("--cv", default="sd", choices=CV_METHODS, help="critical-value method")
-    p_test.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface symmetry; a single test is not parallelized",
-    )
     p_test.set_defaults(func=_cmd_test)
 
     p_diag = sub.add_parser(

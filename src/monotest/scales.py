@@ -7,8 +7,10 @@ window (x - h, x + h).  The weighting function
 
 is symmetric and nonnegative, so the test function built from it has
 nonpositive expectation whenever the regression function is nondecreasing.
-Scales may additionally carry a cell (z_loc, z_bw) in auxiliary covariates;
-the corresponding product weighting lives in :mod:`monotest.statistic`.
+A scale set stores its scales as columns and shares the kernel K and the
+exponent k among them.  A z-local set gives every scale a cell (z_loc, z_bw)
+in auxiliary covariates, all under one z-kernel; the corresponding product
+weighting lives in :mod:`monotest.statistic`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import DataError
 
 __all__ = [
     "Kernel",
-    "Scale",
     "ScaleSet",
     "epanechnikov",
     "uniform",
@@ -73,76 +74,80 @@ KERNELS = {k.name: k for k in (EPANECHNIKOV, UNIFORM)}
 
 
 @dataclass(frozen=True)
-class Scale:
-    """A location-bandwidth pair, optionally carrying a z-cell for covariate-local tests."""
-
-    x: float
-    h: float
-    k: float = 0.0
-    z_loc: tuple[float, ...] | None = None
-    z_bw: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "k", float(self.k))
-        if not math.isfinite(self.x):
-            raise ValueError("scale location must be finite")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.h!r}")
-        if not (math.isfinite(self.k) and self.k >= 0):
-            raise ValueError(f"distance exponent k must be >= 0, got {self.k!r}")
-        if self.z_loc is not None:
-            loc = tuple(float(v) for v in np.atleast_1d(np.asarray(self.z_loc, dtype=float)))
-            object.__setattr__(self, "z_loc", loc)
-            if self.z_bw is None or not (math.isfinite(self.z_bw) and self.z_bw > 0):
-                raise ValueError("a z-local scale needs a positive z_bw")
-            object.__setattr__(self, "z_bw", float(self.z_bw))
-        elif self.z_bw is not None:
-            raise ValueError("z_bw given without z_loc")
-
-
-@dataclass(frozen=True)
 class ScaleSet:
-    """A finite collection of scales sharing one kernel (and optionally a z-kernel).
+    """A finite set of scales, one array per column: scale i is (x[i], h[i]).
 
-    ``scale_weights`` are the optional strictly positive per-scale weights
-    multiplying each studentized value; they default to 1 and enter the
-    bootstrap draws in exactly the same way as the observed statistic.
+    All scales share one weighting function Q, so the kernel, the distance
+    exponent k and, for covariate-local tests, the z-kernel belong to the
+    set.  A z-local set gives scale i the cell (z_loc[i], z_bw[i]); z_loc
+    has one row of d coordinates per scale.  The columns are validated once
+    here and read-only afterwards.
     """
 
-    scales: tuple[Scale, ...]
+    x: np.ndarray
+    h: np.ndarray
+    k: float = 0.0
     kernel: Kernel = EPANECHNIKOV
+    z_loc: np.ndarray | None = None
+    z_bw: np.ndarray | None = None
     z_kernel: Kernel | None = None
-    scale_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(self.scales))
-        if not self.scales:
+        x = np.array(self.x, dtype=float).reshape(-1)
+        h = np.array(self.h, dtype=float).reshape(-1)
+        k = float(self.k)
+        if x.size == 0:
             raise ValueError("scale set must be non-empty")
-        if self.scale_weights is not None:
-            w = tuple(float(v) for v in self.scale_weights)
-            if len(w) != len(self.scales):
-                raise ValueError("scale_weights length must match the number of scales")
-            if not all(math.isfinite(v) and v > 0 for v in w):
-                raise ValueError("scale_weights must be strictly positive and finite")
-            object.__setattr__(self, "scale_weights", w)
+        if x.size != h.size:
+            raise ValueError(f"x and h lengths differ: {x.size} vs {h.size}")
+        if not np.isfinite(x).all():
+            raise ValueError("scale location must be finite")
+        bad = ~(np.isfinite(h) & (h > 0))
+        if bad.any():
+            raise ValueError(f"bandwidth must be positive and finite, got {float(h[bad][0])!r}")
+        if not (math.isfinite(k) and k >= 0):
+            raise ValueError(f"distance exponent k must be >= 0, got {k!r}")
+        columns = [("x", x), ("h", h)]
+        if self.z_loc is not None:
+            z_loc = np.array(self.z_loc, dtype=float)
+            if z_loc.ndim != 2 or z_loc.shape[0] != x.size:
+                raise ValueError(f"z_loc needs one row per scale ({x.size}), got shape {z_loc.shape}")
+            if self.z_bw is None:
+                raise ValueError("a z-local scale needs a positive z_bw")
+            z_bw = np.array(self.z_bw, dtype=float).reshape(-1)
+            if z_bw.size != x.size:
+                raise ValueError(f"z_bw needs one entry per scale ({x.size}), got {z_bw.size}")
+            if not (np.isfinite(z_bw) & (z_bw > 0)).all():
+                raise ValueError("a z-local scale needs a positive z_bw")
+            if self.z_kernel is None:
+                raise ValueError("a z-local scale set needs a z_kernel")
+            columns += [("z_loc", z_loc), ("z_bw", z_bw)]
+        elif self.z_bw is not None:
+            raise ValueError("z_bw given without z_loc")
+        object.__setattr__(self, "k", k)
+        for name, column in columns:
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def p(self) -> int:
-        return len(self.scales)
+        return self.x.size
 
-    def weights_vector(self) -> np.ndarray:
-        if self.scale_weights is None:
-            return np.ones(self.p)
-        return np.asarray(self.scale_weights, dtype=float)
+    @property
+    def scales(self) -> np.recarray:
+        """A read-only record view of the (x, h) columns, for callers that iterate scales."""
+        view = np.rec.fromarrays([self.x, self.h], names="x,h")
+        view.flags.writeable = False
+        return view
 
 
-def kernel_Q(x1: float, x2: float, s: Scale, kernel: Kernel = EPANECHNIKOV) -> float:
-    """Pairwise weight |x1 - x2|**k * K((x1 - x)/h) * K((x2 - x)/h) for s = (x, h, k)."""
-    base = kernel((x1 - s.x) / s.h) * kernel((x2 - s.x) / s.h)
+def kernel_Q(
+    x1: float, x2: float, x: float, h: float, k: float = 0.0, kernel: Kernel = EPANECHNIKOV
+) -> float:
+    """Pairwise weight |x1 - x2|**k * K((x1 - x)/h) * K((x2 - x)/h) for the scale (x, h)."""
+    base = kernel((x1 - x) / h) * kernel((x2 - x) / h)
     # 0.0 ** 0.0 == 1.0, so the k == 0 case needs no special treatment
-    return abs(x1 - x2) ** s.k * base
+    return abs(x1 - x2) ** k * base
 
 
 def _bandwidth_grid(h_max: float, h_min: float, u: float) -> list[float]:
@@ -206,9 +211,7 @@ def build_basic_set(
         raise DataError("no positive bandwidth: all regressor values coincide")
     h_min = shrink * h_max * (math.log(n) / n) ** (1.0 / 3.0)
     grid = _bandwidth_grid(h_max, h_min, u)
-    locations = np.unique(x)
-    scales = tuple(Scale(float(xi), h, k) for h in grid for xi in locations)
-    return ScaleSet(scales=scales, kernel=kernel)
+    return build_custom_set(np.unique(x), grid, k, kernel)
 
 
 def build_custom_set(
@@ -218,12 +221,11 @@ def build_custom_set(
     kernel: Kernel = EPANECHNIKOV,
 ) -> ScaleSet:
     """Cartesian product of explicit locations and bandwidths (bandwidth-major order)."""
-    locs = np.atleast_1d(np.asarray(locations, dtype=float))
-    bws = np.atleast_1d(np.asarray(bandwidths, dtype=float))
+    locs = np.asarray(locations, dtype=float).reshape(-1)
+    bws = np.asarray(bandwidths, dtype=float).reshape(-1)
     if locs.size == 0 or bws.size == 0:
         raise ValueError("locations and bandwidths must be non-empty")
-    scales = tuple(Scale(float(xi), float(h), k) for h in bws for xi in locs)
-    return ScaleSet(scales=scales, kernel=kernel)
+    return ScaleSet(np.tile(locs, bws.size), np.repeat(bws, locs.size), k, kernel)
 
 
 def build_z_local_set(
@@ -234,32 +236,28 @@ def build_z_local_set(
 ) -> ScaleSet:
     """Cross an existing scale set with cells in auxiliary covariates.
 
-    Each product scale keeps its (x, h, k) and gains one (z_loc, z_bw) cell;
+    Each product scale keeps its (x, h) and gains one (z_loc, z_bw) cell;
     the statistic then weights observation pairs by the additional factor
     K((z1 - z_loc)/z_bw) * K((z2 - z_loc)/z_bw), taken as a product over
-    coordinates when z is vector valued.
+    coordinates when z is vector valued.  The set keeps k and the kernel, and
+    its order runs over the x-scales, then z_locs, then z_bws.
     """
-    locs = [tuple(float(v) for v in np.atleast_1d(np.asarray(z, dtype=float))) for z in z_locs]
+    locs = [np.asarray(z, dtype=float).reshape(-1) for z in z_locs]
     if not locs:
         raise ValueError("z_locs must be non-empty")
-    dims = {len(loc) for loc in locs}
+    dims = {loc.size for loc in locs}
     if len(dims) != 1:
         raise DataError(f"dimension mismatch among z_locs: found lengths {sorted(dims)}")
-    bws = [float(b) for b in np.atleast_1d(np.asarray(z_bws, dtype=float))]
-    if not bws:
+    bws = np.asarray(z_bws, dtype=float).reshape(-1)
+    if not bws.size:
         raise ValueError("z_bws must be non-empty")
-
-    scales = []
-    weights = [] if x_scales.scale_weights is not None else None
-    for s, wt in zip(x_scales.scales, x_scales.weights_vector()):
-        for loc in locs:
-            for bw in bws:
-                scales.append(Scale(s.x, s.h, s.k, z_loc=loc, z_bw=bw))
-                if weights is not None:
-                    weights.append(float(wt))
+    cells = len(locs) * bws.size
     return ScaleSet(
-        scales=tuple(scales),
-        kernel=x_scales.kernel,
+        np.repeat(x_scales.x, cells),
+        np.repeat(x_scales.h, cells),
+        x_scales.k,
+        x_scales.kernel,
+        z_loc=np.tile(np.repeat(np.array(locs), bws.size, axis=0), (x_scales.p, 1)),
+        z_bw=np.tile(bws, x_scales.p * len(locs)),
         z_kernel=z_kernel,
-        scale_weights=tuple(weights) if weights is not None else None,
     )

@@ -10,16 +10,15 @@ w_i(s) = sum_j sign(X_j - X_i) Q(X_i, X_j, s) gives the identity
 b(s) = sum_i Y_i w_i(s), the variance V(s) = sum_i sigma_i^2 w_i(s)^2, and
 the statistic T = max over scales of b(s) / sqrt(V(s)).
 
-Two computation paths are provided: a block engine, and naive double-loop
-references used as oracles in the test suite.  The engine sorts X once,
-finds every scale's window and every tie run with one searchsorted each,
-and evaluates the scales FIELD_BLOCK at a time on one dense panel: a row
-per scale, a column per sorted observation of the block's span, the union
-of its windows.  The kernel is zero outside each window, so running sums
-along the rows give w and b in O(span) per scale for k in {0, 1}, and a
-direct double loop over the window handles any other k.  The engine
-accumulates b(s) from adjacent differences of the sorted Y, so adding a
-constant to Y cannot leak into b through rounding.
+One block engine computes all of it; the test suite pins it against naive
+double sums.  The engine sorts X once, finds every scale's window and every
+tie run with one searchsorted each, and evaluates the scales FIELD_BLOCK at
+a time on one dense panel: a row per scale, a column per sorted observation
+of the block's span, the union of its windows.  The kernel is zero outside
+each window, so running sums along the rows give w and b in O(span) per
+scale for k in {0, 1}, and a direct double loop over the window handles any
+other k.  The engine accumulates b(s) from adjacent differences of the
+sorted Y, so adding a constant to Y cannot leak into b through rounding.
 
 Memory: a block's panels are (FIELD_BLOCK x span) with span <= n + 1, and
 the engine keeps a handful of them only while it works on that block.  V
@@ -38,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, DegenerateVarianceError
-from .scales import EPANECHNIKOV, Kernel, Scale, ScaleSet
+from .scales import ScaleSet
 
 if TYPE_CHECKING:
     from .sigma import SigmaEstimate
@@ -46,11 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Sample",
     "StudentizedField",
-    "weights_w",
-    "weights_w_naive",
-    "test_function_b",
-    "test_function_b_naive",
-    "variance_hat",
     "evaluate_field",
     "sensitivity_A",
 ]
@@ -108,15 +102,15 @@ class Sample:
 class StudentizedField:
     """Per-scale test functions, variances, and studentized values.
 
-    ``t`` is scale_weight * b / sqrt(v_hat) on active scales and NaN on
-    inactive ones; ``T`` is the maximum of t over ``active_ids``.
-    ``A_n`` is the largest unweighted influence max |w_i(s)| / sqrt(v_hat(s)).
+    ``t`` is b / sqrt(v_hat) on active scales and NaN on inactive ones;
+    ``T`` is the maximum of t over ``active_ids``.  ``A_n`` is the largest
+    influence max |w_i(s)| / sqrt(v_hat(s)).
 
     ``draws`` is None unless ``evaluate_field`` was given an array e with n
     rows in observation order.  Then it holds sum_i a_i(s) * e_i for every
     active scale, one row per ``active_ids`` entry with e's columns, where
-    a_i(s) = scale_weight * w_i(s) / sqrt(v_hat(s)); with sigma_i * eps_i
-    it is one bootstrap draw.
+    a_i(s) = w_i(s) / sqrt(v_hat(s)); with sigma_i * eps_i it is one
+    bootstrap draw.
     """
 
     b: np.ndarray
@@ -262,7 +256,7 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
 
     A scale is live when its window, in sorted order ``order``, holds a pair
     with nonzero sign; the others have w = 0 and b = 0 and are in no block.
-    A block is at most FIELD_BLOCK live scales that share k.  ``rows`` are
+    A block is at most FIELD_BLOCK consecutive live scales.  ``rows`` are
     the scale ids, sorted[lo : hi] their windows and ``w`` the (rows x span)
     panel of their weights over the span sorted[lo.min() : hi.max()], zero
     outside each window.  ``b`` is each scale's test function.
@@ -276,10 +270,7 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
     """
     xs = sample.x[order]
     ys = sample.y[order]
-    scales = set_.scales
-    sx = np.array([s.x for s in scales])
-    sh = np.array([s.h for s in scales])
-    sk = np.array([s.k for s in scales])
+    sx, sh, k = set_.x, set_.h, set_.k
     lo, hi = _window_bounds(xs, sx, sh, set_.kernel.support_radius)
     # a pair with nonzero sign needs two distinct x: a window with fewer
     # points, or one made of a single tie run, keeps w = 0 and b = 0
@@ -291,13 +282,11 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
     R = np.searchsorted(xs, xs, side="right")
     tied = xs[:-1] == xs[1:]
     D = ys[:-1] - ys[1:]
-    zcell = scales[0].z_loc is not None
+    zcell = set_.z_loc is not None
     if zcell:
         zs = sample.z[order]
-        zloc = np.array([s.z_loc for s in scales])
-        zbw = np.array([s.z_bw for s in scales])
 
-    def block(rows, k):
+    def block(rows):
         # a function, so that none of its panels outlives the block
         wlo, whi = lo[rows], hi[rows]
         span = slice(int(wlo.min()), int(whi.max()))
@@ -305,10 +294,10 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
         g = np.asarray(set_.kernel((xs[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
         if zcell:
             # the z-cell factor, a product over coordinates taken in order
-            bw = zbw[rows, None]
-            zf = set_.z_kernel((zs[span, 0] - zloc[rows, 0, None]) / bw)
+            bw, loc = set_.z_bw[rows, None], set_.z_loc[rows]
+            zf = set_.z_kernel((zs[span, 0] - loc[:, 0, None]) / bw)
             for j in range(1, zs.shape[1]):
-                zf = zf * set_.z_kernel((zs[span, j] - zloc[rows, j, None]) / bw)
+                zf = zf * set_.z_kernel((zs[span, j] - loc[:, j, None]) / bw)
             g *= zf
         if k == 0.0:
             return _block_k0(g, wlo, whi, L, R, D, tied)
@@ -322,74 +311,12 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
         return w, b
 
     def blocks():
-        for k in np.unique(sk[live]).tolist():
-            ids = np.flatnonzero(live & (sk == k))
-            for start in range(0, ids.size, FIELD_BLOCK):
-                rows = ids[start : start + FIELD_BLOCK]
-                yield (rows, lo[rows], hi[rows], *block(rows, k))
+        ids = np.flatnonzero(live)
+        for start in range(0, ids.size, FIELD_BLOCK):
+            rows = ids[start : start + FIELD_BLOCK]
+            yield (rows, lo[rows], hi[rows], *block(rows))
 
     return live, blocks()
-
-
-def _one_scale(sample: Sample, s: Scale, kernel: Kernel):
-    """The sort order and the block of one scale, or None when its w is zero."""
-    order = _sort_order(sample)
-    set_ = ScaleSet(scales=(Scale(s.x, s.h, s.k),), kernel=kernel)
-    return order, next(_field_blocks(sample, set_, order)[1], None)
-
-
-def weights_w(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> np.ndarray:
-    """w_i(s) = sum_j sign(X_j - X_i) * Q(X_i, X_j, s), with sign(0) = 0."""
-    order, block = _one_scale(sample, s, kernel)
-    w = np.zeros(sample.n)
-    if block is not None:
-        _, lo, hi, wp, _ = block
-        w[order[lo[0] : hi[0]]] = wp[0]
-    return w
-
-
-def weights_w_naive(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> np.ndarray:
-    """Reference double loop for weights_w; no sorting, no windowing."""
-    x = sample.x
-    n = x.size
-    kx = np.asarray(kernel((x - s.x) / s.h), dtype=float)
-    w = np.empty(n)
-    for i in range(n):
-        diff = x - x[i]
-        w[i] = kx[i] * np.sum(np.sign(diff) * np.abs(diff) ** s.k * kx)
-    return w
-
-
-def test_function_b(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> float:
-    """b(s) = 1/2 * sum_ij (Y_i - Y_j) * sign(X_j - X_i) * Q(X_i, X_j, s).
-
-    Positive values indicate locally decreasing behavior; algebraically
-    b(s) = sum_i Y_i w_i(s), pinned against the naive oracle in the tests.
-    """
-    _, block = _one_scale(sample, s, kernel)
-    return 0.0 if block is None else float(block[4][0])
-
-
-def test_function_b_naive(sample: Sample, s: Scale, kernel: Kernel = EPANECHNIKOV) -> float:
-    """Reference double sum for test_function_b."""
-    x, y = sample.x, sample.y
-    kx = np.asarray(kernel((x - s.x) / s.h), dtype=float)
-    total = 0.0
-    for i in range(x.size):
-        diff = x - x[i]
-        total += kx[i] * np.sum(
-            (y[i] - y) * np.sign(diff) * np.abs(diff) ** s.k * kx
-        )
-    return 0.5 * total
-
-
-def variance_hat(w, sigma_hat) -> float:
-    """V(s) = sum_i sigma_i^2 * w_i(s)^2; negative residual-based sigma_i are fine."""
-    w = np.asarray(w, dtype=float)
-    sig = np.asarray(sigma_hat, dtype=float)
-    if w.shape != sig.shape:
-        raise ValueError(f"length mismatch: {w.shape} vs {sig.shape}")
-    return float(np.sum(sig * sig * w * w))
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -418,14 +345,14 @@ def _keep_rows(out: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> StudentizedField:
-    """Evaluate b, V, and t = scale_weight * b / sqrt(V) on every scale.
+    """Evaluate b, V, and t = b / sqrt(V) on every scale.
 
     Parameters
     ----------
     sample : Sample
     set_ : ScaleSet
-        Either no scale carries a z-cell, or every scale does; z-cell scales
-        weight observation pairs by Q(x1, x2, s) times
+        A z-local set needs z columns in the sample; its scales weight
+        observation pairs by Q(x1, x2, s) times
         K((z1 - z_loc)/z_bw) * K((z2 - z_loc)/z_bw), so the statistic probes
         monotonicity in x within each cell.
     sigma : SigmaEstimate or array_like
@@ -433,8 +360,8 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         residual-based estimates; only their squares enter V).
     e : array_like, optional
         n rows in observation order.  If given, the field's ``draws`` hold
-        sum_i scale_weight * w_i(s) / sqrt(V(s)) * e_i for every active
-        scale, formed block by block from the engine's panels.
+        sum_i w_i(s) / sqrt(V(s)) * e_i for every active scale, formed
+        block by block from the engine's panels.
 
     Raises
     ------
@@ -444,21 +371,15 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     DegenerateVarianceError
         If every scale is inactive, which signals a data/bandwidth mismatch.
     """
-    if any(s.z_loc is not None for s in set_.scales):
+    if set_.z_loc is not None:
         if sample.z is None:
             raise DataError("sample has no z columns")
-        if set_.z_kernel is None:
-            raise DataError("scale set has no z_kernel")
-        d = sample.z.shape[1]
-        for s in set_.scales:
-            if s.z_loc is None:
-                raise DataError("either every scale needs a z-cell or none may have one")
-            if len(s.z_loc) != d:
-                raise DataError(f"z_loc dimension {len(s.z_loc)} does not match z dimension {d}")
+        d, d_loc = sample.z.shape[1], set_.z_loc.shape[1]
+        if d_loc != d:
+            raise DataError(f"z_loc dimension {d_loc} does not match z dimension {d}")
     sig = _sigma_values(sigma, sample.n)
     order = _sort_order(sample)
     sig2 = (sig * sig)[order]
-    sw = set_.weights_vector()
     p = set_.p
     b = np.zeros(p)
     v = np.zeros(p)
@@ -469,9 +390,9 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         if es.ndim == 0 or es.shape[0] != sample.n:
             raise DataError(f"e must have one row per observation ({sample.n})")
         es = es[order]
-        # one row of draws per live scale, at its place among them
-        pos = np.cumsum(live) - 1
+        # one row of draws per live scale; the blocks fill them in order
         out = np.empty((int(live.sum()),) + es.shape[1:])
+        top = 0
     for rows, lo, hi, w, b_rows in blocks:
         a = int(lo.min())
         span = slice(a, a + w.shape[1])
@@ -489,17 +410,14 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         v_rows = np.add.reduceat(flat, np.stack((first, first + hi - lo), axis=1).ravel())[::2]
         v[rows] = v_rows
         if e is not None:
-            # scale each row to sw * w / sqrt(V), and form the block's products
+            # scale each row to w / sqrt(V), and form the block's products
             # while its panel is at hand; rows with V = 0 are inactive
             nonzero = v_rows > 0.0
             f = np.zeros(rows.size)
-            f[nonzero] = sw[rows[nonzero]] / np.sqrt(v_rows[nonzero])
+            f[nonzero] = 1.0 / np.sqrt(v_rows[nonzero])
             w *= f[:, None]
-            first, last = pos[rows[0]], pos[rows[-1]]
-            if last - first + 1 == rows.size:  # adjacent rows, as when all scales share k
-                np.matmul(w, es[span], out=out[first : last + 1])
-            else:
-                out[pos[rows]] = w @ es[span]
+            np.matmul(w, es[span], out=out[top : top + rows.size])
+            top += rows.size
         del w, flat, panel  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
@@ -508,7 +426,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     active_ids = np.flatnonzero(active)
     t = np.full(p, np.nan)
     root_v = np.sqrt(v[active])
-    t[active] = sw[active] * b[active] / root_v
+    t[active] = b[active] / root_v
     # rounding a division by a positive number is monotone, so this is
     # max over i of |w_i| / sqrt(v) bit for bit
     A_n = float(np.max(absmax[active] / root_v))
@@ -519,7 +437,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         T=float(np.max(t[active])),
         active_ids=active_ids,
         A_n=A_n,
-        draws=None if e is None else _keep_rows(out, pos[active_ids]),
+        draws=None if e is None else _keep_rows(out, np.flatnonzero(active[live])),
     )
 
 

