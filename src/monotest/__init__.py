@@ -21,7 +21,6 @@ from .bootstrap import (
 )
 from .errors import DataError, DegenerateVarianceError
 from .models import (
-    AdditiveFit,
     AdjustedSample,
     additive_adjust,
     additive_series_fit,
@@ -44,7 +43,7 @@ from .scales import (
 )
 from .sigma import (
     SIGMA_METHODS,
-    PolyFit,
+    SeriesFit,
     SigmaEstimate,
     default_local_bandwidth,
     default_series_degree,
@@ -53,6 +52,7 @@ from .sigma import (
     residual_sigma,
     rice_global,
     rice_local,
+    series_fit,
     two_step_poly_variance,
 )
 from .simlab import (
@@ -69,7 +69,6 @@ from .statistic import (
     Sample,
     StudentizedField,
     evaluate_field,
-    sensitivity_A,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "run_report",
     "DataError",
     "DegenerateVarianceError",
-    "AdditiveFit",
     "AdjustedSample",
     "additive_adjust",
     "additive_series_fit",
@@ -103,7 +101,7 @@ __all__ = [
     "kernel_Q",
     "uniform",
     "SIGMA_METHODS",
-    "PolyFit",
+    "SeriesFit",
     "SigmaEstimate",
     "default_local_bandwidth",
     "default_series_degree",
@@ -112,6 +110,7 @@ __all__ = [
     "residual_sigma",
     "rice_global",
     "rice_local",
+    "series_fit",
     "two_step_poly_variance",
     "CASES",
     "McDesign",
@@ -124,6 +123,5 @@ __all__ = [
     "Sample",
     "StudentizedField",
     "evaluate_field",
-    "sensitivity_A",
     "__version__",
 ]

@@ -46,7 +46,6 @@ class BootConfig:
     B: int = 500
     seed: int = 0
     method: str = "sd"
-    fallback: str = "random"
 
     def __post_init__(self):
         object.__setattr__(self, "method", str(self.method).lower())
@@ -63,8 +62,6 @@ class BootConfig:
         object.__setattr__(self, "seed", seed)
         if self.method not in CV_METHODS:
             raise ValueError(f"method must be one of {CV_METHODS}, got {self.method!r}")
-        if self.fallback not in ("random", "argmax"):
-            raise ValueError(f"fallback must be 'random' or 'argmax', got {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +143,8 @@ def p_value(T: float, boot_maxima) -> float:
     return float((1 + np.count_nonzero(m >= T)) / (m.size + 1))
 
 
-def _pick_fallback(gen, candidates: np.ndarray, t_active: np.ndarray, how: str) -> np.ndarray:
-    if how == "argmax":
-        idx = int(np.argmax(t_active[candidates]))
-    else:
-        idx = int(gen.integers(candidates.size))
+def _pick_fallback(gen, candidates: np.ndarray) -> np.ndarray:
+    idx = int(gen.integers(candidates.size))
     return candidates[idx : idx + 1]
 
 
@@ -168,9 +162,8 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     selection S_os = {s : t(s) > -2 c_pi(1 - gamma)}, and the step-down
     fixed point obtained by repeatedly discarding scales with
     t(s) <= -c_pi(1 - gamma) - c_l.  If a selection empties out, a single
-    scale is drawn from its predecessor set using the run's seeded stream
-    (or by argmax of t when cfg.fallback == 'argmax'), which keeps the
-    nesting intact.
+    scale is drawn from its predecessor set using the run's seeded stream,
+    which keeps the nesting intact.
     """
     sig = _sigma_values(sigma, sample.n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -193,7 +186,7 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     if os_mask.any():
         os_cols = np.flatnonzero(os_mask)
     else:
-        os_cols = _pick_fallback(gen, all_cols, t_active, cfg.fallback)
+        os_cols = _pick_fallback(gen, all_cols)
         warnings.append("one-step selection was empty; kept a single fallback scale")
     os_max = _max_over(draws, os_cols)
     c_os = quantile_upper(os_max, 1.0 - cfg.alpha)
@@ -208,7 +201,7 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
         iterations += 1
         keep = t_active[cur_cols] > (-c_pi_gamma - c_cur)
         if not keep.any():
-            cur_cols = _pick_fallback(gen, cur_cols, t_active, cfg.fallback)
+            cur_cols = _pick_fallback(gen, cur_cols)
             sd_max = _max_over(draws, cur_cols)
             warnings.append("step-down selection emptied; kept a single fallback scale")
             break

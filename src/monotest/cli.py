@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from .models import (
 from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import SIGMA_METHODS, estimate_sigma
 from .simlab import McDesign, results_to_csv, results_to_text, run_mc
-from .statistic import FIELD_BLOCK, Sample, sensitivity_A
+from .statistic import FIELD_BLOCK, Sample, evaluate_field
 
-__all__ = ["main", "build_parser", "load_csv", "load_columns", "report_to_json"]
+__all__ = ["main", "build_parser", "load_columns", "report_to_json"]
 
 MODELS = (
     "simple",
@@ -102,14 +103,6 @@ def load_columns(path: str, names) -> dict[str, np.ndarray]:
     if n < 2:
         raise DataError(f"{path}: need at least two data rows, found {n}")
     return {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
-
-
-def load_csv(path: str, x_col: str = "x", y_col: str = "y", z_cols=()) -> Sample:
-    """Load a Sample from a CSV file, preserving row order."""
-    z_cols = list(z_cols)
-    cols = load_columns(path, [x_col, y_col, *z_cols])
-    z = np.column_stack([cols[c] for c in z_cols]) if z_cols else None
-    return Sample(cols[x_col], cols[y_col], z=z)
 
 
 # ------------------------------------------------------------- JSON output
@@ -268,9 +261,9 @@ def _prepare_case(args):
             Sample(x, y, z=z), first_stage_degree=args.first_stage_degree
         ).base
     elif model == "additive":
-        sample = Sample(x, y, z=z)
-        fit = additive_series_fit(sample.x, sample.z, sample.y, L=args.L)
-        base = additive_adjust(sample, fit.g_hat).base
+        fit = additive_series_fit(x, z, y, L=args.L)
+        g_hat = partial(fit.predict, blocks=range(1, 1 + z.shape[1]))
+        base = additive_adjust(Sample(x, y, z=z), g_hat).base
     elif model == "nonparametric-z":
         base = Sample(x, y, z=z)
     elif model == "endogenous":
@@ -327,7 +320,7 @@ def _cmd_diag(args) -> int:
     base, set_, _ = _prepare_case(args)
     sig = _estimate(args, base)
     try:
-        a_n = sensitivity_A(base, set_, sig)
+        a_n = evaluate_field(base, set_, sig).A_n
     except MemoryError:
         raise _field_too_large(base, set_) from None
     cells = [] if set_.z_loc is None else [set_.z_loc, set_.z_bw]
@@ -402,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument(
         "--sigma-degree", type=int, default=None, help="fit degree for residual / two-step-poly"
     )
-    data.add_argument("--L", type=int, default=4, help="powers per additive series block")
+    data.add_argument("--L", type=int, default=4, help="Chebyshev degree per additive series block")
     data.add_argument("--first-stage-degree", type=int, default=3)
     data.add_argument("--pscore-degree", type=int, default=3)
     data.add_argument(

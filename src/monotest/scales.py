@@ -44,14 +44,18 @@ def epanechnikov(t):
     Accepts scalars or arrays; scalars come back as plain floats.
     """
     arr = np.asarray(t, dtype=float)
-    out = np.where(np.abs(arr) < 1.0, 0.75 * (1.0 - arr * arr), 0.0)
-    return float(out) if out.ndim == 0 else out
+    out = np.square(np.atleast_1d(arr))  # a fresh array: t itself is never written
+    np.subtract(1.0, out, out=out)
+    out *= 0.75
+    # 1 - t*t > 0 exactly when |t| < 1; fmax also maps NaN to 0
+    np.fmax(out, 0.0, out=out)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def uniform(t):
     """Uniform weight: 1 on (-1, 1), zero outside."""
     arr = np.asarray(t, dtype=float)
-    out = np.where(np.abs(arr) < 1.0, 1.0, 0.0)
+    out = (np.abs(arr) < 1.0).astype(float)
     return float(out) if out.ndim == 0 else out
 
 

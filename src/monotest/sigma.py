@@ -5,7 +5,8 @@ a windowed local version of it, signed regression residuals from a
 polynomial series fit, and a two-step procedure that projects squared
 residuals back onto the polynomial basis to capture heteroscedasticity.
 Residual-based values may be negative; only their squares enter variances
-downstream.
+downstream.  ``series_fit``, the one polynomial-design helper, also fits
+every nuisance regression of the model adapters.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from .statistic import Sample, _sort_order
 
 __all__ = [
     "SigmaEstimate",
-    "PolyFit",
+    "SeriesFit",
     "rice_global",
     "rice_local",
     "default_local_bandwidth",
+    "series_fit",
     "poly_series_fit",
     "default_series_degree",
     "residual_sigma",
@@ -97,49 +99,77 @@ def rice_local(sample: Sample, b_n: float | None = None) -> SigmaEstimate:
     return SigmaEstimate(values, "local-rice", {"b_n": float(b_n)})
 
 
-class PolyFit:
-    """Least-squares polynomial fit on a rescaled domain, usable as a predictor."""
+@dataclass(frozen=True)
+class SeriesFit:
+    """Least-squares fit of y on an intercept plus T_1..T_degree of each column.
 
-    def __init__(self, series, fitted: np.ndarray, degree: int):
-        self._series = series
-        self.fitted = fitted
-        self.degree = degree
+    T_q is the Chebyshev polynomial of degree q; column j enters as block j,
+    mapped onto [-1, 1] over its range [lo[j], hi[j]].  Block 0 carries the
+    intercept, so a block sum at new values predicts f, g or lambda alike.
+    """
 
-    def __call__(self, xnew):
-        if self._series is None:
-            arr = np.asarray(xnew, dtype=float)
-            return np.full(arr.shape, self.fitted[0]) if arr.ndim else float(self.fitted[0])
-        return self._series(np.asarray(xnew, dtype=float))
+    fitted: np.ndarray
+    coef: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    degree: int
+
+    def predict(self, values, blocks=None) -> np.ndarray:
+        """Sum of the given blocks (default: all) at new values, one column per block."""
+        blocks = list(range(self.lo.size) if blocks is None else blocks)
+        v = np.asarray(values, dtype=float).reshape(-1, len(blocks))
+        design = _design(v, self.lo[blocks], self.hi[blocks], self.degree, intercept=0 in blocks)
+        cols = [1 + j * self.degree + q for j in blocks for q in range(self.degree)]
+        return design @ self.coef[[0] + cols if 0 in blocks else cols]
+
+    __call__ = predict
 
 
-def poly_series_fit(x, y, degree: int) -> PolyFit:
-    """Fit y on polynomials of x up to ``degree`` in an orthogonal (Chebyshev) basis.
+def _design(values: np.ndarray, lo, hi, degree: int, intercept: bool = True) -> np.ndarray:
+    n, m = values.shape
+    u = (values - lo) * (2.0 / (hi - lo)) - 1.0 if degree else values
+    blocks = np.polynomial.chebyshev.chebvander(u, degree)[..., 1:].reshape(n, m * degree)
+    return np.hstack([np.ones((n, 1)), blocks]) if intercept else blocks
+
+
+def series_fit(columns, y, degree: int, names) -> SeriesFit:
+    """Fit y (n, or n x k for k responses) on Chebyshev blocks of an n x m array's columns.
+
+    ``names`` labels the m blocks.  With degree >= 1 a column of zero range
+    raises DataError naming its block; a rank-deficient design raises
+    DataError naming every block, with the design's condition number.
+    """
+    columns = np.asarray(columns, dtype=float)
+    lo, hi = columns.min(axis=0), columns.max(axis=0)
+    for name, a, b in zip(names, lo, hi) if degree else ():
+        if not b > a:
+            raise DataError(f"{name}: zero range, cannot build a polynomial block")
+    design = _design(columns, lo, hi, degree)
+    coef, _, rank, sv = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+        raise DataError(
+            f"rank-deficient polynomial design over blocks {list(names)} "
+            f"(rank {rank} < {design.shape[1]}, condition {cond:.3e})"
+        )
+    return SeriesFit(design @ coef, coef, lo, hi, int(degree))
+
+
+def poly_series_fit(x, y, degree: int) -> SeriesFit:
+    """Fit y (n, or n x k) on Chebyshev polynomials of x up to ``degree``: one block.
 
     The basis is evaluated on the data range mapped to [-1, 1], which keeps
-    the design well conditioned up to the degrees used here.  Raises on rank
-    deficiency, reporting the condition diagnostic.
+    the design well conditioned up to the degrees used here.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if x.size != y.size:
+    if y.shape[:1] != x.shape:
         raise ValueError("x and y lengths differ")
     if x.size <= degree:
         raise ValueError(f"need more than degree={degree} observations, got {x.size}")
-    if np.ptp(x) == 0.0:
-        if degree == 0:
-            mean = float(np.mean(y))
-            return PolyFit(None, np.full(x.size, mean), 0)
-        raise DataError(f"x is constant: cannot fit a degree {degree} polynomial")
-    series, diag = np.polynomial.Chebyshev.fit(x, y, degree, full=True)
-    _, rank, sv, _ = diag
-    if rank < degree + 1:
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-        raise DataError(
-            f"rank-deficient polynomial design: rank {rank} < {degree + 1} (condition {cond:.3e})"
-        )
-    return PolyFit(series, series(x), degree)
+    return series_fit(x[:, None], y, degree, ["x block"])
 
 
 def default_series_degree(n: int) -> int:

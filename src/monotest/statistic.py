@@ -46,7 +46,6 @@ __all__ = [
     "Sample",
     "StudentizedField",
     "evaluate_field",
-    "sensitivity_A",
 ]
 
 # Scales whose variance falls below VAR_RTOL times the largest variance carry
@@ -440,11 +439,3 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         draws=None if e is None else _keep_rows(out, np.flatnonzero(active[live])),
     )
 
-
-def sensitivity_A(sample: Sample, set_: ScaleSet, sigma_true_or_hat) -> float:
-    """Largest normalized influence A_n = max over scales of max_i |w_i(s)| / sqrt(V(s)).
-
-    Depends only on X, the scale set, and the supplied sigma sequence; small
-    values mean no single observation can dominate any scale's statistic.
-    """
-    return evaluate_field(sample, set_, sigma_true_or_hat).A_n

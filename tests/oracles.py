@@ -54,3 +54,22 @@ def dense_w(sample, set_):
             W[r, order[l:h]] = w_row[l - a : h - a]
         b[rows] = b_rows
     return W, b
+
+
+def power_series_fitted(columns, y, degree):
+    """Fitted values of y on an intercept plus powers 1..degree of each column.
+
+    The arithmetic of the package's former power-basis additive fit: each
+    column is mapped onto [-1, 1] by (2v - (hi + lo)) / (hi - lo), its
+    powers are stacked after the intercept, and lstsq solves the design.
+    The span is that of the Chebyshev blocks, so the fitted values agree up
+    to rounding.
+    """
+    columns = np.asarray(columns, dtype=float)
+    parts = [np.ones(columns.shape[0])]
+    for v in columns.T:
+        lo, hi = v.min(), v.max()
+        u = (2.0 * v - (hi + lo)) / (hi - lo)
+        parts += [u**p for p in range(1, degree + 1)]
+    design = np.column_stack(parts)
+    return design @ np.linalg.lstsq(design, y, rcond=None)[0]

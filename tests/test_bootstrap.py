@@ -62,8 +62,6 @@ def test_boot_config_validation():
         BootConfig(seed=-1)
     with pytest.raises(ValueError):
         BootConfig(method="nope")
-    with pytest.raises(ValueError):
-        BootConfig(fallback="sometimes")
 
 
 def _random_run(seed, n=60, B=150):
@@ -164,10 +162,6 @@ def test_steep_monotone_triggers_fallback():
     assert run.os_ids.size == 1
     assert run.sd_ids.size == 1
     assert any("fallback" in w for w in run.warnings)
-    # argmax fallback keeps the scale with the largest studentized value
-    run2 = bootstrap_run(sample, sig, set_, BootConfig(B=100, seed=3, fallback="argmax"))
-    best = np.nanargmax(run2.field.t)
-    assert run2.os_ids.tolist() == [best]
 
 
 def test_report_fields():

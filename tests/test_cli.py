@@ -11,11 +11,10 @@ from monotest import statistic
 from monotest.cli import (
     build_parser,
     load_columns,
-    load_csv,
     main,
     report_to_json,
 )
-from monotest.cli import _json_value, _render_json
+from monotest.cli import _json_value, _prepare_case, _render_json
 
 
 def _write(path, text):
@@ -105,12 +104,17 @@ def test_load_columns_needs_two_rows(tmp_path):
         load_columns(path, ["x", "y"])
 
 
-def test_load_csv_sample_and_z_order(tmp_path):
+def test_load_columns_and_prepare_case_keep_row_and_z_order(tmp_path):
     path = _write(tmp_path / "a.csv", "y,x,z2,z1\n0.5,2,30,10\n0.25,1,40,20\n")
-    s = load_csv(path, z_cols=["z1", "z2"])
-    np.testing.assert_array_equal(s.x, [2.0, 1.0])  # row order preserved
+    cols = load_columns(path, ["x", "z1", "z2"])
+    np.testing.assert_array_equal(cols["x"], [2.0, 1.0])  # row order preserved
+    np.testing.assert_array_equal(cols["z1"], [10.0, 20.0])
+    assert list(cols) == ["x", "z1", "z2"]
+    args = build_parser().parse_args(["test", path, "--z-cols", "z1,z2"])
+    s = _prepare_case(args)[0]
+    np.testing.assert_array_equal(s.x, [2.0, 1.0])
     np.testing.assert_array_equal(s.y, [0.5, 0.25])
-    np.testing.assert_array_equal(s.z, [[10.0, 30.0], [20.0, 40.0]])
+    np.testing.assert_array_equal(s.z, [[10.0, 30.0], [20.0, 40.0]])  # --z-cols order
 
 
 # ------------------------------------------------------------ JSON output
@@ -392,7 +396,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     )
     assert "20 bootstrap draws of up to 0 MiB (p * B * 8 bytes) plus " + panels in obj["message"]
     assert "window weights" not in obj["message"]
-    monkeypatch.setattr("monotest.cli.sensitivity_A", out_of_memory)
+    monkeypatch.setattr("monotest.cli.evaluate_field", out_of_memory)
     assert main(["diag", path]) == 2
     obj = _stderr_error(capsys)
     assert obj["error"] == "MemoryError"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import power_series_fitted
 
 from monotest import (
     DataError,
@@ -23,9 +26,9 @@ def test_additive_fit_exact_on_polynomial_truth():
     fit = additive_series_fit(x, z, y, L=4)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-8)
     # the additive decomposition reproduces y; the constant sits with f
-    np.testing.assert_allclose(fit.f_hat(x) + fit.g_hat(z), y, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(fit.predict(x, [0]) + fit.predict(z, [1]), y, rtol=0, atol=1e-8)
     zg = np.linspace(0.1, 0.9, 7)
-    g = fit.g_hat(zg)
+    g = fit.predict(zg, [1])
     # g is z^2 up to an additive constant
     np.testing.assert_allclose(g - g[0], zg**2 - zg[0] ** 2, rtol=0, atol=1e-8)
 
@@ -52,6 +55,51 @@ def test_additive_fit_validation():
     z_dup = np.column_stack([x, x])  # identical blocks: rank deficient
     with pytest.raises(DataError):
         additive_series_fit(rng.uniform(0, 1, 50), z_dup, np.zeros(50))
+
+
+RANGES = [(0.0, 1e-3), (0.0, 1.0), (-3.0, 1e3), (1e8, 1e5), (1e8, 1e7)]
+
+
+@st.composite
+def _additive_case(draw):
+    # every column uniform on its own range, some of them 1e8 from the origin:
+    # the oracle's (2v - (hi + lo)) map rounds u by eps * offset / width
+    L = draw(st.integers(0, 8))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1 + L * (1 + d) + 2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranges = np.array(draw(st.lists(st.sampled_from(RANGES), min_size=1 + d, max_size=1 + d)))
+    cols = ranges[:, 0] + ranges[:, 1] * rng.uniform(0.0, 1.0, (n, 1 + d))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    y = scale * (draw(st.sampled_from([0.0, 5.0])) + rng.uniform(-1.0, 1.0, n))
+    return cols, y, L
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_additive_case())
+def test_additive_fit_matches_power_basis_oracle(case):
+    cols, y, L = case
+    got = additive_series_fit(cols[:, 0], cols[:, 1:], y, L=L).fitted
+    want = power_series_fitted(cols, y, L)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(y))
+
+
+def test_series_errors_name_the_blocks():
+    rng = np.random.default_rng(228)
+    x, u = rng.uniform(0, 1, 50), rng.uniform(0, 1, (50, 2))
+    with pytest.raises(DataError, match=r"^z\[1\] block: zero range"):
+        additive_series_fit(x, np.column_stack([u[:, 0], np.full(50, 2.0)]), x)
+    rank = r"blocks \['x block', 'z\[0\] block'\] \(rank 5 < 9, condition"
+    with pytest.raises(DataError, match=rank):
+        additive_series_fit(x, x, u[:, 0])
+    # the endogenous first stage names its u blocks
+    with pytest.raises(DataError, match=r"^u\[1\] block: zero range"):
+        endogenous_adjust(x, np.column_stack([u[:, 0], np.ones(50)]), x)
+    rank = r"blocks \['u\[0\] block', 'u\[1\] block'\] \(rank 4 < 7, condition"
+    with pytest.raises(DataError, match=rank):
+        endogenous_adjust(x, np.column_stack([u[:, 0], u[:, 0]]), x)
+    with pytest.raises(DataError, match=r"^u\[0\] block: zero range"):
+        endogenous_adjust(x, np.ones(50), x)
 
 
 def test_partial_linear_recovers_beta_noiseless():

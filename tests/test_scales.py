@@ -32,6 +32,32 @@ def test_epanechnikov_vectorized():
     np.testing.assert_array_equal(epanechnikov(t), [0.0, 0.0, 0.75, 0.5625, 0.0, 0.0])
 
 
+def test_kernels_keep_the_bits_of_their_where_forms():
+    # the in-place Epanechnikov panel and the cast uniform indicator against
+    # the np.where forms they replace, on the support edges and beyond
+    one = np.array([1.0, -1.0])
+    t = np.concatenate(
+        [
+            one,
+            np.nextafter(one, 0.0),
+            np.nextafter(one, 2.0 * one),
+            [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, 0.5, -0.3],
+        ]
+    )
+    panel = np.stack([t, t[::-1]])
+    before = panel.copy()
+    with np.errstate(over="ignore"):  # t * t overflows at 1e300
+        old_epa = np.where(np.abs(panel) < 1.0, 0.75 * (1.0 - panel * panel), 0.0)
+        old_uni = np.where(np.abs(panel) < 1.0, 1.0, 0.0)
+        assert epanechnikov(panel).tobytes() == old_epa.tobytes()
+        assert uniform(panel).tobytes() == old_uni.tobytes()
+        np.testing.assert_array_equal(panel, before)  # the caller's array is not written
+        for v, e, u in zip(panel[0], old_epa[0], old_uni[0]):
+            assert type(epanechnikov(v)) is float and type(uniform(v)) is float
+            assert np.float64(epanechnikov(v)).tobytes() == e.tobytes()
+            assert np.float64(uniform(v)).tobytes() == u.tobytes()
+
+
 def test_uniform_values():
     assert uniform(0.0) == 1.0
     assert uniform(0.999) == 1.0

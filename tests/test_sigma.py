@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotest import (
     DataError,
@@ -16,6 +18,7 @@ from monotest import (
     residual_sigma,
     rice_global,
     rice_local,
+    series_fit,
     two_step_poly_variance,
 )
 
@@ -116,7 +119,7 @@ def test_poly_fit_constant_x():
     fit = poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 0)
     np.testing.assert_allclose(fit.fitted, 2.0)
     assert fit(5.0) == 2.0
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^x block: zero range"):
         poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 1)
 
 
@@ -136,6 +139,53 @@ def test_poly_fit_high_degree_stable():
     y = np.exp(x)
     fit = poly_series_fit(x, y, 8)
     np.testing.assert_allclose(fit.fitted, y, rtol=1e-6)
+
+
+@st.composite
+def _poly_case(draw):
+    # x uniform on a range 0, -3 or 1e8 from the origin; numpy's own domain
+    # map rounds u by about eps * offset / width, so Chebyshev.fit is exact
+    # to 1e-10 only on ranges at least 1e-3 * offset wide
+    degree = draw(st.integers(0, 8))
+    n = draw(st.integers(degree + 3, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset, width = draw(
+        st.sampled_from([(0.0, 1e-3), (0.0, 1.0), (-3.0, 1e3), (1e8, 1e5), (1e8, 1e7)])
+    )
+    x = offset + width * rng.uniform(0.0, 1.0, n)
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    y = scale * (draw(st.sampled_from([0.0, 5.0])) + rng.uniform(-1.0, 1.0, n))
+    return x, y, degree
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_poly_case())
+def test_poly_fit_matches_chebyshev_fit(case):
+    x, y, degree = case
+    want = np.polynomial.Chebyshev.fit(x, y, degree)(x)
+    got = poly_series_fit(x, y, degree).fitted
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(y))
+
+
+def test_poly_fit_exact_far_from_origin():
+    # x - lo is exact near 1e8, so a polynomial of x at unit width is fitted
+    # exactly; numpy's domain map would lose about 1e-8 in u here
+    rng = np.random.default_rng(131)
+    x = 1e8 + rng.uniform(0, 1, 60)
+    t = x - 1e8
+    y = 1.0 + 2.0 * t - 3.0 * t**3 + t**5
+    np.testing.assert_allclose(poly_series_fit(x, y, 6).fitted, y, rtol=0, atol=1e-12)
+
+
+def test_series_fit_predicts_blocks_and_responses():
+    rng = np.random.default_rng(137)
+    cols = rng.uniform(-1, 3, (80, 2))
+    y = np.column_stack([cols[:, 0] ** 2 - cols[:, 1], 1.0 + cols[:, 1] ** 3])
+    fit = series_fit(cols, y, 3, ["a block", "b block"])
+    np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(fit(cols), fit.fitted)
+    parts = fit.predict(cols[:, 0], [0]) + fit.predict(cols[:, 1], [1])
+    np.testing.assert_allclose(parts, y, rtol=0, atol=1e-12)
 
 
 def test_default_series_degree_breakpoints():

@@ -23,7 +23,6 @@ from monotest import (
     estimate_sigma,
     evaluate_field,
     run_report,
-    sensitivity_A,
 )
 from monotest import statistic
 from monotest.scales import EPANECHNIKOV, UNIFORM, build_basic_set, build_z_local_set
@@ -564,7 +563,11 @@ def test_sensitivity_matches_field():
     sample = Sample(x=x, y=rng.normal(size=50))
     set_ = build_custom_set([0.25, 0.75], [0.5])
     field = evaluate_field(sample, set_, np.ones(50))
-    assert sensitivity_A(sample, set_, np.ones(50)) == field.A_n
+    # A_n is the largest |w_i(s)| / sqrt(V(s)) over the dense weights
+    W = dense_w(sample, set_)[0]
+    ids = field.active_ids
+    a_n = np.max(np.abs(W[ids]).max(axis=1) / np.sqrt(field.v_hat[ids]))
+    np.testing.assert_allclose(field.A_n, a_n, rtol=1e-14, atol=0)
     assert 0.0 < field.A_n < 1.0
 
 
@@ -590,11 +593,10 @@ def test_z_cell_validation():
     zset = build_z_local_set(base, z_locs=[(0.5,)], z_bws=[0.5])
     no_z = Sample(x=rng.uniform(0, 1, 10), y=rng.normal(size=10))
     with_z = Sample(x=no_z.x, y=no_z.y, z=rng.uniform(0, 1, (10, 2)))
-    for field_fn in (evaluate_field, sensitivity_A):
-        with pytest.raises(DataError):
-            field_fn(no_z, zset, np.ones(10))
-        with pytest.raises(DataError):
-            field_fn(with_z, zset, np.ones(10))  # z_loc is 1-d, z is 2-d
+    with pytest.raises(DataError):
+        evaluate_field(no_z, zset, np.ones(10))
+    with pytest.raises(DataError):
+        evaluate_field(with_z, zset, np.ones(10))  # z_loc is 1-d, z is 2-d
 
 
 def test_sample_validation():
