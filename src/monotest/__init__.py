@@ -38,7 +38,6 @@ from .scales import (
     build_custom_set,
     build_z_local_set,
     epanechnikov,
-    kernel_Q,
     uniform,
 )
 from .sigma import (
@@ -98,7 +97,6 @@ __all__ = [
     "build_custom_set",
     "build_z_local_set",
     "epanechnikov",
-    "kernel_Q",
     "uniform",
     "SIGMA_METHODS",
     "SeriesFit",

@@ -287,10 +287,7 @@ def _prepare_case(args):
         set_ = build_basic_set(base.x, k=args.k, kernel=kernel)
     if model == "nonparametric-z":
         set_ = build_z_local_set(
-            set_,
-            _z_grid(base.z, args.z_cells),
-            _z_bandwidths(base.z, args.z_cells, args.z_bw),
-            z_kernel=kernel,
+            set_, _z_grid(base.z, args.z_cells), _z_bandwidths(base.z, args.z_cells, args.z_bw)
         )
     return base, set_, extra_warnings
 
@@ -436,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--alpha", type=float, default=0.1)
     p_mc.add_argument("--gamma", type=float, default=0.01)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_mc.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most --reps and the CPU count"
+    )
     p_mc.add_argument("--format", default="csv", choices=("csv", "text"))
     p_mc.add_argument("--out", default="", help="output path (default: stdout)")
     p_mc.set_defaults(func=_cmd_mc)

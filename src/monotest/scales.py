@@ -9,8 +9,8 @@ is symmetric and nonnegative, so the test function built from it has
 nonpositive expectation whenever the regression function is nondecreasing.
 A scale set stores its scales as columns and shares the kernel K and the
 exponent k among them.  A z-local set gives every scale a cell (z_loc, z_bw)
-in auxiliary covariates, all under one z-kernel; the corresponding product
-weighting lives in :mod:`monotest.statistic`.
+in auxiliary covariates, weighted by the same kernel K; the corresponding
+product weighting lives in :mod:`monotest.statistic`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "EPANECHNIKOV",
     "UNIFORM",
     "KERNELS",
-    "kernel_Q",
     "build_basic_set",
     "build_custom_set",
     "build_z_local_set",
@@ -81,11 +80,11 @@ KERNELS = {k.name: k for k in (EPANECHNIKOV, UNIFORM)}
 class ScaleSet:
     """A finite set of scales, one array per column: scale i is (x[i], h[i]).
 
-    All scales share one weighting function Q, so the kernel, the distance
-    exponent k and, for covariate-local tests, the z-kernel belong to the
-    set.  A z-local set gives scale i the cell (z_loc[i], z_bw[i]); z_loc
-    has one row of d coordinates per scale.  The columns are validated once
-    here and read-only afterwards.
+    All scales share one weighting function Q, so the kernel and the
+    distance exponent k belong to the set.  A z-local set gives scale i the
+    cell (z_loc[i], z_bw[i]), weighted by the same kernel; z_loc has one row
+    of d coordinates per scale.  The columns are validated once here and
+    read-only afterwards.
     """
 
     x: np.ndarray
@@ -94,7 +93,6 @@ class ScaleSet:
     kernel: Kernel = EPANECHNIKOV
     z_loc: np.ndarray | None = None
     z_bw: np.ndarray | None = None
-    z_kernel: Kernel | None = None
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float).reshape(-1)
@@ -123,8 +121,6 @@ class ScaleSet:
                 raise ValueError(f"z_bw needs one entry per scale ({x.size}), got {z_bw.size}")
             if not (np.isfinite(z_bw) & (z_bw > 0)).all():
                 raise ValueError("a z-local scale needs a positive z_bw")
-            if self.z_kernel is None:
-                raise ValueError("a z-local scale set needs a z_kernel")
             columns += [("z_loc", z_loc), ("z_bw", z_bw)]
         elif self.z_bw is not None:
             raise ValueError("z_bw given without z_loc")
@@ -145,46 +141,13 @@ class ScaleSet:
         return view
 
 
-def kernel_Q(
-    x1: float, x2: float, x: float, h: float, k: float = 0.0, kernel: Kernel = EPANECHNIKOV
-) -> float:
-    """Pairwise weight |x1 - x2|**k * K((x1 - x)/h) * K((x2 - x)/h) for the scale (x, h)."""
-    base = kernel((x1 - x) / h) * kernel((x2 - x) / h)
-    # 0.0 ** 0.0 == 1.0, so the k == 0 case needs no special treatment
-    return abs(x1 - x2) ** k * base
-
-
-def _bandwidth_grid(h_max: float, h_min: float, u: float) -> list[float]:
-    # geometric grid h_max * u**l down to h_min; always contains h_max
-    grid = [h_max]
-    level = 1
-    while True:
-        h = h_max * u**level
-        if h < h_min:
-            break
-        grid.append(h)
-        level += 1
-    return grid
-
-
-def build_basic_set(
-    X,
-    u: float = 0.5,
-    shrink: float = 0.4,
-    k: float = 0.0,
-    kernel: Kernel = EPANECHNIKOV,
-) -> ScaleSet:
+def build_basic_set(X, k: float = 0.0, kernel: Kernel = EPANECHNIKOV) -> ScaleSet:
     """Default scale set: every observed location crossed with a geometric bandwidth grid.
 
     Parameters
     ----------
     X : array_like
         Observed regressor values, n >= 2, not all equal.
-    u : float
-        Grid ratio in (0, 1); successive bandwidths shrink by this factor.
-    shrink : float
-        Factor in the smallest-bandwidth rule
-        ``h_min = shrink * h_max * (log(n) / n) ** (1/3)``.
     k : float
         Distance exponent shared by all scales.
     kernel : Kernel
@@ -194,8 +157,9 @@ def build_basic_set(
     -------
     ScaleSet
         Locations are the distinct values of X; bandwidths run from
-        ``h_max = max pairwise distance / 2`` down to ``h_min`` in powers
-        of ``u``.  Duplicate (x, h) pairs are removed, so p <= n * |H|.
+        ``h_max = max pairwise distance / 2`` down to
+        ``h_min = 0.4 * h_max * (log(n) / n) ** (1/3)`` in powers of 1/2.
+        Duplicate (x, h) pairs are removed, so p <= n * |H|.
     """
     x = np.asarray(X, dtype=float)
     if x.ndim != 1:
@@ -205,16 +169,14 @@ def build_basic_set(
         raise DataError("no positive bandwidth: need at least two observations")
     if not np.all(np.isfinite(x)):
         raise DataError("regressor contains non-finite values")
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"grid ratio u must lie in (0, 1), got {u!r}")
-    if not shrink > 0:
-        raise ValueError("shrink must be positive")
 
     h_max = (float(x.max()) - float(x.min())) / 2.0
     if h_max <= 0:
         raise DataError("no positive bandwidth: all regressor values coincide")
-    h_min = shrink * h_max * (math.log(n) / n) ** (1.0 / 3.0)
-    grid = _bandwidth_grid(h_max, h_min, u)
+    h_min = 0.4 * h_max * (math.log(n) / n) ** (1.0 / 3.0)
+    grid = [h_max]
+    while (h := h_max * 0.5 ** len(grid)) >= h_min:
+        grid.append(h)
     return build_custom_set(np.unique(x), grid, k, kernel)
 
 
@@ -232,12 +194,7 @@ def build_custom_set(
     return ScaleSet(np.tile(locs, bws.size), np.repeat(bws, locs.size), k, kernel)
 
 
-def build_z_local_set(
-    x_scales: ScaleSet,
-    z_locs,
-    z_bws,
-    z_kernel: Kernel = EPANECHNIKOV,
-) -> ScaleSet:
+def build_z_local_set(x_scales: ScaleSet, z_locs, z_bws) -> ScaleSet:
     """Cross an existing scale set with cells in auxiliary covariates.
 
     Each product scale keeps its (x, h) and gains one (z_loc, z_bw) cell;
@@ -263,5 +220,4 @@ def build_z_local_set(
         x_scales.kernel,
         z_loc=np.tile(np.repeat(np.array(locs), bws.size, axis=0), (x_scales.p, 1)),
         z_bw=np.tile(bws, x_scales.p * len(locs)),
-        z_kernel=z_kernel,
     )

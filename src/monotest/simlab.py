@@ -12,7 +12,7 @@ replications are scheduled across workers.
 from __future__ import annotations
 
 import math
-import time
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -83,7 +83,6 @@ class McResult:
     B: int
     seed: int
     failures: int
-    wall_time: float
 
     @property
     def method(self) -> str:
@@ -156,12 +155,16 @@ def run_mc(
     """Estimate rejection proportions for every (design, sigma, cv) cell.
 
     Replications are independent tasks; with parallelism > 1 they are run in
-    a process pool, and per-replication seeding makes the proportions
-    identical to a serial run.  A cell fails only if more than 1 percent of
-    its replications raise.
+    a process pool of at most min(parallelism, reps, CPU count) workers, and
+    per-replication seeding makes the proportions identical to a serial run.
+    A cell fails only if more than 1 percent of its replications raise.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    # a pool starts all its workers at the first submit, needed or not
+    workers = min(parallelism, reps, os.cpu_count() or 1)
     for cv in cv_methods:
         if cv not in CV_METHODS:
             raise ValueError(f"unknown critical-value method {cv!r}")
@@ -170,18 +173,16 @@ def run_mc(
         for sigma_method in sigma_methods:
             if sigma_method not in SIGMA_METHODS:
                 raise ValueError(f"unknown sigma method {sigma_method!r}")
-            start = time.perf_counter()
             args = [
                 (design.case, design.n, design.noise, sigma_method, alpha, gamma, B, seed, rep)
                 for rep in range(reps)
             ]
-            if parallelism > 1:
-                chunk = max(1, reps // (8 * parallelism))
-                with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            if workers > 1:
+                chunk = max(1, reps // (8 * workers))
+                with ProcessPoolExecutor(max_workers=workers) as pool:
                     rows = list(pool.map(_mc_rep, args, chunksize=chunk))
             else:
                 rows = [_mc_rep(a) for a in args]
-            elapsed = time.perf_counter() - start
 
             ok = np.array([r[0] for r in rows], dtype=bool)
             failures = int((~ok).sum())
@@ -206,7 +207,6 @@ def run_mc(
                         B=B,
                         seed=seed,
                         failures=failures,
-                        wall_time=elapsed,
                     )
                 )
     return results

@@ -11,14 +11,15 @@ b(s) = sum_i Y_i w_i(s), the variance V(s) = sum_i sigma_i^2 w_i(s)^2, and
 the statistic T = max over scales of b(s) / sqrt(V(s)).
 
 One block engine computes all of it; the test suite pins it against naive
-double sums.  The engine sorts X once, finds every scale's window and every
-tie run with one searchsorted each, and evaluates the scales FIELD_BLOCK at
-a time on one dense panel: a row per scale, a column per sorted observation
-of the block's span, the union of its windows.  The kernel is zero outside
-each window, so running sums along the rows give w and b in O(span) per
-scale for k in {0, 1}, and a direct double loop over the window handles any
-other k.  The engine accumulates b(s) from adjacent differences of the
-sorted Y, so adding a constant to Y cannot leak into b through rounding.
+double sums.  The engine sorts X once, finds every scale's window with one
+bisection and every tie run with one searchsorted, and evaluates the scales
+FIELD_BLOCK at a time on one dense panel: a row per scale, a column per
+sorted observation of the block's span, the union of its windows.  The
+kernel is zero outside each window, so running sums along the rows give w
+and b in O(span) per scale for k in {0, 1}, and a direct double loop over
+the window handles any other k.  The engine accumulates b(s) from adjacent
+differences of the sorted Y, so adding a constant to Y cannot leak into b
+through rounding.
 
 Memory: a block's panels are (FIELD_BLOCK x span) with span <= n + 1, and
 the engine keeps a handful of them only while it works on that block.  V
@@ -129,28 +130,25 @@ def _sort_order(sample: Sample) -> np.ndarray:
 def _window_bounds(xs, sx, sh, support):
     """Each scale's window sorted[lo : hi], the points with |(x - s.x) / h| < support.
 
-    The kernel sees u = (x - s.x) / h, which can round to the other side of
-    the support than x does against s.x +- support * h: far from the origin
-    an ulp of x is a visible step in u.  So the bounds found by searchsorted
-    move until u itself agrees; u is monotone in x, so the points inside
-    stay contiguous and a tie run stays whole.
+    lo is the first point with u > -support and hi the first with
+    u >= support, for u = (x - s.x) / h rounded as the kernel sees it: far
+    from the origin an ulp of x is a visible step in u, so comparing x with
+    s.x +- support * h can put a point on the wrong side.  u is monotone in
+    sorted x, so one bisection finds both bounds for every scale at once,
+    and a tie run stays whole.
     """
     n = xs.size
-    radius = sh * support
-    lo = np.searchsorted(xs, sx - radius, side="right")
-    hi = np.searchsorted(xs, sx + radius, side="left")
-    # a bound is the first point j with u_j > -support (lo) or u_j >= support (hi):
-    # step back while the point before it qualifies, on while the point at it does not
-    for bound, past in ((lo, lambda u: u > -support), (hi, lambda u: u >= support)):
-        for shift, step in ((-1, -1), (0, 1)):
-            r = np.arange(bound.size)
-            while r.size:
-                j = bound[r] + shift
-                inside = (j >= 0) & (j < n)
-                r, j = r[inside], j[inside]
-                r = r[past((xs[j] - sx[r]) / sh[r]) == (step < 0)]
-                bound[r] += step
-    return lo, hi
+    # pos counts the points before each bound; bit by bit from the top, a
+    # step is taken when the last point it passes is still before the bound
+    pos = np.zeros((2, sx.size), dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        ahead = pos + step
+        u = (xs[np.minimum(ahead, n) - 1] - sx) / sh
+        before = np.stack((u[0] <= -support, u[1] < support))
+        pos[before & (ahead <= n)] += step
+        step >>= 1
+    return pos[0], pos[1]
 
 
 def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
@@ -198,41 +196,42 @@ def _cut_dots(d, lo, hi, cut) -> np.ndarray:
 def _block_k0(g, lo, hi, L, R, D, tied):
     """w and b of one block for k = 0, from its kernel panel g.
 
-    Window bounds are searchsorted values of x, so a window never splits a
-    tie run: the run L[j]:R[j] of each of its points lies inside it, and so
-    does every tie run of the span.
+    Equal x give equal u, so a window never splits a tie run: the run
+    L[j]:R[j] of each of its points lies inside it, and so does every tie
+    run of the span.
     """
     rows, width = g.shape
     a = int(lo.min())
     cs = _running_sums(g)
     total = cs[np.arange(rows), hi - a]
-    j = np.flatnonzero(tied[a : a + width - 1])  # span column of each tied cut's left point
-    # w_j = g_j * (kernel mass after j's tie run - kernel mass before it)
-    if j.size:
-        w = total[:, None] - cs[:, R[a : a + width] - a]
-        w -= cs[:, L[a : a + width] - a]
-    else:
-        w = total[:, None] - cs[:, 1:]
-        w -= cs[:, :-1]
+    # w_j = g_j * (kernel mass after j's tie run - kernel mass before it);
+    # a point with no tie is the run j:j+1, and the points of longer runs
+    # are set again in place, so the panel stays C-ordered
+    w = total[:, None] - cs[:, 1:]
+    w -= cs[:, :-1]
+    t = np.flatnonzero(R[a : a + width] - L[a : a + width] > 1)  # span column of each tied point
+    run = total[:, None] - cs[:, R[t + a] - a]
+    run -= cs[:, L[t + a] - a]
+    w[:, t] = run
     w *= g
     pref = cs[:, 1:-1]
     cut = total[:, None] - pref
     cut *= pref
     b = _cut_dots(D, lo, hi, cut)
-    if j.size:
-        # tied x: sign is zero, but the cuts also count the pairs within a
-        # tie run; take each tied cut of each window out of b
-        sub = np.empty((rows, j.size + 1))
-        sub[:, 0] = b
-        mid = cs[:, j + 1]
-        terms = np.multiply(D[j + a], mid - cs[:, L[j + a] - a], out=sub[:, 1:])
-        terms *= cs[:, R[j + a] - a] - mid
-        # outside its window a row's running sums are constant, so its terms
-        # there are +-0: zero them, as subtracting -0 turns a b of -0 into +0
-        terms[(j < (lo - a)[:, None]) | (j >= (hi - a - 1)[:, None])] = 0.0
-        # b minus the terms one at a time in cut order; x - 0.0 is x
-        b = np.subtract.reduce(sub, axis=1)
-    return w, b
+    # tied x: sign is zero, but the cuts also count the pairs within a tie
+    # run; take each tied cut of each window out of b
+    j = np.flatnonzero(tied[a : a + width - 1])  # span column of each tied cut's left point
+    sub = np.empty((rows, j.size + 1))
+    sub[:, 0] = b
+    mid = cs[:, j + 1]
+    terms = np.multiply(D[j + a], mid - cs[:, L[j + a] - a], out=sub[:, 1:])
+    terms *= cs[:, R[j + a] - a] - mid
+    # outside its window a row's running sums are constant, so its terms
+    # there are +-0: zero them, as subtracting -0 turns a b of -0 into +0
+    terms[(j < (lo - a)[:, None]) | (j >= (hi - a - 1)[:, None])] = 0.0
+    # b minus the terms one at a time in cut order; x - 0.0 is x, and with
+    # no tied cut the reduction returns b itself
+    return w, np.subtract.reduce(sub, axis=1)
 
 
 def _block_k1(g, xs, lo, hi, D):
@@ -294,9 +293,9 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
         if zcell:
             # the z-cell factor, a product over coordinates taken in order
             bw, loc = set_.z_bw[rows, None], set_.z_loc[rows]
-            zf = set_.z_kernel((zs[span, 0] - loc[:, 0, None]) / bw)
+            zf = set_.kernel((zs[span, 0] - loc[:, 0, None]) / bw)
             for j in range(1, zs.shape[1]):
-                zf = zf * set_.z_kernel((zs[span, j] - loc[:, j, None]) / bw)
+                zf = zf * set_.kernel((zs[span, j] - loc[:, j, None]) / bw)
             g *= zf
         if k == 0.0:
             return _block_k0(g, wlo, whi, L, R, D, tied)

@@ -3,6 +3,14 @@
 import numpy as np
 
 from monotest import statistic
+from monotest.scales import EPANECHNIKOV
+
+
+def kernel_Q(x1, x2, x, h, k=0.0, kernel=EPANECHNIKOV):
+    """Pairwise weight |x1 - x2|**k * K((x1 - x)/h) * K((x2 - x)/h) for the scale (x, h)."""
+    base = kernel((x1 - x) / h) * kernel((x2 - x) / h)
+    # 0.0 ** 0.0 == 1.0, so the k == 0 case needs no special treatment
+    return abs(x1 - x2) ** k * base
 
 
 def naive_w_b(sample, set_, r):
@@ -19,7 +27,7 @@ def naive_w_b(sample, set_, r):
     g = kx
     if set_.z_loc is not None:
         for j in range(sample.z.shape[1]):
-            zf = set_.z_kernel((sample.z[:, j] - set_.z_loc[r, j]) / set_.z_bw[r])
+            zf = set_.kernel((sample.z[:, j] - set_.z_loc[r, j]) / set_.z_bw[r])
             g = g * np.asarray(zf, dtype=float)
     dx = x[None, :] - x[:, None]
     coef = np.sign(dx) * np.abs(dx) ** k * g[:, None] * g[None, :]

@@ -293,6 +293,7 @@ def test_cmd_mc_csv_and_threads_identical(tmp_path):
     assert main(argv + ["--out", str(out1), "--threads", "1"]) == 0
     assert main(argv + ["--out", str(out2), "--threads", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert main(argv + ["--threads", "0"]) == 2
     lines = out1.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "noise,case,n,method,proportion,reps,B,seed"
     assert len(lines) == 4  # one per cv method

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import kernel_Q
 
 from monotest import (
     DataError,
@@ -10,7 +11,6 @@ from monotest import (
     build_custom_set,
     build_z_local_set,
     epanechnikov,
-    kernel_Q,
     uniform,
 )
 from monotest.scales import EPANECHNIKOV, KERNELS, UNIFORM
@@ -117,10 +117,9 @@ def test_scale_validation():
             ScaleSet(x, h, k)
     with pytest.raises(ValueError, match="z_bw given without z_loc"):
         ScaleSet([0.0], [1.0], z_bw=[0.5])
-    cell = {"z_loc": [[0.0], [1.0]], "z_kernel": EPANECHNIKOV}
     for z_bw in (None, [0.5, 0.0], [0.5, np.nan]):
         with pytest.raises(ValueError, match="positive z_bw"):
-            ScaleSet([0.0, 1.0], [1.0, 1.0], z_bw=z_bw, **cell)
+            ScaleSet([0.0, 1.0], [1.0, 1.0], z_loc=[[0.0], [1.0]], z_bw=z_bw)
 
 
 def test_scale_set_validation():
@@ -128,12 +127,10 @@ def test_scale_set_validation():
         ScaleSet([], [])
     with pytest.raises(ValueError, match="lengths differ"):
         ScaleSet([0.0, 1.0], [1.0])
-    with pytest.raises(ValueError, match="z_kernel"):
-        ScaleSet([0.0], [1.0], z_loc=[[0.0]], z_bw=[0.5])
     with pytest.raises(ValueError, match="one row per scale"):
-        ScaleSet([0.0, 1.0], [1.0, 1.0], z_loc=[[0.0]], z_bw=[0.5, 0.5], z_kernel=EPANECHNIKOV)
+        ScaleSet([0.0, 1.0], [1.0, 1.0], z_loc=[[0.0]], z_bw=[0.5, 0.5])
     with pytest.raises(ValueError, match="one entry per scale"):
-        ScaleSet([0.0], [1.0], z_loc=[[0.0]], z_bw=[0.5, 0.5], z_kernel=EPANECHNIKOV)
+        ScaleSet([0.0], [1.0], z_loc=[[0.0]], z_bw=[0.5, 0.5])
     # the columns are read-only once validated
     ss = ScaleSet([0.0, 1.0], [1.0, 0.5], k=1.0)
     with pytest.raises(ValueError):
@@ -185,10 +182,6 @@ def test_basic_set_rejects_degenerate_input():
         build_basic_set([2.0, 2.0, 2.0])
     with pytest.raises(DataError):
         build_basic_set([0.0, np.inf])
-    with pytest.raises(ValueError):
-        build_basic_set([0.0, 1.0], u=1.0)
-    with pytest.raises(ValueError):
-        build_basic_set([0.0, 1.0], shrink=0.0)
 
 
 def test_custom_set_bandwidth_major_order():
@@ -210,7 +203,6 @@ def test_z_local_set_crosses_cells():
     assert ss.z_loc.tolist() == [[0.2], [0.2], [0.8], [0.8]] * 2
     assert ss.z_bw.tolist() == [0.3, 0.6] * 4
     assert ss.k == 0.5 and ss.kernel is base.kernel
-    assert ss.z_kernel is EPANECHNIKOV
 
 
 def test_z_local_set_dimension_mismatch():

@@ -96,12 +96,50 @@ def test_run_mc_rejections_nest_across_cv_methods():
     meta = res[0]
     assert meta.reps == 30 and meta.B == 60 and meta.seed == 9
     assert meta.failures == 0
-    assert meta.wall_time >= 0.0
+
+
+def test_run_mc_pool_is_capped_by_reps_and_cpus(monkeypatch):
+    # a fake pool records its size and maps in this process: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
+    designs = [McDesign(3, 40)]
+    for cpus, parallelism, reps, pool in (
+        (8, 1, 3, None),
+        (8, 64, 3, 3),
+        (8, 64, 12, 8),
+        (8, 2, 12, 2),
+        (8, 4, 1, None),
+        (None, 4, 3, None),
+    ):
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        got = run_mc(designs, ["rice"], reps=reps, B=20, seed=5, parallelism=parallelism)
+        assert sizes == ([] if pool is None else [pool])
+        # every replication has its own seed, so the pool size cannot show
+        serial = run_mc(designs, ["rice"], reps=reps, B=20, seed=5)
+        assert results_to_csv(got) == results_to_csv(serial)
 
 
 def test_run_mc_validation():
     with pytest.raises(ValueError):
         run_mc([McDesign(1, 50)], ["rice"], reps=0)
+    for parallelism in (0, -2):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            run_mc([McDesign(1, 50)], ["rice"], reps=2, B=10, parallelism=parallelism)
     with pytest.raises(ValueError):
         run_mc([McDesign(1, 50)], ["not-a-method"], reps=2, B=10)
     with pytest.raises(ValueError):
@@ -132,12 +170,12 @@ def test_run_mc_failure_budget(monkeypatch):
 
 
 def test_mc_result_method_tag():
-    r = McResult("normal", 3, 200, "rice", "pi", 0.5, 10, 20, 0, 0, 1.0)
+    r = McResult("normal", 3, 200, "rice", "pi", 0.5, 10, 20, 0, 0)
     assert r.method == "rice-PI"
 
 
 def _toy_results():
-    shared = dict(reps=10, B=20, seed=0, failures=0, wall_time=1.0)
+    shared = dict(reps=10, B=20, seed=0, failures=0)
     return [
         McResult("normal", 1, 200, "rice", "pi", 0.2, **shared),
         McResult("normal", 1, 100, "rice", "pi", 0.1, **shared),

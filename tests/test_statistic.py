@@ -177,6 +177,20 @@ def test_window_follows_the_kernel_argument():
     np.testing.assert_array_equal(naive_w_b(sample, set_, 0)[0], [1.0, -1.0])
 
 
+def test_weight_panels_stay_c_ordered_on_ties():
+    # a tie run in a block's span must not change the w panel's memory
+    # layout, or the block's draw product takes another BLAS path
+    rng = np.random.default_rng(9)
+    x = np.round(rng.uniform(0.0, 1.0, 60), 1)
+    sample = Sample(x=x, y=rng.normal(size=x.size), z=rng.uniform(0, 1, (x.size, 1)))
+    order = statistic._sort_order(sample)
+    for k in (0.0, 0.5, 1.0):
+        set_ = build_basic_set(x, k=k)
+        for s in (set_, build_z_local_set(set_, z_locs=[(0.5,)], z_bws=[0.4])):
+            for rows, lo, hi, w, b in statistic._field_blocks(sample, s, order)[1]:
+                assert w.flags.c_contiguous, (k, rows[0])
+
+
 @st.composite
 def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0, mixed=False):
     # x and the scale locations sit around `offset`
@@ -255,6 +269,14 @@ def test_field_far_from_origin_and_constant_y(config):
     # x near 1e8 keeps about 8 significant digits below the offset
     sample, set_ = config
     _check_field_against_naive(sample, set_)
+    # each window is the brute-force run of points with |u| < 1 for the
+    # kernel's own u, which can disagree with x against s.x +- h here
+    xs = np.sort(sample.x)
+    lo, hi = statistic._window_bounds(xs, set_.x, set_.h, set_.kernel.support_radius)
+    for r in range(set_.p):
+        inside = np.flatnonzero(np.abs((xs - set_.x[r]) / set_.h[r]) < 1.0)
+        want = (inside[0], inside[-1] + 1) if inside.size else (lo[r], lo[r])
+        assert (lo[r], hi[r]) == want
     # every k: constant y has no adjacent difference, so b is exactly 0
     for y0 in (0.0, sample.y[0], -3.7e5):
         flat = Sample(x=sample.x, y=np.full(sample.n, y0), z=sample.z)
