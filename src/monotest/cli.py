@@ -67,7 +67,7 @@ def load_columns(path: str, names) -> dict[str, np.ndarray]:
     Rejects missing columns, blank or non-numeric cells (naming the row and
     column), non-finite values, and files with fewer than two data rows.
     """
-    names = list(names)
+    names = list(dict.fromkeys(names))  # a repeated name is read once
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -195,21 +195,12 @@ def _split(opt: str) -> list[str]:
     return [s.strip() for s in opt.split(",") if s.strip()] if opt else []
 
 
-def _float_list(opt: str, flag: str) -> list[float]:
+def _number_list(opt: str, flag: str, kind=float) -> list:
     try:
-        vals = [float(s) for s in _split(opt)]
+        vals = [kind(s) for s in _split(opt)]
     except ValueError:
-        raise DataError(f"--{flag}: could not parse {opt!r} as comma-separated numbers") from None
-    if not vals:
-        raise DataError(f"--{flag}: empty list")
-    return vals
-
-
-def _int_list(opt: str, flag: str) -> list[int]:
-    try:
-        vals = [int(s) for s in _split(opt)]
-    except ValueError:
-        raise DataError(f"--{flag}: could not parse {opt!r} as comma-separated integers") from None
+        what = "integers" if kind is int else "numbers"
+        raise DataError(f"--{flag}: could not parse {opt!r} as comma-separated {what}") from None
     if not vals:
         raise DataError(f"--{flag}: empty list")
     return vals
@@ -226,7 +217,7 @@ def _z_grid(z: np.ndarray, cells: int) -> list[tuple[float, ...]]:
 
 def _z_bandwidths(z: np.ndarray, cells: int, override: str) -> list[float]:
     if override:
-        return _float_list(override, "z-bw")
+        return _number_list(override, "z-bw")
     spread = max(float(np.ptp(z[:, j])) for j in range(z.shape[1]))
     if spread <= 0:
         raise DataError("z columns are constant; cannot pick a z-cell bandwidth")
@@ -281,7 +272,7 @@ def _prepare_case(args):
     kernel = KERNELS[args.kernel]
     if args.h_set:
         set_ = build_custom_set(
-            np.unique(base.x), _float_list(args.h_set, "h-set"), k=args.k, kernel=kernel
+            np.unique(base.x), _number_list(args.h_set, "h-set"), k=args.k, kernel=kernel
         )
     else:
         set_ = build_basic_set(base.x, k=args.k, kernel=kernel)
@@ -343,8 +334,8 @@ def _cmd_mc(args) -> int:
     designs = [
         McDesign(case, n, noise)
         for noise in noises
-        for case in _int_list(args.cases, "cases")
-        for n in _int_list(args.sizes, "sizes")
+        for case in _number_list(args.cases, "cases", int)
+        for n in _number_list(args.sizes, "sizes", int)
     ]
     results = run_mc(
         designs,

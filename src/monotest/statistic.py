@@ -16,10 +16,12 @@ bisection and every tie run with one searchsorted, and evaluates the scales
 FIELD_BLOCK at a time on one dense panel: a row per scale, a column per
 sorted observation of the block's span, the union of its windows.  The
 kernel is zero outside each window, so running sums along the rows give w
-and b in O(span) per scale for k in {0, 1}, and a direct double loop over
-the window handles any other k.  The engine accumulates b(s) from adjacent
-differences of the sorted Y, so adding a constant to Y cannot leak into b
-through rounding.
+in O(span) per scale for k in {0, 1}, and a direct double loop over the
+window handles any other k.  The weights of a window sum to zero, so
+b(s) = sum_i (Y_i - Y_lo(s)) w_i(s) for the sorted Y_lo(s) at the window's
+first point.  The engine sums b that way and V over each window's own
+cells, so both depend on the window alone, and a constant Y gives b = +0
+exactly.
 
 Memory: a block's panels are (FIELD_BLOCK x span) with span <= n + 1, and
 the engine keeps a handful of them only while it works on that block.  V
@@ -151,19 +153,15 @@ def _window_bounds(xs, sx, sh, support):
     return pos[0], pos[1]
 
 
-def _window_stats(xw: np.ndarray, gw: np.ndarray, yw: np.ndarray, k: float):
-    """Weights w and test function b on one sorted window, for a general exponent k.
+def _window_weights(xw: np.ndarray, gw: np.ndarray, k: float) -> np.ndarray:
+    """Weights w on one sorted window, for a general exponent k.
 
     ``gw`` carries the kernel factor for each observation (already multiplied
     by any z-cell factor).  A direct double loop over the window; k in
     {0, 1} is evaluated on the block panel in ``_field_blocks`` instead.
     """
     dx = xw[None, :] - xw[:, None]
-    coef = np.sign(dx) * np.abs(dx) ** k
-    w = gw * (coef @ gw)
-    dy = yw[:, None] - yw[None, :]
-    b = 0.5 * float(gw @ (dy * coef) @ gw)
-    return w, b
+    return gw * ((np.sign(dx) * np.abs(dx) ** k) @ gw)
 
 
 def _running_sums(panel: np.ndarray) -> np.ndarray:
@@ -179,22 +177,23 @@ def _running_sums(panel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cut_dots(d, lo, hi, cut) -> np.ndarray:
-    """b of each window: one dot of its adjacent y differences with its cut weights.
+def _window_sums(panel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each row's sum over its window, the cells lo:hi of a C-ordered panel.
 
-    ``cut`` has a column per cut of the block's span, which starts at lo.min().
+    reduceat sums exactly the window's cells, so the rounding depends on the
+    window alone: not on the block, its span or BLAS.  An index must lie
+    inside the panel, and the last one sums to its end, so the last window's
+    end is dropped when it is the panel's size.
     """
-    a = int(lo.min())
-    return np.array(
-        [
-            np.dot(d[l : h - 1], cut[r, l - a : h - a - 1])
-            for r, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
-        ]
-    )
+    first = np.arange(lo.size) * panel.shape[1] + lo
+    ends = np.stack((first, first + hi - lo), axis=1).ravel()
+    if ends[-1] == panel.size:
+        ends = ends[:-1]
+    return np.add.reduceat(panel.reshape(-1), ends)[::2]
 
 
-def _block_k0(g, lo, hi, L, R, D, tied):
-    """w and b of one block for k = 0, from its kernel panel g.
+def _block_k0(g, lo, hi, L, R):
+    """w of one block for k = 0, from its kernel panel g.
 
     Equal x give equal u, so a window never splits a tie run: the run
     L[j]:R[j] of each of its points lies inside it, and so does every tie
@@ -214,39 +213,18 @@ def _block_k0(g, lo, hi, L, R, D, tied):
     run -= cs[:, L[t + a] - a]
     w[:, t] = run
     w *= g
-    pref = cs[:, 1:-1]
-    cut = total[:, None] - pref
-    cut *= pref
-    b = _cut_dots(D, lo, hi, cut)
-    # tied x: sign is zero, but the cuts also count the pairs within a tie
-    # run; take each tied cut of each window out of b
-    j = np.flatnonzero(tied[a : a + width - 1])  # span column of each tied cut's left point
-    sub = np.empty((rows, j.size + 1))
-    sub[:, 0] = b
-    mid = cs[:, j + 1]
-    terms = np.multiply(D[j + a], mid - cs[:, L[j + a] - a], out=sub[:, 1:])
-    terms *= cs[:, R[j + a] - a] - mid
-    # outside its window a row's running sums are constant, so its terms
-    # there are +-0: zero them, as subtracting -0 turns a b of -0 into +0
-    terms[(j < (lo - a)[:, None]) | (j >= (hi - a - 1)[:, None])] = 0.0
-    # b minus the terms one at a time in cut order; x - 0.0 is x, and with
-    # no tied cut the reduction returns b itself
-    return w, np.subtract.reduce(sub, axis=1)
+    return w
 
 
-def _block_k1(g, xs, lo, hi, D):
-    """w and b of one block for k = 1, from its kernel panel g."""
+def _block_k1(g, xs, lo, hi):
+    """w of one block for k = 1, from its kernel panel g."""
     rows, width = g.shape
     a = int(lo.min())
     xc = xs[a : a + width] - xs[lo][:, None]  # window-relative: no cancellation far from 0
     cg = _running_sums(g)
     cxg = _running_sums(g * xc)
     ends = (np.arange(rows), hi - a)
-    tg, txg = cg[ends], cxg[ends]
-    w = g * (txg[:, None] - xc * tg[:, None])
-    pg, pxg = cg[:, 1:-1], cxg[:, 1:-1]
-    cut = pg * (txg[:, None] - pxg) - pxg * (tg[:, None] - pg)
-    return w, _cut_dots(D, lo, hi, cut)
+    return g * (cxg[ends][:, None] - xc * cg[ends][:, None])
 
 
 def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
@@ -257,14 +235,13 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
     A block is at most FIELD_BLOCK consecutive live scales.  ``rows`` are
     the scale ids, sorted[lo : hi] their windows and ``w`` the (rows x span)
     panel of their weights over the span sorted[lo.min() : hi.max()], zero
-    outside each window.  ``b`` is each scale's test function.
+    outside each window.  ``b`` is each scale's test function, the sum over
+    its window of (y - y_lo) * w with y_lo the sorted y at the window's
+    first point.  Its first cell is (+0) * (w >= 0), so constant y gives
+    b = +0, and on lattice y a dyadic shift of y moves no bit of b.
 
-    Only b's dot over a window's cuts (and, for general k, the double loop)
-    runs per scale; everything else runs once per block.  b is accumulated
-    over the m-1 cuts between adjacent sorted observations: the pair (q, r),
-    q < r, contributes through every cut it straddles, which telescopes
-    (y_q - y_r) into adjacent differences and keeps b exactly zero for
-    constant y.
+    Only the double loop of a general k runs per scale; everything else
+    runs once per block.
     """
     xs = sample.x[order]
     ys = sample.y[order]
@@ -274,12 +251,9 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
     # points, or one made of a single tie run, keeps w = 0 and b = 0
     live = hi - lo >= 2
     live[live] = xs[lo[live]] < xs[hi[live] - 1]
-    # sorted point j lies in the tie run L[j]:R[j]; the cut after j is tied
-    # when x does not change across it
+    # sorted point j lies in the tie run L[j]:R[j]
     L = np.searchsorted(xs, xs, side="left")
     R = np.searchsorted(xs, xs, side="right")
-    tied = xs[:-1] == xs[1:]
-    D = ys[:-1] - ys[1:]
     zcell = set_.z_loc is not None
     if zcell:
         zs = sample.z[order]
@@ -298,15 +272,18 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
                 zf = zf * set_.kernel((zs[span, j] - loc[:, j, None]) / bw)
             g *= zf
         if k == 0.0:
-            return _block_k0(g, wlo, whi, L, R, D, tied)
-        if k == 1.0:
-            return _block_k1(g, xs, wlo, whi, D)
-        w = np.zeros_like(g)
-        b = np.empty(rows.size)
-        for r, (l, h) in enumerate(zip(wlo.tolist(), whi.tolist())):
-            win = slice(l - span.start, h - span.start)
-            w[r, win], b[r] = _window_stats(xs[l:h], g[r, win], ys[l:h], k)
-        return w, b
+            w = _block_k0(g, wlo, whi, L, R)
+        elif k == 1.0:
+            w = _block_k1(g, xs, wlo, whi)
+        else:
+            w = np.zeros_like(g)
+            for r, (l, h) in enumerate(zip(wlo.tolist(), whi.tolist())):
+                win = slice(l - span.start, h - span.start)
+                w[r, win] = _window_weights(xs[l:h], g[r, win], k)
+        del g  # before b's panel of (y - y_lo) * w
+        dy = np.subtract(ys[span], ys[wlo][:, None])
+        dy *= w
+        return w, _window_sums(dy, wlo - span.start, whi - span.start)
 
     def blocks():
         ids = np.flatnonzero(live)
@@ -395,17 +372,11 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         a = int(lo.min())
         span = slice(a, a + w.shape[1])
         b[rows] = b_rows
-        # one spare cell, so every window's end is an index of the flat panel
-        flat = np.empty(w.size + 1)
-        flat[-1] = 0.0
-        panel = flat[:-1].reshape(w.shape)
-        absmax[rows] = np.abs(w, out=panel).max(axis=1)
-        # V window by window: reduceat sums exactly each window's cells, so
-        # its rounding depends on the window alone, not on the block or BLAS
+        panel = np.abs(w)
+        absmax[rows] = panel.max(axis=1)
         np.multiply(w, w, out=panel)
         panel *= sig2[span]
-        first = np.arange(rows.size) * w.shape[1] + lo - a
-        v_rows = np.add.reduceat(flat, np.stack((first, first + hi - lo), axis=1).ravel())[::2]
+        v_rows = _window_sums(panel, lo - a, hi - a)
         v[rows] = v_rows
         if e is not None:
             # scale each row to w / sqrt(V), and form the block's products
@@ -416,7 +387,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             w *= f[:, None]
             np.matmul(w, es[span], out=out[top : top + rows.size])
             top += rows.size
-        del w, flat, panel  # before the engine builds the next block
+        del w, panel  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():

@@ -42,9 +42,10 @@ def naive_w_b(sample, set_, r):
     big_gx = float(np.sum(g[inside] * np.abs(xw - xw.min()) ** k))
     span = float(xw.max() - xw.min()) ** k
     scale_w = float(np.max(np.abs(w))) + float(g.max()) * (big_g * span + big_gx)
-    cut_d = np.abs(np.diff(y[inside][np.argsort(xw, kind="stable")])).sum()
+    # the total variation of y along the window bounds every |y_i - y_lo|
+    tv_y = np.abs(np.diff(y[inside][np.argsort(xw, kind="stable")])).sum()
     pairs = 0.5 * float(np.sum(np.abs(dy) * np.abs(dx) ** k * g[:, None] * g[None, :]))
-    scale_b = pairs + float(cut_d) * big_g * (big_gx + big_g * span)
+    scale_b = pairs + float(tv_y) * big_g * (big_gx + big_g * span)
     return w, b, scale_w, scale_b
 
 

@@ -52,6 +52,13 @@ def test_load_columns_happy_path(tmp_path):
     assert cols["x"].dtype == np.float64
 
 
+def test_load_columns_reads_a_repeated_name_once(tmp_path):
+    path = _write(tmp_path / "a.csv", "x,y\n1,2\n3,4\n5,6\n7,8\n")
+    cols = load_columns(path, ["y", "y"])
+    assert list(cols) == ["y"]
+    np.testing.assert_array_equal(cols["y"], [2.0, 4.0, 6.0, 8.0])
+
+
 def test_load_columns_skips_blank_rows(tmp_path):
     path = _write(tmp_path / "a.csv", "x,y\n1,2\n\n , \n3,4\n")
     cols = load_columns(path, ["x", "y"])

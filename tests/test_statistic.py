@@ -92,6 +92,16 @@ def test_k_one_far_from_origin():
     np.testing.assert_allclose(_b(sample, set_), naive_w_b(sample, set_, 0)[1], rtol=1e-10)
 
 
+def test_light_point_beside_a_heavy_tie_run():
+    # the only y difference sits on a point at the kernel's edge, beside a
+    # run of ten heavy points; b is that point's w, whose suffix mass is
+    # exactly zero, so no difference of large sums enters it
+    sample = Sample(x=[0.01] + [0.0] * 10, y=[1.0] + [0.0] * 10)
+    set_ = ScaleSet([1.85e-9], [0.01])
+    b_naive = naive_w_b(sample, set_, 0)[1]
+    assert abs(_b(sample, set_) - b_naive) <= 1e-12 * abs(b_naive)
+
+
 def test_constant_y_gives_exactly_zero_b():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -118,41 +128,17 @@ def _tied_config(draw):
     return Sample(x=x, y=y), ScaleSet([c], [h], kernel=kern)
 
 
-def _b_k0_loop(sample, set_):
-    # k=0 fast path with the tie correction as a Python loop over tie runs,
-    # in cut order: the arithmetic the vectorized correction must reproduce
-    c, h, kern = set_.x[0], set_.h[0], set_.kernel
-    xs = np.sort(sample.x, kind="stable")
-    ys = sample.y[np.argsort(sample.x, kind="stable")]
-    lo = np.searchsorted(xs, c - h, side="right")
-    hi = np.searchsorted(xs, c + h, side="left")
-    if hi - lo < 2 or xs[lo] == xs[hi - 1]:
-        return 0.0  # no pair with nonzero sign: fewer than two points, or one tie run
-    xw, yw = xs[lo:hi], ys[lo:hi]
-    csum = np.concatenate(([0.0], np.cumsum(kern((xw - c) / h))))
-    pref = csum[1:-1]
-    b = float(np.dot(yw[:-1] - yw[1:], pref * (csum[-1] - pref)))
-    for t in range(xw.size - 1):
-        if xw[t] == xw[t + 1]:
-            a = np.searchsorted(xw, xw[t], side="left")
-            stop = np.searchsorted(xw, xw[t], side="right")
-            b -= (yw[t] - yw[t + 1]) * (csum[t + 1] - csum[a]) * (csum[stop] - csum[t + 1])
-    return b
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_tied_config())
 def test_tie_correction_matches_naive(config):
     sample, set_ = config
     b_fast = _b(sample, set_)
-    assert b_fast == _b_k0_loop(sample, set_)
     b_naive = naive_w_b(sample, set_, 0)[1]
-    # relative to the absolute pair terms the fast path sums, tied pairs
-    # included: it adds them over the cuts and then subtracts them again
+    # relative to the absolute pair terms of the window, tied pairs included
     kx = np.asarray(set_.kernel((sample.x - set_.x[0]) / set_.h[0]), dtype=float)
     scale = 0.5 * float(kx @ np.abs(sample.y[:, None] - sample.y[None, :]) @ kx)
     assert abs(b_fast - b_naive) <= 1e-10 * max(scale, 1e-300)
-    # constant y on tied x: every adjacent difference is zero, so b is exactly 0
+    # constant y on tied x: every y - y_lo is +0, so b is exactly 0
     flat = Sample(x=sample.x, y=np.full(sample.n, sample.y[0]))
     assert _b(flat, set_) == 0.0
 
@@ -277,7 +263,7 @@ def test_field_far_from_origin_and_constant_y(config):
         inside = np.flatnonzero(np.abs((xs - set_.x[r]) / set_.h[r]) < 1.0)
         want = (inside[0], inside[-1] + 1) if inside.size else (lo[r], lo[r])
         assert (lo[r], hi[r]) == want
-    # every k: constant y has no adjacent difference, so b is exactly 0
+    # every k: constant y has y - y_lo = +0 throughout, so b is exactly 0
     for y0 in (0.0, sample.y[0], -3.7e5):
         flat = Sample(x=sample.x, y=np.full(sample.n, y0), z=sample.z)
         assert not dense_w(flat, set_)[1].any()
@@ -426,8 +412,9 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
 def test_peak_memory_is_four_block_panels_plus_the_draws():
     # On this tie-free k = 0 set the engine holds at most four (block x span)
     # panels of at most FIELD_BLOCK * (n + 1) * 8 bytes at once: the kernel
-    # panel g, its running sums, w and the cut weights (evaluating the kernel
-    # takes fewer), and no panel outlives its block.  Beside them there are
+    # panel g, its running sums and w (evaluating the kernel takes fewer, and
+    # b's (y - y_lo) * w panel comes after g is dropped), and no panel
+    # outlives its block.  Beside them there are
     # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
     # masks) and a few n-vectors.  A test run adds the draws, B per live scale
     # and so at most p x B, the n x B multiplier panel, which is scaled by
@@ -466,6 +453,7 @@ for _ in range(40):
     n = int(rng.integers(150, 450))
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
     field = evaluate_field(sample, build_basic_set(sample.x), rng.uniform(0.5, 2.0, n))
+    h.update(field.b.tobytes())
     h.update(field.v_hat.tobytes())
     h.update(np.array([field.T, field.A_n]).tobytes())
 print(h.hexdigest())
@@ -473,8 +461,8 @@ print(h.hexdigest())
 
 
 def test_field_bits_do_not_depend_on_blas_threads():
-    # BLAS rounds a product by how it splits rows among threads; V, T and
-    # A_n use no BLAS product, so they keep their bits at any thread count
+    # BLAS rounds a product by how it splits rows among threads; b, V, T
+    # and A_n use no BLAS product, so they keep their bits at any thread count
     src = str(Path(statistic.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -499,9 +487,9 @@ def test_b_nonpositive_on_noiseless_monotone():
 
 
 def test_location_shift_leaves_b_unchanged_exactly():
-    # b is accumulated from adjacent y differences; on lattice y with a
-    # dyadic shift both y + c and its differences are exact, so b is bitwise
-    # stable (a generic float shift perturbs y_i + c in the last ulp)
+    # b sums (y - y_lo) * w over each window; on lattice y with a dyadic
+    # shift both y + c and y - y_lo are exact, so b is bitwise stable (a
+    # generic float shift perturbs y_i + c in the last ulp)
     rng = np.random.default_rng(23)
     x = rng.uniform(0, 1, 50)
     y = rng.integers(-64, 65, size=50) / 64.0
