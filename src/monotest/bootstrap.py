@@ -68,9 +68,10 @@ class BootConfig:
 class BootRun:
     """Everything one wild-bootstrap pass produces, on a single shared panel.
 
-    ``draws`` holds t*_b(s): one row per draw, one column per active scale,
-    in the order of ``field.active_ids``.  ``pi_maxima``, ``os_maxima`` and
-    ``sd_maxima`` are its per-draw maxima over each method's selected set.
+    ``draws`` holds t*_b(s): one row per draw, one column per scale id, and
+    -inf in the columns of scales outside ``field.active_ids``.
+    ``pi_maxima``, ``os_maxima`` and ``sd_maxima`` are its per-draw maxima
+    over each method's selected set.
     """
 
     field: StudentizedField
@@ -143,15 +144,25 @@ def p_value(T: float, boot_maxima) -> float:
     return float((1 + np.count_nonzero(m >= T)) / (m.size + 1))
 
 
+def _multipliers(gen, sig: np.ndarray, B: int) -> np.ndarray:
+    """The n x B panel sigma_i * eps[i, b], scaled in place.
+
+    Passed as a temporary, so evaluate_field holds its only reference.
+    """
+    eps = gen.standard_normal((sig.size, B))
+    eps *= sig[:, None]
+    return eps
+
+
 def _pick_fallback(gen, candidates: np.ndarray) -> np.ndarray:
     idx = int(gen.integers(candidates.size))
     return candidates[idx : idx + 1]
 
 
-def _max_over(draws: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per-draw maxima over the given columns, without copying them out."""
+def _max_over(draws: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per-draw maxima over the given scale ids, without copying their columns out."""
     keep = np.zeros(draws.shape[1], dtype=bool)
-    keep[cols] = True
+    keep[ids] = True
     return draws.max(axis=1, initial=-np.inf, where=keep)
 
 
@@ -167,49 +178,44 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     """
     sig = _sigma_values(sigma, sample.n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    eps = gen.standard_normal((sample.n, cfg.B))
-    eps *= sig[:, None]
-    field = evaluate_field(sample, set_, sig, eps)
-    draws = field.draws.T  # (B, active)
+    field = evaluate_field(sample, set_, sig, _multipliers(gen, sig, cfg.B))
+    draws = field.draws.T  # (B, p), -inf off the active scales
 
     full_max = draws.max(axis=1)
     c_pi = quantile_upper(full_max, 1.0 - cfg.alpha)
     c_pi_gamma = quantile_upper(full_max, 1.0 - cfg.gamma)
 
-    active = field.active_ids
-    t_active = field.t[active]
+    # t is NaN off the active scales, so each selection is a level set of t
+    t = field.t
     warnings: list[str] = []
 
-    # one-step selection, on active column positions
-    all_cols = np.arange(active.size)
-    os_mask = t_active > -2.0 * c_pi_gamma
-    if os_mask.any():
-        os_cols = np.flatnonzero(os_mask)
-    else:
-        os_cols = _pick_fallback(gen, all_cols)
+    # one-step selection
+    os_ids = np.flatnonzero(t > -2.0 * c_pi_gamma)
+    if not os_ids.size:
+        os_ids = _pick_fallback(gen, field.active_ids)
         warnings.append("one-step selection was empty; kept a single fallback scale")
-    os_max = _max_over(draws, os_cols)
+    os_max = _max_over(draws, os_ids)
     c_os = quantile_upper(os_max, 1.0 - cfg.alpha)
     c_os_gamma = quantile_upper(os_max, 1.0 - cfg.gamma)
 
     # step-down iteration to a fixed point, thresholds at the gamma level
-    cur_cols = os_cols
+    cur_ids = os_ids
     sd_max = os_max
     c_cur = c_os_gamma
     iterations = 0
     while True:
         iterations += 1
-        keep = t_active[cur_cols] > (-c_pi_gamma - c_cur)
+        keep = t[cur_ids] > (-c_pi_gamma - c_cur)
         if not keep.any():
-            cur_cols = _pick_fallback(gen, cur_cols)
-            sd_max = _max_over(draws, cur_cols)
+            cur_ids = _pick_fallback(gen, cur_ids)
+            sd_max = _max_over(draws, cur_ids)
             warnings.append("step-down selection emptied; kept a single fallback scale")
             break
-        nxt = cur_cols[keep]
-        if nxt.size == cur_cols.size:
+        nxt = cur_ids[keep]
+        if nxt.size == cur_ids.size:
             break
-        cur_cols = nxt
-        sd_max = _max_over(draws, cur_cols)
+        cur_ids = nxt
+        sd_max = _max_over(draws, cur_ids)
         c_cur = quantile_upper(sd_max, 1.0 - cfg.gamma)
     c_sd = quantile_upper(sd_max, 1.0 - cfg.alpha)
 
@@ -218,10 +224,10 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
         draws=draws,
         c_pi=c_pi,
         c_pi_gamma=c_pi_gamma,
-        os_ids=active[os_cols],
+        os_ids=os_ids,
         c_os=c_os,
         c_os_gamma=c_os_gamma,
-        sd_ids=active[cur_cols],
+        sd_ids=cur_ids,
         c_sd=c_sd,
         stepdown_iterations=iterations,
         warnings=tuple(warnings),

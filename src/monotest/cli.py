@@ -68,7 +68,8 @@ def load_columns(path: str, names) -> dict[str, np.ndarray]:
     column), non-finite values, and files with fewer than two data rows.
     """
     names = list(dict.fromkeys(names))  # a repeated name is read once
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -168,11 +168,12 @@ def run_mc(
     for cv in cv_methods:
         if cv not in CV_METHODS:
             raise ValueError(f"unknown critical-value method {cv!r}")
+    for sigma_method in sigma_methods:
+        if sigma_method not in SIGMA_METHODS:
+            raise ValueError(f"unknown sigma method {sigma_method!r}")
     results: list[McResult] = []
     for design in designs:
         for sigma_method in sigma_methods:
-            if sigma_method not in SIGMA_METHODS:
-                raise ValueError(f"unknown sigma method {sigma_method!r}")
             args = [
                 (design.case, design.n, design.noise, sigma_method, alpha, gamma, B, seed, rep)
                 for rep in range(reps)

@@ -28,8 +28,9 @@ the engine keeps a handful of them only while it works on that block.  V
 sums each window on its own, and the bootstrap draws of a block are one
 matrix product of its panel, taken before the panel is dropped.  So no
 window weights outlive their block: a field costs O(FIELD_BLOCK * n + p)
-bytes, plus its draws when it forms them: one row of e's columns per live
-scale (a window with two distinct x), so at most p of them.
+bytes, plus, when it forms draws, one row of e's columns per scale id and
+the sorted copy of e, which replaces e itself if the caller passed a
+temporary.
 """
 
 from __future__ import annotations
@@ -109,10 +110,11 @@ class StudentizedField:
     influence max |w_i(s)| / sqrt(v_hat(s)).
 
     ``draws`` is None unless ``evaluate_field`` was given an array e with n
-    rows in observation order.  Then it holds sum_i a_i(s) * e_i for every
-    active scale, one row per ``active_ids`` entry with e's columns, where
-    a_i(s) = w_i(s) / sqrt(v_hat(s)); with sigma_i * eps_i it is one
-    bootstrap draw.
+    rows in observation order.  Then it has one row per scale id with e's
+    columns: sum_i a_i(s) * e_i on the active scales, where
+    a_i(s) = w_i(s) / sqrt(v_hat(s)), and -inf on the others, so no
+    inactive row attains a maximum.  With e_i = sigma_i * eps_i a column is
+    one bootstrap draw.
     """
 
     b: np.ndarray
@@ -228,7 +230,7 @@ def _block_k1(g, xs, lo, hi):
 
 
 def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
-    """The live scales' mask, and a generator of (rows, lo, hi, w, b) per block.
+    """Generate (rows, lo, hi, w, b) per block of live scales.
 
     A scale is live when its window, in sorted order ``order``, holds a pair
     with nonzero sign; the others have w = 0 and b = 0 and are in no block.
@@ -285,13 +287,10 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
         dy *= w
         return w, _window_sums(dy, wlo - span.start, whi - span.start)
 
-    def blocks():
-        ids = np.flatnonzero(live)
-        for start in range(0, ids.size, FIELD_BLOCK):
-            rows = ids[start : start + FIELD_BLOCK]
-            yield (rows, lo[rows], hi[rows], *block(rows))
-
-    return live, blocks()
+    ids = np.flatnonzero(live)
+    for start in range(0, ids.size, FIELD_BLOCK):
+        rows = ids[start : start + FIELD_BLOCK]
+        yield (rows, lo[rows], hi[rows], *block(rows))
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -300,23 +299,6 @@ def _sigma_values(sigma, n: int) -> np.ndarray:
     if sig.size != n:
         raise DataError(f"sigma length {sig.size} does not match sample size {n}")
     return sig
-
-
-def _keep_rows(out: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """out[ids] for increasing ids, moved up in place instead of copied.
-
-    Each run of adjacent ids is one forward copy between 1-d views, which
-    numpy makes element by element in order even where the two overlap.
-    """
-    flat = out.reshape(-1)
-    c = flat.size // out.shape[0]
-    top = 0
-    for run in np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1):
-        first = int(run[0])
-        if first != top:
-            flat[top * c : (top + run.size) * c] = flat[first * c : (first + run.size) * c]
-        top += run.size
-    return out[:top]
 
 
 def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> StudentizedField:
@@ -335,8 +317,10 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         residual-based estimates; only their squares enter V).
     e : array_like, optional
         n rows in observation order.  If given, the field's ``draws`` hold
-        sum_i w_i(s) / sqrt(V(s)) * e_i for every active scale, formed
-        block by block from the engine's panels.
+        sum_i w_i(s) / sqrt(V(s)) * e_i in the row of every active scale,
+        formed block by block from the engine's panels, and -inf in the
+        other rows.  The field keeps a sorted copy and drops its own
+        reference to e, so a temporary e is freed before the blocks start.
 
     Raises
     ------
@@ -359,16 +343,18 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     b = np.zeros(p)
     v = np.zeros(p)
     absmax = np.zeros(p)
-    live, blocks = _field_blocks(sample, set_, order)
+    draws = None
     if e is not None:
         es = np.asarray(e, dtype=float)
         if es.ndim == 0 or es.shape[0] != sample.n:
             raise DataError(f"e must have one row per observation ({sample.n})")
         es = es[order]
-        # one row of draws per live scale; the blocks fill them in order
-        out = np.empty((int(live.sum()),) + es.shape[1:])
-        top = 0
-    for rows, lo, hi, w, b_rows in blocks:
+        # e in observation order is no longer needed: if the caller passed a
+        # temporary, only one copy of it stays alive through the blocks
+        del e
+        # one row of draws per scale id; the blocks fill the live ones
+        draws = np.empty((p,) + es.shape[1:])
+    for rows, lo, hi, w, b_rows in _field_blocks(sample, set_, order):
         a = int(lo.min())
         span = slice(a, a + w.shape[1])
         b[rows] = b_rows
@@ -378,21 +364,23 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         panel *= sig2[span]
         v_rows = _window_sums(panel, lo - a, hi - a)
         v[rows] = v_rows
-        if e is not None:
+        if draws is not None:
             # scale each row to w / sqrt(V), and form the block's products
             # while its panel is at hand; rows with V = 0 are inactive
             nonzero = v_rows > 0.0
             f = np.zeros(rows.size)
             f[nonzero] = 1.0 / np.sqrt(v_rows[nonzero])
             w *= f[:, None]
-            np.matmul(w, es[span], out=out[top : top + rows.size])
-            top += rows.size
+            draws[rows] = w @ es[span]
         del w, panel  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():
         raise DegenerateVarianceError("degenerate variance on every scale")
     active_ids = np.flatnonzero(active)
+    if draws is not None:
+        # an inactive row never attains a per-draw maximum
+        draws[~active] = -np.inf
     t = np.full(p, np.nan)
     root_v = np.sqrt(v[active])
     t[active] = b[active] / root_v
@@ -406,6 +394,6 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         T=float(np.max(t[active])),
         active_ids=active_ids,
         A_n=A_n,
-        draws=None if e is None else _keep_rows(out, np.flatnonzero(active[live])),
+        draws=draws,
     )
 

@@ -57,7 +57,7 @@ def dense_w(sample, set_):
     order = statistic._sort_order(sample)
     W = np.zeros((set_.p, sample.n))
     b = np.zeros(set_.p)
-    for rows, lo, hi, w, b_rows in statistic._field_blocks(sample, set_, order)[1]:
+    for rows, lo, hi, w, b_rows in statistic._field_blocks(sample, set_, order):
         a = lo.min()
         for r, l, h, w_row in zip(rows, lo, hi, w):
             W[r, order[l:h]] = w_row[l - a : h - a]

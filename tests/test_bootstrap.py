@@ -118,17 +118,24 @@ def test_draws_shape_and_maxima():
     steep = Sample(x=x, y=4.0 * x + 0.3 * rng.standard_normal(80))
     cfg = BootConfig(B=64, seed=1)
     runs.append(bootstrap_run(steep, estimate_sigma(steep, "rice"), build_basic_set(x), cfg))
+    # sigma is 0 above x = 0.8, so the short windows there have V = 0
+    sig = np.where(x > 0.8, 0.0, 0.3)
+    set_ = build_custom_set(np.linspace(-0.95, 0.95, 39), [0.05, 0.1, 0.3])
+    runs.append(bootstrap_run(steep, sig, set_, cfg))
     for run in runs:
-        assert run.draws.shape == (64, run.field.active_ids.size)
+        p = run.field.b.size
+        assert run.draws.shape == (64, p)
+        inactive = np.setdiff1d(np.arange(p), run.field.active_ids)
+        assert np.all(run.draws[:, inactive] == -np.inf)
         np.testing.assert_array_equal(run.maxima("pi"), run.draws.max(axis=1))
         for method, ids in (("os", run.os_ids), ("sd", run.sd_ids)):
-            cols = np.searchsorted(run.field.active_ids, ids)
-            np.testing.assert_array_equal(run.maxima(method), run.draws[:, cols].max(axis=1))
+            np.testing.assert_array_equal(run.maxima(method), run.draws[:, ids].max(axis=1))
         assert run.critical_value("pi") == run.c_pi
         assert run.critical_value("os") == run.c_os
         assert run.critical_value("sd") == run.c_sd
     assert runs[1].os_ids.size < runs[1].field.active_ids.size
     assert runs[2].sd_ids.size < runs[2].os_ids.size
+    assert runs[3].field.active_ids.size < runs[3].field.b.size
 
 
 def test_plugin_quantile_matches_definition():

@@ -59,6 +59,14 @@ def test_load_columns_reads_a_repeated_name_once(tmp_path):
     np.testing.assert_array_equal(cols["y"], [2.0, 4.0, 6.0, 8.0])
 
 
+def test_load_columns_reads_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the header with U+FEFF
+    path = _write(tmp_path / "a.csv", "\ufeffx,y\n1,2\n3,4\n")
+    cols = load_columns(path, ["x", "y"])
+    np.testing.assert_array_equal(cols["x"], [1.0, 3.0])
+    np.testing.assert_array_equal(cols["y"], [2.0, 4.0])
+
+
 def test_load_columns_skips_blank_rows(tmp_path):
     path = _write(tmp_path / "a.csv", "x,y\n1,2\n\n , \n3,4\n")
     cols = load_columns(path, ["x", "y"])

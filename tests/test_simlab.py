@@ -146,6 +146,19 @@ def test_run_mc_validation():
         run_mc([McDesign(1, 50)], ["rice"], cv_methods=("pi", "xx"), reps=2, B=10)
 
 
+def test_run_mc_checks_every_sigma_method_before_any_replication(monkeypatch):
+    calls = {"k": 0}
+
+    def counting(args):
+        calls["k"] += 1
+        return True, False, False, False
+
+    monkeypatch.setattr(simlab, "_mc_rep", counting)
+    with pytest.raises(ValueError, match="unknown sigma method 'bogus'"):
+        run_mc([McDesign(1, 50)], ["rice", "bogus"], reps=30)
+    assert calls["k"] == 0
+
+
 def test_run_mc_failure_budget(monkeypatch):
     # a broken replication counts as a failure; over 1 percent aborts the cell
     monkeypatch.setattr(simlab, "_mc_rep", lambda args: (False, False, False, False))

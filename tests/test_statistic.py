@@ -173,7 +173,7 @@ def test_weight_panels_stay_c_ordered_on_ties():
     for k in (0.0, 0.5, 1.0):
         set_ = build_basic_set(x, k=k)
         for s in (set_, build_z_local_set(set_, z_locs=[(0.5,)], z_bws=[0.4])):
-            for rows, lo, hi, w, b in statistic._field_blocks(sample, s, order)[1]:
+            for rows, lo, hi, w, b in statistic._field_blocks(sample, s, order):
                 assert w.flags.c_contiguous, (k, rows[0])
 
 
@@ -222,12 +222,19 @@ def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0, mixed=False):
     return sample, set_
 
 
+def _inactive_rows_are_minus_inf(field):
+    """Whether every draw row off ``active_ids`` is -inf."""
+    off = np.ones(field.draws.shape[0], dtype=bool)
+    off[field.active_ids] = False
+    return bool(np.all(field.draws[off] == -np.inf))
+
+
 def _check_field_against_naive(sample, set_):
     """The engine's w and b on every scale against the double sums; returns them.
 
-    Then a unit-sigma field: its draws for e = I_n are the dense rows
-    w / sqrt(V) of the active scales, each entry one product with 1.0, so
-    they equal the scaled engine rows bit for bit.
+    Then a unit-sigma field: its draws for e = I_n are, on the active
+    scales, the dense rows w / sqrt(V), each entry one product with 1.0, so
+    they equal the scaled engine rows bit for bit; the other rows are -inf.
     """
     W, b = dense_w(sample, set_)
     for r in range(set_.p):
@@ -244,7 +251,8 @@ def _check_field_against_naive(sample, set_):
     np.testing.assert_allclose(field.v_hat, np.sum(W * W, axis=1), rtol=1e-13, atol=0)
     active = field.active_ids
     root_v = np.sqrt(field.v_hat[active])
-    np.testing.assert_array_equal(field.draws, W[active] * (1.0 / root_v)[:, None])
+    np.testing.assert_array_equal(field.draws[active], W[active] * (1.0 / root_v)[:, None])
+    assert _inactive_rows_are_minus_inf(field)
     assert field.A_n == np.max(np.abs(W[active]).max(axis=1) / root_v)
     return W, b
 
@@ -280,7 +288,7 @@ def test_field_engine_matches_naive(config, block):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_field_config(), st.sampled_from([1, 2, 5]), st.integers(0, 2**32 - 1))
-def test_apply_matches_naive_rows(config, block, seed):
+def test_draws_match_naive_rows(config, block, seed):
     # zero sigma on some points leaves live windows with V = 0, so small
     # blocks mix active and inactive scales, and some have no active scale
     sample, set_ = config
@@ -293,12 +301,13 @@ def test_apply_matches_naive_rows(config, block, seed):
         except DegenerateVarianceError:
             return
     got = field.draws
-    assert got.shape == (field.active_ids.size, 3)
-    for col, r in enumerate(field.active_ids):
+    assert got.shape == (set_.p, 3)
+    assert _inactive_rows_are_minus_inf(field)
+    for r in field.active_ids:
         w = naive_w_b(sample, set_, r)[0]
         a = w / np.sqrt(np.sum(sig * sig * w * w))
         # relative to the summed absolute terms of the product
-        assert np.all(np.abs(got[col] - a @ e) <= 1e-12 * (np.abs(a) @ np.abs(e)))
+        assert np.all(np.abs(got[r] - a @ e) <= 1e-12 * (np.abs(a) @ np.abs(e)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -322,23 +331,25 @@ def test_draws_on_spans_mixing_ties_match_naive(config, block, seed):
         except DegenerateVarianceError:
             return
     sig2 = sig * sig
-    draws = dict(zip(field.active_ids.tolist(), field.draws))
+    active = np.zeros(set_.p, dtype=bool)
+    active[field.active_ids] = True
+    assert _inactive_rows_are_minus_inf(field)
     for r in range(set_.p):
         w, b, scale_w, scale_b = naive_w_b(sample, set_, r)
         assert abs(field.b[r] - b) <= 1e-10 * scale_b
         tol = 1e-10 * scale_w
         v = float(sig2 @ (w * w))
         assert abs(field.v_hat[r] - v) <= tol * (sig2 @ (2 * np.abs(w) + tol)) + 1e-12 * v
-        assert (r in draws) == (field.v_hat[r] > 1e-12 * field.v_hat.max())
-        if r in draws:
+        assert active[r] == (field.v_hat[r] > 1e-12 * field.v_hat.max())
+        if active[r]:
             # w to the kernel-mass tolerance, then the product's own rounding
             root_v = np.sqrt(field.v_hat[r])
             a = w / root_v
             bound = tol / root_v * np.abs(e).sum(axis=0)
-            assert np.all(np.abs(draws[r] - a @ e) <= bound + 1e-12 * (np.abs(a) @ np.abs(e)))
+            assert np.all(np.abs(field.draws[r] - a @ e) <= bound + 1e-12 * (np.abs(a) @ np.abs(e)))
 
 
-def test_apply_skips_inactive_scales_within_and_across_blocks():
+def test_draws_skip_inactive_scales_within_and_across_blocks():
     # sigma is zero above x = 0.83, so windows there have two or more
     # distinct points but V = 0; an empty window is in no block at all,
     # so blocks of 2 are [active, inactive], [inactive, inactive], [active, active]
@@ -351,17 +362,19 @@ def test_apply_skips_inactive_scales_within_and_across_blocks():
     )
     e = rng.normal(size=(41, 4))
     with mock.patch.object(statistic, "FIELD_BLOCK", 2):
-        blocks = [rows.tolist() for rows, *_ in statistic._field_blocks(sample, set_, np.arange(41))[1]]
+        blocks = [rows.tolist() for rows, *_ in statistic._field_blocks(sample, set_, np.arange(41))]
         field = evaluate_field(sample, set_, sig, e)
         dense = evaluate_field(sample, set_, sig, np.eye(41)).draws
     assert blocks == [[0, 1], [3, 4], [5, 6]]
     np.testing.assert_array_equal(field.active_ids, [0, 5, 6])
     assert field.b[[1, 3, 4]].all()  # live windows, not empty ones
-    for col, r in enumerate(field.active_ids):
+    for r in field.active_ids:
         w = naive_w_b(sample, set_, r)[0]
         a = w / np.sqrt(field.v_hat[r])
-        np.testing.assert_allclose(dense[col], a, rtol=0, atol=1e-13 * np.abs(a).max())
-    np.testing.assert_allclose(field.draws, dense @ e, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(dense[r], a, rtol=0, atol=1e-13 * np.abs(a).max())
+    ids = field.active_ids
+    np.testing.assert_allclose(field.draws[ids], dense[ids] @ e, rtol=1e-13, atol=1e-15)
+    assert _inactive_rows_are_minus_inf(field)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -394,19 +407,22 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
                 )
             )
     arrays, dense, f = fields[-1]
-    A = dense.draws
+    ids = f.active_ids
+    A = dense.draws[ids]
     scale = np.abs(A) @ np.abs(e)
-    np.testing.assert_allclose(f.draws, A @ e, rtol=0, atol=1e-13 * scale.max())
+    np.testing.assert_allclose(f.draws[ids], A @ e, rtol=0, atol=1e-13 * scale.max())
+    assert _inactive_rows_are_minus_inf(f) and _inactive_rows_are_minus_inf(dense)
     for other_arrays, other_dense, other in fields[:-1]:
         for a_other, a in zip(other_arrays, arrays):
             assert a_other.tobytes() == a.tobytes()
         # with e = I every draw is one row entry times 1.0 plus exact zeros
-        np.testing.assert_array_equal(other_dense.draws, A)
+        np.testing.assert_array_equal(other_dense.draws, dense.draws)
         for name in ("b", "v_hat", "t", "active_ids"):
             assert getattr(other, name).tobytes() == getattr(f, name).tobytes(), name
         assert (other.T, other.A_n) == (f.T, f.A_n)
         # the draws' matrix products differ by panel shape, so only in rounding
-        assert np.all(np.abs(other.draws - f.draws) <= 1e-13 * scale)
+        assert np.all(np.abs(other.draws[ids] - f.draws[ids]) <= 1e-13 * scale)
+        assert _inactive_rows_are_minus_inf(other)
 
 
 def test_peak_memory_is_four_block_panels_plus_the_draws():
@@ -416,30 +432,31 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     # b's (y - y_lo) * w panel comes after g is dropped), and no panel
     # outlives its block.  Beside them there are
     # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
-    # masks) and a few n-vectors.  A test run adds the draws, B per live scale
-    # and so at most p x B, the n x B multiplier panel, which is scaled by
-    # sigma in place, and its sorted copy.
+    # masks) and a few n-vectors.  A test run adds the draws, one row of B
+    # per scale, and a single n x B multiplier panel: the bootstrap hands the
+    # sigma-scaled panel over as a temporary, and the field drops it once it
+    # holds the sorted copy.  Two panels meet only before the blocks start,
+    # so the run stays well under p x B plus one and a half panels.
     rng = np.random.default_rng(71)
     n, B = 2000, 50
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
     set_ = build_basic_set(sample.x)
     sig = estimate_sigma(sample, "rice")
-    field_bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
-    runs = {
-        "field": (lambda: evaluate_field(sample, set_, sig), field_bound),
-        "test": (
-            lambda: run_report(sample, sig, set_, BootConfig(B=B)),
-            field_bound + set_.p * B * 8 + 2 * n * B * 8,
-        ),
-    }
-    for name, (run, bound) in runs.items():
+    peaks = {}
+    for name, run in (
+        ("field", lambda: evaluate_field(sample, set_, sig)),
+        ("test", lambda: run_report(sample, sig, set_, BootConfig(B=B))),
+    ):
         tracemalloc.start()
         try:
             run()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, (name, peak, bound)
+    field_bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
+    assert peaks["field"] < field_bound, (peaks, field_bound)
+    boot_bound = set_.p * B * 8 + 1.5 * n * B * 8
+    assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
 
 
@@ -564,7 +581,8 @@ def test_apply_reproduces_t():
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
     field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40), y)
     # the rows are w / sqrt(v): their draws for e = y recover the t values
-    np.testing.assert_allclose(field.draws, field.t[field.active_ids], rtol=0, atol=1e-10)
+    ids = field.active_ids
+    np.testing.assert_allclose(field.draws[ids], field.t[ids], rtol=0, atol=1e-10)
 
 
 def test_sensitivity_matches_field():
