@@ -13,6 +13,7 @@ harness estimates size and power over reference designs.
 from .bootstrap import (
     BootConfig,
     BootRun,
+    Rung,
     TestReport,
     bootstrap_run,
     p_value,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BootConfig",
     "BootRun",
+    "Rung",
     "TestReport",
     "bootstrap_run",
     "p_value",

@@ -6,14 +6,19 @@ the subset structure S_sd within S_os within S_n transfers to the draws and
 the ordering c_sd <= c_os <= c_pi holds on every run, not just on average.
 
 The draws are t*_b(s) = sum_i (w_i(s) / sqrt(V(s))) * sigma_i * eps[i, b];
-the plug-in critical value is an upper quantile of their per-draw maxima
-over all active scales, while the one-step and step-down values first
-discard scales whose observed studentized value lies far below zero, which
+each critical value is an upper quantile of their per-draw maxima over a
+set of scales.  The three sets come from one rule: with c(1 - gamma) the
+quantile over the current set, a step keeps the scales with
+t(s) > -c_pi(1 - gamma) - c(1 - gamma).  The plug-in set is every active
+scale, one step from it gives the one-step set {t(s) > -2 c_pi(1 - gamma)},
+and the step-down set is where repeated steps stop dropping scales.
+Discarding scales whose observed studentized value lies far below zero
 sharpens power without giving up size control.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +31,7 @@ from .sigma import SigmaEstimate
 __all__ = [
     "BootConfig",
     "BootRun",
+    "Rung",
     "TestReport",
     "quantile_upper",
     "p_value",
@@ -35,6 +41,12 @@ __all__ = [
 
 # critical-value methods, in report and Monte Carlo table order
 CV_METHODS = ("pi", "os", "sd")
+
+# the note an emptied selection leaves: one-step, then step-down
+_FALLBACK_WARNINGS = (
+    "one-step selection was empty; kept a single fallback scale",
+    "step-down selection emptied; kept a single fallback scale",
+)
 
 
 @dataclass(frozen=True)
@@ -65,36 +77,39 @@ class BootConfig:
 
 
 @dataclass(frozen=True)
+class Rung:
+    """One selected set of the critical-value ladder.
+
+    ``ids`` are ascending scale ids, ``maxima`` the per-draw maxima of the
+    draws over them, and ``c`` and ``c_gamma`` the upper 1 - alpha and
+    1 - gamma quantiles of those maxima.
+    """
+
+    ids: np.ndarray
+    maxima: np.ndarray
+    c: float
+    c_gamma: float
+
+
+@dataclass(frozen=True)
 class BootRun:
     """Everything one wild-bootstrap pass produces, on a single shared panel.
 
     ``draws`` holds t*_b(s): one row per draw, one column per scale id, and
-    -inf in the columns of scales outside ``field.active_ids``.
-    ``pi_maxima``, ``os_maxima`` and ``sd_maxima`` are its per-draw maxima
-    over each method's selected set.
+    -inf in the columns of scales outside ``field.active_ids``.  ``ladder``
+    holds the selected sets in step order: the plug-in set, the one-step
+    set, then every set the step-down passes move to.
     """
 
     field: StudentizedField
     draws: np.ndarray
-    c_pi: float
-    c_pi_gamma: float
-    os_ids: np.ndarray
-    c_os: float
-    c_os_gamma: float
-    sd_ids: np.ndarray
-    c_sd: float
+    ladder: tuple[Rung, ...]
     stepdown_iterations: int
     warnings: tuple[str, ...]
-    pi_maxima: np.ndarray
-    os_maxima: np.ndarray
-    sd_maxima: np.ndarray
 
-    def maxima(self, method: str) -> np.ndarray:
-        """Per-draw maxima over the selected set of the given method."""
-        return getattr(self, f"{method}_maxima")
-
-    def critical_value(self, method: str) -> float:
-        return getattr(self, f"c_{method}")
+    def rung(self, method: str) -> Rung:
+        """The rung whose critical value the method reports: PI first, OS second, SD last."""
+        return self.ladder[{"pi": 0, "os": 1, "sd": -1}[method]]
 
 
 @dataclass(frozen=True)
@@ -154,6 +169,11 @@ def _multipliers(gen, sig: np.ndarray, B: int) -> np.ndarray:
     return eps
 
 
+def _rung(ids: np.ndarray, maxima: np.ndarray, cfg: BootConfig) -> Rung:
+    c = quantile_upper(maxima, 1.0 - cfg.alpha)
+    return Rung(ids, maxima, c, quantile_upper(maxima, 1.0 - cfg.gamma))
+
+
 def _pick_fallback(gen, candidates: np.ndarray) -> np.ndarray:
     idx = int(gen.integers(candidates.size))
     return candidates[idx : idx + 1]
@@ -169,72 +189,36 @@ def _max_over(draws: np.ndarray, ids: np.ndarray) -> np.ndarray:
 def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: BootConfig) -> BootRun:
     """Run the full critical-value ladder on one shared multiplier panel.
 
-    Computes the studentized field, the plug-in quantiles, the one-step
-    selection S_os = {s : t(s) > -2 c_pi(1 - gamma)}, and the step-down
-    fixed point obtained by repeatedly discarding scales with
-    t(s) <= -c_pi(1 - gamma) - c_l.  If a selection empties out, a single
-    scale is drawn from its predecessor set using the run's seeded stream,
-    which keeps the nesting intact.
+    Computes the studentized field and climbs the ladder with one rule.  Its
+    first rung is the plug-in set, every active scale.  Each step keeps the
+    scales of the last rung with t(s) > -c_pi(1 - gamma) - c(1 - gamma),
+    where c is the last rung's quantile: the first step gives the one-step
+    set {t(s) > -2 c_pi(1 - gamma)}, and the later steps are the step-down
+    passes.  The climb stops when a pass drops nothing or empties its set.
+    An emptied set keeps a single scale drawn from its predecessor with the
+    run's seeded stream, which keeps the nesting intact.
     """
     sig = _sigma_values(sigma, sample.n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     field = evaluate_field(sample, set_, sig, _multipliers(gen, sig, cfg.B))
     draws = field.draws.T  # (B, p), -inf off the active scales
 
-    full_max = draws.max(axis=1)
-    c_pi = quantile_upper(full_max, 1.0 - cfg.alpha)
-    c_pi_gamma = quantile_upper(full_max, 1.0 - cfg.gamma)
-
-    # t is NaN off the active scales, so each selection is a level set of t
-    t = field.t
+    ladder = [_rung(field.active_ids, draws.max(axis=1), cfg)]
     warnings: list[str] = []
-
-    # one-step selection
-    os_ids = np.flatnonzero(t > -2.0 * c_pi_gamma)
-    if not os_ids.size:
-        os_ids = _pick_fallback(gen, field.active_ids)
-        warnings.append("one-step selection was empty; kept a single fallback scale")
-    os_max = _max_over(draws, os_ids)
-    c_os = quantile_upper(os_max, 1.0 - cfg.alpha)
-    c_os_gamma = quantile_upper(os_max, 1.0 - cfg.gamma)
-
-    # step-down iteration to a fixed point, thresholds at the gamma level
-    cur_ids = os_ids
-    sd_max = os_max
-    c_cur = c_os_gamma
-    iterations = 0
-    while True:
-        iterations += 1
-        keep = t[cur_ids] > (-c_pi_gamma - c_cur)
-        if not keep.any():
-            cur_ids = _pick_fallback(gen, cur_ids)
-            sd_max = _max_over(draws, cur_ids)
-            warnings.append("step-down selection emptied; kept a single fallback scale")
+    # step 0 is the one-step selection, step k >= 1 the k-th step-down pass
+    for step in itertools.count():
+        last = ladder[-1]
+        ids = last.ids[field.t[last.ids] > -ladder[0].c_gamma - last.c_gamma]
+        if step and ids.size == last.ids.size:
             break
-        nxt = cur_ids[keep]
-        if nxt.size == cur_ids.size:
+        emptied = not ids.size
+        if emptied:
+            ids = _pick_fallback(gen, last.ids)
+            warnings.append(_FALLBACK_WARNINGS[min(step, 1)])
+        ladder.append(_rung(ids, _max_over(draws, ids), cfg))
+        if step and emptied:
             break
-        cur_ids = nxt
-        sd_max = _max_over(draws, cur_ids)
-        c_cur = quantile_upper(sd_max, 1.0 - cfg.gamma)
-    c_sd = quantile_upper(sd_max, 1.0 - cfg.alpha)
-
-    return BootRun(
-        field=field,
-        draws=draws,
-        c_pi=c_pi,
-        c_pi_gamma=c_pi_gamma,
-        os_ids=os_ids,
-        c_os=c_os,
-        c_os_gamma=c_os_gamma,
-        sd_ids=cur_ids,
-        c_sd=c_sd,
-        stepdown_iterations=iterations,
-        warnings=tuple(warnings),
-        pi_maxima=full_max,
-        os_maxima=os_max,
-        sd_maxima=sd_max,
-    )
+    return BootRun(field, draws, tuple(ladder), step, tuple(warnings))
 
 
 def run_report(
@@ -246,6 +230,7 @@ def run_report(
 ) -> TestReport:
     """Assemble a full test report for the configured critical-value method."""
     run = bootstrap_run(sample, sigma, set_, cfg)
+    chosen = run.rung(cfg.method)
     warnings = list(run.warnings)
     inactive = set_.p - run.field.active_ids.size
     if inactive:
@@ -254,12 +239,12 @@ def run_report(
     return TestReport(
         T=T,
         method=cfg.method,
-        critical_value=run.critical_value(cfg.method),
-        p_value=p_value(T, run.maxima(cfg.method)),
-        c_pi=run.c_pi,
-        c_os=run.c_os,
-        c_sd=run.c_sd,
-        selected_sizes=(set_.p, int(run.os_ids.size), int(run.sd_ids.size)),
+        critical_value=chosen.c,
+        p_value=p_value(T, chosen.maxima),
+        c_pi=run.rung("pi").c,
+        c_os=run.rung("os").c,
+        c_sd=run.rung("sd").c,
+        selected_sizes=(set_.p, int(run.rung("os").ids.size), int(run.rung("sd").ids.size)),
         stepdown_iterations=run.stepdown_iterations,
         A_n=run.field.A_n,
         alpha=cfg.alpha,

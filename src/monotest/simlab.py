@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,16 +126,13 @@ def _rep_seeds(master_seed: int, design: McDesign, sigma_method: str, rep: int):
 
 
 def _mc_rep(args):
-    case, n, noise, sigma_method, alpha, gamma, B, master_seed, rep = args
-    design = McDesign(case, n, noise)
+    design, sigma_method, cfg, master_seed, rep = args
     data_seed, boot_seed = _rep_seeds(master_seed, design, sigma_method, rep)
     try:
         sample = gen_design(design, data_seed)
         sig = estimate_sigma(sample, sigma_method)
         set_ = build_basic_set(sample.x)
-        report = run_report(
-            sample, sig, set_, BootConfig(alpha=alpha, gamma=gamma, B=B, seed=boot_seed)
-        )
+        report = run_report(sample, sig, set_, replace(cfg, seed=boot_seed))
     except (DataError, DegenerateVarianceError, np.linalg.LinAlgError):
         return False, False, False, False
     return True, report.T > report.c_pi, report.T > report.c_os, report.T > report.c_sd
@@ -154,15 +151,23 @@ def run_mc(
 ) -> list[McResult]:
     """Estimate rejection proportions for every (design, sigma, cv) cell.
 
-    Replications are independent tasks; with parallelism > 1 they are run in
-    a process pool of at most min(parallelism, reps, CPU count) workers, and
-    per-replication seeding makes the proportions identical to a serial run.
-    A cell fails only if more than 1 percent of its replications raise.
+    A repeated design, sigma method or cv method counts once, in the order
+    first seen.  Replications are independent tasks; with parallelism > 1
+    they are run in a process pool of at most min(parallelism, reps, CPU
+    count) workers, and per-replication seeding makes the proportions
+    identical to a serial run.  A cell fails only if more than 1 percent of
+    its replications raise.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    cfg = BootConfig(alpha=alpha, gamma=gamma, B=B)
+    designs, sigma_methods, cv_methods = (
+        list(dict.fromkeys(v)) for v in (designs, sigma_methods, cv_methods)
+    )
     # a pool starts all its workers at the first submit, needed or not
     workers = min(parallelism, reps, os.cpu_count() or 1)
     for cv in cv_methods:
@@ -174,10 +179,7 @@ def run_mc(
     results: list[McResult] = []
     for design in designs:
         for sigma_method in sigma_methods:
-            args = [
-                (design.case, design.n, design.noise, sigma_method, alpha, gamma, B, seed, rep)
-                for rep in range(reps)
-            ]
+            args = [(design, sigma_method, cfg, seed, rep) for rep in range(reps)]
             if workers > 1:
                 chunk = max(1, reps // (8 * workers))
                 with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,8 +1,8 @@
-"""Naive double-sum oracles for the field engine, and a dense view of its weights."""
+"""Naive oracles for the field engine and the bootstrap ladder, and a dense view of the weights."""
 
 import numpy as np
 
-from monotest import statistic
+from monotest import quantile_upper, statistic
 from monotest.scales import EPANECHNIKOV
 
 
@@ -63,6 +63,52 @@ def dense_w(sample, set_):
             W[r, order[l:h]] = w_row[l - a : h - a]
         b[rows] = b_rows
     return W, b
+
+
+def naive_ladder(field, n, cfg):
+    """The plug-in, one-step and step-down selections as three separate blocks.
+
+    Returns the ladder as (ids, maxima, c, c_gamma) tuples in step order (PI,
+    OS, then every set a step-down pass moves to), the number of step-down
+    passes, and the warnings.  A fallback scale is drawn from the run's own
+    Philox stream, replayed past its n x B multipliers.
+    """
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    gen.standard_normal((n, cfg.B))
+    draws, t = field.draws.T, field.t
+
+    def rung(ids):
+        maxima = draws[:, ids].max(axis=1)
+        c, c_gamma = (quantile_upper(maxima, 1 - level) for level in (cfg.alpha, cfg.gamma))
+        return ids, maxima, c, c_gamma
+
+    def fallback(ids):
+        i = int(gen.integers(ids.size))
+        return ids[i : i + 1]
+
+    pi = rung(field.active_ids)
+    c_pi_gamma = pi[3]
+    warnings = []
+
+    os_ids = np.flatnonzero(t > -2.0 * c_pi_gamma)
+    if not os_ids.size:
+        os_ids = fallback(field.active_ids)
+        warnings.append("one-step selection was empty; kept a single fallback scale")
+    ladder = [pi, rung(os_ids)]
+
+    iterations = 0
+    while True:
+        iterations += 1
+        cur_ids, c_cur = ladder[-1][0], ladder[-1][3]
+        keep = t[cur_ids] > -c_pi_gamma - c_cur
+        if not keep.any():
+            ladder.append(rung(fallback(cur_ids)))
+            warnings.append("step-down selection emptied; kept a single fallback scale")
+            break
+        if keep.all():
+            break
+        ladder.append(rung(cur_ids[keep]))
+    return ladder, iterations, warnings
 
 
 def power_series_fitted(columns, y, degree):

@@ -178,8 +178,9 @@ def test_acceptance_5_exact_invariants(capsys):
             build_basic_set(sample.x),
             BootConfig(B=100, seed=1000 + i),
         )
-        nested = set(run.sd_ids) <= set(run.os_ids) <= set(run.field.active_ids)
-        ordered = run.c_sd <= run.c_os <= run.c_pi
+        pi, os_, sd = (run.rung(m) for m in ("pi", "os", "sd"))
+        nested = set(sd.ids) <= set(os_.ids) <= set(run.field.active_ids)
+        ordered = sd.c <= os_.c <= pi.c
         if not (nested and ordered):
             failures.append(f"nesting/ordering (dataset {i})")
             break

@@ -14,6 +14,7 @@ from monotest import (
     quantile_upper,
     run_report,
 )
+from oracles import naive_ladder
 
 
 def test_quantile_upper_order_statistics():
@@ -78,32 +79,32 @@ def _random_run(seed, n=60, B=150):
 def test_nesting_and_ordering():
     for seed in range(12):
         run, *_ = _random_run(seed)
-        active = set(run.field.active_ids.tolist())
-        os_ids = set(run.os_ids.tolist())
-        sd_ids = set(run.sd_ids.tolist())
-        assert sd_ids <= os_ids <= active
-        assert run.c_sd <= run.c_os <= run.c_pi
-        assert run.c_pi <= run.c_pi_gamma
-        assert run.c_os <= run.c_os_gamma
+        pi, os_, sd = (run.rung(m) for m in ("pi", "os", "sd"))
+        np.testing.assert_array_equal(pi.ids, run.field.active_ids)
+        assert set(sd.ids.tolist()) <= set(os_.ids.tolist()) <= set(pi.ids.tolist())
+        assert sd.c <= os_.c <= pi.c
+        for rung in run.ladder:
+            assert rung.c <= rung.c_gamma
 
 
 def test_rejection_indicators_nest():
     run, *_ = _random_run(77)
     T = run.field.T
-    if T > run.c_pi:
-        assert T > run.c_os and T > run.c_sd
-    if T > run.c_os:
-        assert T > run.c_sd
+    c_pi, c_os, c_sd = (run.rung(m).c for m in ("pi", "os", "sd"))
+    if T > c_pi:
+        assert T > c_os and T > c_sd
+    if T > c_os:
+        assert T > c_sd
 
 
 def test_run_is_deterministic():
     run1, sample, sig, set_, cfg = _random_run(5)
     run2 = bootstrap_run(sample, sig, set_, cfg)
     np.testing.assert_array_equal(run1.draws, run2.draws)
-    assert run1.c_pi == run2.c_pi
-    assert run1.c_os == run2.c_os
-    assert run1.c_sd == run2.c_sd
-    np.testing.assert_array_equal(run1.sd_ids, run2.sd_ids)
+    assert len(run1.ladder) == len(run2.ladder)
+    for r1, r2 in zip(run1.ladder, run2.ladder):
+        assert (r1.c, r1.c_gamma) == (r2.c, r2.c_gamma)
+        np.testing.assert_array_equal(r1.ids, r2.ids)
     # the multiplier panel is a function of the seed: another seed, other draws
     run3 = bootstrap_run(sample, sig, set_, BootConfig(B=cfg.B, seed=cfg.seed + 1))
     assert not np.array_equal(run1.draws, run3.draws)
@@ -127,22 +128,22 @@ def test_draws_shape_and_maxima():
         assert run.draws.shape == (64, p)
         inactive = np.setdiff1d(np.arange(p), run.field.active_ids)
         assert np.all(run.draws[:, inactive] == -np.inf)
-        np.testing.assert_array_equal(run.maxima("pi"), run.draws.max(axis=1))
-        for method, ids in (("os", run.os_ids), ("sd", run.sd_ids)):
-            np.testing.assert_array_equal(run.maxima(method), run.draws[:, ids].max(axis=1))
-        assert run.critical_value("pi") == run.c_pi
-        assert run.critical_value("os") == run.c_os
-        assert run.critical_value("sd") == run.c_sd
-    assert runs[1].os_ids.size < runs[1].field.active_ids.size
-    assert runs[2].sd_ids.size < runs[2].os_ids.size
+        np.testing.assert_array_equal(run.rung("pi").maxima, run.draws.max(axis=1))
+        for rung in run.ladder:
+            np.testing.assert_array_equal(rung.maxima, run.draws[:, rung.ids].max(axis=1))
+        assert run.rung("pi") is run.ladder[0]
+        assert run.rung("os") is run.ladder[1]
+        assert run.rung("sd") is run.ladder[-1]
+    assert runs[1].rung("os").ids.size < runs[1].field.active_ids.size
+    assert runs[2].rung("sd").ids.size < runs[2].rung("os").ids.size
     assert runs[3].field.active_ids.size < runs[3].field.b.size
 
 
 def test_plugin_quantile_matches_definition():
     run, *_ = _random_run(21, B=200)
-    assert run.c_pi == quantile_upper(run.maxima("pi"), 0.9)
-    assert run.c_os == quantile_upper(run.maxima("os"), 0.9)
-    assert run.c_sd == quantile_upper(run.maxima("sd"), 0.9)
+    for rung in run.ladder:
+        assert rung.c == quantile_upper(rung.maxima, 0.9)
+        assert rung.c_gamma == quantile_upper(rung.maxima, 0.99)
 
 
 def test_stepdown_fixed_point():
@@ -151,9 +152,10 @@ def test_stepdown_fixed_point():
         run, *_ = _random_run(seed)
         if run.warnings:
             continue
-        c_cur = quantile_upper(run.maxima("sd"), 0.99)
-        kept_t = run.field.t[run.sd_ids]
-        assert np.all(kept_t > -run.c_pi_gamma - c_cur)
+        sd = run.rung("sd")
+        c_cur = quantile_upper(sd.maxima, 0.99)
+        kept_t = run.field.t[sd.ids]
+        assert np.all(kept_t > -run.rung("pi").c_gamma - c_cur)
         assert run.stepdown_iterations >= 1
 
 
@@ -165,9 +167,9 @@ def test_steep_monotone_triggers_fallback():
     set_ = build_basic_set(x)
     sig = np.full(50, 1e-3)
     run = bootstrap_run(sample, sig, set_, BootConfig(B=100, seed=3))
-    assert np.all(run.field.t[run.field.active_ids] < -2.0 * run.c_pi_gamma)
-    assert run.os_ids.size == 1
-    assert run.sd_ids.size == 1
+    assert np.all(run.field.t[run.field.active_ids] < -2.0 * run.rung("pi").c_gamma)
+    assert run.rung("os").ids.size == 1
+    assert run.rung("sd").ids.size == 1
     assert any("fallback" in w for w in run.warnings)
 
 
@@ -175,11 +177,13 @@ def test_report_fields():
     run, sample, sig, set_, cfg = _random_run(55)
     rep = run_report(sample, sig, set_, cfg, model="simple")
     assert rep.method == "sd"
-    assert rep.critical_value == run.c_sd
+    sd = run.rung("sd")
+    assert rep.critical_value == sd.c
     assert rep.T == run.field.T
     assert rep.reject == (rep.T > rep.critical_value)
-    assert rep.selected_sizes == (set_.p, run.os_ids.size, run.sd_ids.size)
-    assert rep.p_value == p_value(run.field.T, run.maxima("sd"))
+    assert rep.selected_sizes == (set_.p, run.rung("os").ids.size, sd.ids.size)
+    assert (rep.c_pi, rep.c_os, rep.c_sd) == tuple(run.rung(m).c for m in ("pi", "os", "sd"))
+    assert rep.p_value == p_value(run.field.T, sd.maxima)
     assert rep.sigma_method == "rice"
     assert rep.model == "simple"
     assert rep.seed == cfg.seed
@@ -213,3 +217,38 @@ def test_null_rejection_rate_near_alpha():
         rejects += rep.reject
     rate = rejects / reps
     assert 0.02 <= rate <= 0.22
+
+
+def _ladder_cases(count):
+    # slopes from flat to steep and noise from 1e-3 to 1: steep, quiet samples
+    # empty the selections, moderate ones step down more than once
+    rng = np.random.default_rng(1212)
+    for i in range(count):
+        n = int(rng.integers(20, 61))
+        x = rng.uniform(-1.0, 1.0, n)
+        sd = 10.0 ** rng.uniform(-3.0, 0.0)
+        slope = rng.choice([0.0, 1.0, 4.0, 20.0])
+        y = slope * x - 0.5 * np.exp(-20.0 * x**2) + sd * rng.standard_normal(n)
+        sample = Sample(x=x, y=y)
+        sig = estimate_sigma(sample, "rice") if i % 2 else np.full(n, sd)
+        alpha = rng.choice([0.05, 0.1])
+        cfg = BootConfig(alpha=alpha, gamma=alpha / 5, B=int(rng.integers(20, 81)), seed=i)
+        yield sample, sig, build_basic_set(x), cfg
+
+
+def test_ladder_matches_naive_three_blocks():
+    seen = {"os fallback": 0, "sd fallback": 0, "several passes": 0}
+    for sample, sig, set_, cfg in _ladder_cases(240):
+        run = bootstrap_run(sample, sig, set_, cfg)
+        ladder, iterations, warnings = naive_ladder(run.field, sample.n, cfg)
+        assert len(run.ladder) == len(ladder)
+        for rung, (ids, maxima, c, c_gamma) in zip(run.ladder, ladder):
+            np.testing.assert_array_equal(rung.ids, ids)
+            np.testing.assert_array_equal(rung.maxima, maxima)
+            assert (rung.c, rung.c_gamma) == (c, c_gamma)
+        assert run.stepdown_iterations == iterations
+        assert list(run.warnings) == warnings
+        seen["os fallback"] += any(w.startswith("one-step") for w in warnings)
+        seen["sd fallback"] += any(w.startswith("step-down") for w in warnings)
+        seen["several passes"] += iterations > 1
+    assert min(seen.values()) >= 10, seen

@@ -326,6 +326,15 @@ def test_cmd_mc_text_format(capsys):
     assert "rice-PI" in out and "n=30" in out
 
 
+def test_cmd_mc_repeated_values_give_one_row(capsys):
+    argv = ["mc", "--cases", "1", "--reps", "2", "--boot", "20", "--seed", "3"]
+    assert main(argv + ["--sizes", "40,40", "--sigma", "rice,rice", "--cv", "pi,pi"]) == 0
+    repeated = capsys.readouterr().out
+    assert main(argv + ["--sizes", "40", "--sigma", "rice", "--cv", "pi"]) == 0
+    assert repeated == capsys.readouterr().out
+    assert len(repeated.splitlines()) == 2
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -382,6 +391,11 @@ def test_exit_2_on_bad_scale_values(tmp_path, capsys):
         obj = _stderr_error(capsys)
         assert obj["error"] == "ValueError"
         assert frag in obj["message"], (argv, obj["message"])
+
+
+def test_exit_2_on_negative_mc_seed(capsys):
+    assert main(["mc", "--cases", "1", "--sizes", "30", "--reps", "2", "--seed", "-1"]) == 2
+    assert _stderr_error(capsys)["message"] == "seed must be >= 0, got -1"
 
 
 def test_exit_2_on_mc_failure_budget(capsys):

@@ -85,6 +85,9 @@ CASES = {
     # 2,350 scales on tied x: more than two statistic.FIELD_BLOCK blocks, the last partial
     "test_blocks_k0": ["test", "blocks.csv", "--h-set", BLOCK_H, *FAST],
     "test_blocks_k1": ["test", "blocks.csv", "--h-set", BLOCK_H, "--k", "1", *FAST],
+    # every scale far below the selection threshold, so both selections keep a
+    # fallback scale; a one-point window leaves one of the 120 scales inactive
+    "test_fallback": ["test", "steep.csv", "--sigma", "residual", *FAST],
 }
 
 
@@ -180,6 +183,10 @@ def _inputs() -> dict:
     xb = np.round(rng.uniform(-1.0, 1.0, nb) / 0.005) * 0.005  # a 0.005 grid: tied x
     yb = xb - 0.6 * np.exp(-25.0 * (xb - 0.2) ** 2) + 0.2 * rng.standard_normal(nb)
     files["blocks.csv"] = _csv_text({"x": xb, "y": yb})
+
+    rng = np.random.default_rng(2012)
+    xs = rng.uniform(-1.0, 1.0, 40)
+    files["steep.csv"] = _csv_text({"x": xs, "y": 20.0 * xs + 1e-3 * rng.standard_normal(40)})
     return files
 
 

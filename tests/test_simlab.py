@@ -159,6 +159,37 @@ def test_run_mc_checks_every_sigma_method_before_any_replication(monkeypatch):
     assert calls["k"] == 0
 
 
+def test_run_mc_runs_each_repeated_design_and_method_once(monkeypatch):
+    calls = {"k": 0}
+
+    def counting(args):
+        calls["k"] += 1
+        return True, True, False, False
+
+    monkeypatch.setattr(simlab, "_mc_rep", counting)
+    designs = [McDesign(1, 40), McDesign(3, 40), McDesign(1, 40)]
+    res = run_mc(designs, ["rice", "rice"], cv_methods=("sd", "pi", "sd"), reps=3, B=10)
+    assert calls["k"] == 2 * 3
+    assert [(r.case, r.cv_method) for r in res] == [(1, "sd"), (1, "pi"), (3, "sd"), (3, "pi")]
+
+
+def test_run_mc_checks_seed_and_levels_before_any_replication(monkeypatch):
+    calls = {"k": 0}
+
+    def counting(args):
+        calls["k"] += 1
+        return True, False, False, False
+
+    monkeypatch.setattr(simlab, "_mc_rep", counting)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_mc([McDesign(1, 50)], ["rice"], reps=30, seed=-1)
+    with pytest.raises(ValueError, match="B must be >= 1"):
+        run_mc([McDesign(1, 50)], ["rice"], reps=30, B=0)
+    with pytest.raises(ValueError, match="gamma"):
+        run_mc([McDesign(1, 50)], ["rice"], reps=30, alpha=0.05, gamma=0.05)
+    assert calls["k"] == 0
+
+
 def test_run_mc_failure_budget(monkeypatch):
     # a broken replication counts as a failure; over 1 percent aborts the cell
     monkeypatch.setattr(simlab, "_mc_rep", lambda args: (False, False, False, False))
