@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scales import ScaleSet
-from .statistic import Sample, StudentizedField, _sigma_values, evaluate_field
+from .statistic import KeptDraws, Sample, StudentizedField, _sigma_values, evaluate_field
 from .sigma import SigmaEstimate
 
 __all__ = [
@@ -95,14 +95,15 @@ class Rung:
 class BootRun:
     """Everything one wild-bootstrap pass produces, on a single shared panel.
 
-    ``draws`` holds t*_b(s): one row per draw, one column per scale id, and
-    -inf in the columns of scales outside ``field.active_ids``.  ``ladder``
-    holds the selected sets in step order: the plug-in set, the one-step
-    set, then every set the step-down passes move to.
+    ``draws`` is the field's ``KeptDraws`` of t*_b(s): it gives the
+    per-draw maxima over any set of active scales, and holds the draws of
+    the scales with the highest t.  ``ladder`` holds the selected sets in
+    step order: the plug-in set, the one-step set, then every set the
+    step-down passes move to.
     """
 
     field: StudentizedField
-    draws: np.ndarray
+    draws: KeptDraws
     ladder: tuple[Rung, ...]
     stepdown_iterations: int
     warnings: tuple[str, ...]
@@ -169,7 +170,8 @@ def _multipliers(gen, sig: np.ndarray, B: int) -> np.ndarray:
     return eps
 
 
-def _rung(ids: np.ndarray, maxima: np.ndarray, cfg: BootConfig) -> Rung:
+def _rung(ids: np.ndarray, draws: KeptDraws, cfg: BootConfig) -> Rung:
+    maxima = draws.maxima(ids)
     c = quantile_upper(maxima, 1.0 - cfg.alpha)
     return Rung(ids, maxima, c, quantile_upper(maxima, 1.0 - cfg.gamma))
 
@@ -177,13 +179,6 @@ def _rung(ids: np.ndarray, maxima: np.ndarray, cfg: BootConfig) -> Rung:
 def _pick_fallback(gen, candidates: np.ndarray) -> np.ndarray:
     idx = int(gen.integers(candidates.size))
     return candidates[idx : idx + 1]
-
-
-def _max_over(draws: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Per-draw maxima over the given scale ids, without copying their columns out."""
-    keep = np.zeros(draws.shape[1], dtype=bool)
-    keep[ids] = True
-    return draws.max(axis=1, initial=-np.inf, where=keep)
 
 
 def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: BootConfig) -> BootRun:
@@ -201,9 +196,9 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     sig = _sigma_values(sigma, sample.n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     field = evaluate_field(sample, set_, sig, _multipliers(gen, sig, cfg.B))
-    draws = field.draws.T  # (B, p), -inf off the active scales
+    draws = field.draws
 
-    ladder = [_rung(field.active_ids, draws.max(axis=1), cfg)]
+    ladder = [_rung(field.active_ids, draws, cfg)]
     warnings: list[str] = []
     # step 0 is the one-step selection, step k >= 1 the k-th step-down pass
     for step in itertools.count():
@@ -215,7 +210,7 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
         if emptied:
             ids = _pick_fallback(gen, last.ids)
             warnings.append(_FALLBACK_WARNINGS[min(step, 1)])
-        ladder.append(_rung(ids, _max_over(draws, ids), cfg))
+        ladder.append(_rung(ids, draws, cfg))
         if step and emptied:
             break
     return BootRun(field, draws, tuple(ladder), step, tuple(warnings))

@@ -44,7 +44,7 @@ from .models import (
 from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import SIGMA_METHODS, estimate_sigma
 from .simlab import McDesign, results_to_csv, results_to_text, run_mc
-from .statistic import FIELD_BLOCK, Sample, evaluate_field
+from .statistic import FIELD_BLOCK, Sample, evaluate_field, kept_rows
 
 __all__ = ["main", "build_parser", "load_columns", "report_to_json"]
 
@@ -163,7 +163,7 @@ def _write_out(out: str, text: str) -> None:
 
 
 def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError:
-    """What the field (and, with ``boot``, the bootstrap draws) allocate, as a MemoryError."""
+    """What the field (and, with ``boot``, the bootstrap's draws) allocate, as a MemoryError."""
     p, n = set_.p, base.n
     need = (
         f"panels of {FIELD_BLOCK * (n + 1) * 8 / 2**20:.1f} MiB each"
@@ -171,7 +171,12 @@ def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError
     )
     fewer = "fewer rows"
     if boot is not None:
-        draws = f"{boot} bootstrap draws of up to {p * boot * 8 / 2**20:.0f} MiB (p * B * 8 bytes)"
+        rows = kept_rows(p, boot)
+        draws = (
+            f"{rows} kept rows of {boot} bootstrap draws ({rows * boot * 8 / 2**20:.0f} MiB,"
+            " min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B)) and the n x B"
+            f" multiplier panel ({n * boot * 8 / 2**20:.0f} MiB)"
+        )
         need = f"{draws} plus {need}"
         fewer = "fewer bandwidths (--h-set), rows or draws (--boot)"
     return MemoryError(f"out of memory: {p} scales x {n} observations need {need}; use {fewer}")

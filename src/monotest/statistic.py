@@ -25,12 +25,16 @@ exactly.
 
 Memory: a block's panels are (FIELD_BLOCK x span) with span <= n + 1, and
 the engine keeps a handful of them only while it works on that block.  V
-sums each window on its own, and the bootstrap draws of a block are one
-matrix product of its panel, taken before the panel is dropped.  So no
-window weights outlive their block: a field costs O(FIELD_BLOCK * n + p)
-bytes, plus, when it forms draws, one row of e's columns per scale id and
-the sorted copy of e, which replaces e itself if the caller passed a
-temporary.
+sums each window on its own, so no window weights outlive their block: a
+field costs O(FIELD_BLOCK * n + p) bytes.  Given bootstrap multipliers e
+(n x B), the engine forms each block's draws as one matrix product of its
+panel, folds them into the block's per-draw maximum, offers them to a
+store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
+and drops them.  It keeps the sorted copy of e, which replaces e itself if
+the caller passed a temporary, to rebuild any block whose rows a selection
+needs and the store lacks.  So a field with draws costs
+O(FIELD_BLOCK * n + n * B + R * B + p) bytes, plus one B-vector of maxima
+per block of FIELD_BLOCK scales.
 """
 
 from __future__ import annotations
@@ -47,9 +51,11 @@ if TYPE_CHECKING:
     from .sigma import SigmaEstimate
 
 __all__ = [
+    "KeptDraws",
     "Sample",
     "StudentizedField",
     "evaluate_field",
+    "kept_rows",
 ]
 
 # Scales whose variance falls below VAR_RTOL times the largest variance carry
@@ -65,6 +71,14 @@ VAR_FLOOR = 1e-300
 # block has a narrower span, which saves work where windows are short next
 # to it (small bandwidths, z-cells); each block costs fixed Python overhead.
 FIELD_BLOCK = 64
+
+# A field with B bootstrap draws keeps the draws of at most
+# KEEP_BYTES // (8 * B) scales, those with the highest t.  Every selected set
+# of the critical-value ladder but the first is an upper set of t, so a set
+# that fits is read from the kept rows alone.  8 MiB is 2,097 rows at
+# B = 500: every row of an n = 200 set (p = 800), and the one-step set of
+# an n = 2000 test.
+KEEP_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -110,11 +124,10 @@ class StudentizedField:
     influence max |w_i(s)| / sqrt(v_hat(s)).
 
     ``draws`` is None unless ``evaluate_field`` was given an array e with n
-    rows in observation order.  Then it has one row per scale id with e's
-    columns: sum_i a_i(s) * e_i on the active scales, where
-    a_i(s) = w_i(s) / sqrt(v_hat(s)), and -inf on the others, so no
-    inactive row attains a maximum.  With e_i = sigma_i * eps_i a column is
-    one bootstrap draw.
+    rows in observation order.  Then it is a ``KeptDraws``: the per-draw
+    maxima of sum_i a_i(s) * e_i, a_i(s) = w_i(s) / sqrt(v_hat(s)), over
+    any set of active scales, and the rows of the kept scales.  With
+    e_i = sigma_i * eps_i a column of e gives one bootstrap draw.
     """
 
     b: np.ndarray
@@ -123,7 +136,7 @@ class StudentizedField:
     T: float
     active_ids: np.ndarray
     A_n: float
-    draws: np.ndarray | None = None
+    draws: KeptDraws | None = None
 
 
 def _sort_order(sample: Sample) -> np.ndarray:
@@ -160,7 +173,7 @@ def _window_weights(xw: np.ndarray, gw: np.ndarray, k: float) -> np.ndarray:
 
     ``gw`` carries the kernel factor for each observation (already multiplied
     by any z-cell factor).  A direct double loop over the window; k in
-    {0, 1} is evaluated on the block panel in ``_field_blocks`` instead.
+    {0, 1} is evaluated on the block panel in ``_field_engine`` instead.
     """
     dx = xw[None, :] - xw[:, None]
     return gw * ((np.sign(dx) * np.abs(dx) ** k) @ gw)
@@ -229,18 +242,20 @@ def _block_k1(g, xs, lo, hi):
     return g * (cxg[ends][:, None] - xc * cg[ends][:, None])
 
 
-def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
-    """Generate (rows, lo, hi, w, b) per block of live scales.
+def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray):
+    """The blocks of live scales, every scale's window, and the block function.
 
     A scale is live when its window, in sorted order ``order``, holds a pair
     with nonzero sign; the others have w = 0 and b = 0 and are in no block.
-    A block is at most FIELD_BLOCK consecutive live scales.  ``rows`` are
-    the scale ids, sorted[lo : hi] their windows and ``w`` the (rows x span)
-    panel of their weights over the span sorted[lo.min() : hi.max()], zero
-    outside each window.  ``b`` is each scale's test function, the sum over
-    its window of (y - y_lo) * w with y_lo the sorted y at the window's
-    first point.  Its first cell is (+0) * (w >= 0), so constant y gives
-    b = +0, and on lattice y a dyadic shift of y moves no bit of b.
+    ``blocks`` lists the scale ids of each block, at most FIELD_BLOCK
+    consecutive live scales, and sorted[lo : hi] are the windows.
+    ``block(rows)`` gives a block's (w, b): ``w`` the (rows x span) panel of
+    its weights over the span sorted[lo.min() : hi.max()], zero outside each
+    window, and ``b`` each scale's test function, the sum over its window of
+    (y - y_lo) * w with y_lo the sorted y at the window's first point.  Its
+    first cell is (+0) * (w >= 0), so constant y gives b = +0, and on
+    lattice y a dyadic shift of y moves no bit of b.  A block built again
+    has the same bits.
 
     Only the double loop of a general k runs per scale; everything else
     runs once per block.
@@ -288,9 +303,8 @@ def _field_blocks(sample: Sample, set_: ScaleSet, order: np.ndarray):
         return w, _window_sums(dy, wlo - span.start, whi - span.start)
 
     ids = np.flatnonzero(live)
-    for start in range(0, ids.size, FIELD_BLOCK):
-        rows = ids[start : start + FIELD_BLOCK]
-        yield (rows, lo[rows], hi[rows], *block(rows))
+    blocks = [ids[start : start + FIELD_BLOCK] for start in range(0, ids.size, FIELD_BLOCK)]
+    return blocks, lo, hi, block
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -299,6 +313,139 @@ def _sigma_values(sigma, n: int) -> np.ndarray:
     if sig.size != n:
         raise DataError(f"sigma length {sig.size} does not match sample size {n}")
     return sig
+
+
+def kept_rows(p: int, B: int) -> int:
+    """How many scales' draws a field of p scales and B draws keeps."""
+    return min(p, max(1, KEEP_BYTES // (8 * B)))
+
+
+def _draw_rows(w: np.ndarray, v_rows: np.ndarray, es_span: np.ndarray) -> np.ndarray:
+    """A block's draws: each row of w scaled in place to w / sqrt(V), times e.
+
+    Rows with V = 0 are inactive and scaled to zero.
+    """
+    nonzero = v_rows > 0.0
+    f = np.zeros(v_rows.size)
+    f[nonzero] = 1.0 / np.sqrt(v_rows[nonzero])
+    w *= f[:, None]
+    return w @ es_span
+
+
+class KeptDraws:
+    """A field's bootstrap draws, held in memory that does not grow with p.
+
+    ``maxima(ids)`` gives the per-draw maxima of the draws over any set of
+    active scale ids.  Over the whole active set it takes one maximum per
+    block, folded in as the engine formed the block.  Over any other set it
+    reads the kept rows, and rebuilds the block of each scale that is not
+    kept.  A rebuilt block has the same panel, scaling and product shape,
+    so every draw has the same bits whichever way it is read, and the
+    maxima are exact.
+
+    ``ids`` are the kept scales: of the scales with V > 0, the at most
+    ``kept_rows(p, B)`` with the highest t, less any found inactive.
+    ``rows`` holds their draws, one row per id.  ``rebuilt`` counts the
+    blocks built again.
+    """
+
+    def __init__(self, p: int, B: int, blocks: list, draw_block):
+        self._blocks = blocks
+        self._draw_block = draw_block
+        self._block_of = np.full(p, -1, dtype=np.intp)
+        for j, rows in enumerate(blocks):
+            self._block_of[rows] = j
+        keep = kept_rows(p, B)
+        self._slot = np.full(p, -1, dtype=np.intp)  # each scale's kept row, or -1
+        self._id = np.full(keep, -1, dtype=np.intp)  # each kept row's scale, or -1
+        self._t = np.empty(keep)
+        self._rows = np.empty((keep, B))
+        self._used = 0
+        self._block_max = np.empty((len(blocks), B))
+        self._all = None
+        self._active = 0
+        self.rebuilt = 0
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._id[self._id >= 0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[self._id >= 0]
+
+    def _add(self, j: int, b_rows, v_rows, d) -> None:
+        """Fold block j's draws d into its maximum and offer its rows with V > 0."""
+        live = np.flatnonzero(v_rows > 0.0)
+        if not live.size:
+            self._block_max[j] = -np.inf
+            return
+        if live.size < d.shape[0]:
+            d = d[live]
+        self._block_max[j] = d.max(axis=0)
+        # t exactly as the field computes it
+        t = b_rows[live] / np.sqrt(v_rows[live])
+        ids = self._blocks[j][live]
+        n_fill = min(live.size, self._id.size - self._used)
+        if n_fill:
+            slots = np.arange(self._used, self._used + n_fill)
+            self._put(slots, ids[:n_fill], t[:n_fill], d[:n_fill])
+            self._used += n_fill
+        if n_fill < live.size:
+            # the store is full: of its rows and the rest, the kept number
+            # with the highest t stay, and each newcomer takes the row of
+            # one it beat
+            keep = self._t.size
+            rest = np.arange(n_fill, live.size)
+            order = np.argpartition(np.concatenate((self._t, t[rest])), rest.size)
+            out = order[: rest.size]
+            out = out[out < keep]
+            comers = order[rest.size :]
+            comers = rest[comers[comers >= keep] - keep]
+            self._slot[self._id[out]] = -1
+            self._put(out, ids[comers], t[comers], d[comers])
+
+    def _put(self, slots, ids, t, rows) -> None:
+        self._rows[slots] = rows
+        self._t[slots] = t
+        self._id[slots] = ids
+        self._slot[ids] = slots
+
+    def _finish(self, active: np.ndarray, v: np.ndarray) -> None:
+        """Drop the kept rows and the block maxima of scales with 0 < V <= tau."""
+        held = self._id >= 0
+        gone = np.flatnonzero(held)[~active[self._id[held]]]
+        self._slot[self._id[gone]] = -1
+        self._id[gone] = -1
+        for j in np.unique(self._block_of[(v > 0.0) & ~active]):
+            rows = self._blocks[j]
+            self._block_max[j] = self._over(rows[active[rows]])
+        self._all = self._block_max.max(axis=0)
+        self._all.flags.writeable = False
+        self._block_max = None
+        self._active = int(np.count_nonzero(active))
+
+    def _over(self, ids: np.ndarray) -> np.ndarray:
+        # want[-1] is False, so an empty slot's id -1 selects nothing
+        want = np.zeros(self._slot.size + 1, dtype=bool)
+        want[ids] = True
+        out = self._rows.max(axis=0, initial=-np.inf, where=want[self._id][:, None])
+        for j in np.unique(self._block_of[ids[self._slot[ids] < 0]]):
+            d = self._draw_block(j)
+            self.rebuilt += 1
+            rows = want[self._blocks[j]][:, None]
+            np.maximum(out, d.max(axis=0, initial=-np.inf, where=rows), out=out)
+        return out
+
+    def maxima(self, ids) -> np.ndarray:
+        """Per-draw maxima of the draws over the given active scale ids.
+
+        The maxima over the whole active set are one read-only array.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size == self._active:
+            return self._all
+        return self._over(ids)
 
 
 def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> StudentizedField:
@@ -316,10 +463,10 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         Per-observation standard deviations (entries may be negative for
         residual-based estimates; only their squares enter V).
     e : array_like, optional
-        n rows in observation order.  If given, the field's ``draws`` hold
-        sum_i w_i(s) / sqrt(V(s)) * e_i in the row of every active scale,
-        formed block by block from the engine's panels, and -inf in the
-        other rows.  The field keeps a sorted copy and drops its own
+        n rows in observation order, one column per draw.  If given, the
+        field's ``draws`` is a ``KeptDraws`` of
+        sum_i w_i(s) / sqrt(V(s)) * e_i, formed block by block from the
+        engine's panels.  The field keeps a sorted copy and drops its own
         reference to e, so a temporary e is freed before the blocks start.
 
     Raises
@@ -343,44 +490,49 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     b = np.zeros(p)
     v = np.zeros(p)
     absmax = np.zeros(p)
-    draws = None
+    es = None
     if e is not None:
         es = np.asarray(e, dtype=float)
         if es.ndim == 0 or es.shape[0] != sample.n:
             raise DataError(f"e must have one row per observation ({sample.n})")
-        es = es[order]
+        es = es.reshape(sample.n, -1)[order]
         # e in observation order is no longer needed: if the caller passed a
         # temporary, only one copy of it stays alive through the blocks
         del e
-        # one row of draws per scale id; the blocks fill the live ones
-        draws = np.empty((p,) + es.shape[1:])
-    for rows, lo, hi, w, b_rows in _field_blocks(sample, set_, order):
-        a = int(lo.min())
+    blocks, lo, hi, block = _field_engine(sample, set_, order)
+
+    def draw_block(j):
+        # the loop's product again, on the same panel
+        rows = blocks[j]
+        w = block(rows)[0]
+        a = int(lo[rows].min())
+        return _draw_rows(w, v[rows], es[a : a + w.shape[1]])
+
+    draws = None if es is None else KeptDraws(p, es.shape[1], blocks, draw_block)
+    for j, rows in enumerate(blocks):
+        w, b_rows = block(rows)
+        wlo, whi = lo[rows], hi[rows]
+        a = int(wlo.min())
         span = slice(a, a + w.shape[1])
         b[rows] = b_rows
         panel = np.abs(w)
         absmax[rows] = panel.max(axis=1)
         np.multiply(w, w, out=panel)
         panel *= sig2[span]
-        v_rows = _window_sums(panel, lo - a, hi - a)
+        v_rows = _window_sums(panel, wlo - a, whi - a)
         v[rows] = v_rows
+        del panel
         if draws is not None:
-            # scale each row to w / sqrt(V), and form the block's products
-            # while its panel is at hand; rows with V = 0 are inactive
-            nonzero = v_rows > 0.0
-            f = np.zeros(rows.size)
-            f[nonzero] = 1.0 / np.sqrt(v_rows[nonzero])
-            w *= f[:, None]
-            draws[rows] = w @ es[span]
-        del w, panel  # before the engine builds the next block
+            # the block's draws, formed while its panel is at hand
+            draws._add(j, b_rows, v_rows, _draw_rows(w, v_rows, es[span]))
+        del w  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():
         raise DegenerateVarianceError("degenerate variance on every scale")
     active_ids = np.flatnonzero(active)
     if draws is not None:
-        # an inactive row never attains a per-draw maximum
-        draws[~active] = -np.inf
+        draws._finish(active, v)
     t = np.full(p, np.nan)
     root_v = np.sqrt(v[active])
     t[active] = b[active] / root_v
@@ -396,4 +548,3 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         A_n=A_n,
         draws=draws,
     )
-

@@ -1,4 +1,4 @@
-"""Naive oracles for the field engine and the bootstrap ladder, and a dense view of the weights."""
+"""Naive oracles for the field engine and the ladder, and dense views of the weights and draws."""
 
 import numpy as np
 
@@ -49,6 +49,13 @@ def naive_w_b(sample, set_, r):
     return w, b, scale_w, scale_b
 
 
+def field_blocks(sample, set_, order):
+    """Generate the engine's (rows, lo, hi, w, b) per block, in its block order."""
+    blocks, lo, hi, block = statistic._field_engine(sample, set_, order)
+    for rows in blocks:
+        yield (rows, lo[rows], hi[rows], *block(rows))
+
+
 def dense_w(sample, set_):
     """The engine's weights, window by window, in a dense p x n matrix W, with b.
 
@@ -57,7 +64,7 @@ def dense_w(sample, set_):
     order = statistic._sort_order(sample)
     W = np.zeros((set_.p, sample.n))
     b = np.zeros(set_.p)
-    for rows, lo, hi, w, b_rows in statistic._field_blocks(sample, set_, order):
+    for rows, lo, hi, w, b_rows in field_blocks(sample, set_, order):
         a = lo.min()
         for r, l, h, w_row in zip(rows, lo, hi, w):
             W[r, order[l:h]] = w_row[l - a : h - a]
@@ -65,20 +72,52 @@ def dense_w(sample, set_):
     return W, b
 
 
-def naive_ladder(field, n, cfg):
+def dense_draws(sample, set_, sigma, e):
+    """Every scale's draws for the columns of e, in a dense p x B matrix.
+
+    Each block of the engine gives the rows of its scales as one product of
+    its panel, scaled to w / sqrt(V), with the block's span of the sorted
+    rows of e: the shape the engine uses, so the rows have its bits.  The
+    rows of inactive scales are -inf, so they attain no maximum.
+    """
+    field = statistic.evaluate_field(sample, set_, sigma)
+    order = statistic._sort_order(sample)
+    es = np.asarray(e, dtype=float).reshape(sample.n, -1)[order]
+    draws = np.full((set_.p, es.shape[1]), -np.inf)
+    for rows, lo, hi, w, _ in field_blocks(sample, set_, order):
+        v = field.v_hat[rows]
+        f = np.zeros(rows.size)
+        f[v > 0.0] = 1.0 / np.sqrt(v[v > 0.0])
+        a = lo.min()
+        draws[rows] = (w * f[:, None]) @ es[a : a + w.shape[1]]
+    inactive = np.ones(set_.p, dtype=bool)
+    inactive[field.active_ids] = False
+    draws[inactive] = -np.inf
+    return draws
+
+
+def run_draws(sample, set_, sigma, cfg):
+    """``dense_draws`` for the multiplier panel sigma_i * eps[i, b] of a bootstrap run."""
+    sig = statistic._sigma_values(sigma, sample.n)
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    return dense_draws(sample, set_, sig, gen.standard_normal((sample.n, cfg.B)) * sig[:, None])
+
+
+def naive_ladder(field, draws, n, cfg):
     """The plug-in, one-step and step-down selections as three separate blocks.
 
-    Returns the ladder as (ids, maxima, c, c_gamma) tuples in step order (PI,
-    OS, then every set a step-down pass moves to), the number of step-down
-    passes, and the warnings.  A fallback scale is drawn from the run's own
-    Philox stream, replayed past its n x B multipliers.
+    ``draws`` is the run's ``dense_draws``.  Returns the ladder as (ids,
+    maxima, c, c_gamma) tuples in step order (PI, OS, then every set a
+    step-down pass moves to), the number of step-down passes, and the
+    warnings.  A fallback scale is drawn from the run's own Philox stream,
+    replayed past its n x B multipliers.
     """
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     gen.standard_normal((n, cfg.B))
-    draws, t = field.draws.T, field.t
+    t = field.t
 
     def rung(ids):
-        maxima = draws[:, ids].max(axis=1)
+        maxima = draws[ids].max(axis=0)
         c, c_gamma = (quantile_upper(maxima, 1 - level) for level in (cfg.alpha, cfg.gamma))
         return ids, maxima, c, c_gamma
 

@@ -1,10 +1,13 @@
 """Wild-bootstrap critical values: shared panel, selection, quantiles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from monotest import (
     BootConfig,
+    DegenerateVarianceError,
     Sample,
     bootstrap_run,
     build_basic_set,
@@ -13,8 +16,10 @@ from monotest import (
     p_value,
     quantile_upper,
     run_report,
+    statistic,
 )
-from oracles import naive_ladder
+from monotest.scales import build_z_local_set
+from oracles import naive_ladder, run_draws
 
 
 def test_quantile_upper_order_statistics():
@@ -100,40 +105,57 @@ def test_rejection_indicators_nest():
 def test_run_is_deterministic():
     run1, sample, sig, set_, cfg = _random_run(5)
     run2 = bootstrap_run(sample, sig, set_, cfg)
-    np.testing.assert_array_equal(run1.draws, run2.draws)
+    dense = run_draws(sample, set_, sig, cfg)
+    for run in (run1, run2):
+        np.testing.assert_array_equal(run.draws.rows, dense[run.draws.ids])
+    np.testing.assert_array_equal(run1.draws.ids, run2.draws.ids)
     assert len(run1.ladder) == len(run2.ladder)
     for r1, r2 in zip(run1.ladder, run2.ladder):
         assert (r1.c, r1.c_gamma) == (r2.c, r2.c_gamma)
         np.testing.assert_array_equal(r1.ids, r2.ids)
+        np.testing.assert_array_equal(r1.maxima, r2.maxima)
     # the multiplier panel is a function of the seed: another seed, other draws
-    run3 = bootstrap_run(sample, sig, set_, BootConfig(B=cfg.B, seed=cfg.seed + 1))
-    assert not np.array_equal(run1.draws, run3.draws)
+    cfg3 = BootConfig(B=cfg.B, seed=cfg.seed + 1)
+    run3 = bootstrap_run(sample, sig, set_, cfg3)
+    other = run_draws(sample, set_, sig, cfg3)
+    np.testing.assert_array_equal(run3.draws.rows, other[run3.draws.ids])
+    assert not np.array_equal(dense, other)
+    assert not np.array_equal(run1.rung("pi").maxima, run3.rung("pi").maxima)
 
 
 def test_draws_shape_and_maxima():
     # seed 8 keeps 109 of 120 scales after one-step selection, and the steep
     # sample 37 of 240, then 15 after step-down, so their maxima skip columns
-    runs = [_random_run(seed, n=40, B=64)[0] for seed in (9, 8)]
+    cases = [_random_run(seed, n=40, B=64)[1:] for seed in (9, 8)]
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, 80)
     steep = Sample(x=x, y=4.0 * x + 0.3 * rng.standard_normal(80))
     cfg = BootConfig(B=64, seed=1)
-    runs.append(bootstrap_run(steep, estimate_sigma(steep, "rice"), build_basic_set(x), cfg))
+    cases.append((steep, estimate_sigma(steep, "rice"), build_basic_set(x), cfg))
     # sigma is 0 above x = 0.8, so the short windows there have V = 0
     sig = np.where(x > 0.8, 0.0, 0.3)
     set_ = build_custom_set(np.linspace(-0.95, 0.95, 39), [0.05, 0.1, 0.3])
-    runs.append(bootstrap_run(steep, sig, set_, cfg))
-    for run in runs:
+    cases.append((steep, sig, set_, cfg))
+    runs = []
+    for sample, sigma, scales, c in cases:
+        run = bootstrap_run(sample, sigma, scales, c)
+        dense = run_draws(sample, scales, sigma, c)
         p = run.field.b.size
-        assert run.draws.shape == (64, p)
+        assert dense.shape == (p, 64)
         inactive = np.setdiff1d(np.arange(p), run.field.active_ids)
-        assert np.all(run.draws[:, inactive] == -np.inf)
-        np.testing.assert_array_equal(run.rung("pi").maxima, run.draws.max(axis=1))
+        assert np.all(dense[inactive] == -np.inf)
+        # every row fits: all active scales are kept, with the engine's bits
+        np.testing.assert_array_equal(np.sort(run.draws.ids), run.field.active_ids)
+        np.testing.assert_array_equal(run.draws.rows, dense[run.draws.ids])
+        assert run.draws.rows.shape == (run.field.active_ids.size, 64)
+        np.testing.assert_array_equal(run.rung("pi").maxima, dense.max(axis=0))
         for rung in run.ladder:
-            np.testing.assert_array_equal(rung.maxima, run.draws[:, rung.ids].max(axis=1))
+            np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
         assert run.rung("pi") is run.ladder[0]
         assert run.rung("os") is run.ladder[1]
         assert run.rung("sd") is run.ladder[-1]
+        assert run.draws.rebuilt == 0
+        runs.append(run)
     assert runs[1].rung("os").ids.size < runs[1].field.active_ids.size
     assert runs[2].rung("sd").ids.size < runs[2].rung("os").ids.size
     assert runs[3].field.active_ids.size < runs[3].field.b.size
@@ -236,19 +258,88 @@ def _ladder_cases(count):
         yield sample, sig, build_basic_set(x), cfg
 
 
+def _assert_ladder_is_naive(run, sample, sig, set_, cfg):
+    """Every rung of the run bitwise equal to the naive ladder on the dense draws."""
+    dense = run_draws(sample, set_, sig, cfg)
+    ladder, iterations, warnings = naive_ladder(run.field, dense, sample.n, cfg)
+    assert len(run.ladder) == len(ladder)
+    for rung, (ids, maxima, c, c_gamma) in zip(run.ladder, ladder):
+        np.testing.assert_array_equal(rung.ids, ids)
+        np.testing.assert_array_equal(rung.maxima, maxima)
+        assert (rung.c, rung.c_gamma) == (c, c_gamma)
+    assert run.stepdown_iterations == iterations
+    assert list(run.warnings) == warnings
+    return dense, iterations, warnings
+
+
 def test_ladder_matches_naive_three_blocks():
     seen = {"os fallback": 0, "sd fallback": 0, "several passes": 0}
     for sample, sig, set_, cfg in _ladder_cases(240):
         run = bootstrap_run(sample, sig, set_, cfg)
-        ladder, iterations, warnings = naive_ladder(run.field, sample.n, cfg)
-        assert len(run.ladder) == len(ladder)
-        for rung, (ids, maxima, c, c_gamma) in zip(run.ladder, ladder):
-            np.testing.assert_array_equal(rung.ids, ids)
-            np.testing.assert_array_equal(rung.maxima, maxima)
-            assert (rung.c, rung.c_gamma) == (c, c_gamma)
-        assert run.stepdown_iterations == iterations
-        assert list(run.warnings) == warnings
+        _, iterations, warnings = _assert_ladder_is_naive(run, sample, sig, set_, cfg)
         seen["os fallback"] += any(w.startswith("one-step") for w in warnings)
         seen["sd fallback"] += any(w.startswith("step-down") for w in warnings)
         seen["several passes"] += iterations > 1
     assert min(seen.values()) >= 10, seen
+
+
+def _streamed_cases(count):
+    # a few scales kept, or every one; basic, k = 0.5 and z-cell sets, steep
+    # quiet samples that empty the selections, and sigma that is zero or
+    # tiny on part of the support, so V is 0 or falls below tau there
+    rng = np.random.default_rng(1313)
+    for i in range(count):
+        n = int(rng.integers(20, 61))
+        x = rng.uniform(-1.0, 1.0, n)
+        sd = 10.0 ** rng.uniform(-3.0, 0.0)
+        slope = rng.choice([0.0, 1.0, 4.0, 20.0])
+        y = slope * x - 0.5 * np.exp(-20.0 * x**2) + sd * rng.standard_normal(n)
+        sample = Sample(x=x, y=y, z=rng.uniform(0.0, 1.0, (n, 1)))
+        sig = estimate_sigma(Sample(x=x, y=y), "rice").values if i % 2 else np.full(n, sd)
+        if rng.random() < 0.3:
+            sig = np.where(x > rng.uniform(0.3, 0.9), rng.choice([0.0, 1e-9]), 1.0) * sig
+        set_ = build_basic_set(x, k=float(rng.choice([0.0, 0.5])))
+        if rng.random() < 0.2:
+            set_ = build_z_local_set(set_, z_locs=[(0.3,), (0.7,)], z_bws=[0.5])
+        cfg = BootConfig(B=int(rng.integers(20, 81)), seed=i)
+        keep = [1, int(rng.integers(2, 8)), 2 * set_.p][i % 3]
+        block = int(rng.choice([statistic.FIELD_BLOCK, 5]))
+        yield sample, sig, set_, cfg, keep, block
+
+
+def test_streamed_ladder_matches_dense_draws():
+    seen = dict.fromkeys(
+        ["rebuilt", "evicted", "os over kept", "dim block", "os fallback", "sd fallback",
+         "z-cells", "k = 0.5", "all kept"],
+        0,
+    )
+    for sample, sig, set_, cfg, keep, block in _streamed_cases(240):
+        with mock.patch.object(statistic, "FIELD_BLOCK", block), \
+                mock.patch.object(statistic, "KEEP_BYTES", keep * 8 * cfg.B):
+            try:
+                run = bootstrap_run(sample, sig, set_, cfg)
+            except DegenerateVarianceError:
+                continue
+            dense, _, warnings = _assert_ladder_is_naive(run, sample, sig, set_, cfg)
+        field, draws = run.field, run.draws
+        kept = min(keep, set_.p)
+        assert draws.ids.size <= kept
+        # when every scale fits, every row is kept and no block is rebuilt
+        assert draws.rebuilt == 0 or kept < set_.p
+        assert set(draws.ids.tolist()) <= set(field.active_ids.tolist())
+        np.testing.assert_array_equal(draws.rows, dense[draws.ids])
+        # the kept scales are those with the highest t
+        rest = np.setdiff1d(field.active_ids, draws.ids)
+        if rest.size and draws.ids.size:
+            assert field.t[rest].max() <= field.t[draws.ids].min()
+        dim = (field.v_hat > 0.0) & np.isnan(field.t)
+        seen["rebuilt"] += draws.rebuilt > 0
+        seen["evicted"] += int(np.count_nonzero(field.v_hat > 0.0)) > kept
+        seen["os over kept"] += run.rung("os").ids.size > kept
+        seen["dim block"] += bool(dim.any())
+        seen["os fallback"] += any(w.startswith("one-step") for w in warnings)
+        seen["sd fallback"] += any(w.startswith("step-down") for w in warnings)
+        seen["z-cells"] += set_.z_loc is not None
+        seen["k = 0.5"] += set_.k == 0.5
+        seen["all kept"] += kept >= set_.p
+    assert min(seen.values()) >= 5, seen

@@ -424,7 +424,11 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
         "panels of 0.0 MiB each (FIELD_BLOCK * (n + 1) * 8 bytes)"
         f" for one block of {statistic.FIELD_BLOCK} scales"
     )
-    assert "20 bootstrap draws of up to 0 MiB (p * B * 8 bytes) plus " + panels in obj["message"]
+    draws = (
+        f"{statistic.kept_rows(p, 20)} kept rows of 20 bootstrap draws (0 MiB, min(p, R) * B * 8"
+        " bytes with R = KEEP_BYTES // (8 * B)) and the n x B multiplier panel (0 MiB)"
+    )
+    assert draws + " plus " + panels in obj["message"]
     assert "window weights" not in obj["message"]
     monkeypatch.setattr("monotest.cli.evaluate_field", out_of_memory)
     assert main(["diag", path]) == 2

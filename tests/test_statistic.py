@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_w, naive_w_b
+from oracles import dense_draws, dense_w, field_blocks, naive_w_b
 
 from monotest import (
     BootConfig,
@@ -173,7 +173,7 @@ def test_weight_panels_stay_c_ordered_on_ties():
     for k in (0.0, 0.5, 1.0):
         set_ = build_basic_set(x, k=k)
         for s in (set_, build_z_local_set(set_, z_locs=[(0.5,)], z_bws=[0.4])):
-            for rows, lo, hi, w, b in statistic._field_blocks(sample, s, order):
+            for rows, lo, hi, w, b in field_blocks(sample, s, order):
                 assert w.flags.c_contiguous, (k, rows[0])
 
 
@@ -222,11 +222,21 @@ def _field_config(draw, ks=(0.0, 0.5, 1.0), offset=0.0, mixed=False):
     return sample, set_
 
 
-def _inactive_rows_are_minus_inf(field):
-    """Whether every draw row off ``active_ids`` is -inf."""
-    off = np.ones(field.draws.shape[0], dtype=bool)
+def _inactive_rows_are_minus_inf(draws, field):
+    """Whether every row of dense draws off ``active_ids`` is -inf."""
+    off = np.ones(draws.shape[0], dtype=bool)
     off[field.active_ids] = False
-    return bool(np.all(field.draws[off] == -np.inf))
+    return bool(np.all(draws[off] == -np.inf))
+
+
+def _check_kept(field, dense):
+    """The field's kept rows and maxima against the dense draws, bit for bit."""
+    kept = field.draws
+    assert set(kept.ids.tolist()) <= set(field.active_ids.tolist())
+    np.testing.assert_array_equal(kept.rows, dense[kept.ids])
+    np.testing.assert_array_equal(kept.maxima(field.active_ids), dense.max(axis=0))
+    ids = field.active_ids[::2]
+    np.testing.assert_array_equal(kept.maxima(ids), dense[ids].max(axis=0))
 
 
 def _check_field_against_naive(sample, set_):
@@ -235,6 +245,7 @@ def _check_field_against_naive(sample, set_):
     Then a unit-sigma field: its draws for e = I_n are, on the active
     scales, the dense rows w / sqrt(V), each entry one product with 1.0, so
     they equal the scaled engine rows bit for bit; the other rows are -inf.
+    The field keeps some of those rows, with the same bits.
     """
     W, b = dense_w(sample, set_)
     for r in range(set_.p):
@@ -251,8 +262,10 @@ def _check_field_against_naive(sample, set_):
     np.testing.assert_allclose(field.v_hat, np.sum(W * W, axis=1), rtol=1e-13, atol=0)
     active = field.active_ids
     root_v = np.sqrt(field.v_hat[active])
-    np.testing.assert_array_equal(field.draws[active], W[active] * (1.0 / root_v)[:, None])
-    assert _inactive_rows_are_minus_inf(field)
+    dense = dense_draws(sample, set_, np.ones(n), np.eye(n))
+    np.testing.assert_array_equal(dense[active], W[active] * (1.0 / root_v)[:, None])
+    assert _inactive_rows_are_minus_inf(dense, field)
+    _check_kept(field, dense)
     assert field.A_n == np.max(np.abs(W[active]).max(axis=1) / root_v)
     return W, b
 
@@ -300,9 +313,10 @@ def test_draws_match_naive_rows(config, block, seed):
             field = evaluate_field(sample, set_, sig, e)
         except DegenerateVarianceError:
             return
-    got = field.draws
+        got = dense_draws(sample, set_, sig, e)
     assert got.shape == (set_.p, 3)
-    assert _inactive_rows_are_minus_inf(field)
+    assert _inactive_rows_are_minus_inf(got, field)
+    _check_kept(field, got)
     for r in field.active_ids:
         w = naive_w_b(sample, set_, r)[0]
         a = w / np.sqrt(np.sum(sig * sig * w * w))
@@ -330,10 +344,12 @@ def test_draws_on_spans_mixing_ties_match_naive(config, block, seed):
             field = evaluate_field(sample, set_, sig, e)
         except DegenerateVarianceError:
             return
+        draws = dense_draws(sample, set_, sig, e)
     sig2 = sig * sig
     active = np.zeros(set_.p, dtype=bool)
     active[field.active_ids] = True
-    assert _inactive_rows_are_minus_inf(field)
+    assert _inactive_rows_are_minus_inf(draws, field)
+    _check_kept(field, draws)
     for r in range(set_.p):
         w, b, scale_w, scale_b = naive_w_b(sample, set_, r)
         assert abs(field.b[r] - b) <= 1e-10 * scale_b
@@ -346,7 +362,7 @@ def test_draws_on_spans_mixing_ties_match_naive(config, block, seed):
             root_v = np.sqrt(field.v_hat[r])
             a = w / root_v
             bound = tol / root_v * np.abs(e).sum(axis=0)
-            assert np.all(np.abs(field.draws[r] - a @ e) <= bound + 1e-12 * (np.abs(a) @ np.abs(e)))
+            assert np.all(np.abs(draws[r] - a @ e) <= bound + 1e-12 * (np.abs(a) @ np.abs(e)))
 
 
 def test_draws_skip_inactive_scales_within_and_across_blocks():
@@ -362,9 +378,10 @@ def test_draws_skip_inactive_scales_within_and_across_blocks():
     )
     e = rng.normal(size=(41, 4))
     with mock.patch.object(statistic, "FIELD_BLOCK", 2):
-        blocks = [rows.tolist() for rows, *_ in statistic._field_blocks(sample, set_, np.arange(41))]
+        blocks = [rows.tolist() for rows, *_ in field_blocks(sample, set_, np.arange(41))]
         field = evaluate_field(sample, set_, sig, e)
-        dense = evaluate_field(sample, set_, sig, np.eye(41)).draws
+        draws = dense_draws(sample, set_, sig, e)
+        dense = dense_draws(sample, set_, sig, np.eye(41))
     assert blocks == [[0, 1], [3, 4], [5, 6]]
     np.testing.assert_array_equal(field.active_ids, [0, 5, 6])
     assert field.b[[1, 3, 4]].all()  # live windows, not empty ones
@@ -373,8 +390,9 @@ def test_draws_skip_inactive_scales_within_and_across_blocks():
         a = w / np.sqrt(field.v_hat[r])
         np.testing.assert_allclose(dense[r], a, rtol=0, atol=1e-13 * np.abs(a).max())
     ids = field.active_ids
-    np.testing.assert_allclose(field.draws[ids], dense[ids] @ e, rtol=1e-13, atol=1e-15)
-    assert _inactive_rows_are_minus_inf(field)
+    np.testing.assert_allclose(draws[ids], dense[ids] @ e, rtol=1e-13, atol=1e-15)
+    assert _inactive_rows_are_minus_inf(draws, field)
+    _check_kept(field, draws)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -399,30 +417,28 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
     fields = []
     for block in (1, 128, statistic.FIELD_BLOCK):
         with mock.patch.object(statistic, "FIELD_BLOCK", block):
-            fields.append(
-                (
-                    dense_w(sample, set_),
-                    evaluate_field(sample, set_, sig, np.eye(n)),
-                    evaluate_field(sample, set_, sig, e),
-                )
-            )
-    arrays, dense, f = fields[-1]
+            f = evaluate_field(sample, set_, sig, e)
+            draws = dense_draws(sample, set_, sig, e)
+            _check_kept(f, draws)
+            dense = dense_draws(sample, set_, sig, np.eye(n))
+            fields.append((dense_w(sample, set_), dense, f, draws))
+    arrays, dense, f, draws = fields[-1]
     ids = f.active_ids
-    A = dense.draws[ids]
+    A = dense[ids]
     scale = np.abs(A) @ np.abs(e)
-    np.testing.assert_allclose(f.draws[ids], A @ e, rtol=0, atol=1e-13 * scale.max())
-    assert _inactive_rows_are_minus_inf(f) and _inactive_rows_are_minus_inf(dense)
-    for other_arrays, other_dense, other in fields[:-1]:
+    np.testing.assert_allclose(draws[ids], A @ e, rtol=0, atol=1e-13 * scale.max())
+    assert _inactive_rows_are_minus_inf(draws, f) and _inactive_rows_are_minus_inf(dense, f)
+    for other_arrays, other_dense, other, other_draws in fields[:-1]:
         for a_other, a in zip(other_arrays, arrays):
             assert a_other.tobytes() == a.tobytes()
         # with e = I every draw is one row entry times 1.0 plus exact zeros
-        np.testing.assert_array_equal(other_dense.draws, dense.draws)
+        np.testing.assert_array_equal(other_dense, dense)
         for name in ("b", "v_hat", "t", "active_ids"):
             assert getattr(other, name).tobytes() == getattr(f, name).tobytes(), name
         assert (other.T, other.A_n) == (f.T, f.A_n)
         # the draws' matrix products differ by panel shape, so only in rounding
-        assert np.all(np.abs(other.draws[ids] - f.draws[ids]) <= 1e-13 * scale)
-        assert _inactive_rows_are_minus_inf(other)
+        assert np.all(np.abs(other_draws[ids] - draws[ids]) <= 1e-13 * scale)
+        assert _inactive_rows_are_minus_inf(other_draws, other)
 
 
 def test_peak_memory_is_four_block_panels_plus_the_draws():
@@ -432,13 +448,15 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     # b's (y - y_lo) * w panel comes after g is dropped), and no panel
     # outlives its block.  Beside them there are
     # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
-    # masks) and a few n-vectors.  A test run adds the draws, one row of B
-    # per scale, and a single n x B multiplier panel: the bootstrap hands the
+    # masks) and a few n-vectors.  A test run adds the kept draws, one row of
+    # B for each of at most kept_rows(p, B) scales, one B-vector of maxima
+    # per block, and a single n x B multiplier panel: the bootstrap hands the
     # sigma-scaled panel over as a temporary, and the field drops it once it
     # holds the sorted copy.  Two panels meet only before the blocks start,
-    # so the run stays well under p x B plus one and a half panels.
+    # so the run stays well under the kept rows plus one and a half panels.
+    # B is large enough that p rows of draws would be several times that.
     rng = np.random.default_rng(71)
-    n, B = 2000, 50
+    n, B = 2000, 500
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
     set_ = build_basic_set(sample.x)
     sig = estimate_sigma(sample, "rice")
@@ -455,7 +473,10 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
             tracemalloc.stop()
     field_bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
     assert peaks["field"] < field_bound, (peaks, field_bound)
-    boot_bound = set_.p * B * 8 + 1.5 * n * B * 8
+    kept = statistic.kept_rows(set_.p, B)
+    blocks = -(-set_.p // statistic.FIELD_BLOCK)
+    boot_bound = kept * B * 8 + 1.5 * n * B * 8 + blocks * B * 8
+    assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
 
@@ -581,8 +602,9 @@ def test_apply_reproduces_t():
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
     field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40), y)
     # the rows are w / sqrt(v): their draws for e = y recover the t values
-    ids = field.active_ids
-    np.testing.assert_allclose(field.draws[ids], field.t[ids], rtol=0, atol=1e-10)
+    ids = field.draws.ids
+    np.testing.assert_array_equal(np.sort(ids), field.active_ids)
+    np.testing.assert_allclose(field.draws.rows[:, 0], field.t[ids], rtol=0, atol=1e-10)
 
 
 def test_sensitivity_matches_field():
