@@ -95,15 +95,14 @@ class Rung:
 class BootRun:
     """Everything one wild-bootstrap pass produces, on a single shared panel.
 
-    ``draws`` is the field's ``KeptDraws`` of t*_b(s): it gives the
-    per-draw maxima over any set of active scales, and holds the draws of
-    the scales with the highest t.  ``ladder`` holds the selected sets in
-    step order: the plug-in set, the one-step set, then every set the
-    step-down passes move to.
+    ``field.draws`` is the ``KeptDraws`` of t*_b(s): it gives the per-draw
+    maxima over any set of active scales, and holds the draws of the scales
+    with the highest t.  ``ladder`` holds the selected sets in step order:
+    the plug-in set, the one-step set, then every set the step-down passes
+    move to.
     """
 
     field: StudentizedField
-    draws: KeptDraws
     ladder: tuple[Rung, ...]
     stepdown_iterations: int
     warnings: tuple[str, ...]
@@ -196,9 +195,8 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     sig = _sigma_values(sigma, sample.n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     field = evaluate_field(sample, set_, sig, _multipliers(gen, sig, cfg.B))
-    draws = field.draws
 
-    ladder = [_rung(field.active_ids, draws, cfg)]
+    ladder = [_rung(field.active_ids, field.draws, cfg)]
     warnings: list[str] = []
     # step 0 is the one-step selection, step k >= 1 the k-th step-down pass
     for step in itertools.count():
@@ -210,10 +208,10 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
         if emptied:
             ids = _pick_fallback(gen, last.ids)
             warnings.append(_FALLBACK_WARNINGS[min(step, 1)])
-        ladder.append(_rung(ids, draws, cfg))
+        ladder.append(_rung(ids, field.draws, cfg))
         if step and emptied:
             break
-    return BootRun(field, draws, tuple(ladder), step, tuple(warnings))
+    return BootRun(field, tuple(ladder), step, tuple(warnings))
 
 
 def run_report(

@@ -30,9 +30,10 @@ field costs O(FIELD_BLOCK * n + p) bytes.  Given bootstrap multipliers e
 (n x B), the engine forms each block's draws as one matrix product of its
 panel, folds them into the block's per-draw maximum, offers them to a
 store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
-and drops them.  It keeps the sorted copy of e, which replaces e itself if
-the caller passed a temporary, to rebuild any block whose rows a selection
-needs and the store lacks.  So a field with draws costs
+and drops them.  A selection reads a block's maximum if it holds the whole
+block, and else the kept rows; the field keeps the sorted copy of e, which
+replaces e itself if the caller passed a temporary, to rebuild a block only
+when one of those rows is not kept.  So a field with draws costs
 O(FIELD_BLOCK * n + n * B + R * B + p) bytes, plus one B-vector of maxima
 per block of FIELD_BLOCK scales.
 """
@@ -75,7 +76,7 @@ FIELD_BLOCK = 64
 # A field with B bootstrap draws keeps the draws of at most
 # KEEP_BYTES // (8 * B) scales, those with the highest t.  Every selected set
 # of the critical-value ladder but the first is an upper set of t, so a set
-# that fits is read from the kept rows alone.  8 MiB is 2,097 rows at
+# that fits needs no block built again.  8 MiB is 2,097 rows at
 # B = 500: every row of an n = 200 set (p = 800), and the one-step set of
 # an n = 2000 test.
 KEEP_BYTES = 8 << 20
@@ -336,12 +337,14 @@ class KeptDraws:
     """A field's bootstrap draws, held in memory that does not grow with p.
 
     ``maxima(ids)`` gives the per-draw maxima of the draws over any set of
-    active scale ids.  Over the whole active set it takes one maximum per
-    block, folded in as the engine formed the block.  Over any other set it
-    reads the kept rows, and rebuilds the block of each scale that is not
-    kept.  A rebuilt block has the same panel, scaling and product shape,
-    so every draw has the same bits whichever way it is read, and the
-    maxima are exact.
+    active scale ids, by one rule for every block.  A block whose rows with
+    V > 0 are all in the set answers with the maximum folded in as the
+    engine formed it.  Any other block's rows in the set are read from the
+    kept rows, and the block is rebuilt when one of them is not kept.  A
+    rebuilt block has the same panel, scaling and product shape, so every
+    draw has the same bits whichever way it is read, and the maxima are
+    exact.  A block with a row of 0 < V <= tau folded that row in, but no
+    set of active ids holds it, so the rule never reads that maximum.
 
     ``ids`` are the kept scales: of the scales with V > 0, the at most
     ``kept_rows(p, B)`` with the highest t, less any found inactive.
@@ -356,14 +359,12 @@ class KeptDraws:
         for j, rows in enumerate(blocks):
             self._block_of[rows] = j
         keep = kept_rows(p, B)
-        self._slot = np.full(p, -1, dtype=np.intp)  # each scale's kept row, or -1
-        self._id = np.full(keep, -1, dtype=np.intp)  # each kept row's scale, or -1
-        self._t = np.empty(keep)
+        # the store starts empty: every row has id -1 and t = -inf
+        self._id = np.full(keep, -1, dtype=np.intp)
+        self._t = np.full(keep, -np.inf)
         self._rows = np.empty((keep, B))
-        self._used = 0
+        self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
-        self._all = None
-        self._active = 0
         self.rebuilt = 0
 
     @property
@@ -377,75 +378,51 @@ class KeptDraws:
     def _add(self, j: int, b_rows, v_rows, d) -> None:
         """Fold block j's draws d into its maximum and offer its rows with V > 0."""
         live = np.flatnonzero(v_rows > 0.0)
-        if not live.size:
-            self._block_max[j] = -np.inf
-            return
+        self._folded[j] = live.size
         if live.size < d.shape[0]:
             d = d[live]
-        self._block_max[j] = d.max(axis=0)
+        self._block_max[j] = d.max(axis=0, initial=-np.inf)
         # t exactly as the field computes it
         t = b_rows[live] / np.sqrt(v_rows[live])
-        ids = self._blocks[j][live]
-        n_fill = min(live.size, self._id.size - self._used)
-        if n_fill:
-            slots = np.arange(self._used, self._used + n_fill)
-            self._put(slots, ids[:n_fill], t[:n_fill], d[:n_fill])
-            self._used += n_fill
-        if n_fill < live.size:
-            # the store is full: of its rows and the rest, the kept number
-            # with the highest t stay, and each newcomer takes the row of
-            # one it beat
+        # each newcomer that stays takes the row of one that goes: an empty
+        # row while there are enough of them, else of the kept rows and these
+        # the live.size with the lowest t go (an empty row has t = -inf)
+        out = np.flatnonzero(self._id < 0)[: live.size]
+        comers = slice(None)  # every newcomer
+        if out.size < live.size:
             keep = self._t.size
-            rest = np.arange(n_fill, live.size)
-            order = np.argpartition(np.concatenate((self._t, t[rest])), rest.size)
-            out = order[: rest.size]
-            out = out[out < keep]
-            comers = order[rest.size :]
-            comers = rest[comers[comers >= keep] - keep]
-            self._slot[self._id[out]] = -1
-            self._put(out, ids[comers], t[comers], d[comers])
+            goes = np.zeros(keep + live.size, dtype=bool)
+            goes[np.argpartition(np.concatenate((self._t, t)), live.size - 1)[: live.size]] = True
+            out = np.flatnonzero(goes[:keep])
+            comers = np.flatnonzero(~goes[keep:])
+        self._rows[out] = d[comers]
+        self._t[out] = t[comers]
+        self._id[out] = self._blocks[j][live[comers]]
 
-    def _put(self, slots, ids, t, rows) -> None:
-        self._rows[slots] = rows
-        self._t[slots] = t
-        self._id[slots] = ids
-        self._slot[ids] = slots
-
-    def _finish(self, active: np.ndarray, v: np.ndarray) -> None:
-        """Drop the kept rows and the block maxima of scales with 0 < V <= tau."""
-        held = self._id >= 0
-        gone = np.flatnonzero(held)[~active[self._id[held]]]
-        self._slot[self._id[gone]] = -1
-        self._id[gone] = -1
-        for j in np.unique(self._block_of[(v > 0.0) & ~active]):
-            rows = self._blocks[j]
-            self._block_max[j] = self._over(rows[active[rows]])
-        self._all = self._block_max.max(axis=0)
-        self._all.flags.writeable = False
-        self._block_max = None
-        self._active = int(np.count_nonzero(active))
-
-    def _over(self, ids: np.ndarray) -> np.ndarray:
-        # want[-1] is False, so an empty slot's id -1 selects nothing
-        want = np.zeros(self._slot.size + 1, dtype=bool)
-        want[ids] = True
-        out = self._rows.max(axis=0, initial=-np.inf, where=want[self._id][:, None])
-        for j in np.unique(self._block_of[ids[self._slot[ids] < 0]]):
-            d = self._draw_block(j)
-            self.rebuilt += 1
-            rows = want[self._blocks[j]][:, None]
-            np.maximum(out, d.max(axis=0, initial=-np.inf, where=rows), out=out)
-        return out
+    def _finish(self, active: np.ndarray) -> None:
+        """Drop the kept rows of scales with 0 < V <= tau."""
+        # an empty row's id -1 reads some scale's flag, and stays -1 either way
+        self._id[~active[self._id]] = -1
 
     def maxima(self, ids) -> np.ndarray:
-        """Per-draw maxima of the draws over the given active scale ids.
-
-        The maxima over the whole active set are one read-only array.
-        """
+        """Per-draw maxima of the draws over the given active scale ids."""
         ids = np.asarray(ids, dtype=np.intp)
-        if ids.size == self._active:
-            return self._all
-        return self._over(ids)
+        j_of = self._block_of[ids]
+        whole = np.bincount(j_of, minlength=self._folded.size) == self._folded
+        out = self._block_max[whole].max(axis=0, initial=-np.inf)
+        # want[-1] is False, so an empty row's id -1 selects nothing
+        want = np.zeros(self._block_of.size + 1, dtype=bool)
+        want[ids[~whole[j_of]]] = True
+        # FIELD_BLOCK kept rows at a time: no copy is larger than a block's draws
+        kept = np.flatnonzero(want[self._id])
+        for k in range(0, kept.size, FIELD_BLOCK):
+            np.maximum(out, self._rows[kept[k : k + FIELD_BLOCK]].max(axis=0), out=out)
+        want[self._id] = False
+        for j in np.unique(j_of[want[ids]]):
+            d = self._draw_block(j)
+            self.rebuilt += 1
+            np.maximum(out, d[want[self._blocks[j]]].max(axis=0), out=out)
+        return out
 
 
 def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> StudentizedField:
@@ -532,7 +509,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         raise DegenerateVarianceError("degenerate variance on every scale")
     active_ids = np.flatnonzero(active)
     if draws is not None:
-        draws._finish(active, v)
+        draws._finish(active)
     t = np.full(p, np.nan)
     root_v = np.sqrt(v[active])
     t[active] = b[active] / root_v

@@ -107,8 +107,8 @@ def test_run_is_deterministic():
     run2 = bootstrap_run(sample, sig, set_, cfg)
     dense = run_draws(sample, set_, sig, cfg)
     for run in (run1, run2):
-        np.testing.assert_array_equal(run.draws.rows, dense[run.draws.ids])
-    np.testing.assert_array_equal(run1.draws.ids, run2.draws.ids)
+        np.testing.assert_array_equal(run.field.draws.rows, dense[run.field.draws.ids])
+    np.testing.assert_array_equal(run1.field.draws.ids, run2.field.draws.ids)
     assert len(run1.ladder) == len(run2.ladder)
     for r1, r2 in zip(run1.ladder, run2.ladder):
         assert (r1.c, r1.c_gamma) == (r2.c, r2.c_gamma)
@@ -118,7 +118,7 @@ def test_run_is_deterministic():
     cfg3 = BootConfig(B=cfg.B, seed=cfg.seed + 1)
     run3 = bootstrap_run(sample, sig, set_, cfg3)
     other = run_draws(sample, set_, sig, cfg3)
-    np.testing.assert_array_equal(run3.draws.rows, other[run3.draws.ids])
+    np.testing.assert_array_equal(run3.field.draws.rows, other[run3.field.draws.ids])
     assert not np.array_equal(dense, other)
     assert not np.array_equal(run1.rung("pi").maxima, run3.rung("pi").maxima)
 
@@ -145,16 +145,16 @@ def test_draws_shape_and_maxima():
         inactive = np.setdiff1d(np.arange(p), run.field.active_ids)
         assert np.all(dense[inactive] == -np.inf)
         # every row fits: all active scales are kept, with the engine's bits
-        np.testing.assert_array_equal(np.sort(run.draws.ids), run.field.active_ids)
-        np.testing.assert_array_equal(run.draws.rows, dense[run.draws.ids])
-        assert run.draws.rows.shape == (run.field.active_ids.size, 64)
+        np.testing.assert_array_equal(np.sort(run.field.draws.ids), run.field.active_ids)
+        np.testing.assert_array_equal(run.field.draws.rows, dense[run.field.draws.ids])
+        assert run.field.draws.rows.shape == (run.field.active_ids.size, 64)
         np.testing.assert_array_equal(run.rung("pi").maxima, dense.max(axis=0))
         for rung in run.ladder:
             np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
         assert run.rung("pi") is run.ladder[0]
         assert run.rung("os") is run.ladder[1]
         assert run.rung("sd") is run.ladder[-1]
-        assert run.draws.rebuilt == 0
+        assert run.field.draws.rebuilt == 0
         runs.append(run)
     assert runs[1].rung("os").ids.size < runs[1].field.active_ids.size
     assert runs[2].rung("sd").ids.size < runs[2].rung("os").ids.size
@@ -321,7 +321,8 @@ def test_streamed_ladder_matches_dense_draws():
             except DegenerateVarianceError:
                 continue
             dense, _, warnings = _assert_ladder_is_naive(run, sample, sig, set_, cfg)
-        field, draws = run.field, run.draws
+        field = run.field
+        draws = field.draws
         kept = min(keep, set_.p)
         assert draws.ids.size <= kept
         # when every scale fits, every row is kept and no block is rebuilt

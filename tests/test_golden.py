@@ -88,6 +88,9 @@ CASES = {
     # every scale far below the selection threshold, so both selections keep a
     # fallback scale; a one-point window leaves one of the 120 scales inactive
     "test_fallback": ["test", "steep.csv", "--sigma", "residual", *FAST],
+    # B = 20,000 keeps R = 52 of 240 scales' draws, so the store evicts rows and
+    # the one-step and step-down sets rebuild blocks
+    "test_evict_rebuild": ["test", "main.csv", "--boot", "20000", "--seed", "5"],
 }
 
 

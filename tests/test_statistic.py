@@ -395,6 +395,29 @@ def test_draws_skip_inactive_scales_within_and_across_blocks():
     _check_kept(field, draws)
 
 
+def test_whole_blocks_answer_from_their_maxima():
+    # three kept rows of five blocks: the active set less its last scale
+    # holds every block whole but the last, so only that one may be rebuilt
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-1.0, 1.0, 100)
+    sample = Sample(x=x, y=x + 0.3 * rng.standard_normal(100))
+    set_ = build_basic_set(x)
+    sig = np.ones(100)
+    e = rng.standard_normal((100, 40))
+    with mock.patch.object(statistic, "KEEP_BYTES", 3 * 8 * 40):
+        field = evaluate_field(sample, set_, sig, e)
+    dense = dense_draws(sample, set_, sig, e)
+    draws = field.draws
+    assert draws.ids.size == 3 and set_.p > 4 * statistic.FIELD_BLOCK
+    # no scale with 0 < V <= tau, which would keep its block from being whole
+    np.testing.assert_array_equal(np.flatnonzero(field.v_hat > 0.0), field.active_ids)
+    ids = field.active_ids
+    np.testing.assert_array_equal(draws.maxima(ids), dense.max(axis=0))
+    assert draws.rebuilt == 0
+    np.testing.assert_array_equal(draws.maxima(ids[:-1]), dense[ids[:-1]].max(axis=0))
+    assert draws.rebuilt <= 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(20, 70),
