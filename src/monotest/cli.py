@@ -37,6 +37,7 @@ from .errors import DataError, DegenerateVarianceError
 from .models import (
     additive_adjust,
     additive_series_fit,
+    check_correction_degree,
     endogenous_adjust,
     partial_linear_adjust,
     selection_adjust,
@@ -258,6 +259,7 @@ def _prepare_case(args):
             Sample(x, y, z=z), first_stage_degree=args.first_stage_degree
         ).base
     elif model == "additive":
+        check_correction_degree(args.L)
         fit = additive_series_fit(x, z, y, L=args.L)
         g_hat = partial(fit.predict, blocks=range(1, 1 + z.shape[1]))
         base = additive_adjust(Sample(x, y, z=z), g_hat).base

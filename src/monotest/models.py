@@ -42,6 +42,12 @@ class AdjustedSample:
     nuisance: dict
 
 
+def check_correction_degree(L: int) -> None:
+    """Reject L < 1: a degree-0 series has no g or lambda block, so it subtracts nothing."""
+    if L < 1:
+        raise DataError(f"--L must be >= 1, got {L}: a degree-0 series has no correction block")
+
+
 def additive_series_fit(x, z, y, L: int = 4) -> SeriesFit:
     """Fit y on additive polynomial blocks in x and in each column of z.
 
@@ -133,6 +139,7 @@ def endogenous_adjust(x, u, y, first_stage_degree: int = 3, L: int = 4) -> Adjus
         u = u.reshape(-1, 1)
     if x.size != y.size or u.shape[0] != x.size:
         raise DataError("x, u, y must share the number of rows")
+    check_correction_degree(L)
 
     names = [f"u[{j}] block" for j in range(u.shape[1])]
     z_hat = x - series_fit(u, x, first_stage_degree, names).fitted
@@ -174,6 +181,7 @@ def selection_adjust(x, z, d, y, pscore_degree: int = 3, L: int = 4) -> Adjusted
     n = x.size
     if y.size != n or d.size != n or z.shape[0] != n:
         raise DataError("x, z, d, y must share the number of rows")
+    check_correction_degree(L)
     d_vals = np.unique(d)
     if not np.all(np.isin(d_vals, (0, 1))):
         raise DataError(f"selection indicator must be binary 0/1, found values {d_vals}")

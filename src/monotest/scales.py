@@ -186,9 +186,12 @@ def build_custom_set(
     k: float = 0.0,
     kernel: Kernel = EPANECHNIKOV,
 ) -> ScaleSet:
-    """Cartesian product of explicit locations and bandwidths (bandwidth-major order)."""
-    locs = np.asarray(locations, dtype=float).reshape(-1)
-    bws = np.asarray(bandwidths, dtype=float).reshape(-1)
+    """Cartesian product of explicit locations and bandwidths (bandwidth-major order).
+
+    A repeated location or bandwidth counts once, at its first occurrence.
+    """
+    locs, bws = (np.asarray(v, dtype=float).reshape(-1) for v in (locations, bandwidths))
+    locs, bws = (v[np.sort(np.unique(v, return_index=True)[1])] for v in (locs, bws))
     if locs.size == 0 or bws.size == 0:
         raise ValueError("locations and bandwidths must be non-empty")
     return ScaleSet(np.tile(locs, bws.size), np.repeat(bws, locs.size), k, kernel)

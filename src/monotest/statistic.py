@@ -32,8 +32,8 @@ panel, folds them into the block's per-draw maximum, offers them to a
 store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
 and drops them.  A selection reads a block's maximum if it holds the whole
 block, and else the kept rows; the field keeps the sorted copy of e, which
-replaces e itself if the caller passed a temporary, to rebuild a block only
-when one of those rows is not kept.  So a field with draws costs
+replaces e itself if the caller passed a temporary, to rebuild a block with
+the same block step only when one of those rows is not kept.  So a field with draws costs
 O(FIELD_BLOCK * n + n * B + R * B + p) bytes, plus one B-vector of maxima
 per block of FIELD_BLOCK scales.
 """
@@ -77,8 +77,10 @@ FIELD_BLOCK = 64
 # KEEP_BYTES // (8 * B) scales, those with the highest t.  Every selected set
 # of the critical-value ladder but the first is an upper set of t, so a set
 # that fits needs no block built again.  8 MiB is 2,097 rows at
-# B = 500: every row of an n = 200 set (p = 800), and the one-step set of
-# an n = 2000 test.
+# B = 500: every row of an n = 200 set (p = 800).  On the benchmark's
+# seed-0 inputs (n = 2000), the z-cell set with ties has a one-step set of
+# 1,385 scales and rebuilds no block; the partial-linear set's ladder runs
+# 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 8, 6 and 6 blocks.
 KEEP_BYTES = 8 << 20
 
 
@@ -243,20 +245,26 @@ def _block_k1(g, xs, lo, hi):
     return g * (cxg[ends][:, None] - xc * cg[ends][:, None])
 
 
-def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray):
-    """The blocks of live scales, every scale's window, and the block function.
+def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray):
+    """The blocks of live scales, every scale's window, and the block step.
 
     A scale is live when its window, in sorted order ``order``, holds a pair
     with nonzero sign; the others have w = 0 and b = 0 and are in no block.
     ``blocks`` lists the scale ids of each block, at most FIELD_BLOCK
     consecutive live scales, and sorted[lo : hi] are the windows.
-    ``block(rows)`` gives a block's (w, b): ``w`` the (rows x span) panel of
-    its weights over the span sorted[lo.min() : hi.max()], zero outside each
-    window, and ``b`` each scale's test function, the sum over its window of
-    (y - y_lo) * w with y_lo the sorted y at the window's first point.  Its
-    first cell is (+0) * (w >= 0), so constant y gives b = +0, and on
-    lattice y a dyadic shift of y moves no bit of b.  A block built again
-    has the same bits.
+
+    ``step(rows, es=None)`` gives a block's (w, b, V, max|w|, draws).  ``w``
+    is the (rows x span) panel of its weights over the span
+    sorted[lo.min() : hi.max()], zero outside each window.  ``b`` is each
+    scale's test function, the sum over its window of (y - y_lo) * w with
+    y_lo the sorted y at the window's first point; its first cell is
+    (+0) * (w >= 0), so constant y gives b = +0, and on lattice y a dyadic
+    shift of y moves no bit of b.  V sums sig2 * w * w over each window, for
+    the sorted variances ``sig2``, and max|w| is taken before any scaling.
+    Given the sorted multipliers ``es`` (n x B), the step scales w in place
+    to w / sqrt(V), 0 where V = 0, and its draws are one product of that
+    panel with the span's rows of es; else the draws are None.  A block
+    stepped again has the same bits.
 
     Only the double loop of a general k runs per scale; everything else
     runs once per block.
@@ -276,10 +284,11 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray):
     if zcell:
         zs = sample.z[order]
 
-    def block(rows):
+    def step(rows, es=None):
         # a function, so that none of its panels outlives the block
         wlo, whi = lo[rows], hi[rows]
-        span = slice(int(wlo.min()), int(whi.max()))
+        a = int(wlo.min())
+        span = slice(a, int(whi.max()))
         # the kernel is zero where |u| >= support, which is outside the window
         g = np.asarray(set_.kernel((xs[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
         if zcell:
@@ -296,16 +305,26 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray):
         else:
             w = np.zeros_like(g)
             for r, (l, h) in enumerate(zip(wlo.tolist(), whi.tolist())):
-                win = slice(l - span.start, h - span.start)
+                win = slice(l - a, h - a)
                 w[r, win] = _window_weights(xs[l:h], g[r, win], k)
-        del g  # before b's panel of (y - y_lo) * w
-        dy = np.subtract(ys[span], ys[wlo][:, None])
-        dy *= w
-        return w, _window_sums(dy, wlo - span.start, whi - span.start)
+        del g  # before one more panel: (y - y_lo) * w for b, then |w|, then sig2 * w * w
+        panel = np.subtract(ys[span], ys[wlo][:, None])
+        panel *= w
+        b = _window_sums(panel, wlo - a, whi - a)
+        np.abs(w, out=panel)
+        absmax = panel.max(axis=1)
+        np.multiply(w, w, out=panel)
+        panel *= sig2[span]
+        v = _window_sums(panel, wlo - a, whi - a)
+        del panel  # before the draws
+        if es is None:
+            return w, b, v, absmax, None
+        w *= np.divide(1.0, np.sqrt(v), out=np.zeros(v.size), where=v > 0.0)[:, None]
+        return w, b, v, absmax, w @ es[span]
 
     ids = np.flatnonzero(live)
     blocks = [ids[start : start + FIELD_BLOCK] for start in range(0, ids.size, FIELD_BLOCK)]
-    return blocks, lo, hi, block
+    return blocks, lo, hi, step
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -319,18 +338,6 @@ def _sigma_values(sigma, n: int) -> np.ndarray:
 def kept_rows(p: int, B: int) -> int:
     """How many scales' draws a field of p scales and B draws keeps."""
     return min(p, max(1, KEEP_BYTES // (8 * B)))
-
-
-def _draw_rows(w: np.ndarray, v_rows: np.ndarray, es_span: np.ndarray) -> np.ndarray:
-    """A block's draws: each row of w scaled in place to w / sqrt(V), times e.
-
-    Rows with V = 0 are inactive and scaled to zero.
-    """
-    nonzero = v_rows > 0.0
-    f = np.zeros(v_rows.size)
-    f[nonzero] = 1.0 / np.sqrt(v_rows[nonzero])
-    w *= f[:, None]
-    return w @ es_span
 
 
 class KeptDraws:
@@ -384,17 +391,14 @@ class KeptDraws:
         self._block_max[j] = d.max(axis=0, initial=-np.inf)
         # t exactly as the field computes it
         t = b_rows[live] / np.sqrt(v_rows[live])
-        # each newcomer that stays takes the row of one that goes: an empty
-        # row while there are enough of them, else of the kept rows and these
-        # the live.size with the lowest t go (an empty row has t = -inf)
-        out = np.flatnonzero(self._id < 0)[: live.size]
-        comers = slice(None)  # every newcomer
-        if out.size < live.size:
-            keep = self._t.size
-            goes = np.zeros(keep + live.size, dtype=bool)
-            goes[np.argpartition(np.concatenate((self._t, t)), live.size - 1)[: live.size]] = True
-            out = np.flatnonzero(goes[:keep])
-            comers = np.flatnonzero(~goes[keep:])
+        # of the kept rows and these, the live.size with the lowest t go, so an
+        # empty row (t = -inf) goes first; each newcomer that stays takes the
+        # row of one that goes
+        keep = self._t.size
+        goes = np.zeros(keep + live.size, dtype=bool)
+        goes[np.argpartition(np.concatenate((self._t, t)), live.size - 1)[: live.size]] = True
+        out = np.flatnonzero(goes[:keep])
+        comers = np.flatnonzero(~goes[keep:])
         self._rows[out] = d[comers]
         self._t[out] = t[comers]
         self._id[out] = self._blocks[j][live[comers]]
@@ -419,9 +423,8 @@ class KeptDraws:
             np.maximum(out, self._rows[kept[k : k + FIELD_BLOCK]].max(axis=0), out=out)
         want[self._id] = False
         for j in np.unique(j_of[want[ids]]):
-            d = self._draw_block(j)
             self.rebuilt += 1
-            np.maximum(out, d[want[self._blocks[j]]].max(axis=0), out=out)
+            np.maximum(out, self._draw_block(j)[want[self._blocks[j]]].max(axis=0), out=out)
         return out
 
 
@@ -462,47 +465,27 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             raise DataError(f"z_loc dimension {d_loc} does not match z dimension {d}")
     sig = _sigma_values(sigma, sample.n)
     order = _sort_order(sample)
-    sig2 = (sig * sig)[order]
     p = set_.p
     b = np.zeros(p)
     v = np.zeros(p)
     absmax = np.zeros(p)
-    es = None
+    es = draws = None
     if e is not None:
         es = np.asarray(e, dtype=float)
         if es.ndim == 0 or es.shape[0] != sample.n:
             raise DataError(f"e must have one row per observation ({sample.n})")
+        # sorted; if the caller passed a temporary e, only this copy stays alive
         es = es.reshape(sample.n, -1)[order]
-        # e in observation order is no longer needed: if the caller passed a
-        # temporary, only one copy of it stays alive through the blocks
         del e
-    blocks, lo, hi, block = _field_engine(sample, set_, order)
-
-    def draw_block(j):
-        # the loop's product again, on the same panel
-        rows = blocks[j]
-        w = block(rows)[0]
-        a = int(lo[rows].min())
-        return _draw_rows(w, v[rows], es[a : a + w.shape[1]])
-
-    draws = None if es is None else KeptDraws(p, es.shape[1], blocks, draw_block)
+    blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order])
+    if es is not None:
+        # a rebuild is the loop's step again, so its draws have the same bits
+        draws = KeptDraws(p, es.shape[1], blocks, lambda j: step(blocks[j], es)[4])
     for j, rows in enumerate(blocks):
-        w, b_rows = block(rows)
-        wlo, whi = lo[rows], hi[rows]
-        a = int(wlo.min())
-        span = slice(a, a + w.shape[1])
-        b[rows] = b_rows
-        panel = np.abs(w)
-        absmax[rows] = panel.max(axis=1)
-        np.multiply(w, w, out=panel)
-        panel *= sig2[span]
-        v_rows = _window_sums(panel, wlo - a, whi - a)
-        v[rows] = v_rows
-        del panel
+        w, b[rows], v[rows], absmax[rows], d = step(rows, es)
         if draws is not None:
-            # the block's draws, formed while its panel is at hand
-            draws._add(j, b_rows, v_rows, _draw_rows(w, v_rows, es[span]))
-        del w  # before the engine builds the next block
+            draws._add(j, b[rows], v[rows], d)
+        del w, d  # before the engine builds the next block
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():

@@ -50,10 +50,13 @@ def naive_w_b(sample, set_, r):
 
 
 def field_blocks(sample, set_, order):
-    """Generate the engine's (rows, lo, hi, w, b) per block, in its block order."""
-    blocks, lo, hi, block = statistic._field_engine(sample, set_, order)
+    """Generate the engine's (rows, lo, hi, w, b) per block, in its block order.
+
+    The block step runs without multipliers, so w is the raw weight panel.
+    """
+    blocks, lo, hi, step = statistic._field_engine(sample, set_, order, np.ones(sample.n))
     for rows in blocks:
-        yield (rows, lo[rows], hi[rows], *block(rows))
+        yield (rows, lo[rows], hi[rows], *step(rows)[:2])
 
 
 def dense_w(sample, set_):

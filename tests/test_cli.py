@@ -218,8 +218,14 @@ def test_cmd_test_custom_columns_and_h_set(tmp_path, capsys):
         "--h-set", "0.9,0.45", "--boot", "30",
     ])
     assert rc == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["p_scales"] == 2 * len(np.unique(x))
+    out = capsys.readouterr().out
+    assert json.loads(out)["p_scales"] == 2 * len(np.unique(x))
+    # a repeated bandwidth counts once: the same scales, the same report
+    main([
+        "test", path, "--x-col", "reg", "--y-col", "resp",
+        "--h-set", "0.9,0.45,0.9", "--boot", "30",
+    ])
+    assert capsys.readouterr().out == out
 
 
 def test_cmd_test_partial_linear(tmp_path, capsys):
@@ -375,6 +381,14 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
     assert "--h-set" in _stderr_error(capsys)["message"]
     assert main(["mc", "--cases", "1;2", "--reps", "2", "--boot", "20"]) == 2
     assert "--cases" in _stderr_error(capsys)["message"]
+    # a degree-0 series has no correction block: it would subtract nothing
+    rows = list(zip(*_dataset(), *_dataset(seed=8), np.arange(60) % 3 > 0))
+    path = _write_rows(tmp_path / "m.csv", ["x", "y", "z", "u", "d"], rows)
+    for model in (["additive", "--z-cols", "z"], ["endogenous", "--u-cols", "u"],
+                  ["selection", "--z-cols", "z", "--d-col", "d"]):
+        assert main(["test", path, "--model", *model, "--L", "0", "--boot", "20"]) == 2, model
+        obj = _stderr_error(capsys)
+        assert obj["error"] == "DataError" and "--L" in obj["message"], obj
 
 
 def test_exit_2_on_bad_scale_values(tmp_path, capsys):

@@ -211,6 +211,20 @@ def test_endogenous_degenerate_control():
         endogenous_adjust(x[:50], u, np.zeros(100))
 
 
+def test_series_adapters_reject_degree_zero():
+    # a degree-0 series has no g or lambda block, so it would subtract nothing
+    rng = np.random.default_rng(253)
+    x, u, z = rng.uniform(-1, 1, (3, 100))
+    y = x + u + rng.normal(size=100)
+    d = (rng.random(100) < 0.7).astype(float)
+    for adjust in (lambda L: endogenous_adjust(x, u, y, L=L),
+                   lambda L: selection_adjust(x, z, d, y, L=L)):
+        for L in (0, -1):
+            with pytest.raises(DataError, match="--L"):
+                adjust(L)
+        assert adjust(1).base.n > 0
+
+
 def test_selection_requires_binary_indicator():
     rng = np.random.default_rng(257)
     n = 100

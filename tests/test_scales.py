@@ -191,6 +191,10 @@ def test_custom_set_bandwidth_major_order():
     assert ss.k == 1.0
     with pytest.raises(ValueError):
         build_custom_set([], [0.5])
+    # a repeated location or bandwidth counts once, at its first occurrence
+    ss = build_custom_set([0.9, 0.1, 0.9], [0.5, 0.25, 0.5, 0.25])
+    assert ss.x.tolist() == [0.9, 0.1, 0.9, 0.1]
+    assert ss.h.tolist() == [0.5, 0.5, 0.25, 0.25]
 
 
 def test_z_local_set_crosses_cells():
