@@ -44,7 +44,7 @@ from .models import (
 )
 from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import SIGMA_METHODS, estimate_sigma
-from .simlab import McDesign, results_to_csv, results_to_text, run_mc
+from .simlab import NOISES, McDesign, results_to_csv, results_to_text, run_mc
 from .statistic import FIELD_BLOCK, Sample, evaluate_field, kept_rows
 
 __all__ = ["main", "build_parser", "load_columns", "report_to_json"]
@@ -65,8 +65,9 @@ MODELS = (
 def load_columns(path: str, names) -> dict[str, np.ndarray]:
     """Read the named columns from a headered CSV file as float arrays.
 
-    Rejects missing columns, blank or non-numeric cells (naming the row and
-    column), non-finite values, and files with fewer than two data rows.
+    Rejects a requested column that is missing or named twice in the header,
+    blank or non-numeric cells (naming the row and column), non-finite
+    values, and files with fewer than two data rows.
     """
     names = list(dict.fromkeys(names))  # a repeated name is read once
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first
@@ -78,9 +79,15 @@ def load_columns(path: str, names) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: empty file") from None
         idx = {}
         for name in names:
-            if name not in header:
+            at = [j for j, h in enumerate(header) if h == name]
+            if not at:
                 raise DataError(f"{path}: missing column {name!r} (header: {header})")
-            idx[name] = header.index(name)
+            if len(at) > 1:
+                raise DataError(
+                    f"{path}: column {name!r} appears more than once in the header "
+                    f"(positions {', '.join(str(j + 1) for j in at)})"
+                )
+            idx[name] = at[0]
         cols: dict[str, list[float]] = {name: [] for name in names}
         for rownum, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
@@ -338,7 +345,7 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    noises = ("normal", "uniform") if args.noise == "both" else (args.noise,)
+    noises = NOISES if args.noise == "both" else (args.noise,)
     designs = [
         McDesign(case, n, noise)
         for noise in noises
@@ -422,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo size and power study")
     p_mc.add_argument("--cases", default="1,2,3,4", help="comma-separated design cases")
     p_mc.add_argument("--sizes", default="100,200,500", help="comma-separated sample sizes")
-    p_mc.add_argument("--noise", default="normal", choices=("normal", "uniform", "both"))
+    p_mc.add_argument("--noise", default="normal", choices=(*NOISES, "both"))
     p_mc.add_argument("--sigma", default="rice", help="comma-separated sigma methods")
     p_mc.add_argument(
         "--cv", default=",".join(CV_METHODS), help="comma-separated critical-value methods"

@@ -69,8 +69,6 @@ def additive_series_fit(x, z, y, L: int = 4) -> SeriesFit:
     n, d = z.shape
     if x.size != n or y.size != n:
         raise DataError("x, y, z must share the number of rows")
-    if n <= 1 + L * (1 + d):
-        raise DataError(f"too few rows ({n}) for {1 + L * (1 + d)} series coefficients")
     names = ["x block"] + [f"z[{j}] block" for j in range(d)]
     return series_fit(np.column_stack([x, z]), y, L, names)
 

@@ -20,6 +20,7 @@ from .errors import DataError
 from .statistic import Sample, _sort_order
 
 __all__ = [
+    "SIGMA_METHODS",
     "SigmaEstimate",
     "SeriesFit",
     "rice_global",
@@ -135,21 +136,35 @@ def _design(values: np.ndarray, lo, hi, degree: int, intercept: bool = True) -> 
 def series_fit(columns, y, degree: int, names) -> SeriesFit:
     """Fit y (n, or n x k for k responses) on Chebyshev blocks of an n x m array's columns.
 
-    ``names`` labels the m blocks.  With degree >= 1 a column of zero range
-    raises DataError naming its block; a rank-deficient design raises
-    DataError naming every block, with the design's condition number.
+    ``names`` labels the m blocks.  Before the design is built, DataError
+    naming the blocks rejects a degree that is not a non-negative integer,
+    mismatched rows, no more rows than the 1 + m * degree coefficients, a
+    non-finite value, and (with degree >= 1) a column of zero range.  A
+    rank-deficient design raises DataError with its condition number.
     """
     columns = np.asarray(columns, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = columns.shape
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise DataError(f"degree {degree!r} over blocks {names} is not a non-negative integer")
+    if y.shape[:1] != (n,):
+        raise DataError(f"blocks {names} have {n} rows but the response has shape {y.shape}")
+    if n <= 1 + m * degree:
+        raise DataError(f"too few rows ({n}) for {1 + m * degree} coefficients over blocks {names}")
+    if not np.isfinite(y).all():
+        raise DataError(f"non-finite response in the series fit over blocks {names}")
     lo, hi = columns.min(axis=0), columns.max(axis=0)
-    for name, a, b in zip(names, lo, hi) if degree else ():
-        if not b > a:
+    for name, a, b in zip(names, lo, hi):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DataError(f"{name}: non-finite value, cannot build a polynomial block")
+        if degree and not b > a:
             raise DataError(f"{name}: zero range, cannot build a polynomial block")
     design = _design(columns, lo, hi, degree)
     coef, _, rank, sv = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         raise DataError(
-            f"rank-deficient polynomial design over blocks {list(names)} "
+            f"rank-deficient polynomial design over blocks {names} "
             f"(rank {rank} < {design.shape[1]}, condition {cond:.3e})"
         )
     return SeriesFit(design @ coef, coef, lo, hi, int(degree))
@@ -161,15 +176,7 @@ def poly_series_fit(x, y, degree: int) -> SeriesFit:
     The basis is evaluated on the data range mapped to [-1, 1], which keeps
     the design well conditioned up to the degrees used here.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if y.shape[:1] != x.shape:
-        raise ValueError("x and y lengths differ")
-    if x.size <= degree:
-        raise ValueError(f"need more than degree={degree} observations, got {x.size}")
-    return series_fit(x[:, None], y, degree, ["x block"])
+    return series_fit(np.reshape(x, (-1, 1)), y, degree, ["x block"])
 
 
 def default_series_degree(n: int) -> int:

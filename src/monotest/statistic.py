@@ -51,13 +51,7 @@ from .scales import ScaleSet
 if TYPE_CHECKING:
     from .sigma import SigmaEstimate
 
-__all__ = [
-    "KeptDraws",
-    "Sample",
-    "StudentizedField",
-    "evaluate_field",
-    "kept_rows",
-]
+__all__ = ["Sample", "StudentizedField", "evaluate_field"]
 
 # Scales whose variance falls below VAR_RTOL times the largest variance carry
 # no information (their window holds fewer than two distinct points, or the
@@ -366,10 +360,12 @@ class KeptDraws:
         for j, rows in enumerate(blocks):
             self._block_of[rows] = j
         keep = kept_rows(p, B)
-        # the store starts empty: every row has id -1 and t = -inf
+        # the store starts empty: every row has id -1, and rows from _used on
+        # have never held a draw
         self._id = np.full(keep, -1, dtype=np.intp)
-        self._t = np.full(keep, -np.inf)
+        self._t = np.empty(keep)
         self._rows = np.empty((keep, B))
+        self._used = 0
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
         self.rebuilt = 0
@@ -391,14 +387,20 @@ class KeptDraws:
         self._block_max[j] = d.max(axis=0, initial=-np.inf)
         # t exactly as the field computes it
         t = b_rows[live] / np.sqrt(v_rows[live])
-        # of the kept rows and these, the live.size with the lowest t go, so an
-        # empty row (t = -inf) goes first; each newcomer that stays takes the
-        # row of one that goes
-        keep = self._t.size
-        goes = np.zeros(keep + live.size, dtype=bool)
-        goes[np.argpartition(np.concatenate((self._t, t)), live.size - 1)[: live.size]] = True
-        out = np.flatnonzero(goes[:keep])
-        comers = np.flatnonzero(~goes[keep:])
+        # newcomers first take the rows never used, in order; of the kept rows
+        # and the newcomers left over, that many with the lowest t go, and each
+        # newcomer that stays takes the row of one that goes
+        used = self._used
+        top = self._used = min(self._t.size, used + live.size)
+        fresh = top - used
+        self._rows[used:top] = d[:fresh]
+        self._t[used:top] = t[:fresh]
+        self._id[used:top] = self._blocks[j][live[:fresh]]
+        over = live.size - fresh
+        goes = np.zeros(top + over, dtype=bool)
+        goes[np.argpartition(np.concatenate((self._t[:top], t[fresh:])), over - 1)[:over]] = True
+        out = np.flatnonzero(goes[:top])
+        comers = fresh + np.flatnonzero(~goes[top:])
         self._rows[out] = d[comers]
         self._t[out] = t[comers]
         self._id[out] = self._blocks[j][live[comers]]

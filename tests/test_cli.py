@@ -85,6 +85,15 @@ def test_load_columns_missing_column(tmp_path):
         load_columns(path, ["x", "y"])
 
 
+def test_load_columns_rejects_a_requested_column_named_twice(tmp_path):
+    # names count after strip(); a repeated column nobody asks for is allowed
+    path = _write(tmp_path / "a.csv", "x, x ,y,w,w\n0,5,1,2,3\n1,6,2,3,4\n")
+    with pytest.raises(DataError, match=r"column 'x' appears more than once .*positions 1, 2"):
+        load_columns(path, ["x", "y"])
+    cols = load_columns(path, ["y"])
+    np.testing.assert_array_equal(cols["y"], [1.0, 2.0])
+
+
 def test_load_columns_blank_cell_names_row_and_column(tmp_path):
     # header is row 1, so the bad second data row is row 3
     path = _write(tmp_path / "a.csv", "x,y\n1,2\n3,\n5,6\n")
@@ -389,6 +398,18 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
         assert main(["test", path, "--model", *model, "--L", "0", "--boot", "20"]) == 2, model
         obj = _stderr_error(capsys)
         assert obj["error"] == "DataError" and "--L" in obj["message"], obj
+    # series degrees are checked before a design is built, naming the blocks
+    for argv, frag in [
+        (["selection", "--z-cols", "z", "--d-col", "d", "--pscore-degree", "-1"],
+         "degree -1 over blocks ['x block', 'z[0] block'] is not a non-negative integer"),
+        (["endogenous", "--u-cols", "u", "--first-stage-degree", "-2"],
+         "degree -2 over blocks ['u[0] block'] is not a non-negative integer"),
+        (["endogenous", "--u-cols", "u", "--first-stage-degree", "20000"],
+         "too few rows (60) for 20001 coefficients over blocks ['u[0] block']"),
+    ]:
+        assert main(["test", path, "--model", *argv, "--boot", "20"]) == 2, argv
+        obj = _stderr_error(capsys)
+        assert obj["error"] == "DataError" and frag in obj["message"], obj
 
 
 def test_exit_2_on_bad_scale_values(tmp_path, capsys):

@@ -130,6 +130,14 @@ def test_poly_fit_validation():
         poly_series_fit([0.0, 1.0], [0.0, 1.0, 2.0], 1)
     with pytest.raises(ValueError):
         poly_series_fit([0.0, 1.0], [0.0, 1.0], 2)  # n <= degree
+    with pytest.raises(DataError, match="too few rows"):
+        poly_series_fit([0.0, 1.0], [0.0, 1.0], 1)  # n = degree + 1 coefficients
+    with pytest.raises(DataError, match="x block: non-finite"):
+        poly_series_fit([0.0, np.nan, 1.0], [0.0, 1.0, 2.0], 1)
+    with pytest.raises(DataError, match="non-finite response"):
+        poly_series_fit([0.0, 1.0, 2.0], [0.0, np.nan, 2.0], 1)
+    with pytest.raises(DataError, match="non-finite response"):
+        poly_series_fit([0.0, 1.0, 2.0], np.array([[0.0, 1.0], [1.0, np.inf], [2.0, 3.0]]), 1)
 
 
 def test_poly_fit_high_degree_stable():
