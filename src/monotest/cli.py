@@ -28,20 +28,12 @@ import itertools
 import json
 import math
 import sys
-from functools import partial
 
 import numpy as np
 
 from .bootstrap import CV_METHODS, BootConfig, TestReport, run_report
 from .errors import DataError, DegenerateVarianceError
-from .models import (
-    additive_adjust,
-    additive_series_fit,
-    check_correction_degree,
-    endogenous_adjust,
-    partial_linear_adjust,
-    selection_adjust,
-)
+from .models import additive_adjust, endogenous_adjust, partial_linear_adjust, selection_adjust
 from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import SIGMA_METHODS, estimate_sigma
 from .simlab import NOISES, McDesign, results_to_csv, results_to_text, run_mc
@@ -243,7 +235,7 @@ def _prepare_case(args):
     z_cols = _split(args.z_cols)
     u_cols = _split(args.u_cols)
     model = args.model
-    extra_warnings: list[str] = []
+    extra_warnings: tuple[str, ...] = ()
 
     if model in ("partial-linear", "additive", "nonparametric-z", "selection") and not z_cols:
         raise DataError(f"model {model!r} needs --z-cols")
@@ -259,30 +251,21 @@ def _prepare_case(args):
     x, y = cols[args.x_col], cols[args.y_col]
     z = np.column_stack([cols[c] for c in z_cols]) if z_cols else None
 
-    if model == "simple":
-        base = Sample(x, y, z=z)
-    elif model == "partial-linear":
-        base = partial_linear_adjust(
-            Sample(x, y, z=z), first_stage_degree=args.first_stage_degree
-        ).base
+    base = Sample(x, y, z=z)  # simple and nonparametric-z test the sample as read
+    # looked up at call time: bench/trace_child.py wraps partial_linear_adjust under this name
+    if model == "partial-linear":
+        base = partial_linear_adjust(base, first_stage_degree=args.first_stage_degree)
     elif model == "additive":
-        check_correction_degree(args.L)
-        fit = additive_series_fit(x, z, y, L=args.L)
-        g_hat = partial(fit.predict, blocks=range(1, 1 + z.shape[1]))
-        base = additive_adjust(Sample(x, y, z=z), g_hat).base
-    elif model == "nonparametric-z":
-        base = Sample(x, y, z=z)
+        base = additive_adjust(base, L=args.L)
     elif model == "endogenous":
         u = np.column_stack([cols[c] for c in u_cols])
         base = endogenous_adjust(
-            x, u, y, first_stage_degree=args.first_stage_degree, L=args.L
-        ).base
-    else:
-        adj = selection_adjust(
-            x, z, cols[args.d_col], y, pscore_degree=args.pscore_degree, L=args.L
+            Sample(x, y, z=u), first_stage_degree=args.first_stage_degree, L=args.L
         )
-        base = adj.base
-        extra_warnings.extend(adj.nuisance["warnings"])
+    elif model == "selection":
+        base, extra_warnings = selection_adjust(
+            base, cols[args.d_col], pscore_degree=args.pscore_degree, L=args.L
+        )
 
     kernel = KERNELS[args.kernel]
     if args.h_set:

@@ -6,7 +6,7 @@ polynomial series fit, and a two-step procedure that projects squared
 residuals back onto the polynomial basis to capture heteroscedasticity.
 Residual-based values may be negative; only their squares enter variances
 downstream.  ``series_fit``, the one polynomial-design helper, also fits
-every nuisance regression of the model adapters.
+every auxiliary regression of the model adapters.
 """
 
 from __future__ import annotations
@@ -115,15 +115,13 @@ class SeriesFit:
     hi: np.ndarray
     degree: int
 
-    def predict(self, values, blocks=None) -> np.ndarray:
-        """Sum of the given blocks (default: all) at new values, one column per block."""
-        blocks = list(range(self.lo.size) if blocks is None else blocks)
+    def predict(self, values, blocks) -> np.ndarray:
+        """Sum of the given blocks at new values, one column per block."""
+        blocks = list(blocks)
         v = np.asarray(values, dtype=float).reshape(-1, len(blocks))
         design = _design(v, self.lo[blocks], self.hi[blocks], self.degree, intercept=0 in blocks)
         cols = [1 + j * self.degree + q for j in blocks for q in range(self.degree)]
         return design @ self.coef[[0] + cols if 0 in blocks else cols]
-
-    __call__ = predict
 
 
 def _design(values: np.ndarray, lo, hi, degree: int, intercept: bool = True) -> np.ndarray:
@@ -188,12 +186,10 @@ def default_series_degree(n: int) -> int:
     return 8
 
 
-def residual_sigma(sample: Sample, f_hat) -> SigmaEstimate:
-    """Signed residuals sigma_i = y_i - f_hat(x_i); negative values are kept."""
-    fitted = np.asarray(f_hat(sample.x), dtype=float).reshape(-1)
-    if fitted.size != sample.n:
-        raise ValueError("f_hat returned the wrong number of values")
-    return SigmaEstimate(sample.y - fitted, "residual", {})
+def residual_sigma(sample: Sample, degree: int) -> SigmaEstimate:
+    """Signed residuals y_i - f_hat(x_i) of a degree-``degree`` series fit; negatives are kept."""
+    fitted = poly_series_fit(sample.x, sample.y, degree).fitted
+    return SigmaEstimate(sample.y - fitted, "residual", {"degree": int(degree)})
 
 
 def two_step_poly_variance(sample: Sample, degree: int) -> SigmaEstimate:
@@ -229,7 +225,7 @@ def estimate_sigma(
         return rice_local(sample, b_n)
     if method == "residual":
         deg = degree if degree is not None else default_series_degree(sample.n)
-        return residual_sigma(sample, poly_series_fit(sample.x, sample.y, deg))
+        return residual_sigma(sample, deg)
     if method == "two-step-poly":
         return two_step_poly_variance(sample, degree if degree is not None else 3)
     raise ValueError(f"unknown sigma method {method!r}; choose from {SIGMA_METHODS}")

@@ -329,7 +329,7 @@ def test_acceptance_9_adapter_recovery(capsys):
     z = rng.uniform(-1.0, 1.0, (n, 2))
     f = 0.5 + 1.5 * x
     adj = partial_linear_adjust(Sample(x, f + z @ np.array([2.0, -1.0]), z=z))
-    pl_err = float(np.abs(adj.base.y - f).max())
+    pl_err = float(np.abs(adj.y - f).max())
     pl_ok = pl_err <= 1e-6
 
     # fully linear endogenous design, 100 replications at n=2000
@@ -341,7 +341,7 @@ def test_acceptance_9_adapter_recovery(capsys):
         v = 0.05 * rng.standard_normal(m)
         xx = u + v
         yy = 2.0 * xx + 1.5 * v
-        base = endogenous_adjust(xx, u, yy, first_stage_degree=1, L=1).base
+        base = endogenous_adjust(Sample(xx, yy, z=u), first_stage_degree=1, L=1)
         resid = (base.y - base.y.mean()) - (2.0 * xx - 2.0 * xx.mean())
         err = float(np.abs(resid).max())
         worst = max(worst, err)

@@ -13,6 +13,7 @@ from monotest import (
     additive_series_fit,
     endogenous_adjust,
     partial_linear_adjust,
+    poly_series_fit,
     selection_adjust,
 )
 
@@ -94,12 +95,12 @@ def test_series_errors_name_the_blocks():
         additive_series_fit(x, x, u[:, 0])
     # the endogenous first stage names its u blocks
     with pytest.raises(DataError, match=r"^u\[1\] block: zero range"):
-        endogenous_adjust(x, np.column_stack([u[:, 0], np.ones(50)]), x)
+        endogenous_adjust(Sample(x, x, z=np.column_stack([u[:, 0], np.ones(50)])))
     rank = r"blocks \['u\[0\] block', 'u\[1\] block'\] \(rank 4 < 7, condition"
     with pytest.raises(DataError, match=rank):
-        endogenous_adjust(x, np.column_stack([u[:, 0], u[:, 0]]), x)
+        endogenous_adjust(Sample(x, x, z=np.column_stack([u[:, 0], u[:, 0]])))
     with pytest.raises(DataError, match=r"^u\[0\] block: zero range"):
-        endogenous_adjust(x, np.ones(50), x)
+        endogenous_adjust(Sample(x, x, z=np.ones(50)))
 
 
 def test_partial_linear_recovers_beta_noiseless():
@@ -112,10 +113,12 @@ def test_partial_linear_recovers_beta_noiseless():
     f = 1.0 + x - 0.5 * x**3
     sample = Sample(x=x, y=f + z @ beta, z=z)
     adj = partial_linear_adjust(sample)
-    np.testing.assert_allclose(adj.nuisance["beta"], beta, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(adj.base.y, f, rtol=0, atol=1e-8)
-    assert adj.adjustment == "partial-linear"
-    assert adj.base.z is sample.z
+    # y - y-tilde = z'beta-hat, so least squares on z gives beta-hat back
+    beta_hat = np.linalg.lstsq(z, sample.y - adj.y, rcond=None)[0]
+    np.testing.assert_allclose(beta_hat, beta, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(adj.y, f, rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(adj.x, sample.x)
+    assert adj.z is sample.z
 
 
 def test_partial_linear_beta_consistent_outside_span():
@@ -127,7 +130,8 @@ def test_partial_linear_beta_consistent_outside_span():
     beta = np.array([1.5, -2.0])
     y = np.tanh(2 * x) + z @ beta + 0.1 * rng.standard_normal(n)
     adj = partial_linear_adjust(Sample(x=x, y=y, z=z))
-    np.testing.assert_allclose(adj.nuisance["beta"], beta, rtol=0, atol=0.05)
+    beta_hat = np.linalg.lstsq(z, y - adj.y, rcond=None)[0]
+    np.testing.assert_allclose(beta_hat, beta, rtol=0, atol=0.05)
 
 
 def test_partial_linear_needs_z():
@@ -154,16 +158,18 @@ def test_additive_adjust_subtracts_known_component():
     rng = np.random.default_rng(239)
     n = 60
     x = rng.uniform(0, 1, n)
-    z = rng.uniform(0, 1, (n, 1))
-    y = x + 3.0 * z[:, 0]
-    adj = additive_adjust(Sample(x=x, y=y, z=z), lambda zz: 3.0 * zz[:, 0])
-    # (x + g) - g returns x up to one rounding of the addition
-    np.testing.assert_allclose(adj.base.y, x, rtol=0, atol=1e-14)
-    assert adj.adjustment == "additive"
-    with pytest.raises(DataError):
-        additive_adjust(Sample(x=x, y=y), lambda zz: zz[:, 0])
-    with pytest.raises(DataError):
-        additive_adjust(Sample(x=x, y=y, z=z), lambda zz: np.zeros(3))
+    z = rng.uniform(0, 1, (n, 2))
+    y = x + 3.0 * z[:, 0] - z[:, 1] ** 2
+    adj = additive_adjust(Sample(x=x, y=y, z=z), L=3)
+    # the adjusted response is y minus the z blocks of the additive fit
+    want = y - additive_series_fit(x, z, y, L=3).predict(z, [1, 2])
+    np.testing.assert_array_equal(adj.y, want)
+    # the g blocks are the known component up to the constant f carries
+    np.testing.assert_allclose(adj.y - x, np.mean(adj.y - x), rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(adj.x, x)
+    assert adj.z is not None and adj.z.shape == (n, 2)
+    with pytest.raises(DataError, match="needs z columns"):
+        additive_adjust(Sample(x=x, y=y))
 
 
 def test_endogenous_control_is_first_stage_residual():
@@ -172,13 +178,12 @@ def test_endogenous_control_is_first_stage_residual():
     u = rng.normal(size=n)
     x = 0.8 * u + rng.normal(size=n)
     y = rng.normal(size=n)
-    adj = endogenous_adjust(x, u, y, first_stage_degree=3)
-    from monotest import poly_series_fit
-
-    want = x - poly_series_fit(u, x, 3).fitted
-    np.testing.assert_array_equal(adj.nuisance["z_hat"], want)
-    assert adj.adjustment == "endogenous"
-    assert adj.base.z is None
+    adj = endogenous_adjust(Sample(x, y, z=u), first_stage_degree=3)
+    z_hat = x - poly_series_fit(u, x, 3).fitted
+    want = y - additive_series_fit(x, z_hat, y, L=4).predict(z_hat, [1])
+    np.testing.assert_array_equal(adj.y, want)
+    np.testing.assert_array_equal(adj.x, x)
+    assert adj.z is None
 
 
 def test_endogenous_linear_recovery_up_to_constant():
@@ -190,14 +195,14 @@ def test_endogenous_linear_recovery_up_to_constant():
     v = 0.05 * rng.normal(size=n)
     x = u + v  # endogenous through v
     y = 2.0 * x + 1.5 * v
-    adj = endogenous_adjust(x, u, y)
-    resid = adj.base.y - 2.0 * x
+    adj = endogenous_adjust(Sample(x, y, z=u))
+    resid = adj.y - 2.0 * x
     centered = resid - np.mean(resid)
     assert float(np.sqrt(np.mean(centered**2))) < 0.02
     assert float(np.max(np.abs(centered))) < 0.15
     # with linear stages the additive representation is exact up to lstsq
-    adj1 = endogenous_adjust(x, u, y, first_stage_degree=1, L=1)
-    resid1 = adj1.base.y - 2.0 * x
+    adj1 = endogenous_adjust(Sample(x, y, z=u), first_stage_degree=1, L=1)
+    resid1 = adj1.y - 2.0 * x
     assert float(np.max(np.abs(resid1 - np.mean(resid1)))) < 0.02
 
 
@@ -205,10 +210,12 @@ def test_endogenous_degenerate_control():
     rng = np.random.default_rng(251)
     u = rng.normal(size=100)
     x = 1.0 + 0.5 * u - u**2  # exact polynomial in u: residual is zero
+    with pytest.raises(DataError, match="degenerate"):
+        endogenous_adjust(Sample(x, np.zeros(100), z=u))
     with pytest.raises(DataError):
-        endogenous_adjust(x, u, np.zeros(100))
-    with pytest.raises(DataError):
-        endogenous_adjust(x[:50], u, np.zeros(100))
+        endogenous_adjust(Sample(x[:50], np.zeros(50), z=u))
+    with pytest.raises(DataError, match="u columns"):
+        endogenous_adjust(Sample(x, np.zeros(100)))
 
 
 def test_series_adapters_reject_degree_zero():
@@ -217,12 +224,13 @@ def test_series_adapters_reject_degree_zero():
     x, u, z = rng.uniform(-1, 1, (3, 100))
     y = x + u + rng.normal(size=100)
     d = (rng.random(100) < 0.7).astype(float)
-    for adjust in (lambda L: endogenous_adjust(x, u, y, L=L),
-                   lambda L: selection_adjust(x, z, d, y, L=L)):
+    for adjust in (lambda L: additive_adjust(Sample(x, y, z=z), L=L),
+                   lambda L: endogenous_adjust(Sample(x, y, z=u), L=L),
+                   lambda L: selection_adjust(Sample(x, y, z=z), d, L=L)[0]):
         for L in (0, -1):
             with pytest.raises(DataError, match="--L"):
                 adjust(L)
-        assert adjust(1).base.n > 0
+        assert adjust(1).n > 0
 
 
 def test_selection_requires_binary_indicator():
@@ -231,14 +239,31 @@ def test_selection_requires_binary_indicator():
     x = rng.uniform(0, 1, n)
     z = rng.uniform(0, 1, n)
     y = rng.normal(size=n)
-    with pytest.raises(DataError):
-        selection_adjust(x, z, np.full(n, 0.5), y)
-    with pytest.raises(DataError):
-        selection_adjust(x, z, np.zeros(n), y)  # nobody selected
+    sample = Sample(x, y, z=z)
+    with pytest.raises(DataError, match="binary"):
+        selection_adjust(sample, np.full(n, 0.5))
+    with pytest.raises(DataError, match="no selected rows"):
+        selection_adjust(sample, np.zeros(n))
+    with pytest.raises(DataError, match="values for 100 rows"):
+        selection_adjust(sample, np.ones(n - 1))
+    with pytest.raises(DataError, match="needs z columns"):
+        selection_adjust(Sample(x, y), np.ones(n))
     d = np.zeros(n)
     d[:5] = 1.0
-    with pytest.raises(DataError):
-        selection_adjust(x, z, d, y)  # too few selected rows
+    with pytest.raises(DataError, match=r"too few rows \(5\) for 9 coefficients"):
+        selection_adjust(sample, d)  # too few selected rows for the second stage
+
+
+def test_selection_row_check_is_the_second_stage_fit():
+    # the second-stage coefficient count is checked only where that fit runs
+    rng = np.random.default_rng(258)
+    n = 40
+    x, z, y = rng.uniform(0, 1, (3, n))
+    d = np.zeros(n)
+    d[rng.choice(n, 9, replace=False)] = 1.0
+    adj, warnings = selection_adjust(Sample(x, y, z=z), d, pscore_degree=0, L=4)
+    assert warnings == ("propensity constant on selected rows; lambda set to zero",)
+    np.testing.assert_array_equal(adj.y, y[d == 1])
 
 
 def test_selection_constant_propensity_sets_lambda_zero():
@@ -247,10 +272,10 @@ def test_selection_constant_propensity_sets_lambda_zero():
     x = rng.uniform(0, 1, n)
     z = rng.uniform(0, 1, n)
     y = rng.normal(size=n)
-    adj = selection_adjust(x, z, np.ones(n), y)
-    np.testing.assert_allclose(adj.base.y, y, rtol=0, atol=1e-12)
-    assert any("constant" in w for w in adj.nuisance["warnings"])
-    assert adj.base.n == n
+    adj, warnings = selection_adjust(Sample(x, y, z=z), np.ones(n))
+    np.testing.assert_allclose(adj.y, y, rtol=0, atol=1e-12)
+    assert any("constant" in w for w in warnings)
+    assert adj.n == n
 
 
 def test_selection_structure_and_pscore_bounds():
@@ -261,14 +286,22 @@ def test_selection_structure_and_pscore_bounds():
     p = 0.5 + 0.2 * x + 0.15 * z
     d = (rng.random(n) < p).astype(float)
     y = x**3 + rng.normal(size=n)
-    adj = selection_adjust(x, z, d, y)
-    mask = adj.nuisance["retained"]
-    np.testing.assert_array_equal(mask, d == 1.0)
-    np.testing.assert_array_equal(adj.base.x, x[mask])
-    assert adj.base.z.shape == (int(mask.sum()), 1)
-    ps = adj.nuisance["pscore"]
-    assert np.all(ps >= 1e-3) and np.all(ps <= 1 - 1e-3)
-    assert adj.nuisance["warnings"] == ()
+    adj, warnings = selection_adjust(Sample(x, y, z=z), d)
+    mask = d == 1.0
+    np.testing.assert_array_equal(adj.x, x[mask])
+    np.testing.assert_array_equal(adj.z, z[mask].reshape(-1, 1))
+    assert warnings == ()
+
+    # a step in x pushes the linear-probability fit past 0 and 1: the clamp binds
+    d = (x > 0.2).astype(float)
+    adj, _ = selection_adjust(Sample(x, y, z=z), d)
+    fitted = additive_series_fit(x, z, d, L=3).fitted
+    assert fitted.min() < 1e-3 and fitted.max() > 1 - 1e-3
+    sel = d == 1.0
+    for ps, same in ((np.clip(fitted, 1e-3, 1 - 1e-3), True), (fitted, False)):
+        p_sel = ps[sel]
+        want = y[sel] - additive_series_fit(x[sel], p_sel, y[sel], L=4).predict(p_sel, [1])
+        assert np.array_equal(adj.y, want) == same
 
 
 def test_selection_removes_selection_bias():
@@ -280,8 +313,8 @@ def test_selection_removes_selection_bias():
     p = 0.5 + 0.2 * x + 0.2 * z
     d = (rng.random(n) < p).astype(float)
     y = x + 3.0 * p  # no independent noise: bias is purely through p
-    adj = selection_adjust(x, z, d, y)
-    got = adj.base.y - np.mean(adj.base.y)
-    want = adj.base.x - np.mean(adj.base.x)
+    adj, _ = selection_adjust(Sample(x, y, z=z), d)
+    got = adj.y - np.mean(adj.y)
+    want = adj.x - np.mean(adj.x)
     rms = float(np.sqrt(np.mean((got - want) ** 2)))
     assert rms < 0.1

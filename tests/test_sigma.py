@@ -106,7 +106,7 @@ def test_poly_fit_recovers_cubic():
     fit = poly_series_fit(x, y, 3)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-10)
     xnew = np.array([-1.5, 0.3, 1.9])
-    np.testing.assert_allclose(fit(xnew), 1.0 - 2.0 * xnew + 0.5 * xnew**3, atol=1e-10)
+    np.testing.assert_allclose(fit.predict(xnew, [0]), 1.0 - 2.0 * xnew + 0.5 * xnew**3, atol=1e-10)
     assert fit.degree == 3
 
 
@@ -118,7 +118,7 @@ def test_poly_fit_degree_zero_is_mean():
 def test_poly_fit_constant_x():
     fit = poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 0)
     np.testing.assert_allclose(fit.fitted, 2.0)
-    assert fit(5.0) == 2.0
+    assert fit.predict(5.0, [0]) == 2.0
     with pytest.raises(DataError, match=r"^x block: zero range"):
         poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 1)
 
@@ -191,7 +191,7 @@ def test_series_fit_predicts_blocks_and_responses():
     y = np.column_stack([cols[:, 0] ** 2 - cols[:, 1], 1.0 + cols[:, 1] ** 3])
     fit = series_fit(cols, y, 3, ["a block", "b block"])
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(fit(cols), fit.fitted)
+    np.testing.assert_array_equal(fit.predict(cols, [0, 1]), fit.fitted)
     parts = fit.predict(cols[:, 0], [0]) + fit.predict(cols[:, 1], [1])
     np.testing.assert_allclose(parts, y, rtol=0, atol=1e-12)
 
@@ -207,11 +207,11 @@ def test_default_series_degree_breakpoints():
 
 def test_residual_sigma_keeps_sign():
     sample = Sample(x=[0.0, 1.0, 2.0], y=[1.0, -2.0, 3.0])
-    est = residual_sigma(sample, lambda x: np.zeros_like(x))
-    np.testing.assert_array_equal(est.values, [1.0, -2.0, 3.0])
+    est = residual_sigma(sample, 0)  # degree 0: residuals about the mean 2/3
+    np.testing.assert_allclose(est.values, [1 / 3, -8 / 3, 7 / 3], rtol=0, atol=1e-14)
     assert est.method == "residual"
     with pytest.raises(ValueError):
-        residual_sigma(sample, lambda x: np.zeros(5))
+        residual_sigma(sample, 2)  # 3 rows for 3 coefficients
 
 
 def test_two_step_recovers_constant_variance():
@@ -252,8 +252,11 @@ def test_estimate_sigma_dispatch():
         rice_local(sample, b_n=0.3).values,
     )
     # residual picks the series degree from n: 6 for n = 150
-    direct = residual_sigma(sample, poly_series_fit(x, y, 6))
+    direct = residual_sigma(sample, 6)
+    np.testing.assert_array_equal(direct.values, y - poly_series_fit(x, y, 6).fitted)
     np.testing.assert_array_equal(estimate_sigma(sample, "residual").values, direct.values)
+    assert estimate_sigma(sample, "residual").params == {"degree": 6}
+    assert estimate_sigma(sample, "residual", degree=3).params == {"degree": 3}
     assert estimate_sigma(sample, "two-step-poly").params == {"degree": 3}
     with pytest.raises(ValueError):
         estimate_sigma(sample, "unknown-method")
