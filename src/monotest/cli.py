@@ -41,14 +41,16 @@ from .statistic import FIELD_BLOCK, Sample, evaluate_field, kept_rows
 
 __all__ = ["main", "build_parser", "load_columns", "report_to_json"]
 
-MODELS = (
-    "simple",
-    "partial-linear",
-    "additive",
-    "nonparametric-z",
-    "endogenous",
-    "selection",
-)
+# model -> the column flags its adapter reads; each other column flag exits 2
+MODEL_FLAGS = {
+    "simple": (),
+    "partial-linear": ("--z-cols",),
+    "additive": ("--z-cols",),
+    "nonparametric-z": ("--z-cols",),
+    "endogenous": ("--u-cols",),
+    "selection": ("--z-cols", "--d-col"),
+}
+MODELS = tuple(MODEL_FLAGS)
 
 
 # ---------------------------------------------------------------- CSV input
@@ -237,16 +239,13 @@ def _prepare_case(args):
     model = args.model
     extra_warnings: tuple[str, ...] = ()
 
-    if model in ("partial-linear", "additive", "nonparametric-z", "selection") and not z_cols:
-        raise DataError(f"model {model!r} needs --z-cols")
-    if model == "endogenous" and not u_cols:
-        raise DataError("model 'endogenous' needs --u-cols")
-    if model == "selection" and not args.d_col:
-        raise DataError("model 'selection' needs --d-col")
+    for flag, given in (("--z-cols", z_cols), ("--u-cols", u_cols), ("--d-col", args.d_col)):
+        if flag in MODEL_FLAGS[model] and not given:
+            raise DataError(f"model {model!r} needs {flag}")
+        if given and flag not in MODEL_FLAGS[model]:
+            raise DataError(f"model {model!r} does not read {flag}")
 
-    names = [args.x_col, args.y_col] + z_cols + u_cols
-    if model == "selection":
-        names.append(args.d_col)
+    names = [args.x_col, args.y_col] + z_cols + u_cols + ([args.d_col] if args.d_col else [])
     cols = load_columns(args.data, names)
     x, y = cols[args.x_col], cols[args.y_col]
     z = np.column_stack([cols[c] for c in z_cols]) if z_cols else None

@@ -11,9 +11,10 @@ replications are scheduled across workers.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,9 @@ CASES = {
 
 # a noise's index here is part of every replication seed: append only
 NOISES = ("normal", "uniform")
+
+# read by OpenBLAS and OpenMP when the library loads, not afterwards
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,35 @@ def _mc_rep(args):
     return True, report.T > report.c_pi, report.T > report.c_os, report.T > report.c_sd
 
 
+def _worker_pool(workers: int):
+    """A process pool whose workers run BLAS on one thread each.
+
+    A worker already fills a core, so more BLAS threads would only compete
+    with the other workers.  BLAS reads its thread count when numpy loads,
+    so the variables are 1 only while the forkserver starts and imports
+    this module; the workers are forks of that server.  This process then
+    gets its own values back, or their absence.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import forkserver
+
+    ctx = multiprocessing.get_context("forkserver")
+    # not the default ["__main__"]: the server would run an unguarded caller's script
+    ctx.set_forkserver_preload([__name__])
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        forkserver.ensure_running()
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+
+
 def run_mc(
     designs,
     sigma_methods,
@@ -153,10 +186,17 @@ def run_mc(
 
     A repeated design, sigma method or cv method counts once, in the order
     first seen.  Replications are independent tasks; with parallelism > 1
-    they are run in a process pool of at most min(parallelism, reps, CPU
+    they are run in one process pool of at most min(parallelism, reps, CPU
     count) workers, and per-replication seeding makes the proportions
-    identical to a serial run.  A cell fails only if more than 1 percent of
-    its replications raise.
+    identical to a serial run.  The workers run BLAS on one thread each,
+    and this process on its default; a rejection decided within rounding
+    of its critical value could therefore differ from a serial run.  A
+    cell fails only if more than 1 percent of its replications raise.
+
+    The workers start the calling script again as ``__mp_main__``, so a
+    script that calls this with parallelism > 1 must do so under
+    ``if __name__ == "__main__":``; an unguarded one fails with
+    ``BrokenProcessPool``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -168,7 +208,7 @@ def run_mc(
     designs, sigma_methods, cv_methods = (
         list(dict.fromkeys(v)) for v in (designs, sigma_methods, cv_methods)
     )
-    # a pool starts all its workers at the first submit, needed or not
+    # a worker beyond the replications or the cores would only wait
     workers = min(parallelism, reps, os.cpu_count() or 1)
     for cv in cv_methods:
         if cv not in CV_METHODS:
@@ -177,15 +217,14 @@ def run_mc(
         if sigma_method not in SIGMA_METHODS:
             raise ValueError(f"unknown sigma method {sigma_method!r}")
     results: list[McResult] = []
-    for design in designs:
-        for sigma_method in sigma_methods:
+    with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for design, sigma_method in itertools.product(designs, sigma_methods):
             args = [(design, sigma_method, cfg, seed, rep) for rep in range(reps)]
-            if workers > 1:
-                chunk = max(1, reps // (8 * workers))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    rows = list(pool.map(_mc_rep, args, chunksize=chunk))
-            else:
+            if pool is None:
                 rows = [_mc_rep(a) for a in args]
+            else:
+                chunk = max(1, reps // (8 * workers))
+                rows = list(pool.map(_mc_rep, args, chunksize=chunk))
 
             ok = np.array([r[0] for r in rows], dtype=bool)
             failures = int((~ok).sum())

@@ -134,7 +134,8 @@ def test_load_columns_and_prepare_case_keep_row_and_z_order(tmp_path):
     np.testing.assert_array_equal(cols["x"], [2.0, 1.0])  # row order preserved
     np.testing.assert_array_equal(cols["z1"], [10.0, 20.0])
     assert list(cols) == ["x", "z1", "z2"]
-    args = build_parser().parse_args(["test", path, "--z-cols", "z1,z2"])
+    argv = ["test", path, "--model", "nonparametric-z", "--z-cols", "z1,z2"]
+    args = build_parser().parse_args(argv)
     s = _prepare_case(args)[0]
     np.testing.assert_array_equal(s.x, [2.0, 1.0])
     np.testing.assert_array_equal(s.y, [0.5, 0.25])
@@ -410,6 +411,26 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
         assert main(["test", path, "--model", *argv, "--boot", "20"]) == 2, argv
         obj = _stderr_error(capsys)
         assert obj["error"] == "DataError" and frag in obj["message"], obj
+    # a column flag the model's adapter never reads is an error, not ignored
+    for argv, frag in [
+        (["simple", "--z-cols", "z"], "model 'simple' does not read --z-cols"),
+        (["endogenous", "--u-cols", "u", "--z-cols", "z"],
+         "model 'endogenous' does not read --z-cols"),
+        (["simple", "--u-cols", "u"], "model 'simple' does not read --u-cols"),
+        (["partial-linear", "--z-cols", "z", "--u-cols", "u"],
+         "model 'partial-linear' does not read --u-cols"),
+        (["selection", "--z-cols", "z", "--d-col", "d", "--u-cols", "u"],
+         "model 'selection' does not read --u-cols"),
+        (["simple", "--d-col", "d"], "model 'simple' does not read --d-col"),
+        (["additive", "--z-cols", "z", "--d-col", "d"], "model 'additive' does not read --d-col"),
+        (["endogenous", "--u-cols", "u", "--d-col", "d"],
+         "model 'endogenous' does not read --d-col"),
+    ]:
+        assert main(["test", path, "--model", *argv, "--boot", "20"]) == 2, argv
+        obj = _stderr_error(capsys)
+        assert obj["error"] == "DataError" and obj["message"] == frag, obj
+    assert main(["diag", path, "--z-cols", "z"]) == 2
+    assert _stderr_error(capsys)["message"] == "model 'simple' does not read --z-cols"
 
 
 def test_exit_2_on_bad_scale_values(tmp_path, capsys):

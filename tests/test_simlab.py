@@ -1,6 +1,11 @@
 """Monte Carlo harness: designs, seeding, aggregation, and serialization."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +120,7 @@ def test_run_mc_pool_is_capped_by_reps_and_cpus(monkeypatch):
         def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
-    monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simlab, "_worker_pool", SerialPool)
     designs = [McDesign(3, 40)]
     for cpus, parallelism, reps, pool in (
         (8, 1, 3, None),
@@ -132,6 +137,69 @@ def test_run_mc_pool_is_capped_by_reps_and_cpus(monkeypatch):
         # every replication has its own seed, so the pool size cannot show
         serial = run_mc(designs, ["rice"], reps=reps, B=20, seed=5)
         assert results_to_csv(got) == results_to_csv(serial)
+
+
+@pytest.mark.parametrize("before", [None, "3"])
+def test_worker_pool_pins_blas_threads_and_restores_the_environment(monkeypatch, before):
+    for var in simlab.BLAS_THREAD_VARS:
+        if before is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, before)
+    with simlab._worker_pool(2) as pool:
+        seen = list(pool.map(os.getenv, simlab.BLAS_THREAD_VARS, timeout=60))
+    assert seen == ["1", "1"]
+    assert [os.environ.get(var) for var in simlab.BLAS_THREAD_VARS] == [before, before]
+
+
+def _run_python(tmp_path, source):
+    src = str(Path(simlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = tmp_path / "caller.py"
+    script.write_text(textwrap.dedent(source), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_import_cli_loads_no_pool_machinery(tmp_path):
+    # only a parallel run_mc imports them; test, diag and a serial mc never do
+    proc = _run_python(tmp_path, """
+        import sys
+        import monotest.cli
+        loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_guarded_caller_script_parallel_table_matches_serial(tmp_path):
+    proc = _run_python(tmp_path, """
+        from monotest import McDesign, results_to_csv, run_mc
+
+        if __name__ == "__main__":
+            designs = [McDesign(3, 60)]
+            for parallelism in (2, 1):
+                res = run_mc(designs, ["rice"], reps=12, B=40, seed=5, parallelism=parallelism)
+                print(results_to_csv(res), end="")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8 and lines[:4] == lines[4:]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs run_mc serially")
+def test_unguarded_caller_script_fails_instead_of_hanging(tmp_path):
+    # each worker runs the caller script again, which starts a pool of its own
+    proc = _run_python(tmp_path, """
+        from monotest import McDesign, run_mc
+
+        run_mc([McDesign(3, 40)], ["rice"], reps=10, B=40, seed=5, parallelism=2)
+    """)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr, proc.stderr[-2000:]
 
 
 def test_run_mc_validation():
