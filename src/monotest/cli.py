@@ -51,6 +51,9 @@ MODEL_FLAGS = {
     "selection": ("--z-cols", "--d-col"),
 }
 MODELS = tuple(MODEL_FLAGS)
+# sigma option flag -> the sigma methods that read it; any other method exits 2
+SIGMA_FLAGS = {"--sigma-bn": ("local-rice",), "--sigma-degree": ("residual", "two-step-poly")}
+Z_CELLS = 3  # quantile cells per z dimension when --z-cells is absent
 
 
 # ---------------------------------------------------------------- CSV input
@@ -244,6 +247,12 @@ def _prepare_case(args):
             raise DataError(f"model {model!r} needs {flag}")
         if given and flag not in MODEL_FLAGS[model]:
             raise DataError(f"model {model!r} does not read {flag}")
+    for flag, given in (("--z-cells", args.z_cells is not None), ("--z-bw", args.z_bw)):
+        if given and model != "nonparametric-z":
+            raise DataError(f"model {model!r} does not read {flag}")
+    for flag, given in (("--sigma-bn", args.sigma_bn), ("--sigma-degree", args.sigma_degree)):
+        if given is not None and args.sigma not in SIGMA_FLAGS[flag]:
+            raise DataError(f"sigma method {args.sigma!r} does not read {flag}")
 
     names = [args.x_col, args.y_col] + z_cols + u_cols + ([args.d_col] if args.d_col else [])
     cols = load_columns(args.data, names)
@@ -274,8 +283,9 @@ def _prepare_case(args):
     else:
         set_ = build_basic_set(base.x, k=args.k, kernel=kernel)
     if model == "nonparametric-z":
+        cells = Z_CELLS if args.z_cells is None else args.z_cells
         set_ = build_z_local_set(
-            set_, _z_grid(base.z, args.z_cells), _z_bandwidths(base.z, args.z_cells, args.z_bw)
+            set_, _z_grid(base.z, cells), _z_bandwidths(base.z, cells, args.z_bw)
         )
     return base, set_, extra_warnings
 
@@ -384,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--first-stage-degree", type=int, default=3)
     data.add_argument("--pscore-degree", type=int, default=3)
     data.add_argument(
-        "--z-cells", type=int, default=3, help="quantile cells per z dimension (nonparametric-z)"
+        "--z-cells",
+        type=int,
+        default=None,
+        help=f"quantile cells per z dimension (nonparametric-z; default: {Z_CELLS})",
     )
     data.add_argument(
         "--z-bw", default="", help="comma-separated z-cell bandwidths (nonparametric-z)"

@@ -177,7 +177,9 @@ def build_basic_set(X, k: float = 0.0, kernel: Kernel = EPANECHNIKOV) -> ScaleSe
     grid = [h_max]
     while (h := h_max * 0.5 ** len(grid)) >= h_min:
         grid.append(h)
-    return build_custom_set(np.unique(x), grid, k, kernel)
+    # the distinct values of x by sort and mask: np.unique would import numpy.ma
+    xs = np.sort(x)
+    return build_custom_set(xs[np.concatenate(([True], xs[1:] != xs[:-1]))], grid, k, kernel)
 
 
 def build_custom_set(

@@ -11,31 +11,43 @@ b(s) = sum_i Y_i w_i(s), the variance V(s) = sum_i sigma_i^2 w_i(s)^2, and
 the statistic T = max over scales of b(s) / sqrt(V(s)).
 
 One block engine computes all of it; the test suite pins it against naive
-double sums.  The engine sorts X once, finds every scale's window with one
-bisection and every tie run with one searchsorted, and evaluates the scales
-FIELD_BLOCK at a time on one dense panel: a row per scale, a column per
-sorted observation of the block's span, the union of its windows.  The
-kernel is zero outside each window, so running sums along the rows give w
-in O(span) per scale for k in {0, 1}, and a direct double loop over the
-window handles any other k.  The weights of a window sum to zero, so
-b(s) = sum_i (Y_i - Y_lo(s)) w_i(s) for the sorted Y_lo(s) at the window's
-first point.  The engine sums b that way and V over each window's own
-cells, so both depend on the window alone, and a constant Y gives b = +0
-exactly.
+double sums.  A tied pair has sign 0 and adds nothing, so the engine's
+columns are the tie runs of x: it sorts x once, finds the runs where sorted
+x changes, finds every scale's window of runs with one bisection (a window
+never splits a run), and evaluates the scales FIELD_BLOCK at a time on one
+dense panel: a row per scale, a column per run of the block's span, the
+union of its windows.  A cell is one (z_loc, z_bw) row of a z-local set;
+a set without z-cells has one cell whose z-factor zf is 1.  Observation i
+of run r has w_i = W_r * zf_i, so each cell needs only the run sums of zf,
+zf * (y - y_first) and zf^2 * sigma^2 and the run maxima of zf, and a
+block never mixes cells.  The kernel is zero outside each window, so
+running sums along the rows give W in O(span) per scale for k in {0, 1},
+and a direct double loop over the window's runs handles any other k.  The
+weights of a window sum to zero, so b(s) = sum_i (Y_i - Y_lo(s)) w_i(s)
+for the sorted Y_lo(s) at the window's first point.  The engine sums b
+that way and V over each window's own runs, so both depend on the window
+alone, and a constant Y gives b = +0 exactly.  When every run is one
+observation and there are no z-cells, the runs are the observations and
+the step skips the run sums.
 
-Memory: a block's panels are (FIELD_BLOCK x span) with span <= n + 1, and
-the engine keeps a handful of them only while it works on that block.  V
-sums each window on its own, so no window weights outlive their block: a
-field costs O(FIELD_BLOCK * n + p) bytes.  Given bootstrap multipliers e
-(n x B), the engine forms each block's draws as one matrix product of its
-panel, folds them into the block's per-draw maximum, offers them to a
-store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
-and drops them.  A selection reads a block's maximum if it holds the whole
-block, and else the kept rows; the field keeps the sorted copy of e, which
-replaces e itself if the caller passed a temporary, to rebuild a block with
-the same block step only when one of those rows is not kept.  So a field with draws costs
-O(FIELD_BLOCK * n + n * B + R * B + p) bytes, plus one B-vector of maxima
-per block of FIELD_BLOCK scales.
+Memory: with m runs (m <= n), a block's panels are (FIELD_BLOCK x span)
+with span <= m + 1, and the engine keeps a handful of them only while it
+works on that block.  V sums each window on its own, so no window weights
+outlive their block: a field costs O(FIELD_BLOCK * m + n + p) bytes.
+Given bootstrap multipliers e (n x B), the engine forms each block's draws
+as one matrix product of its panel with the run sums E of zf * e for the
+block's cell (e itself when the runs are the observations and there are
+no z-cells), folds them into the block's per-draw maximum, offers them to
+a store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
+and drops them.  It forms one cell's E at a time, FIELD_BLOCK columns of
+e at a time.  A selection reads a block's maximum if it holds the whole
+block, and else the kept rows or the rows the last selection held; the
+field keeps the sorted copy of e, which replaces e itself if the caller
+passed a temporary, to rebuild a block with the same block step only when
+one of those rows is in neither.  So a field with draws costs
+O(FIELD_BLOCK * m + n * FIELD_BLOCK + (n + m) * B + R * B + p) bytes, plus
+one B-vector of maxima per block of FIELD_BLOCK scales and at most R
+held rows.
 """
 
 from __future__ import annotations
@@ -61,10 +73,11 @@ VAR_RTOL = 1e-12
 VAR_FLOOR = 1e-300
 
 # The field engine evaluates this many scales at a time on (FIELD_BLOCK x
-# span) panels, so its temporaries are O(FIELD_BLOCK * n) bytes: one panel
-# is at most FIELD_BLOCK * (n + 1) * 8 bytes, 1 MiB at n = 2000.  A smaller
-# block has a narrower span, which saves work where windows are short next
-# to it (small bandwidths, z-cells); each block costs fixed Python overhead.
+# span) panels over the tie runs of x, so its temporaries are
+# O(FIELD_BLOCK * n) bytes: one panel is at most FIELD_BLOCK * (runs + 1) * 8
+# bytes, 1 MiB at 2,000 distinct x.  A smaller block has a narrower span,
+# which saves work where windows are short next to it (small bandwidths,
+# z-cells); each block costs fixed Python overhead.
 FIELD_BLOCK = 64
 
 # A field with B bootstrap draws keeps the draws of at most
@@ -74,7 +87,9 @@ FIELD_BLOCK = 64
 # B = 500: every row of an n = 200 set (p = 800).  On the benchmark's
 # seed-0 inputs (n = 2000), the z-cell set with ties has a one-step set of
 # 1,385 scales and rebuilds no block; the partial-linear set's ladder runs
-# 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 8, 6 and 6 blocks.
+# 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 8, 1 and 0 blocks:
+# the first step-down set reads the rows the one-step set held, and
+# rebuilds the one block the one-step set held whole.
 KEEP_BYTES = 8 << 20
 
 
@@ -165,15 +180,16 @@ def _window_bounds(xs, sx, sh, support):
     return pos[0], pos[1]
 
 
-def _window_weights(xw: np.ndarray, gw: np.ndarray, k: float) -> np.ndarray:
-    """Weights w on one sorted window, for a general exponent k.
+def _window_weights(xw: np.ndarray, kw: np.ndarray, mw: np.ndarray, k: float) -> np.ndarray:
+    """Weights W on one sorted window of runs, for a general exponent k.
 
-    ``gw`` carries the kernel factor for each observation (already multiplied
-    by any z-cell factor).  A direct double loop over the window; k in
+    ``kw`` is each run's kernel factor and ``mw`` its mass, the kernel
+    factor times the run's summed z-cell factor.  A direct double loop over
+    the window's runs (a tied pair has dx = 0 and adds nothing); k in
     {0, 1} is evaluated on the block panel in ``_field_engine`` instead.
     """
     dx = xw[None, :] - xw[:, None]
-    return gw * ((np.sign(dx) * np.abs(dx) ** k) @ gw)
+    return kw * ((np.sign(dx) * np.abs(dx) ** k) @ mw)
 
 
 def _running_sums(panel: np.ndarray) -> np.ndarray:
@@ -204,120 +220,149 @@ def _window_sums(panel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.add.reduceat(panel.reshape(-1), ends)[::2]
 
 
-def _block_k0(g, lo, hi, L, R):
-    """w of one block for k = 0, from its kernel panel g.
-
-    Equal x give equal u, so a window never splits a tie run: the run
-    L[j]:R[j] of each of its points lies inside it, and so does every tie
-    run of the span.
-    """
-    rows, width = g.shape
-    a = int(lo.min())
-    cs = _running_sums(g)
-    total = cs[np.arange(rows), hi - a]
-    # w_j = g_j * (kernel mass after j's tie run - kernel mass before it);
-    # a point with no tie is the run j:j+1, and the points of longer runs
-    # are set again in place, so the panel stays C-ordered
+def _block_k0(kx, m, lo, hi):
+    """W of one block for k = 0: kx times (the mass after each run - the mass before it)."""
+    cs = _running_sums(m)
+    total = cs[np.arange(m.shape[0]), hi - int(lo.min())]
     w = total[:, None] - cs[:, 1:]
     w -= cs[:, :-1]
-    t = np.flatnonzero(R[a : a + width] - L[a : a + width] > 1)  # span column of each tied point
-    run = total[:, None] - cs[:, R[t + a] - a]
-    run -= cs[:, L[t + a] - a]
-    w[:, t] = run
-    w *= g
+    w *= kx
     return w
 
 
-def _block_k1(g, xs, lo, hi):
-    """w of one block for k = 1, from its kernel panel g."""
-    rows, width = g.shape
+def _block_k1(kx, m, xr, lo, hi):
+    """W of one block for k = 1, from its kernel panel kx and mass panel m."""
+    rows, width = m.shape
     a = int(lo.min())
-    xc = xs[a : a + width] - xs[lo][:, None]  # window-relative: no cancellation far from 0
-    cg = _running_sums(g)
-    cxg = _running_sums(g * xc)
+    xc = xr[a : a + width] - xr[lo][:, None]  # window-relative: no cancellation far from 0
+    cg = _running_sums(m)
+    cxg = _running_sums(m * xc)
     ends = (np.arange(rows), hi - a)
-    return g * (cxg[ends][:, None] - xc * cg[ends][:, None])
+    return kx * (cxg[ends][:, None] - xc * cg[ends][:, None])
 
 
-def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray):
-    """The blocks of live scales, every scale's window, and the block step.
+def _z_factor(set_: ScaleSet, zs: np.ndarray, r: int) -> np.ndarray:
+    """Scale r's z-cell factor at each row of zs, a product over coordinates taken in order."""
+    bw, loc = set_.z_bw[r], set_.z_loc[r]
+    zf = set_.kernel((zs[:, 0] - loc[0]) / bw)
+    for j in range(1, zs.shape[1]):
+        zf = zf * set_.kernel((zs[:, j] - loc[j]) / bw)
+    return zf
 
-    A scale is live when its window, in sorted order ``order``, holds a pair
-    with nonzero sign; the others have w = 0 and b = 0 and are in no block.
-    ``blocks`` lists the scale ids of each block, at most FIELD_BLOCK
-    consecutive live scales, and sorted[lo : hi] are the windows.
 
-    ``step(rows, es=None)`` gives a block's (w, b, V, max|w|, draws).  ``w``
-    is the (rows x span) panel of its weights over the span
-    sorted[lo.min() : hi.max()], zero outside each window.  ``b`` is each
-    scale's test function, the sum over its window of (y - y_lo) * w with
-    y_lo the sorted y at the window's first point; its first cell is
-    (+0) * (w >= 0), so constant y gives b = +0, and on lattice y a dyadic
-    shift of y moves no bit of b.  V sums sig2 * w * w over each window, for
-    the sorted variances ``sig2``, and max|w| is taken before any scaling.
-    Given the sorted multipliers ``es`` (n x B), the step scales w in place
-    to w / sqrt(V), 0 where V = 0, and its draws are one product of that
-    panel with the span's rows of es; else the draws are None.  A block
-    stepped again has the same bits.
+def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray, es=None):
+    """The blocks of live scales, every scale's window of runs, and the block step.
 
-    Only the double loop of a general k runs per scale; everything else
-    runs once per block.
+    The columns are the tie runs of x in sorted order ``order``: run r is
+    sorted[first[r] : first[r + 1]].  A scale is live when its window,
+    runs lo:hi, holds at least two runs; the others have w = 0 and b = 0
+    and are in no block.  ``blocks`` lists the scale ids of each block, at
+    most FIELD_BLOCK live scales of one cell, in id order within the cell.
+
+    ``step(rows)`` gives a block's (W, b, V, max|w|, draws).  ``W`` is the
+    (rows x span) panel over runs lo.min():hi.max(), zero outside each
+    window; observation i of run r has w_i = W_r * zf_i, for zf_i its
+    z-cell factor (1 without z-cells).  ``b`` is each scale's test function,
+    the sum over its window of (YZ + Z * (y_first - y_lo)) * W, with Z, YZ
+    the run sums of zf and zf * (y - y_first), y_first the run's first
+    sorted y and y_lo that of the window's first run; its first cell is
+    (+0) * (W >= 0), so constant y gives b = +0, and on lattice y a dyadic
+    shift of y moves no bit of b.  V sums W * W * S2 over each window, for
+    S2 the run sums of zf * zf * sig2 and the sorted variances ``sig2``,
+    and max|w| is max |W| * max zf, taken before any scaling.  Given the
+    sorted multipliers ``es`` (n x B), the step scales W in place to
+    W / sqrt(V), 0 where V = 0, and its draws are one product of that panel
+    with the span's rows of E, the run sums of zf * es of the block's cell;
+    else the draws are None.  A block stepped again has the same bits.
+
+    When every run is one observation and the set has no z-cells, the
+    runs are the sorted observations, E is ``es`` itself, and the step
+    skips Z, YZ and max zf.  Only the double loop of a general k runs per
+    scale; everything else runs once per block.
     """
     xs = sample.x[order]
     ys = sample.y[order]
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    xr, yf = xs[first], ys[first]
     sx, sh, k = set_.x, set_.h, set_.k
-    lo, hi = _window_bounds(xs, sx, sh, set_.kernel.support_radius)
-    # a pair with nonzero sign needs two distinct x: a window with fewer
-    # points, or one made of a single tie run, keeps w = 0 and b = 0
-    live = hi - lo >= 2
-    live[live] = xs[lo[live]] < xs[hi[live] - 1]
-    # sorted point j lies in the tie run L[j]:R[j]
-    L = np.searchsorted(xs, xs, side="left")
-    R = np.searchsorted(xs, xs, side="right")
-    zcell = set_.z_loc is not None
-    if zcell:
+    # a window never splits a run, since equal x give equal u
+    lo, hi = _window_bounds(xr, sx, sh, set_.kernel.support_radius)
+    # a pair with nonzero sign needs two runs: other windows keep w = 0 and b = 0
+    ids = np.flatnonzero(hi - lo >= 2)
+    groups = [ids]
+    cell_of = np.zeros(set_.p, dtype=np.intp)
+    zs = None
+    if set_.z_loc is not None:
+        # a cell is one (z_loc, z_bw) row, and scale rep[c] has cell c
         zs = sample.z[order]
+        cells = np.column_stack((set_.z_loc, set_.z_bw))
+        _, rep, cell_of = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+        cell_of = cell_of.reshape(-1)
+        ids = ids[np.argsort(cell_of[ids], kind="stable")]
+        groups = np.split(ids, np.flatnonzero(np.diff(cell_of[ids])) + 1)
+    blocks = [g[s : s + FIELD_BLOCK] for g in groups for s in range(0, g.size, FIELD_BLOCK)]
+    current = {}
 
-    def step(rows, es=None):
+    def cell(c):
+        # cell c's run sums (Z, YZ, S2, ZM) and E, formed when the cell changes
+        if current.get("c") == c:
+            return current["sums"], current["E"]
+        current.clear()  # the last cell's E goes before this one's is formed
+        if zs is None and first.size == xs.size:
+            sums, E = (None, None, sig2, None), es
+        else:
+            zf = np.ones(xs.size) if zs is None else _z_factor(set_, zs, rep[c])
+            dy = ys - np.repeat(yf, np.diff(np.append(first, xs.size)))
+            Z, YZ, S2 = (np.add.reduceat(v, first) for v in (zf, zf * dy, zf * zf * sig2))
+            sums = (Z, YZ, S2, np.maximum.reduceat(zf, first))
+            E = None
+            if es is not None:
+                # FIELD_BLOCK columns at a time: no n x B temporary
+                E = np.empty((first.size, es.shape[1]))
+                for c0 in range(0, es.shape[1], FIELD_BLOCK):
+                    part = slice(c0, c0 + FIELD_BLOCK)
+                    E[:, part] = np.add.reduceat(zf[:, None] * es[:, part], first, axis=0)
+        current.update(c=c, sums=sums, E=E)
+        return sums, E
+
+    def step(rows):
         # a function, so that none of its panels outlives the block
         wlo, whi = lo[rows], hi[rows]
         a = int(wlo.min())
         span = slice(a, int(whi.max()))
+        (Z, YZ, S2, ZM), E = cell(cell_of[rows[0]])
         # the kernel is zero where |u| >= support, which is outside the window
-        g = np.asarray(set_.kernel((xs[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
-        if zcell:
-            # the z-cell factor, a product over coordinates taken in order
-            bw, loc = set_.z_bw[rows, None], set_.z_loc[rows]
-            zf = set_.kernel((zs[span, 0] - loc[:, 0, None]) / bw)
-            for j in range(1, zs.shape[1]):
-                zf = zf * set_.kernel((zs[span, j] - loc[:, j, None]) / bw)
-            g *= zf
+        kx = np.asarray(set_.kernel((xr[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
+        m = kx if Z is None else kx * Z[span]
         if k == 0.0:
-            w = _block_k0(g, wlo, whi, L, R)
+            w = _block_k0(kx, m, wlo, whi)
         elif k == 1.0:
-            w = _block_k1(g, xs, wlo, whi)
+            w = _block_k1(kx, m, xr, wlo, whi)
         else:
-            w = np.zeros_like(g)
+            w = np.zeros_like(kx)
             for r, (l, h) in enumerate(zip(wlo.tolist(), whi.tolist())):
                 win = slice(l - a, h - a)
-                w[r, win] = _window_weights(xs[l:h], g[r, win], k)
-        del g  # before one more panel: (y - y_lo) * w for b, then |w|, then sig2 * w * w
-        panel = np.subtract(ys[span], ys[wlo][:, None])
+                w[r, win] = _window_weights(xr[l:h], kx[r, win], m[r, win], k)
+        del kx, m  # before one more panel: b's terms, then |w|, then W * W * S2
+        panel = np.subtract(yf[span], yf[wlo][:, None])
+        if Z is not None:
+            panel *= Z[span]
+            panel += YZ[span]
         panel *= w
         b = _window_sums(panel, wlo - a, whi - a)
         np.abs(w, out=panel)
+        if ZM is not None:
+            panel *= ZM[span]
         absmax = panel.max(axis=1)
         np.multiply(w, w, out=panel)
-        panel *= sig2[span]
+        panel *= S2[span]
         v = _window_sums(panel, wlo - a, whi - a)
         del panel  # before the draws
-        if es is None:
+        if E is None:
             return w, b, v, absmax, None
         w *= np.divide(1.0, np.sqrt(v), out=np.zeros(v.size), where=v > 0.0)[:, None]
-        return w, b, v, absmax, w @ es[span]
+        return w, b, v, absmax, w @ E[span]
 
-    ids = np.flatnonzero(live)
-    blocks = [ids[start : start + FIELD_BLOCK] for start in range(0, ids.size, FIELD_BLOCK)]
     return blocks, lo, hi, step
 
 
@@ -341,11 +386,17 @@ class KeptDraws:
     active scale ids, by one rule for every block.  A block whose rows with
     V > 0 are all in the set answers with the maximum folded in as the
     engine formed it.  Any other block's rows in the set are read from the
-    kept rows, and the block is rebuilt when one of them is not kept.  A
-    rebuilt block has the same panel, scaling and product shape, so every
-    draw has the same bits whichever way it is read, and the maxima are
-    exact.  A block with a row of 0 < V <= tau folded that row in, but no
-    set of active ids holds it, so the rule never reads that maximum.
+    kept rows, or from the rows the last call held, and the block is
+    rebuilt when one of them is in neither.  A rebuilt block has the same
+    panel, scaling and product shape, so every draw has the same bits
+    whichever way it is read, and the maxima are exact.  A block with a row
+    of 0 < V <= tau folded that row in, but no set of active ids holds it,
+    so the rule never reads that maximum.
+
+    Each call holds, until the next, the rows of its set that are not kept,
+    up to as many as the store keeps: the ladder's sets are nested upper
+    sets of t, so the next rung reads them instead of rebuilding their
+    blocks.
 
     ``ids`` are the kept scales: of the scales with V > 0, the at most
     ``kept_rows(p, B)`` with the highest t, less any found inactive.
@@ -368,6 +419,9 @@ class KeptDraws:
         self._used = 0
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
+        # the rows the last maxima call read but not from the store
+        self._held_id = np.empty(0, dtype=np.intp)
+        self._held = np.empty((0, B))
         self.rebuilt = 0
 
     @property
@@ -414,19 +468,35 @@ class KeptDraws:
         """Per-draw maxima of the draws over the given active scale ids."""
         ids = np.asarray(ids, dtype=np.intp)
         j_of = self._block_of[ids]
-        whole = np.bincount(j_of, minlength=self._folded.size) == self._folded
+        nblocks = self._folded.size
+        whole = np.bincount(j_of, minlength=nblocks) == self._folded
         out = self._block_max[whole].max(axis=0, initial=-np.inf)
         # want[-1] is False, so an empty row's id -1 selects nothing
         want = np.zeros(self._block_of.size + 1, dtype=bool)
         want[ids[~whole[j_of]]] = True
-        # FIELD_BLOCK kept rows at a time: no copy is larger than a block's draws
         kept = np.flatnonzero(want[self._id])
-        for k in range(0, kept.size, FIELD_BLOCK):
-            np.maximum(out, self._rows[kept[k : k + FIELD_BLOCK]].max(axis=0), out=out)
         want[self._id] = False
-        for j in np.unique(j_of[want[ids]]):
+        held = np.flatnonzero(want[self._held_id])
+        want[self._held_id] = False
+        # FIELD_BLOCK rows at a time: no copy is larger than a block's draws
+        for rows, pick in ((self._rows, kept), (self._held, held)):
+            for k in range(0, pick.size, FIELD_BLOCK):
+                np.maximum(out, rows[pick[k : k + FIELD_BLOCK]].max(axis=0), out=out)
+        # hold this set's rows that are not kept for the next call, at most
+        # as many as the store keeps
+        room = self._t.size - held.size
+        next_id, next_rows = [self._held_id[held]], [self._held[held]]
+        for j in np.flatnonzero(np.bincount(j_of[want[ids]], minlength=nblocks)):
             self.rebuilt += 1
-            np.maximum(out, self._draw_block(j)[want[self._blocks[j]]].max(axis=0), out=out)
+            missing = want[self._blocks[j]]
+            d = self._draw_block(j)[missing]
+            np.maximum(out, d.max(axis=0), out=out)
+            if d.shape[0] <= room:
+                room -= d.shape[0]
+                next_id.append(self._blocks[j][missing])
+                next_rows.append(d)
+        self._held_id = np.concatenate(next_id)
+        self._held = np.concatenate(next_rows)
         return out
 
 
@@ -479,12 +549,12 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         # sorted; if the caller passed a temporary e, only this copy stays alive
         es = es.reshape(sample.n, -1)[order]
         del e
-    blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order])
+    blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], es)
     if es is not None:
         # a rebuild is the loop's step again, so its draws have the same bits
-        draws = KeptDraws(p, es.shape[1], blocks, lambda j: step(blocks[j], es)[4])
+        draws = KeptDraws(p, es.shape[1], blocks, lambda j: step(blocks[j])[4])
     for j, rows in enumerate(blocks):
-        w, b[rows], v[rows], absmax[rows], d = step(rows, es)
+        w, b[rows], v[rows], absmax[rows], d = step(rows)
         if draws is not None:
             draws._add(j, b[rows], v[rows], d)
         del w, d  # before the engine builds the next block

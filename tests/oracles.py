@@ -49,25 +49,67 @@ def naive_w_b(sample, set_, r):
     return w, b, scale_w, scale_b
 
 
-def field_blocks(sample, set_, order):
-    """Generate the engine's (rows, lo, hi, w, b) per block, in its block order.
+def _runs(sample, order):
+    """Each sorted observation's tie run, and each run's first sorted observation."""
+    xs = sample.x[order]
+    run_of = np.cumsum(np.concatenate(([True], xs[1:] != xs[:-1]))) - 1
+    return run_of, np.searchsorted(run_of, np.arange(run_of[-1] + 2))
 
-    The block step runs without multipliers, so w is the raw weight panel.
+
+def _z_factor(sample, set_, order, r):
+    """Scale r's z-cell factor of each sorted observation, as the engine forms it, or None."""
+    if set_.z_loc is None:
+        return None
+    zs = sample.z[order]
+    zf = set_.kernel((zs[:, 0] - set_.z_loc[r, 0]) / set_.z_bw[r])
+    for j in range(1, zs.shape[1]):
+        zf = zf * set_.kernel((zs[:, j] - set_.z_loc[r, j]) / set_.z_bw[r])
+    return zf
+
+
+def run_blocks(sample, set_, order):
+    """The engine's (rows, lo, hi, W, b) per block, in its block order, on run columns.
+
+    The block step runs without multipliers, so W is the raw panel; lo and
+    hi bound each window in runs.
     """
     blocks, lo, hi, step = statistic._field_engine(sample, set_, order, np.ones(sample.n))
     for rows in blocks:
         yield (rows, lo[rows], hi[rows], *step(rows)[:2])
 
 
-def dense_w(sample, set_):
+def field_blocks(sample, set_, order, scale=None):
+    """Generate the engine's (rows, lo, hi, w, b) per block, with w on observation columns.
+
+    The engine's columns are tie runs; each is expanded back to its sorted
+    observations, w_i = W_r * zf_i with the engine's association, so lo and
+    hi bound each window in sorted observations.  Given a p-vector
+    ``scale``, each row of W is multiplied by its scale first, as the engine
+    scales W to W / sqrt(V) before its draw product.
+    """
+    run_of, start = _runs(sample, order)
+    for rows, lo, hi, W, b in run_blocks(sample, set_, order):
+        if scale is not None:
+            W = W * scale[rows][:, None]
+        a = start[lo.min()]
+        cols = run_of[a : start[hi.max()]] - lo.min()
+        w = W[:, cols]
+        zf = _z_factor(sample, set_, order, rows[0])
+        if zf is not None:
+            w *= zf[a : a + cols.size]
+        yield rows, start[lo], start[hi], w, b
+
+
+def dense_w(sample, set_, scale=None):
     """The engine's weights, window by window, in a dense p x n matrix W, with b.
 
     Only each row's window cells are copied, so W is +0 outside the windows.
+    ``scale`` is passed to ``field_blocks``.
     """
     order = statistic._sort_order(sample)
     W = np.zeros((set_.p, sample.n))
     b = np.zeros(set_.p)
-    for rows, lo, hi, w, b_rows in field_blocks(sample, set_, order):
+    for rows, lo, hi, w, b_rows in field_blocks(sample, set_, order, scale):
         a = lo.min()
         for r, l, h, w_row in zip(rows, lo, hi, w):
             W[r, order[l:h]] = w_row[l - a : h - a]
@@ -79,20 +121,28 @@ def dense_draws(sample, set_, sigma, e):
     """Every scale's draws for the columns of e, in a dense p x B matrix.
 
     Each block of the engine gives the rows of its scales as one product of
-    its panel, scaled to w / sqrt(V), with the block's span of the sorted
-    rows of e: the shape the engine uses, so the rows have its bits.  The
-    rows of inactive scales are -inf, so they attain no maximum.
+    its run panel, scaled to W / sqrt(V), with the block's span of the run
+    sums E_r = sum over run r of zf_i * e_i (the sorted e itself when every
+    run is one observation and there are no z-cells): the shape the engine
+    uses, so the rows have its bits.  The rows of inactive scales are -inf,
+    so they attain no maximum.
     """
     field = statistic.evaluate_field(sample, set_, sigma)
     order = statistic._sort_order(sample)
     es = np.asarray(e, dtype=float).reshape(sample.n, -1)[order]
+    start = _runs(sample, order)[1]
     draws = np.full((set_.p, es.shape[1]), -np.inf)
-    for rows, lo, hi, w, _ in field_blocks(sample, set_, order):
+    for rows, lo, hi, W, _ in run_blocks(sample, set_, order):
+        zf = _z_factor(sample, set_, order, rows[0])
+        E = es
+        if zf is not None or start.size <= sample.n:
+            zf = np.ones(sample.n) if zf is None else zf
+            E = np.add.reduceat(zf[:, None] * es, start[:-1], axis=0)
         v = field.v_hat[rows]
         f = np.zeros(rows.size)
         f[v > 0.0] = 1.0 / np.sqrt(v[v > 0.0])
         a = lo.min()
-        draws[rows] = (w * f[:, None]) @ es[a : a + w.shape[1]]
+        draws[rows] = (W * f[:, None]) @ E[a : a + W.shape[1]]
     inactive = np.ones(set_.p, dtype=bool)
     inactive[field.active_ids] = False
     draws[inactive] = -np.inf

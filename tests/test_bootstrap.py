@@ -1,5 +1,6 @@
 """Wild-bootstrap critical values: shared panel, selection, quantiles."""
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,8 +19,11 @@ from monotest import (
     run_report,
     statistic,
 )
+from monotest.cli import load_columns
 from monotest.scales import build_z_local_set
 from oracles import naive_ladder, run_draws
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_quantile_upper_order_statistics():
@@ -344,3 +348,31 @@ def test_streamed_ladder_matches_dense_draws():
         seen["k = 0.5"] += set_.k == 0.5
         seen["all kept"] += kept >= set_.p
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("B, per_rung", [(8000, [0, 3, 0]), (20000, [0, 3, 2])])
+def test_next_rung_reads_the_rows_the_last_rebuilt(B, per_rung):
+    # the golden main.csv at seed 5: R = 8 MiB / (8 B) kept rows leave the
+    # one-step set short of rows, so it rebuilds three blocks; the step-down
+    # set is a subset of it, so it reads the rows the one-step rung held
+    # instead of rebuilding those blocks again.  At B = 8,000 every held row
+    # fits; at B = 20,000 the held rows stop at R = 52, and the step-down
+    # pass rebuilds the two blocks that did not fit
+    cols = load_columns(str(GOLDEN / "main.csv"), ["x", "y"])
+    sample = Sample(cols["x"], cols["y"])
+    counts = []
+    maxima = statistic.KeptDraws.maxima
+
+    def counted(self, ids):
+        before = self.rebuilt
+        out = maxima(self, ids)
+        counts.append(self.rebuilt - before)
+        return out
+
+    with mock.patch.object(statistic.KeptDraws, "maxima", counted):
+        run = bootstrap_run(
+            sample, estimate_sigma(sample, "rice"), build_basic_set(sample.x),
+            BootConfig(B=B, seed=5),
+        )
+    assert counts == per_rung
+    assert len(run.ladder) == len(per_rung)

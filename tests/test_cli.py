@@ -1,7 +1,11 @@
 """Command-line frontend: CSV loading, JSON rendering, subcommands, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +435,35 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
         assert obj["error"] == "DataError" and obj["message"] == frag, obj
     assert main(["diag", path, "--z-cols", "z"]) == 2
     assert _stderr_error(capsys)["message"] == "model 'simple' does not read --z-cols"
+    # so is an option flag the model or sigma method never reads
+    for argv, frag in [
+        (["--model", "partial-linear", "--z-cols", "z", "--z-cells", "7"],
+         "model 'partial-linear' does not read --z-cells"),
+        (["--model", "partial-linear", "--z-cols", "z", "--z-cells", "3"],
+         "model 'partial-linear' does not read --z-cells"),
+        (["--model", "additive", "--z-cols", "z", "--z-bw", "0.5"],
+         "model 'additive' does not read --z-bw"),
+        (["--z-bw", "0.5"], "model 'simple' does not read --z-bw"),
+        (["--sigma-bn", "0.3"], "sigma method 'rice' does not read --sigma-bn"),
+        (["--sigma", "residual", "--sigma-bn", "0.3"],
+         "sigma method 'residual' does not read --sigma-bn"),
+        (["--sigma-degree", "4"], "sigma method 'rice' does not read --sigma-degree"),
+        (["--sigma", "local-rice", "--sigma-degree", "4"],
+         "sigma method 'local-rice' does not read --sigma-degree"),
+    ]:
+        for cmd in ("test", "diag"):
+            assert main([cmd, path, *argv]) == 2, (cmd, argv)
+            obj = _stderr_error(capsys)
+            assert obj["error"] == "DataError" and obj["message"] == frag, obj
+    # and each is read where it applies
+    for argv in (
+        ["--model", "nonparametric-z", "--z-cols", "z", "--z-cells", "2", "--z-bw", "0.5"],
+        ["--sigma", "local-rice", "--sigma-bn", "0.3"],
+        ["--sigma", "residual", "--sigma-degree", "2"],
+        ["--sigma", "two-step-poly", "--sigma-degree", "2"],
+    ):
+        assert main(["test", path, *argv, "--boot", "20"]) == 0, argv
+        capsys.readouterr()
 
 
 def test_exit_2_on_bad_scale_values(tmp_path, capsys):
@@ -514,3 +547,31 @@ def test_parser_rejects_unknown_choice(tmp_path):
         build_parser().parse_args(["test", path, "--kernel", "gaussian"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["test", path, "--cv", "bonferroni"])
+
+
+_MA_PROBE = """
+import os
+import sys
+from monotest.cli import main
+for argv in (
+    ["test", "main.csv"],
+    ["test", "main.csv", "--model", "partial-linear", "--z-cols", "z,z2", "--sigma", "residual"],
+    ["mc", "--cases", "3", "--sizes", "60", "--reps", "2", "--cv", "pi,os,sd"],
+):
+    assert main([*argv, "--boot", "20", "--out", os.devnull]) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+def test_test_and_mc_do_not_import_numpy_ma():
+    # np.unique without indices imports numpy.ma (about 15 ms and 1.3 MiB);
+    # only z-cells, through np.quantile, need it
+    golden = Path(__file__).resolve().parent / "golden"
+    env = dict(os.environ)
+    src = str(Path(statistic.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MA_PROBE],
+        cwd=golden, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_draws, dense_w, field_blocks, naive_w_b
+from oracles import dense_draws, dense_w, field_blocks, naive_w_b, run_blocks
 
 from monotest import (
     BootConfig,
@@ -143,6 +143,52 @@ def test_tie_correction_matches_naive(config):
     assert _b(flat, set_) == 0.0
 
 
+@st.composite
+def _tied_zcell_config(draw):
+    # x on a grid of at most 6 values, lattice y, z-cells in 1 or 2 dimensions
+    grid = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(2, 40))
+    x = 0.25 * np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(-256, 256), min_size=n, max_size=n))) / 64.0
+    d = draw(st.sampled_from([1, 2]))
+    z = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d)))
+    sample = Sample(x=x, y=y, z=z.reshape(n, d))
+    scales = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(x.tolist()), st.floats(-2.5, 2.5)),
+                st.sampled_from([0.1, 0.3, 0.6, 1.1, 5.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    k = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    kern = draw(st.sampled_from([EPANECHNIKOV, UNIFORM]))
+    locations, bandwidths = zip(*scales)
+    locs = draw(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * d), min_size=1, max_size=3))
+    bws = draw(st.lists(st.sampled_from([0.2, 0.5, 2.0]), min_size=1, max_size=2, unique=True))
+    set_ = build_z_local_set(ScaleSet(locations, bandwidths, k, kern), z_locs=locs, z_bws=bws)
+    return sample, set_
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tied_zcell_config(), st.sampled_from([1, 3, 64]))
+def test_tied_z_cells_match_naive(config, block):
+    # every window is made of tie runs and every scale has a z-factor, so
+    # each column of the engine sums several observations' factors
+    sample, set_ = config
+    with mock.patch.object(statistic, "FIELD_BLOCK", block):
+        b = _check_field_against_naive(sample, set_)[1]
+        # constant y: every y - y_first and y_first - y_lo is +0, so b is +0
+        flat = Sample(x=sample.x, y=np.full(sample.n, sample.y[0]), z=sample.z)
+        assert not dense_w(flat, set_)[1].any()
+        # a dyadic shift of lattice y keeps both differences exact
+        for c in (1.0, -17.25, 1024.0):
+            shifted = Sample(x=sample.x, y=sample.y + c, z=sample.z)
+            assert dense_w(shifted, set_)[1].tobytes() == b.tobytes()
+
+
 def test_single_tie_run_window_is_exactly_zero():
     # every pair in the window is tied, so no pair has a nonzero sign
     sample = Sample(x=[0.0, 0.0], y=[0.0, 1.5])
@@ -164,8 +210,8 @@ def test_window_follows_the_kernel_argument():
 
 
 def test_weight_panels_stay_c_ordered_on_ties():
-    # a tie run in a block's span must not change the w panel's memory
-    # layout, or the block's draw product takes another BLAS path
+    # the engine's run panel W must keep one memory layout, or the block's
+    # draw product takes another BLAS path
     rng = np.random.default_rng(9)
     x = np.round(rng.uniform(0.0, 1.0, 60), 1)
     sample = Sample(x=x, y=rng.normal(size=x.size), z=rng.uniform(0, 1, (x.size, 1)))
@@ -173,7 +219,7 @@ def test_weight_panels_stay_c_ordered_on_ties():
     for k in (0.0, 0.5, 1.0):
         set_ = build_basic_set(x, k=k)
         for s in (set_, build_z_local_set(set_, z_locs=[(0.5,)], z_bws=[0.4])):
-            for rows, lo, hi, w, b in field_blocks(sample, s, order):
+            for rows, lo, hi, w, b in run_blocks(sample, s, order):
                 assert w.flags.c_contiguous, (k, rows[0])
 
 
@@ -243,8 +289,9 @@ def _check_field_against_naive(sample, set_):
     """The engine's w and b on every scale against the double sums; returns them.
 
     Then a unit-sigma field: its draws for e = I_n are, on the active
-    scales, the dense rows w / sqrt(V), each entry one product with 1.0, so
-    they equal the scaled engine rows bit for bit; the other rows are -inf.
+    scales, the dense rows w / sqrt(V), each entry (W_r / sqrt(V)) * zf_i
+    (the run sums of zf * e are single products zf_i * 1.0), so they equal
+    the engine rows scaled before expansion bit for bit; the other rows are -inf.
     The field keeps some of those rows, with the same bits.
     """
     W, b = dense_w(sample, set_)
@@ -263,7 +310,9 @@ def _check_field_against_naive(sample, set_):
     active = field.active_ids
     root_v = np.sqrt(field.v_hat[active])
     dense = dense_draws(sample, set_, np.ones(n), np.eye(n))
-    np.testing.assert_array_equal(dense[active], W[active] * (1.0 / root_v)[:, None])
+    scale = np.zeros(set_.p)
+    scale[active] = 1.0 / root_v
+    np.testing.assert_array_equal(dense[active], dense_w(sample, set_, scale)[0][active])
     assert _inactive_rows_are_minus_inf(dense, field)
     _check_kept(field, dense)
     assert field.A_n == np.max(np.abs(W[active]).max(axis=1) / root_v)
@@ -502,6 +551,64 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
+
+
+def _tied_zcell_case(n=2000, seed=73):
+    # x on a 0.01 grid (201 distinct values) and three z-cells, as in the
+    # benchmark's z-cell workload
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(-1, 1, n), 2) + 0.0
+    sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
+    set_ = build_z_local_set(build_basic_set(x), [(1 / 6,), (0.5,), (5 / 6,)], [1 / 3])
+    return sample, set_, rng.uniform(0.5, 2.0, n)
+
+
+def test_tied_panels_have_a_column_per_run_and_one_cell_per_block():
+    sample, set_, _ = _tied_zcell_case(n=600)
+    runs = np.unique(sample.x).size
+    order = statistic._sort_order(sample)
+    seen = set()
+    for s in (build_basic_set(sample.x), set_):
+        for rows, lo, hi, w, b in run_blocks(sample, s, order):
+            assert w.shape == (rows.size, hi.max() - lo.min()) and w.shape[1] <= runs
+            if s.z_loc is not None:
+                cell = np.column_stack((s.z_loc[rows], s.z_bw[rows]))
+                assert (cell == cell[0]).all()
+                seen.add(tuple(cell[0]))
+    assert len(seen) == 3
+
+
+def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
+    # The panels of a tied z-cell field are (block x span) over tie runs:
+    # four of them hold at most FIELD_BLOCK * (runs + 1) * 8 bytes each.
+    # With draws the field adds the sorted n x B copy of e, one cell's run
+    # sums E (runs x B), one block's draws (FIELD_BLOCK x B), the
+    # FIELD_BLOCK-column temporary that forms E (n x FIELD_BLOCK), the kept
+    # rows and one B-vector of maxima per block (each cell may end in a
+    # partial block).  Panels over observations, ten times wider here, do
+    # not fit.
+    sample, set_, sig = _tied_zcell_case()
+    n, B = sample.n, 100
+    runs = np.unique(sample.x).size
+    e = np.random.default_rng(5).standard_normal((n, B))
+    peaks = {}
+    for name, run in (
+        ("field", lambda: evaluate_field(sample, set_, sig)),
+        ("draws", lambda: evaluate_field(sample, set_, sig, e)),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    field_bound = 4 * statistic.FIELD_BLOCK * (runs + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
+    assert 4 * statistic.FIELD_BLOCK * (n + 1) * 8 > 2 * field_bound
+    assert peaks["field"] < field_bound, (peaks, field_bound)
+    blocks = -(-set_.p // statistic.FIELD_BLOCK) + 3
+    draws_bound = (n + runs + statistic.FIELD_BLOCK) * B * 8 + n * statistic.FIELD_BLOCK * 8
+    draws_bound += statistic.kept_rows(set_.p, B) * B * 8 + blocks * B * 8
+    assert peaks["draws"] < field_bound + draws_bound, (peaks, field_bound + draws_bound)
 
 
 _BLAS_PROBE = """
