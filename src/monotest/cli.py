@@ -35,24 +35,28 @@ from .bootstrap import CV_METHODS, BootConfig, TestReport, run_report
 from .errors import DataError, DegenerateVarianceError
 from .models import additive_adjust, endogenous_adjust, partial_linear_adjust, selection_adjust
 from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
-from .sigma import SIGMA_METHODS, estimate_sigma
+from .sigma import estimate_sigma
 from .simlab import NOISES, McDesign, results_to_csv, results_to_text, run_mc
 from .statistic import FIELD_BLOCK, Sample, evaluate_field, kept_rows
 
 __all__ = ["main", "build_parser", "load_columns", "report_to_json"]
 
-# model -> the column flags its adapter reads; each other column flag exits 2
+# model (sigma method) -> every conditional flag it reads.  Any other exits 2, as
+# does a column flag that it reads but was not given.  Option flags default to
+# None: an adapter gets only those given, so its signature holds the defaults.
 MODEL_FLAGS = {
     "simple": (),
-    "partial-linear": ("--z-cols",),
-    "additive": ("--z-cols",),
-    "nonparametric-z": ("--z-cols",),
-    "endogenous": ("--u-cols",),
-    "selection": ("--z-cols", "--d-col"),
+    "partial-linear": ("--z-cols", "--first-stage-degree"),
+    "additive": ("--z-cols", "--L"),
+    "nonparametric-z": ("--z-cols", "--z-cells", "--z-bw"),
+    "endogenous": ("--u-cols", "--first-stage-degree", "--L"),
+    "selection": ("--z-cols", "--d-col", "--pscore-degree", "--L"),
 }
-MODELS = tuple(MODEL_FLAGS)
-# sigma option flag -> the sigma methods that read it; any other method exits 2
-SIGMA_FLAGS = {"--sigma-bn": ("local-rice",), "--sigma-degree": ("residual", "two-step-poly")}
+SIGMA_FLAGS = {
+    "rice": (), "local-rice": ("--sigma-bn",),
+    "residual": ("--sigma-degree",), "two-step-poly": ("--sigma-degree",),
+}
+COLUMN_FLAGS = ("--z-cols", "--u-cols", "--d-col")
 Z_CELLS = 3  # quantile cells per z dimension when --z-cells is absent
 
 
@@ -170,19 +174,23 @@ def _write_out(out: str, text: str) -> None:
 def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError:
     """What the field (and, with ``boot``, the bootstrap's draws) allocate, as a MemoryError."""
     p, n = set_.p, base.n
+    xs = np.sort(base.x)
+    m = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))  # the tie runs, one panel column each
     need = (
-        f"panels of {FIELD_BLOCK * (n + 1) * 8 / 2**20:.1f} MiB each"
-        f" (FIELD_BLOCK * (n + 1) * 8 bytes) for one block of {FIELD_BLOCK} scales at a time"
+        f"panels of {FIELD_BLOCK * (m + 1) * 8 / 2**20:.1f} MiB each (FIELD_BLOCK * (m + 1) * 8"
+        f" bytes, m = {m} distinct x) for one block of {FIELD_BLOCK} scales at a time"
     )
     fewer = "fewer rows"
     if boot is not None:
         rows = kept_rows(p, boot)
-        draws = (
+        draws = [
             f"{rows} kept rows of {boot} bootstrap draws ({rows * boot * 8 / 2**20:.0f} MiB,"
-            " min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B)) and the n x B"
-            f" multiplier panel ({n * boot * 8 / 2**20:.0f} MiB)"
-        )
-        need = f"{draws} plus {need}"
+            " min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B))",
+            f"the n x B multiplier panel ({n * boot * 8 / 2**20:.0f} MiB)",
+        ]
+        if m < n or set_.z_loc is not None:
+            draws.insert(1, f"the m x B run-sum panel ({m * boot * 8 / 2**20:.0f} MiB)")
+        need = f"{', '.join(draws[:-1])} and {draws[-1]} plus {need}"
         fewer = "fewer bandwidths (--h-set), rows or draws (--boot)"
     return MemoryError(f"out of memory: {p} scales x {n} observations need {need}; use {fewer}")
 
@@ -217,13 +225,22 @@ def _number_list(opt: str, flag: str, kind=float) -> list:
     return vals
 
 
+def _quantile(col: list, q: float) -> float:
+    """The q-quantile of a sorted list by np.quantile's linear rule, with its rounding."""
+    v = (len(col) - 1) * q
+    j = min(int(v), len(col) - 2)
+    a, b, t = col[j], col[j + 1], v - j
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def _z_grid(z: np.ndarray, cells: int) -> list[tuple[float, ...]]:
     # one location per quantile cell midpoint, crossed over z dimensions
+    # (np.quantile itself would import numpy.ma)
     if cells < 1:
         raise DataError("--z-cells must be >= 1")
     levels = [(2 * i + 1) / (2 * cells) for i in range(cells)]
-    per_dim = [np.quantile(z[:, j], levels) for j in range(z.shape[1])]
-    return [tuple(float(v) for v in combo) for combo in itertools.product(*per_dim)]
+    per_dim = [[_quantile(col, q) for q in levels] for col in np.sort(z, axis=0).T.tolist()]
+    return list(itertools.product(*per_dim))
 
 
 def _z_bandwidths(z: np.ndarray, cells: int, override: str) -> list[float]:
@@ -236,23 +253,24 @@ def _z_bandwidths(z: np.ndarray, cells: int, override: str) -> list[float]:
 
 
 def _prepare_case(args):
-    """Load data, apply the model adjustment, and build the scale set."""
-    z_cols = _split(args.z_cols)
-    u_cols = _split(args.u_cols)
+    """Check the flags, load and adjust the data, build the scale set and estimate sigma."""
+    z_cols, u_cols = _split(args.z_cols), _split(args.u_cols)
     model = args.model
     extra_warnings: tuple[str, ...] = ()
 
-    for flag, given in (("--z-cols", z_cols), ("--u-cols", u_cols), ("--d-col", args.d_col)):
-        if flag in MODEL_FLAGS[model] and not given:
-            raise DataError(f"model {model!r} needs {flag}")
-        if given and flag not in MODEL_FLAGS[model]:
-            raise DataError(f"model {model!r} does not read {flag}")
-    for flag, given in (("--z-cells", args.z_cells is not None), ("--z-bw", args.z_bw)):
-        if given and model != "nonparametric-z":
-            raise DataError(f"model {model!r} does not read {flag}")
-    for flag, given in (("--sigma-bn", args.sigma_bn), ("--sigma-degree", args.sigma_degree)):
-        if given is not None and args.sigma not in SIGMA_FLAGS[flag]:
-            raise DataError(f"sigma method {args.sigma!r} does not read {flag}")
+    opts = {}  # the model's option flags that were given, by keyword
+    families = (("model", model, MODEL_FLAGS), ("sigma method", args.sigma, SIGMA_FLAGS))
+    for what, choice, table in families:
+        for flag in dict.fromkeys(itertools.chain(*table.values())):
+            key = flag[2:].replace("-", "_")
+            value = getattr(args, key)
+            if value in (None, ""):
+                if flag in table[choice] and flag in COLUMN_FLAGS:
+                    raise DataError(f"{what} {choice!r} needs {flag}")
+            elif flag not in table[choice]:
+                raise DataError(f"{what} {choice!r} does not read {flag}")
+            elif table is MODEL_FLAGS and flag not in COLUMN_FLAGS:
+                opts[key] = value
 
     names = [args.x_col, args.y_col] + z_cols + u_cols + ([args.d_col] if args.d_col else [])
     cols = load_columns(args.data, names)
@@ -262,18 +280,13 @@ def _prepare_case(args):
     base = Sample(x, y, z=z)  # simple and nonparametric-z test the sample as read
     # looked up at call time: bench/trace_child.py wraps partial_linear_adjust under this name
     if model == "partial-linear":
-        base = partial_linear_adjust(base, first_stage_degree=args.first_stage_degree)
+        base = partial_linear_adjust(base, **opts)
     elif model == "additive":
-        base = additive_adjust(base, L=args.L)
+        base = additive_adjust(base, **opts)
     elif model == "endogenous":
-        u = np.column_stack([cols[c] for c in u_cols])
-        base = endogenous_adjust(
-            Sample(x, y, z=u), first_stage_degree=args.first_stage_degree, L=args.L
-        )
+        base = endogenous_adjust(Sample(x, y, z=np.column_stack([cols[c] for c in u_cols])), **opts)
     elif model == "selection":
-        base, extra_warnings = selection_adjust(
-            base, cols[args.d_col], pscore_degree=args.pscore_degree, L=args.L
-        )
+        base, extra_warnings = selection_adjust(base, cols[args.d_col], **opts)
 
     kernel = KERNELS[args.kernel]
     if args.h_set:
@@ -283,23 +296,19 @@ def _prepare_case(args):
     else:
         set_ = build_basic_set(base.x, k=args.k, kernel=kernel)
     if model == "nonparametric-z":
-        cells = Z_CELLS if args.z_cells is None else args.z_cells
+        cells = opts.get("z_cells", Z_CELLS)
         set_ = build_z_local_set(
-            set_, _z_grid(base.z, cells), _z_bandwidths(base.z, cells, args.z_bw)
+            set_, _z_grid(base.z, cells), _z_bandwidths(base.z, cells, opts.get("z_bw"))
         )
-    return base, set_, extra_warnings
-
-
-def _estimate(args, base: Sample):
-    return estimate_sigma(base, args.sigma, b_n=args.sigma_bn, degree=args.sigma_degree)
+    sig = estimate_sigma(base, args.sigma, b_n=args.sigma_bn, degree=args.sigma_degree)
+    return base, sig, set_, extra_warnings
 
 
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_test(args) -> int:
-    base, set_, extra_warnings = _prepare_case(args)
-    sig = _estimate(args, base)
+    base, sig, set_, extra_warnings = _prepare_case(args)
     cfg = BootConfig(
         alpha=args.alpha, gamma=args.gamma, B=args.boot, seed=args.seed, method=args.cv
     )
@@ -312,8 +321,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    base, set_, _ = _prepare_case(args)
-    sig = _estimate(args, base)
+    base, sig, set_, _ = _prepare_case(args)
     try:
         a_n = evaluate_field(base, set_, sig).A_n
     except MemoryError:
@@ -379,25 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--u-cols", default="", help="comma-separated exogenous columns (endogenous model)"
     )
     data.add_argument("--d-col", default="", help="selection indicator column (selection model)")
-    data.add_argument("--model", default="simple", choices=MODELS)
+    data.add_argument("--model", default="simple", choices=tuple(MODEL_FLAGS))
     data.add_argument("--k", type=float, default=0.0, help="distance exponent in the pair weights")
     data.add_argument("--kernel", default="epanechnikov", choices=sorted(KERNELS))
     data.add_argument(
         "--h-set", default="", help="comma-separated bandwidths replacing the automatic grid"
     )
-    data.add_argument("--sigma", default="rice", choices=SIGMA_METHODS)
-    data.add_argument("--sigma-bn", type=float, default=None, help="window width for local-rice")
+    data.add_argument("--sigma", default="rice", choices=tuple(SIGMA_FLAGS))
+    data.add_argument("--sigma-bn", type=float, help="window width for local-rice")
+    data.add_argument("--sigma-degree", type=int, help="fit degree for residual / two-step-poly")
+    data.add_argument("--L", type=int, help="Chebyshev degree per block of the correction fit")
+    data.add_argument("--first-stage-degree", type=int, help="first-stage series degree")
+    data.add_argument("--pscore-degree", type=int, help="propensity series degree")
     data.add_argument(
-        "--sigma-degree", type=int, default=None, help="fit degree for residual / two-step-poly"
-    )
-    data.add_argument("--L", type=int, default=4, help="Chebyshev degree per additive series block")
-    data.add_argument("--first-stage-degree", type=int, default=3)
-    data.add_argument("--pscore-degree", type=int, default=3)
-    data.add_argument(
-        "--z-cells",
-        type=int,
-        default=None,
-        help=f"quantile cells per z dimension (nonparametric-z; default: {Z_CELLS})",
+        "--z-cells", type=int, help=f"quantile cells per z dimension (default: {Z_CELLS})"
     )
     data.add_argument(
         "--z-bw", default="", help="comma-separated z-cell bandwidths (nonparametric-z)"

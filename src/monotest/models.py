@@ -8,7 +8,10 @@ additive z component, a control-function step for endogenous regressors
 selection-correction step based on the propensity of being observed.
 All auxiliary regressions are ``sigma.series_fit`` calls: least squares on an
 intercept plus Chebyshev polynomials of each variable, rescaled to [-1, 1]
-over its observed range.
+over its observed range.  An adapter subtracts the share of the z (or
+control, or propensity) blocks of its fit, read with ``SeriesFit.part`` at
+the rows the fit was made on.  The degree defaults live in the adapters'
+signatures only: the CLI passes a degree only when its flag was given.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from .errors import DataError
 from .sigma import SeriesFit, poly_series_fit, series_fit
 from .statistic import Sample
 
-__all__ = [
-    "additive_series_fit",
-    "partial_linear_adjust",
-    "additive_adjust",
-    "endogenous_adjust",
-    "selection_adjust",
-]
+__all__ = ["partial_linear_adjust", "additive_adjust", "endogenous_adjust", "selection_adjust"]
 
 PSCORE_CLAMP = 1e-3
 
@@ -36,29 +33,11 @@ def _check_correction_degree(L: int) -> None:
         raise DataError(f"--L must be >= 1, got {L}: a degree-0 series has no correction block")
 
 
-def additive_series_fit(x, z, y, L: int = 4) -> SeriesFit:
-    """Fit y on additive polynomial blocks in x and in each column of z.
-
-    Block 0 is x and carries the shared intercept (f); blocks 1..d are the
-    z columns (g), whose constants are not separately identified.
-
-    Parameters
-    ----------
-    x, y : array_like, length n
-    z : array_like, n or n x d
-    L : int
-        Chebyshev degree per block.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z.reshape(-1, 1)
-    n, d = z.shape
-    if x.size != n or y.size != n:
-        raise DataError("x, y, z must share the number of rows")
-    names = ["x block"] + [f"z[{j}] block" for j in range(d)]
-    return series_fit(np.column_stack([x, z]), y, L, names)
+def _additive_fit(x, z, y, L: int) -> SeriesFit:
+    """Series fit of y on block 0, x with the intercept (f), and a block per column of z (g)."""
+    cols = np.column_stack([x, z])
+    names = ["x block"] + [f"z[{j}] block" for j in range(cols.shape[1] - 1)]
+    return series_fit(cols, y, L, names)
 
 
 def partial_linear_adjust(sample: Sample, first_stage_degree: int = 3) -> Sample:
@@ -99,8 +78,7 @@ def additive_adjust(sample: Sample, L: int = 4) -> Sample:
     if sample.z is None:
         raise DataError("additive adjustment needs z columns")
     _check_correction_degree(L)
-    fit = additive_series_fit(sample.x, sample.z, sample.y, L=L)
-    g = fit.predict(sample.z, range(1, 1 + sample.z.shape[1]))
+    g = _additive_fit(sample.x, sample.z, sample.y, L).part(range(1, 1 + sample.z.shape[1]))
     return Sample(sample.x, sample.y - g, z=sample.z)
 
 
@@ -123,8 +101,7 @@ def endogenous_adjust(sample: Sample, first_stage_degree: int = 3, L: int = 4) -
             "control variable is degenerate (x is a polynomial in u): "
             "the g block has nothing to fit"
         )
-    fit = additive_series_fit(x, z_hat, sample.y, L=L)
-    return Sample(x, sample.y - fit.predict(z_hat, [1]))
+    return Sample(x, sample.y - _additive_fit(x, z_hat, sample.y, L).part(range(1, 2)))
 
 
 def selection_adjust(
@@ -152,7 +129,7 @@ def selection_adjust(
     if not mask.any():
         raise DataError("no selected rows (d == 1)")
 
-    fitted = additive_series_fit(sample.x, sample.z, mask.astype(float), L=pscore_degree).fitted
+    fitted = _additive_fit(sample.x, sample.z, mask.astype(float), pscore_degree).fitted
     pscore = np.clip(fitted, PSCORE_CLAMP, 1.0 - PSCORE_CLAMP)
 
     x_sel, y_sel, z_sel, p_sel = sample.x[mask], sample.y[mask], sample.z[mask], pscore[mask]
@@ -160,5 +137,5 @@ def selection_adjust(
         # constant propensity: lambda is just a constant, absorbed by f
         warning = "propensity constant on selected rows; lambda set to zero"
         return Sample(x_sel, y_sel, z=z_sel), (warning,)
-    fit = additive_series_fit(x_sel, p_sel, y_sel, L=L)
-    return Sample(x_sel, y_sel - fit.predict(p_sel, [1]), z=z_sel), ()
+    lam = _additive_fit(x_sel, p_sel, y_sel, L).part(range(1, 2))
+    return Sample(x_sel, y_sel - lam, z=z_sel), ()

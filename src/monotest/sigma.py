@@ -6,7 +6,8 @@ polynomial series fit, and a two-step procedure that projects squared
 residuals back onto the polynomial basis to capture heteroscedasticity.
 Residual-based values may be negative; only their squares enter variances
 downstream.  ``series_fit``, the one polynomial-design helper, also fits
-every auxiliary regression of the model adapters.
+every auxiliary regression of the model adapters; ``SeriesFit.part`` reads
+a group of blocks' share of the fit at the rows the fit was made on.
 """
 
 from __future__ import annotations
@@ -105,30 +106,26 @@ class SeriesFit:
     """Least-squares fit of y on an intercept plus T_1..T_degree of each column.
 
     T_q is the Chebyshev polynomial of degree q; column j enters as block j,
-    mapped onto [-1, 1] over its range [lo[j], hi[j]].  Block 0 carries the
-    intercept, so a block sum at new values predicts f, g or lambda alike.
+    its values ``u[:, j]`` mapped onto [-1, 1] over its observed range.
+    Block 0 (f) carries the intercept; ``part`` reads the others (g, lambda).
     """
 
     fitted: np.ndarray
     coef: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    u: np.ndarray
     degree: int
 
-    def predict(self, values, blocks) -> np.ndarray:
-        """Sum of the given blocks at new values, one column per block."""
-        blocks = list(blocks)
-        v = np.asarray(values, dtype=float).reshape(-1, len(blocks))
-        design = _design(v, self.lo[blocks], self.hi[blocks], self.degree, intercept=0 in blocks)
-        cols = [1 + j * self.degree + q for j in blocks for q in range(self.degree)]
-        return design @ self.coef[[0] + cols if 0 in blocks else cols]
+    def part(self, blocks: range) -> np.ndarray:
+        """The share of ``fitted`` of consecutive blocks after block 0, at the fit's own ``u``."""
+        if blocks.step != 1 or not 0 < blocks.start <= blocks.stop <= self.u.shape[1]:
+            raise ValueError(f"{blocks} is not a range of consecutive blocks after block 0")
+        d, u = self.degree, self.u[:, blocks.start : blocks.stop]
+        return _chebyshev_blocks(u, d) @ self.coef[1 + blocks.start * d : 1 + blocks.stop * d]
 
 
-def _design(values: np.ndarray, lo, hi, degree: int, intercept: bool = True) -> np.ndarray:
-    n, m = values.shape
-    u = (values - lo) * (2.0 / (hi - lo)) - 1.0 if degree else values
-    blocks = np.polynomial.chebyshev.chebvander(u, degree)[..., 1:].reshape(n, m * degree)
-    return np.hstack([np.ones((n, 1)), blocks]) if intercept else blocks
+def _chebyshev_blocks(u: np.ndarray, degree: int) -> np.ndarray:
+    """T_1..T_degree of each column of u, block after block."""
+    return np.polynomial.chebyshev.chebvander(u, degree)[..., 1:].reshape(len(u), -1)
 
 
 def series_fit(columns, y, degree: int, names) -> SeriesFit:
@@ -157,7 +154,8 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
             raise DataError(f"{name}: non-finite value, cannot build a polynomial block")
         if degree and not b > a:
             raise DataError(f"{name}: zero range, cannot build a polynomial block")
-    design = _design(columns, lo, hi, degree)
+    u = (columns - lo) * (2.0 / (hi - lo)) - 1.0 if degree else columns
+    design = np.hstack([np.ones((n, 1)), _chebyshev_blocks(u, degree)])
     coef, _, rank, sv = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
@@ -165,7 +163,7 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
             f"rank-deficient polynomial design over blocks {names} "
             f"(rank {rank} < {design.shape[1]}, condition {cond:.3e})"
         )
-    return SeriesFit(design @ coef, coef, lo, hi, int(degree))
+    return SeriesFit(design @ coef, coef, u, int(degree))
 
 
 def poly_series_fit(x, y, degree: int) -> SeriesFit:

@@ -1,5 +1,6 @@
 """Command-line frontend: CSV loading, JSON rendering, subcommands, exit codes."""
 
+import itertools
 import json
 import os
 import re
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotest import DataError, Sample, run_report, BootConfig, build_basic_set, estimate_sigma
+from monotest import SIGMA_METHODS
 from monotest import statistic
 from monotest.cli import (
     build_parser,
@@ -18,7 +22,8 @@ from monotest.cli import (
     main,
     report_to_json,
 )
-from monotest.cli import _json_value, _prepare_case, _render_json
+from monotest.cli import MODEL_FLAGS, SIGMA_FLAGS
+from monotest.cli import _json_value, _prepare_case, _render_json, _z_grid
 
 
 def _write(path, text):
@@ -450,20 +455,42 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
         (["--sigma-degree", "4"], "sigma method 'rice' does not read --sigma-degree"),
         (["--sigma", "local-rice", "--sigma-degree", "4"],
          "sigma method 'local-rice' does not read --sigma-degree"),
+        (["--L", "7"], "model 'simple' does not read --L"),
+        (["--model", "partial-linear", "--z-cols", "z", "--L", "7"],
+         "model 'partial-linear' does not read --L"),
+        (["--model", "nonparametric-z", "--z-cols", "z", "--L", "7"],
+         "model 'nonparametric-z' does not read --L"),
+        (["--first-stage-degree", "9"], "model 'simple' does not read --first-stage-degree"),
+        (["--model", "additive", "--z-cols", "z", "--first-stage-degree", "9"],
+         "model 'additive' does not read --first-stage-degree"),
+        (["--model", "selection", "--z-cols", "z", "--d-col", "d", "--first-stage-degree", "9"],
+         "model 'selection' does not read --first-stage-degree"),
+        (["--pscore-degree", "5"], "model 'simple' does not read --pscore-degree"),
+        (["--model", "partial-linear", "--z-cols", "z", "--pscore-degree", "5"],
+         "model 'partial-linear' does not read --pscore-degree"),
+        (["--model", "endogenous", "--u-cols", "u", "--pscore-degree", "5"],
+         "model 'endogenous' does not read --pscore-degree"),
     ]:
         for cmd in ("test", "diag"):
             assert main([cmd, path, *argv]) == 2, (cmd, argv)
             obj = _stderr_error(capsys)
             assert obj["error"] == "DataError" and obj["message"] == frag, obj
-    # and each is read where it applies
+    # and each is read where it applies, so the report moves with it
     for argv in (
         ["--model", "nonparametric-z", "--z-cols", "z", "--z-cells", "2", "--z-bw", "0.5"],
+        ["--model", "partial-linear", "--z-cols", "z", "--first-stage-degree", "2"],
+        ["--model", "additive", "--z-cols", "z", "--L", "2"],
+        ["--model", "endogenous", "--u-cols", "u", "--first-stage-degree", "2", "--L", "2"],
+        ["--model", "selection", "--z-cols", "z", "--d-col", "d", "--pscore-degree", "2"],
         ["--sigma", "local-rice", "--sigma-bn", "0.3"],
         ["--sigma", "residual", "--sigma-degree", "2"],
         ["--sigma", "two-step-poly", "--sigma-degree", "2"],
     ):
-        assert main(["test", path, *argv, "--boot", "20"]) == 0, argv
-        capsys.readouterr()
+        outs = []
+        for flags in (argv, argv[:-2]):
+            assert main(["test", path, *flags, "--boot", "20"]) == 0, flags
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1], argv
 
 
 def test_exit_2_on_bad_scale_values(tmp_path, capsys):
@@ -510,7 +537,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     p = np.unique(load_columns(path, ["x"])["x"]).size * 2
     assert f"{p} scales x 40 observations" in obj["message"]
     panels = (
-        "panels of 0.0 MiB each (FIELD_BLOCK * (n + 1) * 8 bytes)"
+        "panels of 0.0 MiB each (FIELD_BLOCK * (m + 1) * 8 bytes, m = 40 distinct x)"
         f" for one block of {statistic.FIELD_BLOCK} scales"
     )
     draws = (
@@ -518,13 +545,32 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
         " bytes with R = KEEP_BYTES // (8 * B)) and the n x B multiplier panel (0 MiB)"
     )
     assert draws + " plus " + panels in obj["message"]
-    assert "window weights" not in obj["message"]
+    assert "window weights" not in obj["message"] and "run-sum" not in obj["message"]
     monkeypatch.setattr("monotest.cli.evaluate_field", out_of_memory)
     assert main(["diag", path]) == 2
     obj = _stderr_error(capsys)
     assert obj["error"] == "MemoryError"
     assert "x 40 observations need " + panels in obj["message"]
     assert "draws" not in obj["message"] and "window weights" not in obj["message"]
+    # the panels span tie runs: 4,000 rows on 400 distinct x state m = 400, not n,
+    # and the draws name the m x B run sums; so does a z-cell set without ties
+    x = np.repeat(np.linspace(0.0, 4.0, 400), 10)
+    path = _write_rows(tmp_path / "tied.csv", ["x", "y", "z"], zip(x, np.sin(x), np.cos(x)))
+    panels = "panels of 0.2 MiB each (FIELD_BLOCK * (m + 1) * 8 bytes, m = 400 distinct x)"
+    sums = (
+        "(3 MiB, min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B)), the m x B run-sum"
+        " panel (3 MiB) and the n x B multiplier panel (31 MiB) plus " + panels
+    )
+    for argv, want in [
+        (["test", path, "--boot", "1000"], sums),
+        (["diag", path], "x 4000 observations need " + panels),
+    ]:
+        assert main([*argv, "--h-set", "0.5"]) == 2, argv
+        obj = _stderr_error(capsys)
+        assert obj["error"] == "MemoryError" and want in obj["message"], obj
+    path = _data_csv(tmp_path, n=40, name="z.csv")
+    assert main(["test", path, "--model", "nonparametric-z", "--z-cols", "x", "--boot", "20"]) == 2
+    assert "the m x B run-sum panel (0 MiB)" in _stderr_error(capsys)["message"]
 
 
 def test_exit_2_on_unwritable_out(tmp_path, capsys):
@@ -539,6 +585,27 @@ def test_exit_3_on_degenerate_variance(tmp_path, capsys):
     path = _data_csv(tmp_path, n=30, seed=8)
     assert main(["test", path, "--h-set", "1e-9", "--boot", "20"]) == 3
     assert _stderr_error(capsys)["error"] == "DegenerateVarianceError"
+
+
+def test_flag_tables_list_every_method_and_flag():
+    assert tuple(SIGMA_FLAGS) == SIGMA_METHODS
+    dests = vars(build_parser().parse_args(["test", "d.csv"]))
+    for flag in itertools.chain(*MODEL_FLAGS.values(), *SIGMA_FLAGS.values()):
+        assert flag[2:].replace("-", "_") in dests, flag
+
+
+_FLOAT = st.one_of(st.floats(-1e150, 1e150), st.sampled_from([0.0, 1.0, 0.1, 1e8 + 0.5]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_FLOAT, _FLOAT), min_size=2, max_size=60), st.integers(1, 12))
+def test_z_grid_reads_np_quantile_from_the_sorted_column(rows, cells):
+    # the cell midpoints are np.quantile's, bit for bit (up to the sign of a zero)
+    z = np.array(rows)
+    levels = [(2 * i + 1) / (2 * cells) for i in range(cells)]
+    want = np.array(list(itertools.product(*(np.quantile(col, levels) for col in z.T))))
+    got = np.array(_z_grid(z, cells))
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_parser_rejects_unknown_choice(tmp_path):
@@ -557,6 +624,7 @@ for argv in (
     ["test", "main.csv"],
     ["test", "main.csv", "--model", "partial-linear", "--z-cols", "z,z2", "--sigma", "residual"],
     ["mc", "--cases", "3", "--sizes", "60", "--reps", "2", "--cv", "pi,os,sd"],
+    ["test", "ties.csv", "--model", "nonparametric-z", "--z-cols", "z,z2", "--z-cells", "2"],
 ):
     assert main([*argv, "--boot", "20", "--out", os.devnull]) == 0, argv
     assert "numpy.ma" not in sys.modules, argv
@@ -564,8 +632,8 @@ for argv in (
 
 
 def test_test_and_mc_do_not_import_numpy_ma():
-    # np.unique without indices imports numpy.ma (about 15 ms and 1.3 MiB);
-    # only z-cells, through np.quantile, need it
+    # np.unique without indices and np.quantile import numpy.ma (about 13 ms
+    # and 1.3 MiB); none of these runs needs it, z-cells included
     golden = Path(__file__).resolve().parent / "golden"
     env = dict(os.environ)
     src = str(Path(statistic.__file__).resolve().parents[1])

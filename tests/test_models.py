@@ -10,12 +10,18 @@ from monotest import (
     DataError,
     Sample,
     additive_adjust,
-    additive_series_fit,
     endogenous_adjust,
     partial_linear_adjust,
     poly_series_fit,
     selection_adjust,
+    series_fit,
 )
+
+
+def _additive_fit(x, z, y, L):
+    """The adapters' additive fit: x in block 0 with the intercept, then a block per z column."""
+    cols = np.column_stack([x, z])
+    return series_fit(cols, y, L, [f"block {j}" for j in range(cols.shape[1])])
 
 
 def test_additive_fit_exact_on_polynomial_truth():
@@ -24,14 +30,17 @@ def test_additive_fit_exact_on_polynomial_truth():
     x = rng.uniform(-1, 2, n)
     z = rng.uniform(0, 1, n)
     y = 2.0 + x - 0.5 * x**3 + z * z
-    fit = additive_series_fit(x, z, y, L=4)
+    fit = _additive_fit(x, z, y, 4)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-8)
-    # the additive decomposition reproduces y; the constant sits with f
-    np.testing.assert_allclose(fit.predict(x, [0]) + fit.predict(z, [1]), y, rtol=0, atol=1e-8)
-    zg = np.linspace(0.1, 0.9, 7)
-    g = fit.predict(zg, [1])
-    # g is z^2 up to an additive constant
-    np.testing.assert_allclose(g - g[0], zg**2 - zg[0] ** 2, rtol=0, atol=1e-8)
+    # at the sample's own z, g is z^2 up to an additive constant, and f carries the rest
+    g = fit.part(range(1, 2))
+    np.testing.assert_allclose(g - z * z, np.mean(g - z * z), rtol=0, atol=1e-8)
+    f = 2.0 + x - 0.5 * x**3
+    np.testing.assert_allclose(fit.fitted - g - f, np.mean(fit.fitted - g - f), rtol=0, atol=1e-8)
+    # the adapter subtracts that g and keeps the level of y
+    adj = additive_adjust(Sample(x, y, z=z), L=4)
+    np.testing.assert_array_equal(adj.y, y - g)
+    np.testing.assert_allclose(adj.y, f + np.mean(z * z - g), rtol=0, atol=1e-8)
 
 
 def test_additive_fit_two_z_columns():
@@ -40,22 +49,33 @@ def test_additive_fit_two_z_columns():
     x = rng.uniform(-1, 1, n)
     z = rng.uniform(-1, 1, (n, 2))
     y = x + z[:, 0] ** 2 - 2.0 * z[:, 1] ** 3
-    fit = additive_series_fit(x, z, y, L=4)
+    fit = _additive_fit(x, z, y, 4)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-8)
+    # each z block alone is its own component up to a constant
+    for j, gj in enumerate((z[:, 0] ** 2, -2.0 * z[:, 1] ** 3)):
+        d = fit.part(range(1 + j, 2 + j)) - gj
+        np.testing.assert_allclose(d, np.mean(d), rtol=0, atol=1e-8)
+    adj = additive_adjust(Sample(x, y, z=z), L=4)
+    np.testing.assert_allclose(adj.y - x, np.mean(adj.y - x), rtol=0, atol=1e-8)
 
 
 def test_additive_fit_validation():
+    # each rejection of the former additive fit now comes from the sample or the series fit
     rng = np.random.default_rng(227)
     x = rng.uniform(0, 1, 50)
-    with pytest.raises(DataError):
-        additive_series_fit(x, rng.uniform(0, 1, 49), np.zeros(50))
-    with pytest.raises(DataError):
-        additive_series_fit(x[:8], rng.uniform(0, 1, 8), np.zeros(8), L=4)
-    with pytest.raises(DataError):  # constant z column has zero range
-        additive_series_fit(x, np.full(50, 2.0), np.zeros(50))
+    with pytest.raises(DataError, match="one row per observation"):
+        additive_adjust(Sample(x, np.zeros(50), z=rng.uniform(0, 1, 49)))
+    with pytest.raises(DataError, match="response has shape"):
+        series_fit(np.column_stack([x, x]), np.zeros(49), 1, ["x block", "z[0] block"])
+    with pytest.raises(DataError, match=r"too few rows \(8\) for 9 coefficients"):
+        additive_adjust(Sample(x[:8], np.zeros(8), z=rng.uniform(0, 1, 8)), L=4)
+    with pytest.raises(DataError, match=r"^z\[0\] block: zero range"):
+        additive_adjust(Sample(x, np.zeros(50), z=np.full(50, 2.0)))
     z_dup = np.column_stack([x, x])  # identical blocks: rank deficient
-    with pytest.raises(DataError):
-        additive_series_fit(rng.uniform(0, 1, 50), z_dup, np.zeros(50))
+    with pytest.raises(DataError, match="rank-deficient"):
+        additive_adjust(Sample(rng.uniform(0, 1, 50), np.zeros(50), z=z_dup))
+    with pytest.raises(DataError, match="not a non-negative integer"):
+        additive_adjust(Sample(x, np.zeros(50), z=x), L=2.5)
 
 
 RANGES = [(0.0, 1e-3), (0.0, 1.0), (-3.0, 1e3), (1e8, 1e5), (1e8, 1e7)]
@@ -80,7 +100,7 @@ def _additive_case(draw):
 @given(_additive_case())
 def test_additive_fit_matches_power_basis_oracle(case):
     cols, y, L = case
-    got = additive_series_fit(cols[:, 0], cols[:, 1:], y, L=L).fitted
+    got = _additive_fit(cols[:, 0], cols[:, 1:], y, L).fitted
     want = power_series_fitted(cols, y, L)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(y))
 
@@ -89,10 +109,10 @@ def test_series_errors_name_the_blocks():
     rng = np.random.default_rng(228)
     x, u = rng.uniform(0, 1, 50), rng.uniform(0, 1, (50, 2))
     with pytest.raises(DataError, match=r"^z\[1\] block: zero range"):
-        additive_series_fit(x, np.column_stack([u[:, 0], np.full(50, 2.0)]), x)
+        additive_adjust(Sample(x, x, z=np.column_stack([u[:, 0], np.full(50, 2.0)])))
     rank = r"blocks \['x block', 'z\[0\] block'\] \(rank 5 < 9, condition"
     with pytest.raises(DataError, match=rank):
-        additive_series_fit(x, x, u[:, 0])
+        additive_adjust(Sample(x, u[:, 0], z=x))
     # the endogenous first stage names its u blocks
     with pytest.raises(DataError, match=r"^u\[1\] block: zero range"):
         endogenous_adjust(Sample(x, x, z=np.column_stack([u[:, 0], np.ones(50)])))
@@ -162,7 +182,7 @@ def test_additive_adjust_subtracts_known_component():
     y = x + 3.0 * z[:, 0] - z[:, 1] ** 2
     adj = additive_adjust(Sample(x=x, y=y, z=z), L=3)
     # the adjusted response is y minus the z blocks of the additive fit
-    want = y - additive_series_fit(x, z, y, L=3).predict(z, [1, 2])
+    want = y - _additive_fit(x, z, y, 3).part(range(1, 3))
     np.testing.assert_array_equal(adj.y, want)
     # the g blocks are the known component up to the constant f carries
     np.testing.assert_allclose(adj.y - x, np.mean(adj.y - x), rtol=0, atol=1e-10)
@@ -180,7 +200,7 @@ def test_endogenous_control_is_first_stage_residual():
     y = rng.normal(size=n)
     adj = endogenous_adjust(Sample(x, y, z=u), first_stage_degree=3)
     z_hat = x - poly_series_fit(u, x, 3).fitted
-    want = y - additive_series_fit(x, z_hat, y, L=4).predict(z_hat, [1])
+    want = y - _additive_fit(x, z_hat, y, 4).part(range(1, 2))
     np.testing.assert_array_equal(adj.y, want)
     np.testing.assert_array_equal(adj.x, x)
     assert adj.z is None
@@ -295,12 +315,12 @@ def test_selection_structure_and_pscore_bounds():
     # a step in x pushes the linear-probability fit past 0 and 1: the clamp binds
     d = (x > 0.2).astype(float)
     adj, _ = selection_adjust(Sample(x, y, z=z), d)
-    fitted = additive_series_fit(x, z, d, L=3).fitted
+    fitted = _additive_fit(x, z, d, 3).fitted
     assert fitted.min() < 1e-3 and fitted.max() > 1 - 1e-3
     sel = d == 1.0
     for ps, same in ((np.clip(fitted, 1e-3, 1 - 1e-3), True), (fitted, False)):
         p_sel = ps[sel]
-        want = y[sel] - additive_series_fit(x[sel], p_sel, y[sel], L=4).predict(p_sel, [1])
+        want = y[sel] - _additive_fit(x[sel], p_sel, y[sel], 4).part(range(1, 2))
         assert np.array_equal(adj.y, want) == same
 
 

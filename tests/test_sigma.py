@@ -105,8 +105,6 @@ def test_poly_fit_recovers_cubic():
     y = 1.0 - 2.0 * x + 0.5 * x**3
     fit = poly_series_fit(x, y, 3)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-10)
-    xnew = np.array([-1.5, 0.3, 1.9])
-    np.testing.assert_allclose(fit.predict(xnew, [0]), 1.0 - 2.0 * xnew + 0.5 * xnew**3, atol=1e-10)
     assert fit.degree == 3
 
 
@@ -118,7 +116,7 @@ def test_poly_fit_degree_zero_is_mean():
 def test_poly_fit_constant_x():
     fit = poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 0)
     np.testing.assert_allclose(fit.fitted, 2.0)
-    assert fit.predict(5.0, [0]) == 2.0
+    np.testing.assert_allclose(fit.coef, [2.0])
     with pytest.raises(DataError, match=r"^x block: zero range"):
         poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 1)
 
@@ -185,15 +183,58 @@ def test_poly_fit_exact_far_from_origin():
     np.testing.assert_allclose(poly_series_fit(x, y, 6).fitted, y, rtol=0, atol=1e-12)
 
 
-def test_series_fit_predicts_blocks_and_responses():
+def test_series_fit_parts_blocks_and_responses():
     rng = np.random.default_rng(137)
-    cols = rng.uniform(-1, 3, (80, 2))
-    y = np.column_stack([cols[:, 0] ** 2 - cols[:, 1], 1.0 + cols[:, 1] ** 3])
-    fit = series_fit(cols, y, 3, ["a block", "b block"])
+    cols = rng.uniform(-1, 3, (80, 3))
+    y = np.column_stack([cols[:, 0] ** 2 - cols[:, 1], 1.0 + cols[:, 1] ** 3 + cols[:, 2]])
+    fit = series_fit(cols, y, 3, ["a block", "b block", "c block"])
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(fit.predict(cols, [0, 1]), fit.fitted)
-    parts = fit.predict(cols[:, 0], [0]) + fit.predict(cols[:, 1], [1])
-    np.testing.assert_allclose(parts, y, rtol=0, atol=1e-12)
+    # each block's part, one column per response, is its own term up to a constant
+    for blocks, want in [
+        (range(1, 2), np.column_stack([-cols[:, 1], cols[:, 1] ** 3])),
+        (range(2, 3), np.column_stack([0 * cols[:, 2], cols[:, 2]])),
+        (range(1, 3), np.column_stack([-cols[:, 1], cols[:, 1] ** 3 + cols[:, 2]])),
+    ]:
+        d = fit.part(blocks) - want
+        np.testing.assert_allclose(d, d.mean(axis=0) + 0 * d, rtol=0, atol=1e-10)
+    parts = fit.part(range(1, 2)) + fit.part(range(2, 3))
+    np.testing.assert_allclose(parts, fit.part(range(1, 3)), rtol=0, atol=1e-12)
+    assert fit.part(range(2, 2)).shape == (80, 2) and not fit.part(range(2, 2)).any()
+    # block 0 holds the intercept, so it is no part; nor is a block past the last
+    for blocks in (range(0, 2), range(1, 4), range(1, 3, 2), range(2, 1)):
+        with pytest.raises(ValueError, match="consecutive blocks after block 0"):
+            fit.part(blocks)
+
+
+@st.composite
+def _blocks_case(draw):
+    # 2-4 columns on ranges near and far from the origin, and a range of blocks after block 0
+    degree = draw(st.integers(0, 6))
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1 + m * degree + 2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spans = st.sampled_from([(0.0, 1e-3), (-3.0, 1e3), (1e8, 1e5)])
+    bounds = draw(st.lists(spans, min_size=m, max_size=m))
+    cols = np.column_stack([lo + w * rng.uniform(0.0, 1.0, n) for lo, w in bounds])
+    y = rng.normal(size=(n, 2) if draw(st.booleans()) else n)  # one response or two
+    start = draw(st.integers(1, m - 1))
+    return cols, y, degree, range(start, draw(st.integers(start, m)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_blocks_case())
+def test_series_part_is_its_blocks_design_times_their_coefficients(case):
+    # bit for bit: the part is a fresh Chebyshev design of those columns alone, as the
+    # adapters subtracted it before; a slice of the whole design rounds differently
+    cols, y, degree, blocks = case
+    fit = series_fit(cols, y, degree, [f"block {j}" for j in range(cols.shape[1])])
+    v = cols[:, blocks.start : blocks.stop]
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    u = (v - lo) * (2.0 / (hi - lo)) - 1.0 if degree else v
+    design = np.polynomial.chebyshev.chebvander(u, degree)[..., 1:].reshape(len(v), -1)
+    want = design @ fit.coef[1 + blocks.start * degree : 1 + blocks.stop * degree]
+    got = fit.part(blocks)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_default_series_degree_breakpoints():
