@@ -13,7 +13,8 @@ t(s) > -c_pi(1 - gamma) - c(1 - gamma).  The plug-in set is every active
 scale, one step from it gives the one-step set {t(s) > -2 c_pi(1 - gamma)},
 and the step-down set is where repeated steps stop dropping scales.
 Discarding scales whose observed studentized value lies far below zero
-sharpens power without giving up size control.
+sharpens power without giving up size control.  ``CV_RUNGS`` names the
+rung each method reads, and ``run_report`` returns the monotest/1 record.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ __all__ = [
     "run_report",
 ]
 
-# critical-value methods, in report and Monte Carlo table order
-CV_METHODS = ("pi", "os", "sd")
+# critical-value method -> the ladder rung it reads, in report and Monte Carlo table order
+CV_RUNGS = {"pi": 0, "os": 1, "sd": -1}
+CV_METHODS = tuple(CV_RUNGS)
 
 # the note an emptied selection leaves: one-step, then step-down
 _FALLBACK_WARNINGS = (
@@ -109,35 +111,38 @@ class BootRun:
 
     def rung(self, method: str) -> Rung:
         """The rung whose critical value the method reports: PI first, OS second, SD last."""
-        return self.ladder[{"pi": 0, "os": 1, "sd": -1}[method]]
+        return self.ladder[CV_RUNGS[method]]
 
 
 @dataclass(frozen=True)
 class TestReport:
-    """Statistic, critical values, p-value, and diagnostics of one test run."""
+    """One test run as its monotest/1 report: the fields are the report's keys in order.
+
+    The last, ``critical_values``, is not in the report: c of each of CV_METHODS, in order.
+    """
 
     T: float
     method: str
     critical_value: float
     p_value: float
-    c_pi: float
-    c_os: float
-    c_sd: float
-    selected_sizes: tuple[int, int, int]
-    stepdown_iterations: int
-    A_n: float
     alpha: float
     gamma: float
     B: int
     seed: int
     n: int
+    p_scales: int
+    selected_os: int
+    selected_sd: int
+    stepdown_iterations: int
+    A_n: float
     sigma_method: str
     model: str
     warnings: tuple[str, ...]
+    critical_values: tuple[float, ...]
 
     @property
-    def reject(self) -> bool:
-        return self.T > self.critical_value
+    def selected_sizes(self) -> tuple[int, int, int]:
+        return self.p_scales, self.selected_os, self.selected_sd
 
 
 def quantile_upper(values, level: float) -> float:
@@ -220,32 +225,33 @@ def run_report(
     set_: ScaleSet,
     cfg: BootConfig,
     model: str = "simple",
+    warnings=(),
 ) -> TestReport:
-    """Assemble a full test report for the configured critical-value method."""
+    """The report for the configured critical-value method; ``warnings`` lead its list."""
     run = bootstrap_run(sample, sigma, set_, cfg)
     chosen = run.rung(cfg.method)
-    warnings = list(run.warnings)
+    notes = [*warnings, *run.warnings]
     inactive = set_.p - run.field.active_ids.size
     if inactive:
-        warnings.append(f"{inactive} of {set_.p} scales inactive (numerically zero variance)")
+        notes.append(f"{inactive} of {set_.p} scales inactive (numerically zero variance)")
     T = run.field.T
     return TestReport(
         T=T,
         method=cfg.method,
         critical_value=chosen.c,
         p_value=p_value(T, chosen.maxima),
-        c_pi=run.rung("pi").c,
-        c_os=run.rung("os").c,
-        c_sd=run.rung("sd").c,
-        selected_sizes=(set_.p, int(run.rung("os").ids.size), int(run.rung("sd").ids.size)),
-        stepdown_iterations=run.stepdown_iterations,
-        A_n=run.field.A_n,
         alpha=cfg.alpha,
         gamma=cfg.gamma,
         B=cfg.B,
         seed=cfg.seed,
         n=sample.n,
+        p_scales=set_.p,
+        selected_os=int(run.rung("os").ids.size),
+        selected_sd=int(run.rung("sd").ids.size),
+        stepdown_iterations=run.stepdown_iterations,
+        A_n=run.field.A_n,
         sigma_method=getattr(sigma, "method", "external"),
         model=model,
-        warnings=tuple(warnings),
+        warnings=tuple(notes),
+        critical_values=tuple(run.rung(m).c for m in CV_METHODS),
     )

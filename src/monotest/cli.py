@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -34,16 +35,16 @@ import numpy as np
 from .bootstrap import CV_METHODS, BootConfig, TestReport, run_report
 from .errors import DataError, DegenerateVarianceError
 from .models import additive_adjust, endogenous_adjust, partial_linear_adjust, selection_adjust
-from .scales import KERNELS, build_basic_set, build_custom_set, build_z_local_set
+from .scales import KERNELS, _distinct, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import estimate_sigma
 from .simlab import NOISES, McDesign, results_to_csv, results_to_text, run_mc
 from .statistic import FIELD_BLOCK, Sample, evaluate_field, kept_rows
 
 __all__ = ["main", "build_parser", "load_columns", "report_to_json"]
 
-# model (sigma method) -> every conditional flag it reads.  Any other exits 2, as
-# does a column flag that it reads but was not given.  Option flags default to
-# None: an adapter gets only those given, so its signature holds the defaults.
+# model (sigma method) -> every conditional flag it reads (and the estimator keyword
+# it fills).  Any other exits 2, as does a column flag it reads that was not given.
+# Option flags default to None and are passed only when given: callees hold defaults.
 MODEL_FLAGS = {
     "simple": (),
     "partial-linear": ("--z-cols", "--first-stage-degree"),
@@ -53,8 +54,8 @@ MODEL_FLAGS = {
     "selection": ("--z-cols", "--d-col", "--pscore-degree", "--L"),
 }
 SIGMA_FLAGS = {
-    "rice": (), "local-rice": ("--sigma-bn",),
-    "residual": ("--sigma-degree",), "two-step-poly": ("--sigma-degree",),
+    "rice": {}, "local-rice": {"--sigma-bn": "b_n"},
+    "residual": {"--sigma-degree": "degree"}, "two-step-poly": {"--sigma-degree": "degree"},
 }
 COLUMN_FLAGS = ("--z-cols", "--u-cols", "--d-col")
 Z_CELLS = 3  # quantile cells per z dimension when --z-cells is absent
@@ -137,30 +138,10 @@ def _render_json(pairs) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def report_to_json(report: TestReport, extra_warnings=()) -> str:
-    """Serialize a TestReport with the fixed monotest/1 field order."""
-    p_scales, selected_os, selected_sd = report.selected_sizes
-    pairs = [
-        ("schema", "monotest/1"),
-        ("T", report.T),
-        ("method", report.method),
-        ("critical_value", report.critical_value),
-        ("p_value", report.p_value),
-        ("alpha", report.alpha),
-        ("gamma", report.gamma),
-        ("B", report.B),
-        ("seed", report.seed),
-        ("n", report.n),
-        ("p_scales", p_scales),
-        ("selected_os", selected_os),
-        ("selected_sd", selected_sd),
-        ("stepdown_iterations", report.stepdown_iterations),
-        ("A_n", report.A_n),
-        ("sigma_method", report.sigma_method),
-        ("model", report.model),
-        ("warnings", list(extra_warnings) + list(report.warnings)),
-    ]
-    return _render_json(pairs)
+def report_to_json(report: TestReport) -> str:
+    """Serialize a TestReport as monotest/1: the schema, then every field but critical_values."""
+    fields = [f.name for f in dataclasses.fields(report) if f.name != "critical_values"]
+    return _render_json([("schema", "monotest/1"), *((k, getattr(report, k)) for k in fields)])
 
 
 def _write_out(out: str, text: str) -> None:
@@ -174,8 +155,7 @@ def _write_out(out: str, text: str) -> None:
 def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError:
     """What the field (and, with ``boot``, the bootstrap's draws) allocate, as a MemoryError."""
     p, n = set_.p, base.n
-    xs = np.sort(base.x)
-    m = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))  # the tie runs, one panel column each
+    m = _distinct(base.x).size  # the tie runs, one panel column each
     need = (
         f"panels of {FIELD_BLOCK * (m + 1) * 8 / 2**20:.1f} MiB each (FIELD_BLOCK * (m + 1) * 8"
         f" bytes, m = {m} distinct x) for one block of {FIELD_BLOCK} scales at a time"
@@ -256,11 +236,14 @@ def _prepare_case(args):
     """Check the flags, load and adjust the data, build the scale set and estimate sigma."""
     z_cols, u_cols = _split(args.z_cols), _split(args.u_cols)
     model = args.model
-    extra_warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
 
-    opts = {}  # the model's option flags that were given, by keyword
-    families = (("model", model, MODEL_FLAGS), ("sigma method", args.sigma, SIGMA_FLAGS))
-    for what, choice, table in families:
+    opts, sigma_opts = {}, {}  # the option flags that were given, by keyword
+    families = (
+        ("model", model, MODEL_FLAGS, opts),
+        ("sigma method", args.sigma, SIGMA_FLAGS, sigma_opts),
+    )
+    for what, choice, table, given in families:
         for flag in dict.fromkeys(itertools.chain(*table.values())):
             key = flag[2:].replace("-", "_")
             value = getattr(args, key)
@@ -269,8 +252,8 @@ def _prepare_case(args):
                     raise DataError(f"{what} {choice!r} needs {flag}")
             elif flag not in table[choice]:
                 raise DataError(f"{what} {choice!r} does not read {flag}")
-            elif table is MODEL_FLAGS and flag not in COLUMN_FLAGS:
-                opts[key] = value
+            elif flag not in COLUMN_FLAGS:
+                given[table[choice][flag] if table is SIGMA_FLAGS else key] = value
 
     names = [args.x_col, args.y_col] + z_cols + u_cols + ([args.d_col] if args.d_col else [])
     cols = load_columns(args.data, names)
@@ -286,12 +269,12 @@ def _prepare_case(args):
     elif model == "endogenous":
         base = endogenous_adjust(Sample(x, y, z=np.column_stack([cols[c] for c in u_cols])), **opts)
     elif model == "selection":
-        base, extra_warnings = selection_adjust(base, cols[args.d_col], **opts)
+        base, warnings = selection_adjust(base, cols[args.d_col], **opts)
 
     kernel = KERNELS[args.kernel]
     if args.h_set:
         set_ = build_custom_set(
-            np.unique(base.x), _number_list(args.h_set, "h-set"), k=args.k, kernel=kernel
+            _distinct(base.x), _number_list(args.h_set, "h-set"), k=args.k, kernel=kernel
         )
     else:
         set_ = build_basic_set(base.x, k=args.k, kernel=kernel)
@@ -300,23 +283,23 @@ def _prepare_case(args):
         set_ = build_z_local_set(
             set_, _z_grid(base.z, cells), _z_bandwidths(base.z, cells, opts.get("z_bw"))
         )
-    sig = estimate_sigma(base, args.sigma, b_n=args.sigma_bn, degree=args.sigma_degree)
-    return base, sig, set_, extra_warnings
+    sig = estimate_sigma(base, args.sigma, **sigma_opts)
+    return base, sig, set_, warnings
 
 
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_test(args) -> int:
-    base, sig, set_, extra_warnings = _prepare_case(args)
+    base, sig, set_, warnings = _prepare_case(args)
     cfg = BootConfig(
         alpha=args.alpha, gamma=args.gamma, B=args.boot, seed=args.seed, method=args.cv
     )
     try:
-        report = run_report(base, sig, set_, cfg, model=args.model)
+        report = run_report(base, sig, set_, cfg, model=args.model, warnings=warnings)
     except MemoryError:
         raise _field_too_large(base, set_, cfg.B) from None
-    _write_out(args.out, report_to_json(report, extra_warnings))
+    _write_out(args.out, report_to_json(report))
     return 0
 
 
@@ -334,7 +317,7 @@ def _cmd_diag(args) -> int:
         ("p_scales", set_.p),
         ("kernel", set_.kernel.name),
         ("k", set_.k),
-        ("bandwidths", np.unique(set_.h)[::-1].tolist()),
+        ("bandwidths", _distinct(set_.h)[::-1].tolist()),
         ("A_n", a_n),
         ("sigma_method", sig.method),
         ("model", args.model),

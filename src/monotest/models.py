@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
+from .scales import _distinct
 from .sigma import SeriesFit, poly_series_fit, series_fit
 from .statistic import Sample
 
@@ -122,8 +123,8 @@ def selection_adjust(
     d = np.asarray(d)
     if d.size != sample.n:
         raise DataError(f"selection indicator has {d.size} values for {sample.n} rows")
-    d_vals = np.unique(d)
-    if not np.all(np.isin(d_vals, (0, 1))):
+    d_vals = _distinct(d)
+    if not np.all((d_vals == 0) | (d_vals == 1)):
         raise DataError(f"selection indicator must be binary 0/1, found values {d_vals}")
     mask = np.asarray(d, dtype=float).reshape(-1) == 1.0
     if not mask.any():

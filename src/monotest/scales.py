@@ -141,6 +141,12 @@ class ScaleSet:
         return view
 
 
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct values of a non-empty array by sort and mask: np.unique imports numpy.ma."""
+    v = np.sort(values, axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def build_basic_set(X, k: float = 0.0, kernel: Kernel = EPANECHNIKOV) -> ScaleSet:
     """Default scale set: every observed location crossed with a geometric bandwidth grid.
 
@@ -177,9 +183,7 @@ def build_basic_set(X, k: float = 0.0, kernel: Kernel = EPANECHNIKOV) -> ScaleSe
     grid = [h_max]
     while (h := h_max * 0.5 ** len(grid)) >= h_min:
         grid.append(h)
-    # the distinct values of x by sort and mask: np.unique would import numpy.ma
-    xs = np.sort(x)
-    return build_custom_set(xs[np.concatenate(([True], xs[1:] != xs[:-1]))], grid, k, kernel)
+    return build_custom_set(_distinct(x), grid, k, kernel)
 
 
 def build_custom_set(

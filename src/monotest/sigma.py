@@ -5,7 +5,9 @@ a windowed local version of it, signed regression residuals from a
 polynomial series fit, and a two-step procedure that projects squared
 residuals back onto the polynomial basis to capture heteroscedasticity.
 Residual-based values may be negative; only their squares enter variances
-downstream.  ``series_fit``, the one polynomial-design helper, also fits
+downstream.  ``estimate_sigma`` reads each method's estimator from one
+table, ``SIGMA_ESTIMATORS``; only the estimators' signatures hold option
+defaults.  ``series_fit``, the one polynomial-design helper, also fits
 every auxiliary regression of the model adapters; ``SeriesFit.part`` reads
 a group of blocks' share of the fit at the rows the fit was made on.
 """
@@ -34,9 +36,6 @@ __all__ = [
     "two_step_poly_variance",
     "estimate_sigma",
 ]
-
-# a method's index here is part of every Monte Carlo seed: append only
-SIGMA_METHODS = ("rice", "local-rice", "residual", "two-step-poly")
 
 
 @dataclass(frozen=True)
@@ -184,13 +183,17 @@ def default_series_degree(n: int) -> int:
     return 8
 
 
-def residual_sigma(sample: Sample, degree: int) -> SigmaEstimate:
-    """Signed residuals y_i - f_hat(x_i) of a degree-``degree`` series fit; negatives are kept."""
+def residual_sigma(sample: Sample, degree: int | None = None) -> SigmaEstimate:
+    """Signed residuals y_i - f_hat(x_i) of a degree-``degree`` series fit; negatives are kept.
+
+    The degree defaults to ``default_series_degree(n)``.
+    """
+    degree = default_series_degree(sample.n) if degree is None else degree
     fitted = poly_series_fit(sample.x, sample.y, degree).fitted
     return SigmaEstimate(sample.y - fitted, "residual", {"degree": int(degree)})
 
 
-def two_step_poly_variance(sample: Sample, degree: int) -> SigmaEstimate:
+def two_step_poly_variance(sample: Sample, degree: int = 3) -> SigmaEstimate:
     """Project squared residuals of a polynomial fit back onto the same basis.
 
     Step 1 regresses y on polynomials of x up to ``degree`` and takes
@@ -210,20 +213,17 @@ def two_step_poly_variance(sample: Sample, degree: int) -> SigmaEstimate:
     return SigmaEstimate(values, "two-step-poly", {"degree": int(degree)})
 
 
-def estimate_sigma(
-    sample: Sample,
-    method: str,
-    b_n: float | None = None,
-    degree: int | None = None,
-) -> SigmaEstimate:
-    """Dispatch on the method tag; shared by the CLI and the Monte Carlo harness."""
-    if method == "rice":
-        return rice_global(sample)
-    if method == "local-rice":
-        return rice_local(sample, b_n)
-    if method == "residual":
-        deg = degree if degree is not None else default_series_degree(sample.n)
-        return residual_sigma(sample, deg)
-    if method == "two-step-poly":
-        return two_step_poly_variance(sample, degree if degree is not None else 3)
-    raise ValueError(f"unknown sigma method {method!r}; choose from {SIGMA_METHODS}")
+# method -> estimator.  A method's index in this order is part of every
+# Monte Carlo seed: append only.
+SIGMA_ESTIMATORS = {
+    "rice": rice_global, "local-rice": rice_local,
+    "residual": residual_sigma, "two-step-poly": two_step_poly_variance,
+}
+SIGMA_METHODS = tuple(SIGMA_ESTIMATORS)
+
+
+def estimate_sigma(sample: Sample, method: str, **opts) -> SigmaEstimate:
+    """The method's estimate; ``opts`` go to its estimator, which raises TypeError on others."""
+    if method not in SIGMA_ESTIMATORS:
+        raise ValueError(f"unknown sigma method {method!r}; choose from {SIGMA_METHODS}")
+    return SIGMA_ESTIMATORS[method](sample, **opts)

@@ -138,8 +138,8 @@ def _mc_rep(args):
         set_ = build_basic_set(sample.x)
         report = run_report(sample, sig, set_, replace(cfg, seed=boot_seed))
     except (DataError, DegenerateVarianceError, np.linalg.LinAlgError):
-        return False, False, False, False
-    return True, report.T > report.c_pi, report.T > report.c_os, report.T > report.c_sd
+        return (False,) * (1 + len(CV_METHODS))
+    return (True, *(report.T > c for c in report.critical_values))
 
 
 def _worker_pool(workers: int):

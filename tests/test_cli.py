@@ -1,5 +1,7 @@
 """Command-line frontend: CSV loading, JSON rendering, subcommands, exit codes."""
 
+import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -23,6 +25,7 @@ from monotest.cli import (
     report_to_json,
 )
 from monotest.cli import MODEL_FLAGS, SIGMA_FLAGS
+from monotest.sigma import SIGMA_ESTIMATORS
 from monotest.cli import _json_value, _prepare_case, _render_json, _z_grid
 
 
@@ -174,31 +177,37 @@ def test_render_json_is_valid_and_ordered():
     assert text.endswith("\n")
 
 
-def _tiny_report(seed=0, method="sd"):
+def _tiny_report(seed=0, method="sd", warnings=()):
     x, y = _dataset(n=40, seed=11)
     sample = Sample(x, y)
     sig = estimate_sigma(sample, "rice")
     cfg = BootConfig(B=40, seed=seed, method=method)
-    return run_report(sample, sig, build_basic_set(sample.x), cfg, model="simple")
+    set_ = build_basic_set(sample.x)
+    return run_report(sample, sig, set_, cfg, model="simple", warnings=warnings)
 
 
 def test_report_to_json_field_order_and_roundtrip():
-    report = _tiny_report()
-    text = report_to_json(report, extra_warnings=["first"])
+    report = _tiny_report(warnings=("first",))
+    text = report_to_json(report)
     keys = re.findall(r'^  "([^"]+)":', text, flags=re.M)
     assert keys == [
         "schema", "T", "method", "critical_value", "p_value", "alpha", "gamma",
         "B", "seed", "n", "p_scales", "selected_os", "selected_sd",
         "stepdown_iterations", "A_n", "sigma_method", "model", "warnings",
     ]
+    # the report is TestReport's fields in order, less critical_values
+    fields = [f.name for f in dataclasses.fields(report)]
+    assert fields[-1] == "critical_values"
+    assert keys == ["schema", *fields[:-1]]
     obj = json.loads(text)
     assert obj["schema"] == "monotest/1"
     assert obj["n"] == 40
     assert obj["method"] == "sd"
     assert obj["alpha"] == 0.1 and "0.10000000000000001" in text
-    # extra warnings go in front of the report's own
+    # an adapter's warnings go in front of the run's own
     assert obj["warnings"][0] == "first"
-    assert obj["warnings"][1:] == list(report.warnings)
+    assert obj["warnings"] == list(report.warnings)
+    assert report.warnings[1:] == _tiny_report().warnings
 
 
 # ------------------------------------------------------------- subcommands
@@ -589,9 +598,15 @@ def test_exit_3_on_degenerate_variance(tmp_path, capsys):
 
 def test_flag_tables_list_every_method_and_flag():
     assert tuple(SIGMA_FLAGS) == SIGMA_METHODS
+    assert tuple(SIGMA_ESTIMATORS) == SIGMA_METHODS
     dests = vars(build_parser().parse_args(["test", "d.csv"]))
     for flag in itertools.chain(*MODEL_FLAGS.values(), *SIGMA_FLAGS.values()):
         assert flag[2:].replace("-", "_") in dests, flag
+    # every sigma flag fills a keyword its estimator reads
+    for method, flags in SIGMA_FLAGS.items():
+        params = inspect.signature(SIGMA_ESTIMATORS[method]).parameters
+        for flag, keyword in flags.items():
+            assert keyword in params, (method, flag)
 
 
 _FLOAT = st.one_of(st.floats(-1e150, 1e150), st.sampled_from([0.0, 1.0, 0.1, 1e8 + 0.5]))
@@ -625,15 +640,20 @@ for argv in (
     ["test", "main.csv", "--model", "partial-linear", "--z-cols", "z,z2", "--sigma", "residual"],
     ["mc", "--cases", "3", "--sizes", "60", "--reps", "2", "--cv", "pi,os,sd"],
     ["test", "ties.csv", "--model", "nonparametric-z", "--z-cols", "z,z2", "--z-cells", "2"],
+    ["test", "main.csv", "--h-set", "0.9,0.3"],
+    ["test", "main.csv", "--model", "selection", "--z-cols", "z", "--d-col", "d"],
+    ["diag", "main.csv"],
 ):
-    assert main([*argv, "--boot", "20", "--out", os.devnull]) == 0, argv
+    boot = ["--boot", "20"] if argv[0] != "diag" else []
+    assert main([*argv, *boot, "--out", os.devnull]) == 0, argv
     assert "numpy.ma" not in sys.modules, argv
 """
 
 
 def test_test_and_mc_do_not_import_numpy_ma():
-    # np.unique without indices and np.quantile import numpy.ma (about 13 ms
-    # and 1.3 MiB); none of these runs needs it, z-cells included
+    # np.unique without indices, np.isin and np.quantile import numpy.ma (about
+    # 13 ms and 1.3 MiB); none of these runs needs it: z-cells, --h-set,
+    # selection and diag included
     golden = Path(__file__).resolve().parent / "golden"
     env = dict(os.environ)
     src = str(Path(statistic.__file__).resolve().parents[1])

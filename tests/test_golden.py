@@ -17,26 +17,32 @@ Before re-recording, compare the current outputs with the recorded ones:
 
     PYTHONPATH=src python3 tests/test_golden.py --diff [CASE ...]
 
-prints one line per case: ``match``, or the largest relative change of a
-float plus every other difference (exit code, integers, strings, line
-structure).  It exits 1 if any case has more than float drift of at most
-FLOAT_DRIFT relative, the most a re-recording may absorb without a
-reason of its own.
+prints numpy's version and the OpenBLAS core type it loaded (``unknown``
+if the library does not say), then one line per case: ``match``, or the
+largest relative change of a float plus every other difference (exit code,
+integers, strings, line structure).  Floats can move with the core type,
+which ``OPENBLAS_CORETYPE`` overrides.  It exits 1 if any case has more
+than float drift of at most FLOAT_DRIFT relative, the most a re-recording
+may absorb without a reason of its own.
 """
 
 import contextlib
+import ctypes
 import io
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monotest
 from monotest.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(monotest.__file__).resolve().parents[1]
 
 FAST = ["--boot", "60", "--seed", "5"]
 BLOCK_H = "1.2,0.9,0.7,0.5,0.35,0.25,0.18,0.12,0.08,0.05"
@@ -120,8 +126,36 @@ def _diff(old: str, new: str) -> tuple[float, list[str]]:
     return worst, other
 
 
+# the OpenBLAS builds' names for the function that returns the core type
+_CORENAME_SYMBOLS = (
+    "openblas_get_corename",
+    "openblas_get_corename64_",
+    "scipy_openblas_get_corename64_",
+    "scipy_openblas_get_corename",
+)
+
+
+def _blas_core() -> str:
+    """The core type of the OpenBLAS library numpy loaded, or "unknown"."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return "unknown"
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in _CORENAME_SYMBOLS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                fn.argtypes = []
+                return fn().decode()
+    return "unknown"
+
+
 def _show_diff(names) -> int:
-    """Print one line per case comparing its output now with the recorded one."""
+    """Print the numpy build, then one line per case: its output now against the recorded one."""
+    print(f"numpy {np.__version__}, OpenBLAS core {_blas_core()}")
     os.chdir(GOLDEN)
     failed = False
     for name in names or sorted(CASES):
@@ -150,6 +184,36 @@ def test_golden_output(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert _run(CASES[name]).encode("utf-8") == expected
+
+
+def _diff_lines(env: dict) -> list[str]:
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, __file__, "--diff", "error_bad_cell"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    return {f for line in text.splitlines() if line.startswith("flags") for f in line.split()}
+
+
+def test_diff_first_names_numpy_and_the_blas_core():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    first, *rest = _diff_lines(env)
+    assert rest == ["error_bad_cell: match"]
+    found = re.fullmatch(rf"numpy {re.escape(np.__version__)}, OpenBLAS core (\S+)", first)
+    assert found, first
+    # an override is reported, on a CPU that runs that core type's kernels
+    if found[1] == "unknown" or not {"avx2", "fma"} <= _cpu_flags():
+        pytest.skip("no OpenBLAS core name, or no AVX2 and FMA for Haswell kernels")
+    assert _diff_lines({**env, "OPENBLAS_CORETYPE": "Haswell"})[0].endswith("core Haswell")
 
 
 def _csv_text(cols: dict) -> str:

@@ -303,6 +303,26 @@ def test_estimate_sigma_dispatch():
         estimate_sigma(sample, "unknown-method")
 
 
+def test_estimate_sigma_passes_options_and_defaults_to_the_estimator():
+    rng = np.random.default_rng(138)
+    n = 220
+    x = rng.uniform(0, 1, n)
+    sample = Sample(x=x, y=np.sin(3 * x) + 0.1 * rng.standard_normal(n))
+    # the estimators' own defaults, bit for bit
+    want = residual_sigma(sample, default_series_degree(n))
+    got = estimate_sigma(sample, "residual")
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.params == want.params == {"degree": 8}
+    got, want = estimate_sigma(sample, "two-step-poly"), two_step_poly_variance(sample, 3)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.params == want.params == {"degree": 3}
+    # an option its estimator does not read is an error, not ignored
+    for method, opts in (("rice", {"degree": 3}), ("local-rice", {"degree": 3}),
+                         ("residual", {"b_n": 0.3}), ("two-step-poly", {"b_n": 0.3})):
+        with pytest.raises(TypeError):
+            estimate_sigma(sample, method, **opts)
+
+
 def test_sigma_estimate_validation():
     with pytest.raises(ValueError):
         SigmaEstimate(np.array([-1.0, 1.0]), "rice", {})
