@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diag.set_defaults(func=_cmd_diag)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo size and power study")
+    p_mc = sub.add_parser("mc", parents=[boot], help="Monte Carlo size and power study")
     p_mc.add_argument("--cases", default="1,2,3,4", help="comma-separated design cases")
     p_mc.add_argument("--sizes", default="100,200,500", help="comma-separated sample sizes")
     p_mc.add_argument("--noise", default="normal", choices=(*NOISES, "both"))
@@ -416,10 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cv", default=",".join(CV_METHODS), help="comma-separated critical-value methods"
     )
     p_mc.add_argument("--reps", type=int, default=1000)
-    p_mc.add_argument("--boot", type=int, default=500, help="bootstrap draws per replication")
-    p_mc.add_argument("--alpha", type=float, default=0.1)
-    p_mc.add_argument("--gamma", type=float, default=0.01)
-    p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument(
         "--threads", type=int, default=1, help="worker processes, at most --reps and the CPU count"
     )

@@ -41,13 +41,12 @@ no z-cells), folds them into the block's per-draw maximum, offers them to
 a store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
 and drops them.  It forms one cell's E at a time, FIELD_BLOCK columns of
 e at a time.  A selection reads a block's maximum if it holds the whole
-block, and else the kept rows or the rows the last selection held; the
-field keeps the sorted copy of e, which replaces e itself if the caller
-passed a temporary, to rebuild a block with the same block step only when
-one of those rows is in neither.  So a field with draws costs
+block, and else the kept rows; the field keeps the sorted copy of e, which
+replaces e itself if the caller passed a temporary, to rebuild a block with
+the same block step only when one of the selection's rows in it is not
+kept.  So a field with draws costs
 O(FIELD_BLOCK * m + n * FIELD_BLOCK + (n + m) * B + R * B + p) bytes, plus
-one B-vector of maxima per block of FIELD_BLOCK scales and at most R
-held rows.
+one B-vector of maxima per block of FIELD_BLOCK scales.
 """
 
 from __future__ import annotations
@@ -82,14 +81,14 @@ FIELD_BLOCK = 64
 
 # A field with B bootstrap draws keeps the draws of at most
 # KEEP_BYTES // (8 * B) scales, those with the highest t.  Every selected set
-# of the critical-value ladder but the first is an upper set of t, so a set
-# that fits needs no block built again.  8 MiB is 2,097 rows at
-# B = 500: every row of an n = 200 set (p = 800).  On the benchmark's
-# seed-0 inputs (n = 2000), the z-cell set with ties has a one-step set of
-# 1,385 scales and rebuilds no block; the partial-linear set's ladder runs
-# 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 8, 1 and 0 blocks:
-# the first step-down set reads the rows the one-step set held, and
-# rebuilds the one block the one-step set held whole.
+# of the critical-value ladder but the first is an upper set of t, unless it
+# is a fallback's single scale drawn at random from the set before it, so a
+# set that fits needs no block built again, and a fallback at most one.
+# 8 MiB is 2,097 rows at B = 500: every row of an n = 200 set (p = 800).
+# On the benchmark's seed-0 inputs (n = 2000), the z-cell set with ties has
+# a one-step set of 1,385 scales and rebuilds no block; the partial-linear
+# set's ladder runs 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 8,
+# 6 and 6 blocks, each one that its set holds in part, with a row not kept.
 KEEP_BYTES = 8 << 20
 
 
@@ -386,17 +385,14 @@ class KeptDraws:
     active scale ids, by one rule for every block.  A block whose rows with
     V > 0 are all in the set answers with the maximum folded in as the
     engine formed it.  Any other block's rows in the set are read from the
-    kept rows, or from the rows the last call held, and the block is
-    rebuilt when one of them is in neither.  A rebuilt block has the same
-    panel, scaling and product shape, so every draw has the same bits
-    whichever way it is read, and the maxima are exact.  A block with a row
-    of 0 < V <= tau folded that row in, but no set of active ids holds it,
-    so the rule never reads that maximum.
-
-    Each call holds, until the next, the rows of its set that are not kept,
-    up to as many as the store keeps: the ladder's sets are nested upper
-    sets of t, so the next rung reads them instead of rebuilding their
-    blocks.
+    kept rows, and the block is rebuilt when one of them is not kept.  A
+    rebuilt block has the same panel, scaling and product shape, so every
+    draw has the same bits whichever way it is read, and the maxima are
+    exact.  A block with a row of 0 < V <= tau folded that row in, but no
+    set of active ids holds it, so the rule never reads that maximum.  No
+    call leaves anything for the next but the count ``rebuilt``: the same
+    ids rebuild the same blocks on every call, and the store never holds
+    more than its R kept rows.
 
     ``ids`` are the kept scales: of the scales with V > 0, the at most
     ``kept_rows(p, B)`` with the highest t, less any found inactive.
@@ -419,9 +415,6 @@ class KeptDraws:
         self._used = 0
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
-        # the rows the last maxima call read but not from the store
-        self._held_id = np.empty(0, dtype=np.intp)
-        self._held = np.empty((0, B))
         self.rebuilt = 0
 
     @property
@@ -476,27 +469,13 @@ class KeptDraws:
         want[ids[~whole[j_of]]] = True
         kept = np.flatnonzero(want[self._id])
         want[self._id] = False
-        held = np.flatnonzero(want[self._held_id])
-        want[self._held_id] = False
         # FIELD_BLOCK rows at a time: no copy is larger than a block's draws
-        for rows, pick in ((self._rows, kept), (self._held, held)):
-            for k in range(0, pick.size, FIELD_BLOCK):
-                np.maximum(out, rows[pick[k : k + FIELD_BLOCK]].max(axis=0), out=out)
-        # hold this set's rows that are not kept for the next call, at most
-        # as many as the store keeps
-        room = self._t.size - held.size
-        next_id, next_rows = [self._held_id[held]], [self._held[held]]
+        for k in range(0, kept.size, FIELD_BLOCK):
+            np.maximum(out, self._rows[kept[k : k + FIELD_BLOCK]].max(axis=0), out=out)
         for j in np.flatnonzero(np.bincount(j_of[want[ids]], minlength=nblocks)):
             self.rebuilt += 1
-            missing = want[self._blocks[j]]
-            d = self._draw_block(j)[missing]
+            d = self._draw_block(j)[want[self._blocks[j]]]
             np.maximum(out, d.max(axis=0), out=out)
-            if d.shape[0] <= room:
-                room -= d.shape[0]
-                next_id.append(self._blocks[j][missing])
-                next_rows.append(d)
-        self._held_id = np.concatenate(next_id)
-        self._held = np.concatenate(next_rows)
         return out
 
 

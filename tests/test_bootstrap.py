@@ -22,7 +22,7 @@ from monotest import (
 from monotest.bootstrap import CV_METHODS
 from monotest.cli import load_columns
 from monotest.scales import build_z_local_set
-from oracles import naive_ladder, run_draws
+from oracles import naive_ladder, run_blocks, run_draws
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -350,16 +350,18 @@ def test_streamed_ladder_matches_dense_draws():
     assert min(seen.values()) >= 5, seen
 
 
-@pytest.mark.parametrize("B, per_rung", [(8000, [0, 3, 0]), (20000, [0, 3, 2])])
-def test_next_rung_reads_the_rows_the_last_rebuilt(B, per_rung):
+@pytest.mark.parametrize("B", [8000, 20000])
+def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     # the golden main.csv at seed 5: R = 8 MiB / (8 B) kept rows leave the
-    # one-step set short of rows, so it rebuilds three blocks; the step-down
-    # set is a subset of it, so it reads the rows the one-step rung held
-    # instead of rebuilding those blocks again.  At B = 8,000 every held row
-    # fits; at B = 20,000 the held rows stop at R = 52, and the step-down
-    # pass rebuilds the two blocks that did not fit
+    # one-step set short of rows.  A call reads each block its ids hold whole
+    # from the folded maximum, the rest from the kept rows, and rebuilds every
+    # block with a wanted row that is not kept; nothing carries to the next
+    # call, so the same ids rebuild the same blocks every time
     cols = load_columns(str(GOLDEN / "main.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
+    sigma = estimate_sigma(sample, "rice")
+    set_ = build_basic_set(sample.x)
+    cfg = BootConfig(B=B, seed=5)
     counts = []
     maxima = statistic.KeptDraws.maxima
 
@@ -370,9 +372,25 @@ def test_next_rung_reads_the_rows_the_last_rebuilt(B, per_rung):
         return out
 
     with mock.patch.object(statistic.KeptDraws, "maxima", counted):
-        run = bootstrap_run(
-            sample, estimate_sigma(sample, "rice"), build_basic_set(sample.x),
-            BootConfig(B=B, seed=5),
+        run = bootstrap_run(sample, sigma, set_, cfg)
+    field, draws = run.field, run.field.draws
+    blocks = [rows for rows, *_ in run_blocks(sample, set_, statistic._sort_order(sample))]
+
+    def needed(ids):
+        wanted = np.zeros(set_.p, dtype=bool)
+        wanted[ids] = True
+        return sum(
+            not wanted[rows[field.v_hat[rows] > 0.0]].all()
+            and np.setdiff1d(rows[wanted[rows]], draws.ids).size > 0
+            for rows in blocks
         )
-    assert counts == per_rung
-    assert len(run.ladder) == len(per_rung)
+
+    assert counts == [needed(rung.ids) for rung in run.ladder]
+    dense = run_draws(sample, set_, sigma, cfg)
+    for rung in run.ladder:
+        np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
+    os_ids = run.rung("os").ids
+    for _ in range(2):
+        before = draws.rebuilt
+        np.testing.assert_array_equal(draws.maxima(os_ids), dense[os_ids].max(axis=0))
+        assert draws.rebuilt - before == needed(os_ids) > 0

@@ -1,4 +1,10 @@
-"""The package surface: ``monotest.__all__`` is the library modules' ``__all__``."""
+"""The package surface: ``monotest.__all__`` is the library modules' ``__all__``,
+and the declared Python floor is not below numpy's."""
+
+import importlib.metadata
+import re
+import tomllib
+from pathlib import Path
 
 import monotest
 from monotest import bootstrap, errors, models, scales, sigma, simlab, statistic
@@ -12,3 +18,23 @@ def test_package_exports_each_module_all():
     for name in monotest.__all__:
         assert hasattr(monotest, name), name
     assert [name for name in monotest.__all__ if name.startswith("_")] == ["__version__"]
+
+
+def _version(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split("."))
+
+
+def _floor(spec: str) -> tuple[int, ...]:
+    return _version(re.fullmatch(r"\s*>=\s*([\d.]+)\s*", spec)[1])
+
+
+def test_python_floor_is_not_below_numpys():
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        ours = _floor(tomllib.load(fh)["project"]["requires-python"])
+    numpys = _floor(importlib.metadata.metadata("numpy")["Requires-Python"])
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    matrix = re.search(r"python-version:\s*\[([^\]]*)\]", workflow)[1]
+    lowest = min(_version(v) for v in re.findall(r"[\d.]+", matrix))
+    assert ours >= numpys
+    assert lowest >= numpys
