@@ -9,17 +9,16 @@ The draws are t*_b(s) = sum_i (w_i(s) / sqrt(V(s))) * sigma_i * eps[i, b];
 each critical value is an upper quantile of their per-draw maxima over a
 set of scales.  The three sets come from one rule: with c(1 - gamma) the
 quantile over the current set, a step keeps the scales with
-t(s) > -c_pi(1 - gamma) - c(1 - gamma).  The plug-in set is every active
-scale, one step from it gives the one-step set {t(s) > -2 c_pi(1 - gamma)},
+t(s) > -c_pi(1 - gamma) - c(1 - gamma), or those that attain T if none
+clears it, so every set is an upper set of t.  The plug-in set is every
+active scale, one step gives the one-step set {t(s) > -2 c_pi(1 - gamma)},
 and the step-down set is where repeated steps stop dropping scales.
-Discarding scales whose observed studentized value lies far below zero
-sharpens power without giving up size control.  ``CV_RUNGS`` names the
-rung each method reads, and ``run_report`` returns the monotest/1 record.
+Dropping scales far below zero buys power without losing size control.
+``CV_RUNGS`` names each method's rung, ``run_report`` the monotest/1 record.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,10 +43,10 @@ __all__ = [
 CV_RUNGS = {"pi": 0, "os": 1, "sd": -1}
 CV_METHODS = tuple(CV_RUNGS)
 
-# the note an emptied selection leaves: one-step, then step-down
+# the note an emptied selection leaves, one-step or step-down; a run leaves at most one
 _FALLBACK_WARNINGS = (
-    "one-step selection was empty; kept a single fallback scale",
-    "step-down selection emptied; kept a single fallback scale",
+    "one-step selection was empty; kept the scales that attain T",
+    "step-down selection emptied; kept the scales that attain T",
 )
 
 
@@ -101,13 +100,16 @@ class BootRun:
     maxima over any set of active scales, and holds the draws of the scales
     with the highest t.  ``ladder`` holds the selected sets in step order:
     the plug-in set, the one-step set, then every set the step-down passes
-    move to.
+    move to; the last pass, counted in ``stepdown_iterations``, moves nowhere.
     """
 
     field: StudentizedField
     ladder: tuple[Rung, ...]
-    stepdown_iterations: int
     warnings: tuple[str, ...]
+
+    @property
+    def stepdown_iterations(self) -> int:
+        return len(self.ladder) - 1
 
     def rung(self, method: str) -> Rung:
         """The rung whose critical value the method reports: PI first, OS second, SD last."""
@@ -164,12 +166,12 @@ def p_value(T: float, boot_maxima) -> float:
     return float((1 + np.count_nonzero(m >= T)) / (m.size + 1))
 
 
-def _multipliers(gen, sig: np.ndarray, B: int) -> np.ndarray:
-    """The n x B panel sigma_i * eps[i, b], scaled in place.
+def _multipliers(seed: int, sig: np.ndarray, B: int) -> np.ndarray:
+    """The n x B panel sigma_i * eps[i, b], eps from the seed's Philox stream, scaled in place.
 
     Passed as a temporary, so evaluate_field holds its only reference.
     """
-    eps = gen.standard_normal((sig.size, B))
+    eps = np.random.Generator(np.random.Philox(key=seed)).standard_normal((sig.size, B))
     eps *= sig[:, None]
     return eps
 
@@ -180,11 +182,6 @@ def _rung(ids: np.ndarray, draws: KeptDraws, cfg: BootConfig) -> Rung:
     return Rung(ids, maxima, c, quantile_upper(maxima, 1.0 - cfg.gamma))
 
 
-def _pick_fallback(gen, candidates: np.ndarray) -> np.ndarray:
-    idx = int(gen.integers(candidates.size))
-    return candidates[idx : idx + 1]
-
-
 def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: BootConfig) -> BootRun:
     """Run the full critical-value ladder on one shared multiplier panel.
 
@@ -193,30 +190,28 @@ def bootstrap_run(sample: Sample, sigma: SigmaEstimate, set_: ScaleSet, cfg: Boo
     scales of the last rung with t(s) > -c_pi(1 - gamma) - c(1 - gamma),
     where c is the last rung's quantile: the first step gives the one-step
     set {t(s) > -2 c_pi(1 - gamma)}, and the later steps are the step-down
-    passes.  The climb stops when a pass drops nothing or empties its set.
-    An emptied set keeps a single scale drawn from its predecessor with the
-    run's seeded stream, which keeps the nesting intact.
+    passes.  A step that keeps no scale keeps the scales of the last rung
+    whose t equals T instead: every rung is an upper set of t, so each holds
+    them.  The climb stops at the first step-down pass that drops nothing.
     """
     sig = _sigma_values(sigma, sample.n)
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    field = evaluate_field(sample, set_, sig, _multipliers(gen, sig, cfg.B))
+    field = evaluate_field(sample, set_, sig, _multipliers(cfg.seed, sig, cfg.B))
 
     ladder = [_rung(field.active_ids, field.draws, cfg)]
     warnings: list[str] = []
-    # step 0 is the one-step selection, step k >= 1 the k-th step-down pass
-    for step in itertools.count():
+    while True:
         last = ladder[-1]
-        ids = last.ids[field.t[last.ids] > -ladder[0].c_gamma - last.c_gamma]
-        if step and ids.size == last.ids.size:
-            break
+        t = field.t[last.ids]
+        ids = last.ids[t > -ladder[0].c_gamma - last.c_gamma]
         emptied = not ids.size
         if emptied:
-            ids = _pick_fallback(gen, last.ids)
-            warnings.append(_FALLBACK_WARNINGS[min(step, 1)])
-        ladder.append(_rung(ids, field.draws, cfg))
-        if step and emptied:
+            ids = last.ids[t == field.T]
+        if len(ladder) > 1 and ids.size == last.ids.size:
             break
-    return BootRun(field, tuple(ladder), step, tuple(warnings))
+        if emptied:
+            warnings.append(_FALLBACK_WARNINGS[len(ladder) > 1])
+        ladder.append(_rung(ids, field.draws, cfg))
+    return BootRun(field, tuple(ladder), tuple(warnings))
 
 
 def run_report(

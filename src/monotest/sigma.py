@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SigmaEstimate:
-    """Per-observation sigma values plus the method tag and its parameters."""
+    """Per-observation sigma values, finite when squared, plus the method tag and its parameters."""
 
     values: np.ndarray
     method: str
@@ -50,6 +50,8 @@ class SigmaEstimate:
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if not np.all(np.isfinite(values)):
             raise DataError("sigma estimate contains non-finite values")
+        if np.any(np.abs(values) > math.sqrt(np.finfo(float).max)):
+            raise DataError("sigma estimate overflows when squared")
         if self.method != "residual" and np.any(values < 0):
             raise ValueError(f"negative sigma values are only valid for method='residual', not {self.method!r}")
         object.__setattr__(self, "values", values)
@@ -226,4 +228,6 @@ def estimate_sigma(sample: Sample, method: str, **opts) -> SigmaEstimate:
     """The method's estimate; ``opts`` go to its estimator, which raises TypeError on others."""
     if method not in SIGMA_ESTIMATORS:
         raise ValueError(f"unknown sigma method {method!r}; choose from {SIGMA_METHODS}")
-    return SIGMA_ESTIMATORS[method](sample, **opts)
+    # an overflow warns nothing: the estimate's non-finite or too large values raise DataError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SIGMA_ESTIMATORS[method](sample, **opts)

@@ -81,9 +81,9 @@ FIELD_BLOCK = 64
 
 # A field with B bootstrap draws keeps the draws of at most
 # KEEP_BYTES // (8 * B) scales, those with the highest t.  Every selected set
-# of the critical-value ladder but the first is an upper set of t, unless it
-# is a fallback's single scale drawn at random from the set before it, so a
-# set that fits needs no block built again, and a fallback at most one.
+# of the critical-value ladder is an upper set of the active t, so a set that
+# fits needs no block built again.  A fallback keeps the scales that attain
+# T, whose rows are kept unless more than R scales tie there.
 # 8 MiB is 2,097 rows at B = 500: every row of an n = 200 set (p = 800).
 # On the benchmark's seed-0 inputs (n = 2000), the z-cell set with ties has
 # a one-step set of 1,385 scales and rebuilds no block; the partial-linear

@@ -156,17 +156,14 @@ def run_draws(sample, set_, sigma, cfg):
     return dense_draws(sample, set_, sig, gen.standard_normal((sample.n, cfg.B)) * sig[:, None])
 
 
-def naive_ladder(field, draws, n, cfg):
+def naive_ladder(field, draws, cfg):
     """The plug-in, one-step and step-down selections as three separate blocks.
 
     ``draws`` is the run's ``dense_draws``.  Returns the ladder as (ids,
     maxima, c, c_gamma) tuples in step order (PI, OS, then every set a
     step-down pass moves to), the number of step-down passes, and the
-    warnings.  A fallback scale is drawn from the run's own Philox stream,
-    replayed past its n x B multipliers.
+    warnings.  A selection that keeps no scale keeps every scale with t = T.
     """
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    gen.standard_normal((n, cfg.B))
     t = field.t
 
     def rung(ids):
@@ -174,18 +171,15 @@ def naive_ladder(field, draws, n, cfg):
         c, c_gamma = (quantile_upper(maxima, 1 - level) for level in (cfg.alpha, cfg.gamma))
         return ids, maxima, c, c_gamma
 
-    def fallback(ids):
-        i = int(gen.integers(ids.size))
-        return ids[i : i + 1]
-
     pi = rung(field.active_ids)
     c_pi_gamma = pi[3]
+    top = np.flatnonzero(t == field.T)
     warnings = []
 
     os_ids = np.flatnonzero(t > -2.0 * c_pi_gamma)
     if not os_ids.size:
-        os_ids = fallback(field.active_ids)
-        warnings.append("one-step selection was empty; kept a single fallback scale")
+        os_ids = top
+        warnings.append("one-step selection was empty; kept the scales that attain T")
     ladder = [pi, rung(os_ids)]
 
     iterations = 0
@@ -193,13 +187,13 @@ def naive_ladder(field, draws, n, cfg):
         iterations += 1
         cur_ids, c_cur = ladder[-1][0], ladder[-1][3]
         keep = t[cur_ids] > -c_pi_gamma - c_cur
-        if not keep.any():
-            ladder.append(rung(fallback(cur_ids)))
-            warnings.append("step-down selection emptied; kept a single fallback scale")
+        if keep.all() or np.array_equal(cur_ids, top):
             break
-        if keep.all():
-            break
-        ladder.append(rung(cur_ids[keep]))
+        if keep.any():
+            ladder.append(rung(cur_ids[keep]))
+        else:
+            ladder.append(rung(top))
+            warnings.append("step-down selection emptied; kept the scales that attain T")
     return ladder, iterations, warnings
 
 

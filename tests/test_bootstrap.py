@@ -195,9 +195,12 @@ def test_steep_monotone_triggers_fallback():
     sig = np.full(50, 1e-3)
     run = bootstrap_run(sample, sig, set_, BootConfig(B=100, seed=3))
     assert np.all(run.field.t[run.field.active_ids] < -2.0 * run.rung("pi").c_gamma)
+    # the emptied one-step set keeps the scale that attains T, and the
+    # step-down pass from it changes nothing, so it leaves no second note
+    np.testing.assert_array_equal(run.rung("os").ids, np.flatnonzero(run.field.t == run.field.T))
     assert run.rung("os").ids.size == 1
-    assert run.rung("sd").ids.size == 1
-    assert any("fallback" in w for w in run.warnings)
+    assert run.rung("sd") is run.rung("os")
+    assert run.warnings == ("one-step selection was empty; kept the scales that attain T",)
 
 
 def test_report_fields():
@@ -245,9 +248,30 @@ def test_null_rejection_rate_near_alpha():
     assert 0.02 <= rate <= 0.22
 
 
+# seeds of _stepdown_fallback_cases: a step-down pass empties a one-step set
+# of 2 to 15 scales, since T lies between -2 c_pi(1 - gamma) and
+# -c_pi(1 - gamma) - c_os(1 - gamma).  14 of seeds 0 to 2,999 do that.
+STEPDOWN_FALLBACK_SEEDS = (498, 578, 684, 718, 1140, 1312, 1460, 1680, 1812, 1916, 2186, 2408, 2708, 2844)
+
+
+def _stepdown_fallback_cases():
+    # steep samples with a small dip, n from 12 to 39, and the true sigma
+    for seed in STEPDOWN_FALLBACK_SEEDS:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 40))
+        x = rng.uniform(-1.0, 1.0, n)
+        sd = 10.0 ** rng.uniform(-3.0, 0.0)
+        slope = rng.choice([4.0, 20.0])
+        y = slope * x - 0.5 * np.exp(-20.0 * x**2) + sd * rng.standard_normal(n)
+        alpha = rng.choice([0.05, 0.1])
+        cfg = BootConfig(alpha=alpha, gamma=alpha / 5, B=int(rng.integers(20, 81)), seed=seed)
+        yield Sample(x=x, y=y), np.full(n, sd), build_basic_set(x), cfg
+
+
 def _ladder_cases(count):
     # slopes from flat to steep and noise from 1e-3 to 1: steep, quiet samples
-    # empty the selections, moderate ones step down more than once
+    # empty the selections, moderate ones step down more than once; the
+    # pinned cases after them empty only the step-down set
     rng = np.random.default_rng(1212)
     for i in range(count):
         n = int(rng.integers(20, 61))
@@ -260,18 +284,23 @@ def _ladder_cases(count):
         alpha = rng.choice([0.05, 0.1])
         cfg = BootConfig(alpha=alpha, gamma=alpha / 5, B=int(rng.integers(20, 81)), seed=i)
         yield sample, sig, build_basic_set(x), cfg
+    yield from _stepdown_fallback_cases()
 
 
 def _assert_ladder_is_naive(run, sample, sig, set_, cfg):
     """Every rung of the run bitwise equal to the naive ladder on the dense draws."""
     dense = run_draws(sample, set_, sig, cfg)
-    ladder, iterations, warnings = naive_ladder(run.field, dense, sample.n, cfg)
+    ladder, iterations, warnings = naive_ladder(run.field, dense, cfg)
     assert len(run.ladder) == len(ladder)
+    active, t = run.field.active_ids, run.field.t
     for rung, (ids, maxima, c, c_gamma) in zip(run.ladder, ladder):
         np.testing.assert_array_equal(rung.ids, ids)
         np.testing.assert_array_equal(rung.maxima, maxima)
         assert (rung.c, rung.c_gamma) == (c, c_gamma)
-    assert run.stepdown_iterations == iterations
+        # every rung is an upper set of the active t
+        np.testing.assert_array_equal(rung.ids, active[t[active] >= t[rung.ids].min()])
+    assert run.stepdown_iterations == len(ladder) - 1 == iterations
+    assert len(warnings) <= 1
     assert list(run.warnings) == warnings
     return dense, iterations, warnings
 
@@ -290,7 +319,8 @@ def test_ladder_matches_naive_three_blocks():
 def _streamed_cases(count):
     # a few scales kept, or every one; basic, k = 0.5 and z-cell sets, steep
     # quiet samples that empty the selections, and sigma that is zero or
-    # tiny on part of the support, so V is 0 or falls below tau there
+    # tiny on part of the support, so V is 0 or falls below tau there; then
+    # the pinned cases that empty only the step-down set
     rng = np.random.default_rng(1313)
     for i in range(count):
         n = int(rng.integers(20, 61))
@@ -309,6 +339,8 @@ def _streamed_cases(count):
         keep = [1, int(rng.integers(2, 8)), 2 * set_.p][i % 3]
         block = int(rng.choice([statistic.FIELD_BLOCK, 5]))
         yield sample, sig, set_, cfg, keep, block
+    for i, (sample, sig, set_, cfg) in enumerate(_stepdown_fallback_cases()):
+        yield sample, sig, set_, cfg, [1, 3, 2 * set_.p][i % 3], [statistic.FIELD_BLOCK, 5][i % 2]
 
 
 def test_streamed_ladder_matches_dense_draws():
@@ -350,6 +382,63 @@ def test_streamed_ladder_matches_dense_draws():
     assert min(seen.values()) >= 5, seen
 
 
+def _run_counting_rebuilds(sample, sigma, set_, cfg):
+    """The run, and the number of blocks each of its ``maxima`` calls rebuilt."""
+    counts = []
+    maxima = statistic.KeptDraws.maxima
+
+    def counted(self, ids):
+        before = self.rebuilt
+        out = maxima(self, ids)
+        counts.append(self.rebuilt - before)
+        return out
+
+    with mock.patch.object(statistic.KeptDraws, "maxima", counted):
+        return bootstrap_run(sample, sigma, set_, cfg), counts
+
+
+def test_fallback_rung_reads_the_kept_row_that_attains_T():
+    # the golden steep.csv with residual sigma empties the one-step set; with
+    # R = 1 the one kept row is the scale that attains T, which the emptied
+    # set keeps, so no rung rebuilds a block
+    cols = load_columns(str(GOLDEN / "steep.csv"), ["x", "y"])
+    sample = Sample(cols["x"], cols["y"])
+    sigma = estimate_sigma(sample, "residual")
+    set_ = build_basic_set(sample.x)
+    cfg = BootConfig(B=60, seed=5)
+    with mock.patch.object(statistic, "KEEP_BYTES", 8 * cfg.B):
+        run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
+    top = np.flatnonzero(run.field.t == run.field.T)
+    assert run.warnings == ("one-step selection was empty; kept the scales that attain T",)
+    np.testing.assert_array_equal(run.field.draws.ids, top)
+    np.testing.assert_array_equal(run.rung("os").ids, top)
+    assert run.rung("sd") is run.rung("os")
+    assert counts == [0, 0]
+    dense = run_draws(sample, set_, sigma, cfg)
+    for rung in run.ladder:
+        np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
+
+
+@pytest.mark.parametrize("keep", [1, None])
+def test_fallback_keeps_every_scale_tied_at_T(keep):
+    # x on a grid of step 0.25 gives two scales the same t = T; an emptied
+    # one-step set keeps both, also when only one row is kept
+    x = np.repeat(np.linspace(0.0, 1.0, 5), 3)
+    sample = Sample(x=x, y=20.0 * x)
+    sig = np.full(x.size, 1e-3)
+    set_ = build_basic_set(x)
+    cfg = BootConfig(B=60, seed=1)
+    with mock.patch.object(statistic, "KEEP_BYTES", (keep or set_.p) * 8 * cfg.B):
+        run = bootstrap_run(sample, sig, set_, cfg)
+        _assert_ladder_is_naive(run, sample, sig, set_, cfg)
+    top = np.flatnonzero(run.field.t == run.field.T)
+    assert top.size > 1
+    assert run.warnings == ("one-step selection was empty; kept the scales that attain T",)
+    np.testing.assert_array_equal(run.rung("os").ids, top)
+    assert run.rung("sd") is run.rung("os")
+    assert run.field.draws.rebuilt == (keep is not None)
+
+
 @pytest.mark.parametrize("B", [8000, 20000])
 def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     # the golden main.csv at seed 5: R = 8 MiB / (8 B) kept rows leave the
@@ -362,17 +451,7 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     sigma = estimate_sigma(sample, "rice")
     set_ = build_basic_set(sample.x)
     cfg = BootConfig(B=B, seed=5)
-    counts = []
-    maxima = statistic.KeptDraws.maxima
-
-    def counted(self, ids):
-        before = self.rebuilt
-        out = maxima(self, ids)
-        counts.append(self.rebuilt - before)
-        return out
-
-    with mock.patch.object(statistic.KeptDraws, "maxima", counted):
-        run = bootstrap_run(sample, sigma, set_, cfg)
+    run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
     field, draws = run.field, run.field.draws
     blocks = [rows for rows, *_ in run_blocks(sample, set_, statistic._sort_order(sample))]
 

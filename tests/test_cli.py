@@ -596,6 +596,33 @@ def test_exit_3_on_degenerate_variance(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "DegenerateVarianceError"
 
 
+def _run_python(args, cwd):
+    """Run the interpreter on args in a fresh process, with the package under test on the path."""
+    env = dict(os.environ)
+    src = str(Path(statistic.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_exit_2_on_sigma_overflow(tmp_path):
+    # y near +-1e300 overflows every sigma method, or its square: each exits 2
+    # with one error JSON on stderr and no numpy warning before it
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, 40)
+    y = rng.choice([-1.0, 1.0], 40) * 1e300 * rng.uniform(0.5, 1.0, 40)
+    path = _write_rows(tmp_path / "big.csv", ["x", "y"], list(zip(x, y)))
+    for method in SIGMA_METHODS:
+        proc = _run_python(
+            ["-m", "monotest.cli", "test", path, "--boot", "50", "--sigma", method], tmp_path,
+        )
+        assert proc.returncode == 2, (method, proc.stderr)
+        assert "Warning" not in proc.stderr, (method, proc.stderr)
+        error = json.loads(proc.stderr)
+        assert (error["schema"], error["error"]) == ("monotest/error1", "DataError"), method
+
+
 def test_flag_tables_list_every_method_and_flag():
     assert tuple(SIGMA_FLAGS) == SIGMA_METHODS
     assert tuple(SIGMA_ESTIMATORS) == SIGMA_METHODS
@@ -654,12 +681,5 @@ def test_test_and_mc_do_not_import_numpy_ma():
     # np.unique without indices, np.isin and np.quantile import numpy.ma (about
     # 13 ms and 1.3 MiB); none of these runs needs it: z-cells, --h-set,
     # selection and diag included
-    golden = Path(__file__).resolve().parent / "golden"
-    env = dict(os.environ)
-    src = str(Path(statistic.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _MA_PROBE],
-        cwd=golden, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run_python(["-c", _MA_PROBE], Path(__file__).resolve().parent / "golden")
     assert proc.returncode == 0, proc.stderr

@@ -91,8 +91,9 @@ CASES = {
     # 2,350 scales on tied x: more than two statistic.FIELD_BLOCK blocks, the last partial
     "test_blocks_k0": ["test", "blocks.csv", "--h-set", BLOCK_H, *FAST],
     "test_blocks_k1": ["test", "blocks.csv", "--h-set", BLOCK_H, "--k", "1", *FAST],
-    # every scale far below the selection threshold, so both selections keep a
-    # fallback scale; a one-point window leaves one of the 120 scales inactive
+    # every scale far below the selection threshold, so the emptied one-step
+    # set keeps the scale that attains T and the step-down pass from it keeps
+    # it too; a one-point window leaves one of the 120 scales inactive
     "test_fallback": ["test", "steep.csv", "--sigma", "residual", *FAST],
     # B = 20,000 keeps R = 52 of 240 scales' draws, so the store evicts rows and
     # the one-step and step-down sets rebuild blocks

@@ -1,5 +1,6 @@
 """The package surface: ``monotest.__all__`` is the library modules' ``__all__``,
-and the declared Python floor is not below numpy's."""
+the declared Python floor is not below numpy's, and CI installs the numpy
+that README names."""
 
 import importlib.metadata
 import re
@@ -38,3 +39,15 @@ def test_python_floor_is_not_below_numpys():
     lowest = min(_version(v) for v in re.findall(r"[\d.]+", matrix))
     assert ours >= numpys
     assert lowest >= numpys
+
+
+def test_workflow_pins_the_numpy_readme_names():
+    # the goldens were recorded with the numpy build that README's install
+    # section names, so CI installs that one
+    root = Path(__file__).resolve().parent.parent
+    install = (root / "README.md").read_text().split("## Install")[1].split("\n## ")[0]
+    named = set(re.findall(r"numpy (\d+\.\d+\.\d+)", install))
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    pinned = set(re.findall(r"numpy==([\d.]+)", workflow))
+    assert len(named) == 1
+    assert pinned == named
