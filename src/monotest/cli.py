@@ -160,6 +160,9 @@ def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError
         f"panels of {FIELD_BLOCK * (m + 1) * 8 / 2**20:.1f} MiB each (FIELD_BLOCK * (m + 1) * 8"
         f" bytes, m = {m} distinct x) for one block of {FIELD_BLOCK} scales at a time"
     )
+    if set_.k not in (0.0, 1.0):
+        pair = (m + 1) ** 2 * 8 / 2**20
+        need += f", with its {pair:.1f} MiB pair matrix ((m + 1)^2 * 8 bytes) for k = {set_.k}"
     fewer = "fewer rows"
     if boot is not None:
         rows = kept_rows(p, boot)

@@ -21,8 +21,8 @@ a set without z-cells has one cell whose z-factor zf is 1.  Observation i
 of run r has w_i = W_r * zf_i, so each cell needs only the run sums of zf,
 zf * (y - y_first) and zf^2 * sigma^2 and the run maxima of zf, and a
 block never mixes cells.  The kernel is zero outside each window, so
-running sums along the rows give W in O(span) per scale for k in {0, 1},
-and a direct double loop over the window's runs handles any other k.  The
+running sums along the rows give W in O(span) per scale for k in {0, 1};
+any other k forms one pair matrix per block, read by each window.  The
 weights of a window sum to zero, so b(s) = sum_i (Y_i - Y_lo(s)) w_i(s)
 for the sorted Y_lo(s) at the window's first point.  The engine sums b
 that way and V over each window's own runs, so both depend on the window
@@ -32,8 +32,9 @@ the step skips the run sums.
 
 Memory: with m runs (m <= n), a block's panels are (FIELD_BLOCK x span)
 with span <= m + 1, and the engine keeps a handful of them only while it
-works on that block.  V sums each window on its own, so no window weights
-outlive their block: a field costs O(FIELD_BLOCK * m + n + p) bytes.
+works on that block, and a general k its (span x span) pair matrix.  V sums
+each window on its own, so no window weights outlive their block: a field
+costs O(FIELD_BLOCK * m + n + p) bytes, O(m^2) more for a general k.
 Given bootstrap multipliers e (n x B), the engine forms each block's draws
 as one matrix product of its panel with the run sums E of zf * e for the
 block's cell (e itself when the runs are the observations and there are
@@ -179,18 +180,6 @@ def _window_bounds(xs, sx, sh, support):
     return pos[0], pos[1]
 
 
-def _window_weights(xw: np.ndarray, kw: np.ndarray, mw: np.ndarray, k: float) -> np.ndarray:
-    """Weights W on one sorted window of runs, for a general exponent k.
-
-    ``kw`` is each run's kernel factor and ``mw`` its mass, the kernel
-    factor times the run's summed z-cell factor.  A direct double loop over
-    the window's runs (a tied pair has dx = 0 and adds nothing); k in
-    {0, 1} is evaluated on the block panel in ``_field_engine`` instead.
-    """
-    dx = xw[None, :] - xw[:, None]
-    return kw * ((np.sign(dx) * np.abs(dx) ** k) @ mw)
-
-
 def _running_sums(panel: np.ndarray) -> np.ndarray:
     """Running sums along each row of a panel, after a leading zero column.
 
@@ -219,25 +208,39 @@ def _window_sums(panel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.add.reduceat(panel.reshape(-1), ends)[::2]
 
 
-def _block_k0(kx, m, lo, hi):
-    """W of one block for k = 0: kx times (the mass after each run - the mass before it)."""
-    cs = _running_sums(m)
-    total = cs[np.arange(m.shape[0]), hi - int(lo.min())]
-    w = total[:, None] - cs[:, 1:]
-    w -= cs[:, :-1]
-    w *= kx
-    return w
+def _pair_weights(kx, m, xr, lo, hi, k):
+    """W of one block: kx_r times its window's sum of sign(x_j - x_r) * |x_j - x_r|**k * m_j.
 
-
-def _block_k1(kx, m, xr, lo, hi):
-    """W of one block for k = 1, from its kernel panel kx and mass panel m."""
+    kx is the kernel panel and m the mass panel, kx times the runs' summed
+    z-cell factor, over runs lo.min():hi.max().  k = 0 and 1 take running
+    sums along the rows; any other k forms the span's pair matrix once, and
+    each window reads its own square of it, so its sum is its own.
+    """
     rows, width = m.shape
     a = int(lo.min())
-    xc = xr[a : a + width] - xr[lo][:, None]  # window-relative: no cancellation far from 0
-    cg = _running_sums(m)
-    cxg = _running_sums(m * xc)
-    ends = (np.arange(rows), hi - a)
-    return kx * (cxg[ends][:, None] - xc * cg[ends][:, None])
+    xw = xr[a : a + width]
+    if k == 0.0:
+        # the mass after each run - the mass before it
+        cs = _running_sums(m)
+        w = cs[np.arange(rows), hi - a][:, None] - cs[:, 1:]
+        w -= cs[:, :-1]
+    elif k == 1.0:
+        xc = xw - xr[lo][:, None]  # window-relative: no cancellation far from 0
+        cg = _running_sums(m)
+        cxg = _running_sums(m * xc)
+        ends = (np.arange(rows), hi - a)
+        w = cxg[ends][:, None] - xc * cg[ends][:, None]
+    else:
+        pair = xw - xw[:, None]
+        np.abs(pair, out=pair)
+        pair **= k
+        # the runs are sorted and distinct, so sign(x_j - x_i) is sign(j - i)
+        np.negative(pair, out=pair, where=np.tri(width, k=-1, dtype=bool))
+        w = np.zeros_like(m)
+        for r, (l, h) in enumerate(zip((lo - a).tolist(), (hi - a).tolist())):
+            w[r, l:h] = pair[l:h, l:h] @ m[r, l:h]
+    w *= kx
+    return w
 
 
 def _z_factor(set_: ScaleSet, zs: np.ndarray, r: int) -> np.ndarray:
@@ -272,12 +275,13 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     sorted multipliers ``es`` (n x B), the step scales W in place to
     W / sqrt(V), 0 where V = 0, and its draws are one product of that panel
     with the span's rows of E, the run sums of zf * es of the block's cell;
-    else the draws are None.  A block stepped again has the same bits.
+    else the draws are None.  A block stepped again has the same bits.  A b
+    or V that overflows to inf or NaN raises DataError, with no warning.
 
     When every run is one observation and the set has no z-cells, the
     runs are the sorted observations, E is ``es`` itself, and the step
-    skips Z, YZ and max zf.  Only the double loop of a general k runs per
-    scale; everything else runs once per block.
+    skips Z, YZ and max zf.  Everything runs once per block but the window
+    products of a general k, one per scale from the block's one pair matrix.
     """
     xs = sample.x[order]
     ys = sample.y[order]
@@ -324,6 +328,7 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         current.update(c=c, sums=sums, E=E)
         return sums, E
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name
     def step(rows):
         # a function, so that none of its panels outlives the block
         wlo, whi = lo[rows], hi[rows]
@@ -333,15 +338,7 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         # the kernel is zero where |u| >= support, which is outside the window
         kx = np.asarray(set_.kernel((xr[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
         m = kx if Z is None else kx * Z[span]
-        if k == 0.0:
-            w = _block_k0(kx, m, wlo, whi)
-        elif k == 1.0:
-            w = _block_k1(kx, m, xr, wlo, whi)
-        else:
-            w = np.zeros_like(kx)
-            for r, (l, h) in enumerate(zip(wlo.tolist(), whi.tolist())):
-                win = slice(l - a, h - a)
-                w[r, win] = _window_weights(xr[l:h], kx[r, win], m[r, win], k)
+        w = _pair_weights(kx, m, xr, wlo, whi, k)
         del kx, m  # before one more panel: b's terms, then |w|, then W * W * S2
         panel = np.subtract(yf[span], yf[wlo][:, None])
         if Z is not None:
@@ -357,6 +354,8 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         panel *= S2[span]
         v = _window_sums(panel, wlo - a, whi - a)
         del panel  # before the draws
+        if not (np.isfinite(b).all() and np.isfinite(v).all()):
+            raise DataError("the field overflows: b or V is not finite; rescale x or y")
         if E is None:
             return w, b, v, absmax, None
         w *= np.divide(1.0, np.sqrt(v), out=np.zeros(v.size), where=v > 0.0)[:, None]
@@ -503,8 +502,8 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     Raises
     ------
     DataError
-        If z-cells do not match the sample's z columns, or sigma or e has the
-        wrong length.
+        If z-cells do not match the sample's z columns, sigma or e has the
+        wrong length, or b or V overflows.
     DegenerateVarianceError
         If every scale is inactive, which signals a data/bandwidth mismatch.
     """

@@ -49,6 +49,17 @@ def naive_w_b(sample, set_, r):
     return w, b, scale_w, scale_b
 
 
+def window_weights(xw, kw, mw, k):
+    """W on one sorted window of runs for a general k, by a double loop over the window.
+
+    ``kw`` is each run's kernel factor and ``mw`` its mass, the kernel factor
+    times the run's summed z-cell factor; a tied pair has dx = 0 and adds
+    nothing.  The engine's pair matrix must give these bits.
+    """
+    dx = xw[None, :] - xw[:, None]
+    return kw * ((np.sign(dx) * np.abs(dx) ** k) @ mw)
+
+
 def _runs(sample, order):
     """Each sorted observation's tie run, and each run's first sorted observation."""
     xs = sample.x[order]

@@ -410,8 +410,8 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
     assert main(["mc", "--cases", "1;2", "--reps", "2", "--boot", "20"]) == 2
     assert "--cases" in _stderr_error(capsys)["message"]
     # a degree-0 series has no correction block: it would subtract nothing
-    rows = list(zip(*_dataset(), *_dataset(seed=8), np.arange(60) % 3 > 0))
-    path = _write_rows(tmp_path / "m.csv", ["x", "y", "z", "u", "d"], rows)
+    rows = list(zip(*_dataset(), *_dataset(seed=8), np.arange(60) % 3 > 0, np.ones(60)))
+    path = _write_rows(tmp_path / "m.csv", ["x", "y", "z", "u", "d", "c"], rows)
     for model in (["additive", "--z-cols", "z"], ["endogenous", "--u-cols", "u"],
                   ["selection", "--z-cols", "z", "--d-col", "d"]):
         assert main(["test", path, "--model", *model, "--L", "0", "--boot", "20"]) == 2, model
@@ -449,8 +449,15 @@ def test_exit_2_on_bad_flag_values(tmp_path, capsys):
         assert obj["error"] == "DataError" and obj["message"] == frag, obj
     assert main(["diag", path, "--z-cols", "z"]) == 2
     assert _stderr_error(capsys)["message"] == "model 'simple' does not read --z-cols"
-    # so is an option flag the model or sigma method never reads
+    # so is an option flag the model or sigma method never reads, and an option
+    # value or z column that leaves no scale to test
     for argv, frag in [
+        (["--h-set", ","], "--h-set: empty list"),
+        (["--model", "nonparametric-z", "--z-cols", "z", "--z-cells", "0"],
+         "--z-cells must be >= 1"),
+        (["--model", "nonparametric-z", "--z-cols", "z", "--z-bw", ","], "--z-bw: empty list"),
+        (["--model", "nonparametric-z", "--z-cols", "c"],
+         "z columns are constant; cannot pick a z-cell bandwidth"),
         (["--model", "partial-linear", "--z-cols", "z", "--z-cells", "7"],
          "model 'partial-linear' does not read --z-cells"),
         (["--model", "partial-linear", "--z-cols", "z", "--z-cells", "3"],
@@ -554,15 +561,16 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
         " bytes with R = KEEP_BYTES // (8 * B)) and the n x B multiplier panel (0 MiB)"
     )
     assert draws + " plus " + panels in obj["message"]
-    assert "window weights" not in obj["message"] and "run-sum" not in obj["message"]
+    assert "pair matrix" not in obj["message"] and "run-sum" not in obj["message"]
     monkeypatch.setattr("monotest.cli.evaluate_field", out_of_memory)
     assert main(["diag", path]) == 2
     obj = _stderr_error(capsys)
     assert obj["error"] == "MemoryError"
     assert "x 40 observations need " + panels in obj["message"]
-    assert "draws" not in obj["message"] and "window weights" not in obj["message"]
+    assert "draws" not in obj["message"] and "pair matrix" not in obj["message"]
     # the panels span tie runs: 4,000 rows on 400 distinct x state m = 400, not n,
-    # and the draws name the m x B run sums; so does a z-cell set without ties
+    # and the draws name the m x B run sums; so does a z-cell set without ties.
+    # A k other than 0 and 1 adds one (m + 1) x (m + 1) pair matrix per block
     x = np.repeat(np.linspace(0.0, 4.0, 400), 10)
     path = _write_rows(tmp_path / "tied.csv", ["x", "y", "z"], zip(x, np.sin(x), np.cos(x)))
     panels = "panels of 0.2 MiB each (FIELD_BLOCK * (m + 1) * 8 bytes, m = 400 distinct x)"
@@ -570,9 +578,13 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
         "(3 MiB, min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B)), the m x B run-sum"
         " panel (3 MiB) and the n x B multiplier panel (31 MiB) plus " + panels
     )
+    pair = ", with its 1.2 MiB pair matrix ((m + 1)^2 * 8 bytes) for k = 0.5"
+    block = f" for one block of {statistic.FIELD_BLOCK} scales at a time"
     for argv, want in [
         (["test", path, "--boot", "1000"], sums),
         (["diag", path], "x 4000 observations need " + panels),
+        (["test", path, "--boot", "1000", "--k", "0.5"], sums + block + pair + "; use"),
+        (["diag", path, "--k", "0.5"], "x 4000 observations need " + panels + block + pair),
     ]:
         assert main([*argv, "--h-set", "0.5"]) == 2, argv
         obj = _stderr_error(capsys)
@@ -621,6 +633,34 @@ def test_exit_2_on_sigma_overflow(tmp_path):
         assert "Warning" not in proc.stderr, (method, proc.stderr)
         error = json.loads(proc.stderr)
         assert (error["schema"], error["error"]) == ("monotest/error1", "DataError"), method
+
+
+def test_exit_2_on_field_overflow(tmp_path):
+    # |y| near 1e152 passes the sigma check, but V's window sums overflow, and
+    # x near 1e307 overflows |x_j - x_i|^k: test and diag exit 2 with one
+    # error JSON naming the overflow, and no numpy warning before it
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, 200)
+    y = rng.choice([-1.0, 1.0], 200) * 1e152 * rng.uniform(0.5, 1.0, 200)
+    big_y = _write_rows(tmp_path / "big_y.csv", ["x", "y"], list(zip(x, y)))
+    x = 1e307 * rng.uniform(0.5, 1.5, 40)
+    big_x = _write_rows(tmp_path / "big_x.csv", ["x", "y"], list(zip(x, rng.normal(size=40))))
+    for path, flags in [
+        (big_y, ["--sigma", "rice"]),
+        (big_y, ["--sigma", "residual"]),
+        (big_x, ["--k", "0.5"]),
+        (big_x, ["--k", "1"]),
+    ]:
+        for argv in (["test", path, "--boot", "50"], ["diag", path]):
+            args = ["-m", "monotest.cli", *argv, *flags]
+            proc = _run_python(args, tmp_path)
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert "Warning" not in proc.stderr, (args, proc.stderr)
+            assert json.loads(proc.stderr) == {
+                "schema": "monotest/error1",
+                "error": "DataError",
+                "message": "the field overflows: b or V is not finite; rescale x or y",
+            }, args
 
 
 def test_flag_tables_list_every_method_and_flag():

@@ -215,3 +215,5 @@ def test_z_local_set_dimension_mismatch():
         build_z_local_set(base, z_locs=[(0.0,), (0.0, 1.0)], z_bws=[1.0])
     with pytest.raises(ValueError):
         build_z_local_set(base, z_locs=[], z_bws=[1.0])
+    with pytest.raises(ValueError, match="z_bws must be non-empty"):
+        build_z_local_set(base, z_locs=[(0.0,)], z_bws=[])

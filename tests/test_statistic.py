@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_draws, dense_w, field_blocks, naive_w_b, run_blocks
+from oracles import dense_draws, dense_w, field_blocks, naive_w_b, run_blocks, window_weights
 
 from monotest import (
     BootConfig,
@@ -513,6 +513,46 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
         assert _inactive_rows_are_minus_inf(other_draws, other)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(20, 70),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from([0.5, 1.7, 2.0]),
+    st.booleans(),
+    st.sampled_from([1, 5, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_weights_keep_the_bits_of_each_window_alone(n, digits, k, zcell, block, seed):
+    # a general k reads each window's square of the block's pair matrix, so
+    # every window's W has the bits of a double loop over that window alone,
+    # whatever the block and its span; W is +0 outside the window
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    if digits is not None:
+        x = np.round(x, digits)
+    sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
+    set_ = build_basic_set(sample.x, k=k)
+    if zcell:
+        set_ = build_z_local_set(set_, z_locs=[(0.3,), (0.7,)], z_bws=[0.5])
+    order = statistic._sort_order(sample)
+    xs = sample.x[order]
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    xr = xs[first]
+    with mock.patch.object(statistic, "FIELD_BLOCK", block):
+        blocks = list(run_blocks(sample, set_, order))
+    assert sum(rows.size for rows, *_ in blocks) > 0
+    zs = sample.z[order]
+    for rows, lo, hi, W, _ in blocks:
+        zf = np.ones(n) if set_.z_loc is None else statistic._z_factor(set_, zs, rows[0])
+        Z = np.add.reduceat(zf, first)
+        a = lo.min()
+        for r, l, h, row in zip(rows, lo, hi, W):
+            kw = set_.kernel((xr[l:h] - set_.x[r]) / set_.h[r])
+            want = np.zeros(row.size)
+            want[l - a : h - a] = window_weights(xr[l:h], kw, kw * Z[l:h], k)
+            assert row.tobytes() == want.tobytes(), (r, l, h)
+
+
 def test_peak_memory_is_four_block_panels_plus_the_draws():
     # On this tie-free k = 0 set the engine holds at most four (block x span)
     # panels of at most FIELD_BLOCK * (n + 1) * 8 bytes at once: the kernel
@@ -551,6 +591,30 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
+
+
+def test_peak_memory_of_a_general_k_field_adds_one_pair_matrix():
+    # A k other than 0 and 1 adds one block's (span x span) pair matrix to
+    # the four panels of k = 0: it is formed in place, beside a mask of
+    # span * span bools, and each window only reads its square of it.
+    # Forming sign * |dx|^k window by window would take several
+    # window-sized temporaries at once, above three (n + 1)^2 * 8 bytes on
+    # the widest.
+    rng = np.random.default_rng(71)
+    n = 600
+    sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
+    sig = estimate_sigma(sample, "rice")
+    for k in (0.5, 1.7):
+        set_ = build_basic_set(sample.x, k=k)
+        tracemalloc.start()
+        try:
+            evaluate_field(sample, set_, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
+        bound += 1.25 * (n + 1) ** 2 * 8
+        assert peak < bound, (k, peak, bound)
 
 
 def _tied_zcell_case(n=2000, seed=73):
@@ -788,8 +852,13 @@ def test_sample_validation():
         Sample(x=[1.0, np.nan], y=[1.0, 2.0])
     with pytest.raises(DataError):
         Sample(x=[1.0, 2.0], y=[1.0, 2.0], z=np.ones((3, 1)))
+    with pytest.raises(DataError, match="z contains non-finite values"):
+        Sample(x=[1.0, 2.0], y=[1.0, 2.0], z=[[0.5], [np.inf]])
 
 
 def test_sigma_length_mismatch():
     with pytest.raises(DataError):
         evaluate_field(TWO_POINT, MID_SCALE, [1.0, 1.0, 1.0])
+    # a multiplier panel e with the wrong row count raises too
+    with pytest.raises(DataError, match=r"e must have one row per observation \(2\)"):
+        evaluate_field(TWO_POINT, MID_SCALE, [1.0, 1.0], np.ones((3, 4)))
