@@ -12,8 +12,9 @@ Three subcommands:
     List the scale set and the sensitivity diagnostic A_n for a dataset
     without running the test itself.
 
-Exit codes: 0 success, 2 data or configuration error (including a field too
-large to allocate), 3 degenerate variance on every scale.  An out-of-memory
+Exit codes: 0 success, 2 data, configuration or flag error (including a
+field too large to allocate), 3 degenerate variance on every scale.  Every
+error leaves as one monotest/error1 JSON object on stderr.  An out-of-memory
 kill by the operating system, which overcommit can cause instead of a failed
 allocation, ends the process before it can report anything.  Reports use
 fixed field order and 17 significant digits, so identical invocations
@@ -38,7 +39,7 @@ from .models import additive_adjust, endogenous_adjust, partial_linear_adjust, s
 from .scales import KERNELS, _distinct, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import estimate_sigma
 from .simlab import NOISES, McDesign, results_to_csv, results_to_text, run_mc
-from .statistic import FIELD_BLOCK, Sample, evaluate_field, kept_rows
+from .statistic import Sample, evaluate_field
 
 __all__ = ["main", "build_parser", "load_columns", "report_to_json"]
 
@@ -150,32 +151,6 @@ def _write_out(out: str, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _field_too_large(base: Sample, set_, boot: int | None = None) -> MemoryError:
-    """What the field (and, with ``boot``, the bootstrap's draws) allocate, as a MemoryError."""
-    p, n = set_.p, base.n
-    m = _distinct(base.x).size  # the tie runs, one panel column each
-    need = (
-        f"panels of {FIELD_BLOCK * (m + 1) * 8 / 2**20:.1f} MiB each (FIELD_BLOCK * (m + 1) * 8"
-        f" bytes, m = {m} distinct x) for one block of {FIELD_BLOCK} scales at a time"
-    )
-    if set_.k not in (0.0, 1.0):
-        pair = (m + 1) ** 2 * 8 / 2**20
-        need += f", with its {pair:.1f} MiB pair matrix ((m + 1)^2 * 8 bytes) for k = {set_.k}"
-    fewer = "fewer rows"
-    if boot is not None:
-        rows = kept_rows(p, boot)
-        draws = [
-            f"{rows} kept rows of {boot} bootstrap draws ({rows * boot * 8 / 2**20:.0f} MiB,"
-            " min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B))",
-            f"the n x B multiplier panel ({n * boot * 8 / 2**20:.0f} MiB)",
-        ]
-        if m < n or set_.z_loc is not None:
-            draws.insert(1, f"the m x B run-sum panel ({m * boot * 8 / 2**20:.0f} MiB)")
-        need = f"{', '.join(draws[:-1])} and {draws[-1]} plus {need}"
-        fewer = "fewer bandwidths (--h-set), rows or draws (--boot)"
-    return MemoryError(f"out of memory: {p} scales x {n} observations need {need}; use {fewer}")
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -298,20 +273,14 @@ def _cmd_test(args) -> int:
     cfg = BootConfig(
         alpha=args.alpha, gamma=args.gamma, B=args.boot, seed=args.seed, method=args.cv
     )
-    try:
-        report = run_report(base, sig, set_, cfg, model=args.model, warnings=warnings)
-    except MemoryError:
-        raise _field_too_large(base, set_, cfg.B) from None
+    report = run_report(base, sig, set_, cfg, model=args.model, warnings=warnings)
     _write_out(args.out, report_to_json(report))
     return 0
 
 
 def _cmd_diag(args) -> int:
     base, sig, set_, _ = _prepare_case(args)
-    try:
-        a_n = evaluate_field(base, set_, sig).A_n
-    except MemoryError:
-        raise _field_too_large(base, set_) from None
+    a_n = evaluate_field(base, set_, sig).A_n
     cells = [] if set_.z_loc is None else [set_.z_loc, set_.z_bw]
     scales = np.column_stack([set_.x, set_.h, *cells]).tolist()
     pairs = [
@@ -357,8 +326,15 @@ def _cmd_mc(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise DataError; its subcommands inherit it."""
+
+    def error(self, message):
+        raise DataError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monotest",
         description="Adaptive kernel-weighted monotonicity tests with bootstrap critical values.",
     )
@@ -429,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DegenerateVarianceError as exc:
         _emit_error(exc)

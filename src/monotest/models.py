@@ -52,10 +52,13 @@ def partial_linear_adjust(sample: Sample, first_stage_degree: int = 3) -> Sample
         raise DataError("partial-linear adjustment needs z columns")
     x, y, Z = sample.x, sample.y, sample.z
     d = Z.shape[1]
-    ZY = np.column_stack([Z, y])
+    # z over one power of two near its largest |z|: beta scales exactly, so
+    # y - z'beta keeps its bits, and no sum of squares below can overflow
+    Zs = np.ldexp(Z, -np.frexp(np.max(np.abs(Z)))[1])
+    ZY = np.column_stack([Zs, y])
     resid = ZY - poly_series_fit(x, ZY, first_stage_degree).fitted
     z_resid, y_resid = resid[:, :d], resid[:, d]
-    spanned = np.sum(z_resid**2, axis=0) <= 1e-24 * np.maximum(np.sum(Z**2, axis=0), 1.0)
+    spanned = np.sum(z_resid**2, axis=0) <= 1e-24 * np.maximum(np.sum(Zs**2, axis=0), 1.0)
     if spanned.any():
         raise DataError(
             "collinear controls after partialling-out: "
@@ -68,7 +71,7 @@ def partial_linear_adjust(sample: Sample, first_stage_degree: int = 3) -> Sample
     if not np.isfinite(cond) or cond > 1e10:
         raise DataError(f"collinear controls after partialling-out (condition {cond:.3e})")
     beta = np.linalg.solve(M, z_resid.T @ y_resid)
-    return Sample(x, y - Z @ beta, z=Z)
+    return Sample(x, y - Zs @ beta, z=Z)
 
 
 def additive_adjust(sample: Sample, L: int = 4) -> Sample:
@@ -97,7 +100,10 @@ def endogenous_adjust(sample: Sample, first_stage_degree: int = 3, L: int = 4) -
     x, u = sample.x, sample.z
     names = [f"u[{j}] block" for j in range(u.shape[1])]
     z_hat = x - series_fit(u, x, first_stage_degree, names).fitted
-    if float(np.std(z_hat)) <= 1e-10 * max(float(np.std(x)), 1.0):
+    # np.std of v / 2**e, scaled back: the same bits, and no square of |x| near 1e300 overflows
+    e = np.frexp(np.max(np.abs(x)))[1]
+    sd_z, sd_x = (float(np.ldexp(np.std(np.ldexp(v, -e)), e)) for v in (z_hat, x))
+    if sd_z <= 1e-10 * max(sd_x, 1.0):
         raise DataError(
             "control variable is degenerate (x is a polynomial in u): "
             "the g block has nothing to fit"

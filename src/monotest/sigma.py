@@ -135,8 +135,10 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
     ``names`` labels the m blocks.  Before the design is built, DataError
     naming the blocks rejects a degree that is not a non-negative integer,
     mismatched rows, no more rows than the 1 + m * degree coefficients, a
-    non-finite value, and (with degree >= 1) a column of zero range.  A
-    rank-deficient design raises DataError with its condition number.
+    non-finite value, and (with degree >= 1) a column of zero range or of a
+    range whose map onto [-1, 1] overflows, below about 1e-308 or above
+    about 1.8e308.  A rank-deficient design raises DataError with its
+    condition number.
     """
     columns = np.asarray(columns, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -150,12 +152,19 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
     if not np.isfinite(y).all():
         raise DataError(f"non-finite response in the series fit over blocks {names}")
     lo, hi = columns.min(axis=0), columns.max(axis=0)
-    for name, a, b in zip(names, lo, hi):
+    with np.errstate(over="ignore", divide="ignore"):
+        width = hi - lo
+        scale = 2.0 / width  # maps each column's range onto [-1, 1]
+    for name, a, b, w, c in zip(names, lo, hi, width, scale):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DataError(f"{name}: non-finite value, cannot build a polynomial block")
         if degree and not b > a:
             raise DataError(f"{name}: zero range, cannot build a polynomial block")
-    u = (columns - lo) * (2.0 / (hi - lo)) - 1.0 if degree else columns
+        if degree and not 0.0 < c < math.inf:
+            raise DataError(
+                f"{name}: range {w:.3g} overflows its map onto [-1, 1]; rescale the column"
+            )
+    u = (columns - lo) * scale - 1.0 if degree else columns
     design = np.hstack([np.ones((n, 1)), _chebyshev_blocks(u, degree)])
     coef, _, rank, sv = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:

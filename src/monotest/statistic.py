@@ -33,8 +33,7 @@ the step skips the run sums.
 Memory: with m runs (m <= n), a block's panels are (FIELD_BLOCK x span)
 with span <= m + 1, and the engine keeps a handful of them only while it
 works on that block, and a general k its (span x span) pair matrix.  V sums
-each window on its own, so no window weights outlive their block: a field
-costs O(FIELD_BLOCK * m + n + p) bytes, O(m^2) more for a general k.
+each window on its own, so no window weights outlive their block.
 Given bootstrap multipliers e (n x B), the engine forms each block's draws
 as one matrix product of its panel with the run sums E of zf * e for the
 block's cell (e itself when the runs are the observations and there are
@@ -45,9 +44,9 @@ e at a time.  A selection reads a block's maximum if it holds the whole
 block, and else the kept rows; the field keeps the sorted copy of e, which
 replaces e itself if the caller passed a temporary, to rebuild a block with
 the same block step only when one of the selection's rows in it is not
-kept.  So a field with draws costs
-O(FIELD_BLOCK * m + n * FIELD_BLOCK + (n + m) * B + R * B + p) bytes, plus
-one B-vector of maxima per block of FIELD_BLOCK scales.
+kept.  ``field_allocations`` lists the largest of these arrays with their
+sizes, and a field that cannot allocate one raises a MemoryError that
+names them all.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, DegenerateVarianceError
-from .scales import ScaleSet
+from .scales import ScaleSet, _distinct
 
 if TYPE_CHECKING:
     from .sigma import SigmaEstimate
@@ -377,6 +376,27 @@ def kept_rows(p: int, B: int) -> int:
     return min(p, max(1, KEEP_BYTES // (8 * B)))
 
 
+def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> list[tuple]:
+    """The largest arrays a field allocates, as (name, bytes) pairs; with B draws, theirs too.
+
+    They are a block's panels over the m tie runs of x, a handful at once,
+    a general k's pair matrix, and with draws the kept rows, the run sums of
+    the multipliers (on ties or z-cells) and the sorted multiplier panel.
+    """
+    n, m = sample.n, _distinct(sample.x).size
+    panel = f"each {FIELD_BLOCK} x {m + 1} block panel ({m} tie runs)"
+    out = [(panel, FIELD_BLOCK * (m + 1) * 8)]
+    if set_.k not in (0.0, 1.0):
+        out.append((f"the {m + 1} x {m + 1} pair matrix of k = {set_.k}", (m + 1) ** 2 * 8))
+    if B is not None:
+        rows = kept_rows(set_.p, B)
+        out.append((f"{rows} kept rows of {B} draws", rows * B * 8))
+        if m < n or set_.z_loc is not None:
+            out.append((f"the {m} x {B} run-sum panel", m * B * 8))
+        out.append((f"the {n} x {B} multiplier panel", n * B * 8))
+    return out
+
+
 class KeptDraws:
     """A field's bootstrap draws, held in memory that does not grow with p.
 
@@ -506,6 +526,9 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         wrong length, or b or V overflows.
     DegenerateVarianceError
         If every scale is inactive, which signals a data/bandwidth mismatch.
+    MemoryError
+        If an array of the field or its draws cannot be allocated; the
+        message gives p, n and the size of each of ``field_allocations``.
     """
     if set_.z_loc is not None:
         if sample.z is None:
@@ -520,22 +543,30 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     v = np.zeros(p)
     absmax = np.zeros(p)
     es = draws = None
-    if e is not None:
-        es = np.asarray(e, dtype=float)
-        if es.ndim == 0 or es.shape[0] != sample.n:
-            raise DataError(f"e must have one row per observation ({sample.n})")
-        # sorted; if the caller passed a temporary e, only this copy stays alive
-        es = es.reshape(sample.n, -1)[order]
-        del e
-    blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], es)
-    if es is not None:
-        # a rebuild is the loop's step again, so its draws have the same bits
-        draws = KeptDraws(p, es.shape[1], blocks, lambda j: step(blocks[j])[4])
-    for j, rows in enumerate(blocks):
-        w, b[rows], v[rows], absmax[rows], d = step(rows)
-        if draws is not None:
-            draws._add(j, b[rows], v[rows], d)
-        del w, d  # before the engine builds the next block
+    try:
+        if e is not None:
+            es = np.asarray(e, dtype=float)
+            if es.ndim == 0 or es.shape[0] != sample.n:
+                raise DataError(f"e must have one row per observation ({sample.n})")
+            # sorted; if the caller passed a temporary e, only this copy stays alive
+            es = es.reshape(sample.n, -1)[order]
+            del e
+        blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], es)
+        if es is not None:
+            # a rebuild is the loop's step again, so its draws have the same bits
+            draws = KeptDraws(p, es.shape[1], blocks, lambda j: step(blocks[j])[4])
+        for j, rows in enumerate(blocks):
+            w, b[rows], v[rows], absmax[rows], d = step(rows)
+            if draws is not None:
+                draws._add(j, b[rows], v[rows], d)
+            del w, d  # before the engine builds the next block
+    except MemoryError:
+        allocs = field_allocations(sample, set_, None if es is None else es.size // sample.n)
+        need = ", ".join(f"{size / 2**20:.1f} MiB for {name}" for name, size in allocs)
+        raise MemoryError(
+            f"out of memory: {p} scales x {sample.n} observations need {need};"
+            " use fewer scales, rows or draws"
+        ) from None
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from monotest import DataError, Sample, run_report, BootConfig, build_basic_set, estimate_sigma
+from monotest import build_custom_set
 from monotest import SIGMA_METHODS
 from monotest import statistic
 from monotest.cli import (
@@ -25,6 +27,7 @@ from monotest.cli import (
     report_to_json,
 )
 from monotest.cli import MODEL_FLAGS, SIGMA_FLAGS
+from monotest.scales import KERNELS
 from monotest.sigma import SIGMA_ESTIMATORS
 from monotest.cli import _json_value, _prepare_case, _render_json, _z_grid
 
@@ -234,8 +237,8 @@ def test_cmd_test_out_matches_stdout_and_threads_flag(tmp_path, capsys):
     assert out.read_bytes() == streamed.encode("utf-8")
     assert json.loads(streamed)["method"] == "pi"
     # one test runs in one process: only `mc` takes --threads
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["test", path, "--threads", "1"])
+    assert main(["test", path, "--threads", "1"]) == 2
+    assert _stderr_error(capsys)["message"] == "monotest: unrecognized arguments: --threads 1"
 
 
 def test_cmd_test_custom_columns_and_h_set(tmp_path, capsys):
@@ -540,58 +543,62 @@ def test_exit_2_on_mc_failure_budget(capsys):
 
 
 def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
-    # the allocation failure is simulated: nothing large is allocated
+    # the allocation failure is simulated inside the field, in every block
+    # step: nothing large is allocated.  The field itself raises the message,
+    # so test, diag, every mc replication and run_report all give it
     def out_of_memory(*args, **kwargs):
         raise MemoryError()
 
+    monkeypatch.setattr(statistic, "_pair_weights", out_of_memory)
+    block, hint = statistic.FIELD_BLOCK, "; use fewer scales, rows or draws"
     path = _data_csv(tmp_path, n=40)
-    monkeypatch.setattr("monotest.cli.run_report", out_of_memory)
+    p = np.unique(load_columns(path, ["x"])["x"]).size * 2
+    head = f"out of memory: {p} scales x 40 observations need "
+    panels = f"0.0 MiB for each {block} x 41 block panel (40 tie runs)"
+    draws = (
+        f", 0.0 MiB for {statistic.kept_rows(p, 20)} kept rows of 20 draws,"
+        " 0.0 MiB for the 40 x 20 multiplier panel"
+    )
     assert main(["test", path, "--h-set", "0.5,0.25", "--boot", "20"]) == 2
     obj = _stderr_error(capsys)
-    assert obj["schema"] == "monotest/error1"
     assert obj["error"] == "MemoryError"
-    p = np.unique(load_columns(path, ["x"])["x"]).size * 2
-    assert f"{p} scales x 40 observations" in obj["message"]
-    panels = (
-        "panels of 0.0 MiB each (FIELD_BLOCK * (m + 1) * 8 bytes, m = 40 distinct x)"
-        f" for one block of {statistic.FIELD_BLOCK} scales"
-    )
-    draws = (
-        f"{statistic.kept_rows(p, 20)} kept rows of 20 bootstrap draws (0 MiB, min(p, R) * B * 8"
-        " bytes with R = KEEP_BYTES // (8 * B)) and the n x B multiplier panel (0 MiB)"
-    )
-    assert draws + " plus " + panels in obj["message"]
-    assert "pair matrix" not in obj["message"] and "run-sum" not in obj["message"]
-    monkeypatch.setattr("monotest.cli.evaluate_field", out_of_memory)
-    assert main(["diag", path]) == 2
+    assert obj["message"] == head + panels + draws + hint
+    assert main(["diag", path, "--h-set", "0.5,0.25"]) == 2
+    assert _stderr_error(capsys)["message"] == head + panels + hint
+    sample = Sample(*(load_columns(path, ["x", "y"]).values()))
+    set_ = build_custom_set(sample.x, [0.5, 0.25])
+    with pytest.raises(MemoryError) as err:
+        run_report(sample, estimate_sigma(sample, "rice"), set_, BootConfig(B=20))
+    assert str(err.value) == head + panels + draws + hint
+    argv = ["mc", "--cases", "1", "--sizes", "30", "--reps", "2", "--boot", "20", "--cv", "pi"]
+    assert main(argv) == 2
     obj = _stderr_error(capsys)
     assert obj["error"] == "MemoryError"
-    assert "x 40 observations need " + panels in obj["message"]
-    assert "draws" not in obj["message"] and "pair matrix" not in obj["message"]
+    assert obj["message"].startswith("out of memory: ") and obj["message"].endswith(hint)
+    assert "the 30 x 20 multiplier panel" in obj["message"]
     # the panels span tie runs: 4,000 rows on 400 distinct x state m = 400, not n,
     # and the draws name the m x B run sums; so does a z-cell set without ties.
     # A k other than 0 and 1 adds one (m + 1) x (m + 1) pair matrix per block
     x = np.repeat(np.linspace(0.0, 4.0, 400), 10)
     path = _write_rows(tmp_path / "tied.csv", ["x", "y", "z"], zip(x, np.sin(x), np.cos(x)))
-    panels = "panels of 0.2 MiB each (FIELD_BLOCK * (m + 1) * 8 bytes, m = 400 distinct x)"
-    sums = (
-        "(3 MiB, min(p, R) * B * 8 bytes with R = KEEP_BYTES // (8 * B)), the m x B run-sum"
-        " panel (3 MiB) and the n x B multiplier panel (31 MiB) plus " + panels
+    head = "out of memory: 400 scales x 4000 observations need "
+    panels = f"0.2 MiB for each {block} x 401 block panel (400 tie runs)"
+    pair = ", 1.2 MiB for the 401 x 401 pair matrix of k = 0.5"
+    draws = (
+        ", 3.1 MiB for 400 kept rows of 1000 draws, 3.1 MiB for the 400 x 1000 run-sum panel,"
+        " 30.5 MiB for the 4000 x 1000 multiplier panel"
     )
-    pair = ", with its 1.2 MiB pair matrix ((m + 1)^2 * 8 bytes) for k = 0.5"
-    block = f" for one block of {statistic.FIELD_BLOCK} scales at a time"
     for argv, want in [
-        (["test", path, "--boot", "1000"], sums),
-        (["diag", path], "x 4000 observations need " + panels),
-        (["test", path, "--boot", "1000", "--k", "0.5"], sums + block + pair + "; use"),
-        (["diag", path, "--k", "0.5"], "x 4000 observations need " + panels + block + pair),
+        (["test", path, "--boot", "1000"], panels + draws),
+        (["diag", path], panels),
+        (["test", path, "--boot", "1000", "--k", "0.5"], panels + pair + draws),
+        (["diag", path, "--k", "0.5"], panels + pair),
     ]:
         assert main([*argv, "--h-set", "0.5"]) == 2, argv
-        obj = _stderr_error(capsys)
-        assert obj["error"] == "MemoryError" and want in obj["message"], obj
+        assert _stderr_error(capsys)["message"] == head + want + hint, argv
     path = _data_csv(tmp_path, n=40, name="z.csv")
     assert main(["test", path, "--model", "nonparametric-z", "--z-cols", "x", "--boot", "20"]) == 2
-    assert "the m x B run-sum panel (0 MiB)" in _stderr_error(capsys)["message"]
+    assert ", 0.0 MiB for the 40 x 20 run-sum panel, " in _stderr_error(capsys)["message"]
 
 
 def test_exit_2_on_unwritable_out(tmp_path, capsys):
@@ -633,6 +640,23 @@ def test_exit_2_on_sigma_overflow(tmp_path):
         assert "Warning" not in proc.stderr, (method, proc.stderr)
         error = json.loads(proc.stderr)
         assert (error["schema"], error["error"]) == ("monotest/error1", "DataError"), method
+
+
+@pytest.mark.parametrize(
+    "flags", [["--model", "partial-linear", "--z-cols", "z"], ["--sigma", "residual"]]
+)
+def test_exit_2_on_a_subnormal_x_range(tmp_path, capfd, flags):
+    # a series fit over x whose range is near 1e-310 exits 2 before LAPACK
+    # sees the design: fd 2 holds the one error JSON and nothing else
+    x, z = np.linspace(-1.0, 1.0, 60), np.random.default_rng(0).uniform(-1.0, 1.0, 60)
+    path = _write_rows(tmp_path / "sub.csv", "xyz", zip(x * 1e-310, x * x, z))
+    assert main(["test", path, "--boot", "50", *flags]) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and json.loads(err) == {
+        "schema": "monotest/error1",
+        "error": "DataError",
+        "message": "x block: range 2e-310 overflows its map onto [-1, 1]; rescale the column",
+    }
 
 
 def test_exit_2_on_field_overflow(tmp_path):
@@ -690,12 +714,76 @@ def test_z_grid_reads_np_quantile_from_the_sorted_column(rows, cells):
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
-def test_parser_rejects_unknown_choice(tmp_path):
+# the column flags of each model on the fuzzed CSV's x, y, z, u, d columns
+_FUZZ_MODELS = {
+    "simple": [], "partial-linear": ["--z-cols", "z"], "additive": ["--z-cols", "z"],
+    "nonparametric-z": ["--z-cols", "z"], "endogenous": ["--u-cols", "u"],
+    "selection": ["--z-cols", "z", "--d-col", "d"],
+}
+_FUZZ_X = {
+    "uniform": lambda x: x, "grid": lambda x: np.round(x, 1) + 0.0,
+    "constant": lambda x: np.full(x.size, 0.3), "huge": lambda x: x * 1e300,
+    "subnormal": lambda x: x * 1e-310, "offset": lambda x: x + 1e16,
+}
+# one run in four adds an invalid flag value
+_FUZZ_BAD = [()] * 12 + [("--boot", "abc"), ("--cv", "PI"), ("--kernel", "gauss"), ("--k", "x")]
+
+
+def _finite_floats(value):
+    if isinstance(value, list):
+        return all(_finite_floats(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+# no shrink phase: a failure reports its first example, which is small
+# already, where shrinking it took Hypothesis's five-minute limit
+@settings(
+    max_examples=150, deadline=None, derandomize=True, phases=[Phase.generate],
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.integers(2, 40), st.sampled_from(sorted(_FUZZ_X)), st.sampled_from([1.0, 1e150, 1e300]),
+    st.sampled_from([1.0, 1e300, 1e-310]), st.sampled_from([1.0, 1e300, 1e-310]),
+    st.sampled_from(sorted(_FUZZ_MODELS)), st.sampled_from(SIGMA_METHODS),
+    st.sampled_from(["0", "0.5", "1"]), st.sampled_from(sorted(KERNELS)),
+    st.sampled_from(["test", "diag"]), st.sampled_from(_FUZZ_BAD), st.integers(0, 2**16),
+)
+def test_every_exit_is_a_finite_report_or_one_error_json(
+    tmp_path_factory, capfd, n, x_form, y_scale, z_scale, u_scale, model, sigma, k, kernel,
+    cmd, bad, seed,
+):
+    # whatever the data's magnitudes and the flags, a run exits 0 with a
+    # finite report and nothing on stderr, or 2 or 3 with exactly one
+    # monotest/error1 JSON on fd 2: no warning (they are errors here), no
+    # usage text and no line that LAPACK writes to fd 2 itself
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    cols = [
+        _FUZZ_X[x_form](x), (x + 0.3 * rng.standard_normal(n)) * y_scale,
+        rng.uniform(-1.0, 1.0, n) * z_scale, rng.uniform(-1.0, 1.0, n) * u_scale,
+        (rng.uniform(size=n) < 0.7).astype(float),
+    ]
+    path = _write_rows(tmp_path_factory.getbasetemp() / "fuzz.csv", "xyzud", zip(*cols))
+    argv = [cmd, path, "--model", model, *_FUZZ_MODELS[model], "--sigma", sigma, "--k", k]
+    argv += ["--kernel", kernel, *(["--boot", "20"] if cmd == "test" else []), *bad]
+    capfd.readouterr()
+    rc = main(argv)
+    out, err = capfd.readouterr()
+    assert rc in (0, 2, 3), (argv, rc)
+    if rc:
+        assert out == "" and json.loads(err)["schema"] == "monotest/error1", (argv, err)
+    else:
+        assert err == "" and _finite_floats(list(json.loads(out).values())), (argv, out)
+
+
+def test_parser_rejects_unknown_choice(tmp_path, capsys):
+    # a usage error leaves as one error JSON with exit 2, like any DataError
     path = _data_csv(tmp_path)
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["test", path, "--kernel", "gaussian"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["test", path, "--cv", "bonferroni"])
+    for flag, value in (("--kernel", "gaussian"), ("--cv", "bonferroni")):
+        assert main(["test", path, flag, value]) == 2
+        obj = _stderr_error(capsys)
+        assert obj["error"] == "DataError"
+        assert obj["message"].startswith(f"monotest test: argument {flag}: invalid choice: ")
 
 
 _MA_PROBE = """

@@ -238,6 +238,21 @@ def test_endogenous_degenerate_control():
         endogenous_adjust(Sample(x, np.zeros(100)))
 
 
+@pytest.mark.parametrize("model", ["endogenous", "partial-linear"])
+def test_adapter_checks_square_no_raw_magnitude(model):
+    # x, u and z near 1e300 adjust y as at unit scale: the degeneracy and
+    # collinearity checks square nothing of that size, so nothing overflows
+    # (a RuntimeWarning is an error in this suite)
+    rng = np.random.default_rng(0)
+    x, u, z = (rng.uniform(-1, 1, 60) for _ in range(3))
+    y = x + 0.1 * rng.normal(size=60)
+    adjust = {
+        "endogenous": lambda s: endogenous_adjust(Sample(x * s, y, z=u * s)),
+        "partial-linear": lambda s: partial_linear_adjust(Sample(x * s, y, z=z * s)),
+    }[model]
+    np.testing.assert_allclose(adjust(1e300).y, adjust(1.0).y, rtol=1e-12, atol=1e-12)
+
+
 def test_series_adapters_reject_degree_zero():
     # a degree-0 series has no g or lambda block, so it would subtract nothing
     rng = np.random.default_rng(253)

@@ -121,6 +121,18 @@ def test_poly_fit_constant_x():
         poly_series_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 1)
 
 
+def test_series_fit_rejects_a_range_its_map_overflows(capfd):
+    # 2 / (hi - lo) overflows for a range below about 1e-308 and is 0 above
+    # about 1.8e308: the fit stops before it builds the design, so numpy
+    # warns nothing and LAPACK writes nothing to fd 2
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(DataError, match=r"^x block: range 2e-310 overflows its map onto \[-1, 1\]"):
+        poly_series_fit(x * 1e-310, x, 3)
+    with pytest.raises(DataError, match=r"^z\[0\] block: range inf overflows"):
+        series_fit(np.column_stack([x, x * 1.5e308]), x, 2, ["x block", "z[0] block"])
+    assert capfd.readouterr() == ("", "")
+
+
 def test_poly_fit_validation():
     with pytest.raises(ValueError):
         poly_series_fit([0.0, 1.0], [0.0, 1.0], -1)

@@ -583,11 +583,12 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    field_bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
+    (_, panel), (_, kept), (_, multipliers) = statistic.field_allocations(sample, set_, B)
+    field_bound = 4 * panel + 24 * set_.p * 8 + 16 * n * 8
+    assert panel == statistic.FIELD_BLOCK * (n + 1) * 8
     assert peaks["field"] < field_bound, (peaks, field_bound)
-    kept = statistic.kept_rows(set_.p, B)
     blocks = -(-set_.p // statistic.FIELD_BLOCK)
-    boot_bound = kept * B * 8 + 1.5 * n * B * 8 + blocks * B * 8
+    boot_bound = kept + 1.5 * multipliers + blocks * B * 8
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
@@ -612,8 +613,9 @@ def test_peak_memory_of_a_general_k_field_adds_one_pair_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 4 * statistic.FIELD_BLOCK * (n + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
-        bound += 1.25 * (n + 1) ** 2 * 8
+        (_, panel), (_, pair) = statistic.field_allocations(sample, set_)
+        assert pair == (n + 1) ** 2 * 8
+        bound = 4 * panel + 24 * set_.p * 8 + 16 * n * 8 + 1.25 * pair
         assert peak < bound, (k, peak, bound)
 
 
@@ -666,12 +668,15 @@ def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    field_bound = 4 * statistic.FIELD_BLOCK * (runs + 1) * 8 + 24 * set_.p * 8 + 16 * n * 8
+    allocs = statistic.field_allocations(sample, set_, B)
+    (_, panel), (_, kept), (_, run_sums), (_, multipliers) = allocs
+    field_bound = 4 * panel + 24 * set_.p * 8 + 16 * n * 8
+    assert panel == statistic.FIELD_BLOCK * (runs + 1) * 8
     assert 4 * statistic.FIELD_BLOCK * (n + 1) * 8 > 2 * field_bound
     assert peaks["field"] < field_bound, (peaks, field_bound)
     blocks = -(-set_.p // statistic.FIELD_BLOCK) + 3
-    draws_bound = (n + runs + statistic.FIELD_BLOCK) * B * 8 + n * statistic.FIELD_BLOCK * 8
-    draws_bound += statistic.kept_rows(set_.p, B) * B * 8 + blocks * B * 8
+    draws_bound = multipliers + run_sums + statistic.FIELD_BLOCK * B * 8
+    draws_bound += n * statistic.FIELD_BLOCK * 8 + kept + blocks * B * 8
     assert peaks["draws"] < field_bound + draws_bound, (peaks, field_bound + draws_bound)
 
 
