@@ -8,10 +8,10 @@ additive z component, a control-function step for endogenous regressors
 selection-correction step based on the propensity of being observed.
 All auxiliary regressions are ``sigma.series_fit`` calls: least squares on an
 intercept plus Chebyshev polynomials of each variable, rescaled to [-1, 1]
-over its observed range.  An adapter subtracts the share of the z (or
-control, or propensity) blocks of its fit, read with ``SeriesFit.part`` at
-the rows the fit was made on.  The degree defaults live in the adapters'
-signatures only: the CLI passes a degree only when its flag was given.
+over its observed range.  A first stage reads its fit's ``residuals``, and
+an adapter subtracts its fit's ``share`` of the z (or control, or
+propensity) blocks.  The degree defaults live in the adapters' signatures
+only: the CLI passes a degree only when its flag was given.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def partial_linear_adjust(sample: Sample, first_stage_degree: int = 3) -> Sample
     # y - z'beta keeps its bits, and no sum of squares below can overflow
     Zs = np.ldexp(Z, -np.frexp(np.max(np.abs(Z)))[1])
     ZY = np.column_stack([Zs, y])
-    resid = ZY - poly_series_fit(x, ZY, first_stage_degree).fitted
+    resid = poly_series_fit(x, ZY, first_stage_degree).residuals
     z_resid, y_resid = resid[:, :d], resid[:, d]
     spanned = np.sum(z_resid**2, axis=0) <= 1e-24 * np.maximum(np.sum(Zs**2, axis=0), 1.0)
     if spanned.any():
@@ -82,7 +82,7 @@ def additive_adjust(sample: Sample, L: int = 4) -> Sample:
     if sample.z is None:
         raise DataError("additive adjustment needs z columns")
     _check_correction_degree(L)
-    g = _additive_fit(sample.x, sample.z, sample.y, L).part(range(1, 1 + sample.z.shape[1]))
+    g = _additive_fit(sample.x, sample.z, sample.y, L).share
     return Sample(sample.x, sample.y - g, z=sample.z)
 
 
@@ -99,16 +99,16 @@ def endogenous_adjust(sample: Sample, first_stage_degree: int = 3, L: int = 4) -
     _check_correction_degree(L)
     x, u = sample.x, sample.z
     names = [f"u[{j}] block" for j in range(u.shape[1])]
-    z_hat = x - series_fit(u, x, first_stage_degree, names).fitted
+    z_hat = series_fit(u, x, first_stage_degree, names).residuals
     # np.std of v / 2**e, scaled back: the same bits, and no square of |x| near 1e300 overflows
     e = np.frexp(np.max(np.abs(x)))[1]
     sd_z, sd_x = (float(np.ldexp(np.std(np.ldexp(v, -e)), e)) for v in (z_hat, x))
-    if sd_z <= 1e-10 * max(sd_x, 1.0):
+    if sd_z <= 1e-10 * sd_x:
         raise DataError(
             "control variable is degenerate (x is a polynomial in u): "
             "the g block has nothing to fit"
         )
-    return Sample(x, sample.y - _additive_fit(x, z_hat, sample.y, L).part(range(1, 2)))
+    return Sample(x, sample.y - _additive_fit(x, z_hat, sample.y, L).share)
 
 
 def selection_adjust(
@@ -144,5 +144,5 @@ def selection_adjust(
         # constant propensity: lambda is just a constant, absorbed by f
         warning = "propensity constant on selected rows; lambda set to zero"
         return Sample(x_sel, y_sel, z=z_sel), (warning,)
-    lam = _additive_fit(x_sel, p_sel, y_sel, L).part(range(1, 2))
+    lam = _additive_fit(x_sel, p_sel, y_sel, L).share
     return Sample(x_sel, y_sel - lam, z=z_sel), ()

@@ -8,8 +8,8 @@ Residual-based values may be negative; only their squares enter variances
 downstream.  ``estimate_sigma`` reads each method's estimator from one
 table, ``SIGMA_ESTIMATORS``; only the estimators' signatures hold option
 defaults.  ``series_fit``, the one polynomial-design helper, also fits
-every auxiliary regression of the model adapters; ``SeriesFit.part`` reads
-a group of blocks' share of the fit at the rows the fit was made on.
+every auxiliary regression of the model adapters and forms, once, the
+fitted values, residuals and later blocks' share that they read.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class SigmaEstimate:
         if self.method != "residual" and np.any(values < 0):
             raise ValueError(f"negative sigma values are only valid for method='residual', not {self.method!r}")
         object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def rice_global(sample: Sample) -> SigmaEstimate:
@@ -106,22 +102,15 @@ def rice_local(sample: Sample, b_n: float | None = None) -> SigmaEstimate:
 class SeriesFit:
     """Least-squares fit of y on an intercept plus T_1..T_degree of each column.
 
-    T_q is the Chebyshev polynomial of degree q; column j enters as block j,
-    its values ``u[:, j]`` mapped onto [-1, 1] over its observed range.
-    Block 0 (f) carries the intercept; ``part`` reads the others (g, lambda).
+    T_q is the Chebyshev polynomial of degree q; each column enters as a
+    block mapped onto [-1, 1] over its observed range.  ``residuals`` is
+    y - ``fitted``, and ``share`` the share of ``fitted`` of the blocks after
+    block 0 (f, with the intercept): g or lambda, zero for one block.
     """
 
     fitted: np.ndarray
-    coef: np.ndarray
-    u: np.ndarray
-    degree: int
-
-    def part(self, blocks: range) -> np.ndarray:
-        """The share of ``fitted`` of consecutive blocks after block 0, at the fit's own ``u``."""
-        if blocks.step != 1 or not 0 < blocks.start <= blocks.stop <= self.u.shape[1]:
-            raise ValueError(f"{blocks} is not a range of consecutive blocks after block 0")
-        d, u = self.degree, self.u[:, blocks.start : blocks.stop]
-        return _chebyshev_blocks(u, d) @ self.coef[1 + blocks.start * d : 1 + blocks.stop * d]
+    residuals: np.ndarray
+    share: np.ndarray
 
 
 def _chebyshev_blocks(u: np.ndarray, degree: int) -> np.ndarray:
@@ -129,6 +118,7 @@ def _chebyshev_blocks(u: np.ndarray, degree: int) -> np.ndarray:
     return np.polynomial.chebyshev.chebvander(u, degree)[..., 1:].reshape(len(u), -1)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow is raised by name
 def series_fit(columns, y, degree: int, names) -> SeriesFit:
     """Fit y (n, or n x k for k responses) on Chebyshev blocks of an n x m array's columns.
 
@@ -138,7 +128,7 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
     non-finite value, and (with degree >= 1) a column of zero range or of a
     range whose map onto [-1, 1] overflows, below about 1e-308 or above
     about 1.8e308.  A rank-deficient design raises DataError with its
-    condition number.
+    condition number; a fit whose values overflow raises DataError too.
     """
     columns = np.asarray(columns, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -152,9 +142,8 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
     if not np.isfinite(y).all():
         raise DataError(f"non-finite response in the series fit over blocks {names}")
     lo, hi = columns.min(axis=0), columns.max(axis=0)
-    with np.errstate(over="ignore", divide="ignore"):
-        width = hi - lo
-        scale = 2.0 / width  # maps each column's range onto [-1, 1]
+    width = hi - lo
+    scale = 2.0 / width  # maps each column's range onto [-1, 1]
     for name, a, b, w, c in zip(names, lo, hi, width, scale):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DataError(f"{name}: non-finite value, cannot build a polynomial block")
@@ -173,15 +162,17 @@ def series_fit(columns, y, degree: int, names) -> SeriesFit:
             f"rank-deficient polynomial design over blocks {names} "
             f"(rank {rank} < {design.shape[1]}, condition {cond:.3e})"
         )
-    return SeriesFit(design @ coef, coef, u, int(degree))
+    fitted = design @ coef
+    # the later blocks' own design gives their share: a slice would round it differently
+    share = _chebyshev_blocks(u[:, 1:], degree) @ coef[1 + degree :]
+    resid = y - fitted  # not finite if fitted is not
+    if not (np.isfinite(resid).all() and np.isfinite(share).all()):
+        raise DataError(f"the series fit over blocks {names} overflows; use a lower degree")
+    return SeriesFit(fitted, resid, share)
 
 
 def poly_series_fit(x, y, degree: int) -> SeriesFit:
-    """Fit y (n, or n x k) on Chebyshev polynomials of x up to ``degree``: one block.
-
-    The basis is evaluated on the data range mapped to [-1, 1], which keeps
-    the design well conditioned up to the degrees used here.
-    """
+    """Fit y (n, or n x k) on Chebyshev polynomials of x up to ``degree``: one block."""
     return series_fit(np.reshape(x, (-1, 1)), y, degree, ["x block"])
 
 
@@ -200,8 +191,8 @@ def residual_sigma(sample: Sample, degree: int | None = None) -> SigmaEstimate:
     The degree defaults to ``default_series_degree(n)``.
     """
     degree = default_series_degree(sample.n) if degree is None else degree
-    fitted = poly_series_fit(sample.x, sample.y, degree).fitted
-    return SigmaEstimate(sample.y - fitted, "residual", {"degree": int(degree)})
+    resid = poly_series_fit(sample.x, sample.y, degree).residuals
+    return SigmaEstimate(resid, "residual", {"degree": int(degree)})
 
 
 def two_step_poly_variance(sample: Sample, degree: int = 3) -> SigmaEstimate:
@@ -215,8 +206,7 @@ def two_step_poly_variance(sample: Sample, degree: int = 3) -> SigmaEstimate:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    fit1 = poly_series_fit(sample.x, sample.y, degree)
-    resid = sample.y - fit1.fitted
+    resid = poly_series_fit(sample.x, sample.y, degree).residuals
     fit2 = poly_series_fit(sample.x, resid * resid, degree)
     var_y = float(np.var(sample.y))
     floor = 1e-12 * (var_y if var_y > 0 else 1.0)

@@ -45,8 +45,8 @@ block, and else the kept rows; the field keeps the sorted copy of e, which
 replaces e itself if the caller passed a temporary, to rebuild a block with
 the same block step only when one of the selection's rows in it is not
 kept.  ``field_allocations`` lists the largest of these arrays with their
-sizes, and a field that cannot allocate one raises a MemoryError that
-names them all.
+sizes, and a field that cannot allocate one, in its own pass or in a block
+it rebuilds later, raises a MemoryError that names them all.
 """
 
 from __future__ import annotations
@@ -397,6 +397,16 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
     return out
 
 
+def _out_of_memory(sample: Sample, set_: ScaleSet, B: int | None) -> MemoryError:
+    """The MemoryError of a field or of a block it rebuilds: p, n and every allocation's size."""
+    allocs = field_allocations(sample, set_, B)
+    need = ", ".join(f"{size / 2**20:.1f} MiB for {name}" for name, size in allocs)
+    return MemoryError(
+        f"out of memory: {set_.p} scales x {sample.n} observations need {need};"
+        " use fewer scales, rows or draws"
+    )
+
+
 class KeptDraws:
     """A field's bootstrap draws, held in memory that does not grow with p.
 
@@ -527,8 +537,8 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     DegenerateVarianceError
         If every scale is inactive, which signals a data/bandwidth mismatch.
     MemoryError
-        If an array of the field or its draws cannot be allocated; the
-        message gives p, n and the size of each of ``field_allocations``.
+        If an array of the field or its draws cannot be allocated, here or in
+        a later rebuild; the message gives p, n and each ``field_allocations`` size.
     """
     if set_.z_loc is not None:
         if sample.z is None:
@@ -553,20 +563,19 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             del e
         blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], es)
         if es is not None:
-            # a rebuild is the loop's step again, so its draws have the same bits
-            draws = KeptDraws(p, es.shape[1], blocks, lambda j: step(blocks[j])[4])
+            def rebuild(j):  # the loop's step again, so its draws have the same bits
+                try:
+                    return step(blocks[j])[4]
+                except MemoryError:
+                    raise _out_of_memory(sample, set_, es.shape[1]) from None
+            draws = KeptDraws(p, es.shape[1], blocks, rebuild)
         for j, rows in enumerate(blocks):
             w, b[rows], v[rows], absmax[rows], d = step(rows)
             if draws is not None:
                 draws._add(j, b[rows], v[rows], d)
             del w, d  # before the engine builds the next block
     except MemoryError:
-        allocs = field_allocations(sample, set_, None if es is None else es.size // sample.n)
-        need = ", ".join(f"{size / 2**20:.1f} MiB for {name}" for name, size in allocs)
-        raise MemoryError(
-            f"out of memory: {p} scales x {sample.n} observations need {need};"
-            " use fewer scales, rows or draws"
-        ) from None
+        raise _out_of_memory(sample, set_, None if es is None else es.size // sample.n) from None
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():

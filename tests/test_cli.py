@@ -285,6 +285,27 @@ def test_cmd_test_endogenous(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["model"] == "endogenous"
 
 
+def test_cmd_test_endogenous_small_x(tmp_path, capsys):
+    # the degeneracy floor is relative to x's spread: an x scaled by 1e-12 with
+    # an independent u runs with the unit-scale T, one scaled by 1e-310 exits 2
+    # naming the x block's range, and a polynomial in u is still degenerate
+    rng = np.random.default_rng(11)
+    u, x, noise = rng.uniform(0, 1, 60), rng.uniform(0, 1, 60), rng.normal(size=60)
+    argv = ["--model", "endogenous", "--u-cols", "u", "--boot", "50"]
+    T = []
+    for scale in (1.0, 1e-12):
+        path = _write_rows(tmp_path / "en.csv", "xyu", zip(x * scale, (x + noise) * scale, u))
+        assert main(["test", path, *argv]) == 0
+        T.append(json.loads(capsys.readouterr().out)["T"])
+    assert math.isfinite(T[0]) and math.isclose(T[1], T[0], rel_tol=1e-12)
+    for cols, want in [
+        ((x * 1e-310, x + noise, u), f"x block: range {np.ptp(x * 1e-310):.3g} overflows its map"),
+        ((u * u + u / 2, noise, u), "control variable is degenerate (x is a polynomial in u)"),
+    ]:
+        assert main(["test", _write_rows(tmp_path / "en.csv", "xyu", zip(*cols)), *argv]) == 2
+        assert _stderr_error(capsys)["message"].startswith(want)
+
+
 def test_cmd_test_selection_forwards_warnings(tmp_path, capsys):
     rng = np.random.default_rng(4)
     n = 120
@@ -601,6 +622,43 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     assert ", 0.0 MiB for the 40 x 20 run-sum panel, " in _stderr_error(capsys)["message"]
 
 
+def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
+    # a block that the ladder rebuilds after the field's pass (the store keeps
+    # 3 rows of 50 draws) gives the pass's message: the failure is simulated in
+    # every block step after the pass, so nothing large is allocated
+    pair_weights, finish = statistic._pair_weights, statistic.KeptDraws._finish
+    rebuilds = []
+
+    def out_of_memory_after_the_pass(*args):
+        if rebuilds:
+            rebuilds.append(1)
+            raise MemoryError()
+        return pair_weights(*args)
+
+    def finish_the_pass(draws, active):
+        finish(draws, active)
+        rebuilds.append(0)
+
+    monkeypatch.setattr(statistic, "KEEP_BYTES", 3 * 8 * 50)
+    monkeypatch.setattr(statistic, "_pair_weights", out_of_memory_after_the_pass)
+    monkeypatch.setattr(statistic.KeptDraws, "_finish", finish_the_pass)
+    path = _data_csv(tmp_path, n=60)
+    sample = Sample(*(load_columns(path, ["x", "y"]).values()))
+    set_ = build_basic_set(sample.x)
+    want = (
+        f"out of memory: {set_.p} scales x 60 observations need 0.0 MiB for each"
+        f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for 3 kept rows"
+        " of 50 draws, 0.0 MiB for the 60 x 50 multiplier panel; use fewer scales, rows or draws"
+    )
+    with pytest.raises(MemoryError) as err:
+        run_report(sample, estimate_sigma(sample, "rice"), set_, BootConfig(B=50))
+    assert str(err.value) == want and rebuilds == [0, 1]
+    rebuilds.clear()
+    assert main(["test", path, "--boot", "50"]) == 2
+    obj = _stderr_error(capsys)
+    assert obj["error"] == "MemoryError" and obj["message"] == want and rebuilds == [0, 1]
+
+
 def test_exit_2_on_unwritable_out(tmp_path, capsys):
     path = _data_csv(tmp_path)
     rc = main(["test", path, "--boot", "20", "--out", str(tmp_path / "no_dir" / "o.json")])
@@ -727,6 +785,8 @@ _FUZZ_X = {
 }
 # one run in four adds an invalid flag value
 _FUZZ_BAD = [()] * 12 + [("--boot", "abc"), ("--cv", "PI"), ("--kernel", "gauss"), ("--k", "x")]
+# the degree flags; a run gives those its model or sigma method reads, 0 to past the 40 rows
+_FUZZ_DEGREES = ("--first-stage-degree", "--L", "--pscore-degree", "--sigma-degree")
 
 
 def _finite_floats(value):
@@ -747,10 +807,11 @@ def _finite_floats(value):
     st.sampled_from(sorted(_FUZZ_MODELS)), st.sampled_from(SIGMA_METHODS),
     st.sampled_from(["0", "0.5", "1"]), st.sampled_from(sorted(KERNELS)),
     st.sampled_from(["test", "diag"]), st.sampled_from(_FUZZ_BAD), st.integers(0, 2**16),
+    st.lists(st.none() | st.integers(0, 45), min_size=4, max_size=4),
 )
 def test_every_exit_is_a_finite_report_or_one_error_json(
     tmp_path_factory, capfd, n, x_form, y_scale, z_scale, u_scale, model, sigma, k, kernel,
-    cmd, bad, seed,
+    cmd, bad, seed, degrees,
 ):
     # whatever the data's magnitudes and the flags, a run exits 0 with a
     # finite report and nothing on stderr, or 2 or 3 with exactly one
@@ -766,6 +827,9 @@ def test_every_exit_is_a_finite_report_or_one_error_json(
     path = _write_rows(tmp_path_factory.getbasetemp() / "fuzz.csv", "xyzud", zip(*cols))
     argv = [cmd, path, "--model", model, *_FUZZ_MODELS[model], "--sigma", sigma, "--k", k]
     argv += ["--kernel", kernel, *(["--boot", "20"] if cmd == "test" else []), *bad]
+    reads = (*MODEL_FLAGS[model], *SIGMA_FLAGS[sigma])
+    for flag, value in zip(_FUZZ_DEGREES, degrees):
+        argv += [flag, str(value)] if value is not None and flag in reads else []
     capfd.readouterr()
     rc = main(argv)
     out, err = capfd.readouterr()

@@ -33,7 +33,7 @@ def test_additive_fit_exact_on_polynomial_truth():
     fit = _additive_fit(x, z, y, 4)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-8)
     # at the sample's own z, g is z^2 up to an additive constant, and f carries the rest
-    g = fit.part(range(1, 2))
+    g = fit.share
     np.testing.assert_allclose(g - z * z, np.mean(g - z * z), rtol=0, atol=1e-8)
     f = 2.0 + x - 0.5 * x**3
     np.testing.assert_allclose(fit.fitted - g - f, np.mean(fit.fitted - g - f), rtol=0, atol=1e-8)
@@ -51,10 +51,9 @@ def test_additive_fit_two_z_columns():
     y = x + z[:, 0] ** 2 - 2.0 * z[:, 1] ** 3
     fit = _additive_fit(x, z, y, 4)
     np.testing.assert_allclose(fit.fitted, y, rtol=0, atol=1e-8)
-    # each z block alone is its own component up to a constant
-    for j, gj in enumerate((z[:, 0] ** 2, -2.0 * z[:, 1] ** 3)):
-        d = fit.part(range(1 + j, 2 + j)) - gj
-        np.testing.assert_allclose(d, np.mean(d), rtol=0, atol=1e-8)
+    # the two z blocks' share is their summed components up to a constant
+    d = fit.share - (z[:, 0] ** 2 - 2.0 * z[:, 1] ** 3)
+    np.testing.assert_allclose(d, np.mean(d), rtol=0, atol=1e-8)
     adj = additive_adjust(Sample(x, y, z=z), L=4)
     np.testing.assert_allclose(adj.y - x, np.mean(adj.y - x), rtol=0, atol=1e-8)
 
@@ -182,7 +181,7 @@ def test_additive_adjust_subtracts_known_component():
     y = x + 3.0 * z[:, 0] - z[:, 1] ** 2
     adj = additive_adjust(Sample(x=x, y=y, z=z), L=3)
     # the adjusted response is y minus the z blocks of the additive fit
-    want = y - _additive_fit(x, z, y, 3).part(range(1, 3))
+    want = y - _additive_fit(x, z, y, 3).share
     np.testing.assert_array_equal(adj.y, want)
     # the g blocks are the known component up to the constant f carries
     np.testing.assert_allclose(adj.y - x, np.mean(adj.y - x), rtol=0, atol=1e-10)
@@ -200,7 +199,7 @@ def test_endogenous_control_is_first_stage_residual():
     y = rng.normal(size=n)
     adj = endogenous_adjust(Sample(x, y, z=u), first_stage_degree=3)
     z_hat = x - poly_series_fit(u, x, 3).fitted
-    want = y - _additive_fit(x, z_hat, y, 4).part(range(1, 2))
+    want = y - _additive_fit(x, z_hat, y, 4).share
     np.testing.assert_array_equal(adj.y, want)
     np.testing.assert_array_equal(adj.x, x)
     assert adj.z is None
@@ -236,6 +235,12 @@ def test_endogenous_degenerate_control():
         endogenous_adjust(Sample(x[:50], np.zeros(50), z=u))
     with pytest.raises(DataError, match="u columns"):
         endogenous_adjust(Sample(x, np.zeros(100)))
+    # the floor is relative to x's spread: a small x that is no polynomial in u
+    # adjusts as at unit scale (2**-40 scales every step exactly)
+    v, y = rng.uniform(0, 1, 100), rng.normal(size=100)
+    unit = endogenous_adjust(Sample(v, y, z=u))
+    small = endogenous_adjust(Sample(v * 2.0**-40, y * 2.0**-40, z=u))
+    np.testing.assert_array_equal(small.y, unit.y * 2.0**-40)
 
 
 @pytest.mark.parametrize("model", ["endogenous", "partial-linear"])
@@ -335,7 +340,7 @@ def test_selection_structure_and_pscore_bounds():
     sel = d == 1.0
     for ps, same in ((np.clip(fitted, 1e-3, 1 - 1e-3), True), (fitted, False)):
         p_sel = ps[sel]
-        want = y[sel] - _additive_fit(x[sel], p_sel, y[sel], 4).part(range(1, 2))
+        want = y[sel] - _additive_fit(x[sel], p_sel, y[sel], 4).share
         assert np.array_equal(adj.y, want) == same
 
 
