@@ -65,32 +65,50 @@ Z_CELLS = 3  # quantile cells per z dimension when --z-cells is absent
 # ---------------------------------------------------------------- CSV input
 
 
-def load_columns(path: str, names) -> dict[str, np.ndarray]:
-    """Read the named columns from a headered CSV file as float arrays.
+def _column_positions(path: str, reader, names) -> list[int]:
+    """Read the header row and give each name's position in it."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    positions = []
+    for name in names:
+        at = [j for j, h in enumerate(header) if h == name]
+        if not at:
+            raise DataError(f"{path}: missing column {name!r} (header: {header})")
+        if len(at) > 1:
+            raise DataError(
+                f"{path}: column {name!r} appears more than once in the header "
+                f"(positions {', '.join(str(j + 1) for j in at)})"
+            )
+        positions.append(at[0])
+    return positions
 
-    Rejects a requested column that is missing or named twice in the header,
-    blank or non-numeric cells (naming the row and column), non-finite
-    values, and files with fewer than two data rows.
+
+def _parse_in_bulk(path: str, names) -> np.ndarray | None:
+    """Every row's named cells as one float array, or None if a row is short or a cell fails.
+
+    numpy parses each cell with Python's float(), which strips whitespace as
+    the cell loop does, so an accepted file gets the loop's bits.  None
+    (rows of blank cells, short or non-numeric rows, non-finite values)
+    leaves the message to the loop; empty lines are skipped here too.  The
+    cells stream into the array, so no row's strings outlive it.
     """
-    names = list(dict.fromkeys(names))  # a repeated name is read once
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        at = _column_positions(path, reader, names)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        idx = {}
-        for name in names:
-            at = [j for j, h in enumerate(header) if h == name]
-            if not at:
-                raise DataError(f"{path}: missing column {name!r} (header: {header})")
-            if len(at) > 1:
-                raise DataError(
-                    f"{path}: column {name!r} appears more than once in the header "
-                    f"(positions {', '.join(str(j + 1) for j in at)})"
-                )
-            idx[name] = at[0]
+            table = np.fromiter((row[j] for row in reader if row for j in at), dtype=float)
+        except (IndexError, ValueError):
+            return None
+    return table.reshape(-1, len(names)) if np.isfinite(table).all() else None
+
+
+def _parse_cells(path: str, names) -> np.ndarray:
+    """The named columns cell by cell, naming the first bad cell's row and column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        idx = dict(zip(names, _column_positions(path, reader, names)))
         cols: dict[str, list[float]] = {name: [] for name in names}
         for rownum, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
@@ -111,10 +129,27 @@ def load_columns(path: str, names) -> dict[str, np.ndarray]:
                         f"{path}: non-finite value {cell!r} at row {rownum}, column {name!r}"
                     )
                 cols[name].append(v)
-    n = len(cols[names[0]])
+    return np.array(list(cols.values()), dtype=float).T
+
+
+def load_columns(path: str, names) -> dict[str, np.ndarray]:
+    """Read the named columns from a headered CSV file as float arrays.
+
+    Rejects a requested column that is missing or named twice in the header,
+    blank or non-numeric cells (naming the row and column), non-finite
+    values, and files with fewer than two data rows.  Rows of blank cells
+    are skipped.  All cells are parsed at once, and cell by cell only when
+    that fails, so each message names the first bad cell.
+    """
+    names = list(dict.fromkeys(names))  # a repeated name is read once
+    table = _parse_in_bulk(path, names)
+    if table is None:
+        table = _parse_cells(path, names)
+    n = table.shape[0]
     if n < 2:
         raise DataError(f"{path}: need at least two data rows, found {n}")
-    return {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
+    # one contiguous array per column, as the cell loop built them
+    return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
 
 
 # ------------------------------------------------------------- JSON output

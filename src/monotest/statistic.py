@@ -35,18 +35,22 @@ with span <= m + 1, and the engine keeps a handful of them only while it
 works on that block, and a general k its (span x span) pair matrix.  V sums
 each window on its own, so no window weights outlive their block.
 Given bootstrap multipliers e (n x B), the engine forms each block's draws
-as one matrix product of its panel with the run sums E of zf * e for the
-block's cell (e itself when the runs are the observations and there are
-no z-cells), folds them into the block's per-draw maximum, offers them to
-a store of the R = min(p, KEEP_BYTES // (8 * B)) rows with the highest t,
-and drops them.  It forms one cell's E at a time, FIELD_BLOCK columns of
-e at a time.  A selection reads a block's maximum if it holds the whole
-block, and else the kept rows; the field keeps the sorted copy of e, which
-replaces e itself if the caller passed a temporary, to rebuild a block with
-the same block step only when one of the selection's rows in it is not
-kept.  ``field_allocations`` lists the largest of these arrays with their
-sizes, and a field that cannot allocate one, in its own pass or in a block
-it rebuilds later, raises a MemoryError that names them all.
+as one matrix product of its panel with E, the m x B run sums of zf * e
+for the block's cell (the sorted e itself when the runs are the
+observations and there are no z-cells), folds them into the block's
+per-draw maximum, offers them to a store of the R = min(p, KEEP_BYTES //
+(8 * B)) rows with the highest t, and drops them.  With c cells and
+c * m <= n, the field forms every cell's E before the blocks start,
+FIELD_BLOCK columns of e at a time, and holds those c * m * B numbers in
+place of e; otherwise it holds a sorted copy of e and forms one cell's E
+at a time.  Either way it keeps no reference to e, so a temporary e is
+freed before the blocks start.  A selection reads a block's maximum if it
+holds the whole block, and else the kept rows, and rebuilds a block with
+the same block step from what the field holds only when one of the
+selection's rows in it is not kept.  ``field_allocations`` lists the
+largest of these arrays with their sizes, and a field that cannot allocate
+one, in its own pass or in a block it rebuilds later, raises a MemoryError
+that names them all.
 """
 
 from __future__ import annotations
@@ -251,7 +255,17 @@ def _z_factor(set_: ScaleSet, zs: np.ndarray, r: int) -> np.ndarray:
     return zf
 
 
-def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray, es=None):
+def _cells(set_: ScaleSet):
+    """A z-local set's cells, its distinct (z_loc, z_bw) rows: rep[c] is a scale of cell c.
+
+    Scale s has cell cell_of[s].
+    """
+    cells = np.column_stack((set_.z_loc, set_.z_bw))
+    _, rep, cell_of = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+    return rep, cell_of.reshape(-1)
+
+
+def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray, e=None):
     """The blocks of live scales, every scale's window of runs, and the block step.
 
     The columns are the tie runs of x in sorted order ``order``: run r is
@@ -271,16 +285,21 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     shift of y moves no bit of b.  V sums W * W * S2 over each window, for
     S2 the run sums of zf * zf * sig2 and the sorted variances ``sig2``,
     and max|w| is max |W| * max zf, taken before any scaling.  Given the
-    sorted multipliers ``es`` (n x B), the step scales W in place to
-    W / sqrt(V), 0 where V = 0, and its draws are one product of that panel
-    with the span's rows of E, the run sums of zf * es of the block's cell;
-    else the draws are None.  A block stepped again has the same bits.  A b
-    or V that overflows to inf or NaN raises DataError, with no warning.
+    multipliers ``e`` (n x B, in observation order), the step scales W in
+    place to W / sqrt(V), 0 where V = 0, and its draws are one product of
+    that panel with the span's rows of E, the run sums of zf * e of the
+    block's cell; else the draws are None.  A block stepped again has
+    the same bits.  A b or V that overflows to inf or NaN raises DataError,
+    with no warning.
 
-    When every run is one observation and the set has no z-cells, the
-    runs are the sorted observations, E is ``es`` itself, and the step
-    skips Z, YZ and max zf.  Everything runs once per block but the window
-    products of a general k, one per scale from the block's one pair matrix.
+    With c cells of m runs, c * m <= n, the engine forms every cell's E
+    before it returns and keeps no reference to e; otherwise it keeps the
+    sorted copy of e and forms one cell's E at a time, when the cell
+    changes.  When every run is one observation and the set has no z-cells,
+    the runs are the sorted observations, E is the sorted e itself, and the
+    step skips Z, YZ and max zf.  Everything runs once per block but the
+    window products of a general k, one per scale from the block's one pair
+    matrix.
     """
     xs = sample.x[order]
     ys = sample.y[order]
@@ -293,16 +312,37 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     ids = np.flatnonzero(hi - lo >= 2)
     groups = [ids]
     cell_of = np.zeros(set_.p, dtype=np.intp)
+    rep = np.zeros(1, dtype=np.intp)
     zs = None
     if set_.z_loc is not None:
-        # a cell is one (z_loc, z_bw) row, and scale rep[c] has cell c
         zs = sample.z[order]
-        cells = np.column_stack((set_.z_loc, set_.z_bw))
-        _, rep, cell_of = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-        cell_of = cell_of.reshape(-1)
+        rep, cell_of = _cells(set_)
         ids = ids[np.argsort(cell_of[ids], kind="stable")]
         groups = np.split(ids, np.flatnonzero(np.diff(cell_of[ids])) + 1)
     blocks = [g[s : s + FIELD_BLOCK] for g in groups for s in range(0, g.size, FIELD_BLOCK)]
+    runs_are_obs = zs is None and first.size == xs.size
+
+    def z_factor(c):
+        return np.ones(xs.size) if zs is None else _z_factor(set_, zs, rep[c])
+
+    def run_sums(cells, src, rows):
+        # each cell's E from src[rows], FIELD_BLOCK columns at a time: no n x B temporary
+        Es = [np.empty((first.size, src.shape[1])) for _ in cells]
+        for c0 in range(0, src.shape[1], FIELD_BLOCK):
+            part = slice(c0, c0 + FIELD_BLOCK)
+            chunk = src[rows, part]
+            for c, E in zip(cells, Es):
+                E[:, part] = np.add.reduceat(z_factor(c)[:, None] * chunk, first, axis=0)
+        return Es
+
+    held = es = None
+    if e is not None:
+        if runs_are_obs:
+            held = [e[order]]
+        elif rep.size * first.size <= xs.size:
+            held = run_sums(range(rep.size), e, order)
+        else:
+            es = e[order]
     current = {}
 
     def cell(c):
@@ -310,20 +350,16 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         if current.get("c") == c:
             return current["sums"], current["E"]
         current.clear()  # the last cell's E goes before this one's is formed
-        if zs is None and first.size == xs.size:
-            sums, E = (None, None, sig2, None), es
+        E = None if held is None else held[c]
+        if runs_are_obs:
+            sums = (None, None, sig2, None)
         else:
-            zf = np.ones(xs.size) if zs is None else _z_factor(set_, zs, rep[c])
+            zf = z_factor(c)
             dy = ys - np.repeat(yf, np.diff(np.append(first, xs.size)))
             Z, YZ, S2 = (np.add.reduceat(v, first) for v in (zf, zf * dy, zf * zf * sig2))
             sums = (Z, YZ, S2, np.maximum.reduceat(zf, first))
-            E = None
             if es is not None:
-                # FIELD_BLOCK columns at a time: no n x B temporary
-                E = np.empty((first.size, es.shape[1]))
-                for c0 in range(0, es.shape[1], FIELD_BLOCK):
-                    part = slice(c0, c0 + FIELD_BLOCK)
-                    E[:, part] = np.add.reduceat(zf[:, None] * es[:, part], first, axis=0)
+                E = run_sums([c], es, slice(None))[0]
         current.update(c=c, sums=sums, E=E)
         return sums, E
 
@@ -380,8 +416,11 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
     """The largest arrays a field allocates, as (name, bytes) pairs; with B draws, theirs too.
 
     They are a block's panels over the m tie runs of x, a handful at once,
-    a general k's pair matrix, and with draws the kept rows, the run sums of
-    the multipliers (on ties or z-cells) and the sorted multiplier panel.
+    a general k's pair matrix, and with draws the kept rows and what the
+    draws read: the sorted n x B multiplier panel when the runs are the
+    observations and there are no z-cells; else, with c cells and
+    c * m <= n, every cell's m x B run sums of the multipliers; else the
+    sorted panel and one cell's run sums.
     """
     n, m = sample.n, _distinct(sample.x).size
     panel = f"each {FIELD_BLOCK} x {m + 1} block panel ({m} tie runs)"
@@ -391,9 +430,14 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
     if B is not None:
         rows = kept_rows(set_.p, B)
         out.append((f"{rows} kept rows of {B} draws", rows * B * 8))
-        if m < n or set_.z_loc is not None:
-            out.append((f"the {m} x {B} run-sum panel", m * B * 8))
-        out.append((f"the {n} x {B} multiplier panel", n * B * 8))
+        c = 1 if set_.z_loc is None else _cells(set_)[0].size
+        if m == n and set_.z_loc is None:
+            out.append((f"the {n} x {B} multiplier panel", n * B * 8))
+        elif c * m <= n:
+            out.append((f"the {c} x {m} x {B} run sums", c * m * B * 8))
+        else:
+            out.append((f"the {m} x {B} run sums of one cell", m * B * 8))
+            out.append((f"the {n} x {B} multiplier panel", n * B * 8))
     return out
 
 
@@ -526,8 +570,10 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         n rows in observation order, one column per draw.  If given, the
         field's ``draws`` is a ``KeptDraws`` of
         sum_i w_i(s) / sqrt(V(s)) * e_i, formed block by block from the
-        engine's panels.  The field keeps a sorted copy and drops its own
-        reference to e, so a temporary e is freed before the blocks start.
+        engine's panels.  The field holds the run sums of e of every cell
+        when they are no larger than e, and else a sorted copy of e, and
+        drops its own reference to e, so a temporary e is freed before the
+        blocks start.
 
     Raises
     ------
@@ -552,30 +598,31 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     b = np.zeros(p)
     v = np.zeros(p)
     absmax = np.zeros(p)
-    es = draws = None
+    B = draws = None
     try:
         if e is not None:
-            es = np.asarray(e, dtype=float)
-            if es.ndim == 0 or es.shape[0] != sample.n:
+            e = np.asarray(e, dtype=float)
+            if e.ndim == 0 or e.shape[0] != sample.n:
                 raise DataError(f"e must have one row per observation ({sample.n})")
-            # sorted; if the caller passed a temporary e, only this copy stays alive
-            es = es.reshape(sample.n, -1)[order]
-            del e
-        blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], es)
-        if es is not None:
+            e = e.reshape(sample.n, -1)
+            B = e.shape[1]
+        blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], e)
+        # the engine holds the run sums or the sorted copy, so a temporary e goes here
+        del e
+        if B is not None:
             def rebuild(j):  # the loop's step again, so its draws have the same bits
                 try:
                     return step(blocks[j])[4]
                 except MemoryError:
-                    raise _out_of_memory(sample, set_, es.shape[1]) from None
-            draws = KeptDraws(p, es.shape[1], blocks, rebuild)
+                    raise _out_of_memory(sample, set_, B) from None
+            draws = KeptDraws(p, B, blocks, rebuild)
         for j, rows in enumerate(blocks):
             w, b[rows], v[rows], absmax[rows], d = step(rows)
             if draws is not None:
                 draws._add(j, b[rows], v[rows], d)
             del w, d  # before the engine builds the next block
     except MemoryError:
-        raise _out_of_memory(sample, set_, None if es is None else es.size // sample.n) from None
+        raise _out_of_memory(sample, set_, B) from None
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)
     active = v > tau
     if not active.any():

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from monotest import DataError, Sample, run_report, BootConfig, build_basic_set, estimate_sigma
 from monotest import build_custom_set
 from monotest import SIGMA_METHODS
-from monotest import statistic
+from monotest import cli, statistic
 from monotest.cli import (
     build_parser,
     load_columns,
@@ -141,6 +142,58 @@ def test_load_columns_needs_two_rows(tmp_path):
     path = _write(tmp_path / "a.csv", "x,y\n1,2\n")
     with pytest.raises(DataError, match="at least two data rows, found 1"):
         load_columns(path, ["x", "y"])
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        [" 1.5 ", "\t7", "1_000", "1e-400", "-0", "+.5", "5.", "\u00a02\u00a0", "\u0661\u0662"]
+    ),
+)
+_BAD_CELLS = st.sampled_from(
+    ["", " ", "\ufeff1", "1__0", "_1", "1_", "0x10", "0x1p3", "nan", "-inf", "inf", "Infinity",
+     "1e500", "-1e500", "1e", "abc"]
+)
+
+
+def _load_outcome(path, names):
+    """load_columns' columns as bytes, or its DataError message."""
+    try:
+        return [col.tobytes() for col in load_columns(path, names).values()]
+    except DataError as exc:
+        return str(exc)
+
+
+@st.composite
+def _csv_rows(draw):
+    # clean rows are empty lines or three numeric, finite cells; the others
+    # 0 to 4 cells of any kind: blank, short and long rows, and cells that
+    # float() rejects or reads as non-finite
+    if draw(st.booleans()):
+        row = st.one_of(st.just([]), st.lists(_GOOD_CELLS, min_size=3, max_size=3))
+        return True, draw(st.lists(row, max_size=8))
+    cells = st.one_of(_GOOD_CELLS, _BAD_CELLS)
+    return False, draw(st.lists(st.lists(cells, max_size=4), max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_rows(), st.sampled_from([["x"], ["x", "y"], ["y", "w", "x"]]), st.booleans())
+def test_bulk_parse_gives_the_bits_and_messages_of_the_cell_loop(tmp_path, config, names, bom):
+    # the bulk parse takes every clean file, with the cell loop's bits, and
+    # load_columns gives the loop's columns or the loop's DataError
+    clean, rows = config
+    text = ("\ufeff" if bom else "") + "x,y,w\n" + "".join(",".join(r) + "\n" for r in rows)
+    path = _write(tmp_path / "cells.csv", text)
+    bulk = cli._parse_in_bulk(path, names)
+    if bulk is not None:
+        loop = cli._parse_cells(path, names)
+        assert bulk.shape == loop.shape and bulk.tobytes() == loop.tobytes()
+    assert bulk is not None or not clean
+    got = _load_outcome(path, names)
+    with mock.patch.object(cli, "_parse_in_bulk", lambda *args: None):
+        assert got == _load_outcome(path, names)
 
 
 def test_load_columns_and_prepare_case_keep_row_and_z_order(tmp_path):
@@ -598,16 +651,17 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     assert obj["message"].startswith("out of memory: ") and obj["message"].endswith(hint)
     assert "the 30 x 20 multiplier panel" in obj["message"]
     # the panels span tie runs: 4,000 rows on 400 distinct x state m = 400, not n,
-    # and the draws name the m x B run sums; so does a z-cell set without ties.
-    # A k other than 0 and 1 adds one (m + 1) x (m + 1) pair matrix per block
+    # and the draws name the m x B run sums the field holds in place of the
+    # n x B multipliers.  A z-cell set without ties holds the sorted multipliers
+    # and one cell's run sums.  A k other than 0 and 1 adds one (m + 1) x (m + 1)
+    # pair matrix per block
     x = np.repeat(np.linspace(0.0, 4.0, 400), 10)
     path = _write_rows(tmp_path / "tied.csv", ["x", "y", "z"], zip(x, np.sin(x), np.cos(x)))
     head = "out of memory: 400 scales x 4000 observations need "
     panels = f"0.2 MiB for each {block} x 401 block panel (400 tie runs)"
     pair = ", 1.2 MiB for the 401 x 401 pair matrix of k = 0.5"
     draws = (
-        ", 3.1 MiB for 400 kept rows of 1000 draws, 3.1 MiB for the 400 x 1000 run-sum panel,"
-        " 30.5 MiB for the 4000 x 1000 multiplier panel"
+        ", 3.1 MiB for 400 kept rows of 1000 draws, 3.1 MiB for the 1 x 400 x 1000 run sums"
     )
     for argv, want in [
         (["test", path, "--boot", "1000"], panels + draws),
@@ -619,7 +673,9 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
         assert _stderr_error(capsys)["message"] == head + want + hint, argv
     path = _data_csv(tmp_path, n=40, name="z.csv")
     assert main(["test", path, "--model", "nonparametric-z", "--z-cols", "x", "--boot", "20"]) == 2
-    assert ", 0.0 MiB for the 40 x 20 run-sum panel, " in _stderr_error(capsys)["message"]
+    message = _stderr_error(capsys)["message"]
+    assert ", 0.0 MiB for the 40 x 20 run sums of one cell, " in message
+    assert message.endswith(", 0.0 MiB for the 40 x 20 multiplier panel" + hint)
 
 
 def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):

@@ -217,6 +217,21 @@ def test_diff_first_names_numpy_and_the_blas_core():
     assert _diff_lines({**env, "OPENBLAS_CORETYPE": "Haswell"})[0].endswith("core Haswell")
 
 
+def test_diff_stops_quietly_when_its_reader_closes_the_pipe():
+    # unbuffered, the header reaches the pipe before any case runs, and the
+    # first case's line is written after the pipe is closed
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, __file__, "--diff", "error_bad_cell", "test_uniform", "diag_simple"]
+    proc = subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    assert proc.stdout.readline().startswith("numpy ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0 and stderr == ""
+
+
 def _csv_text(cols: dict) -> str:
     names = list(cols)
     rows = zip(*(cols[k] for k in names))
@@ -276,5 +291,13 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown case(s): {', '.join(unknown)}")
     if sys.argv[1] == "--diff":
-        sys.exit(_show_diff(sys.argv[2:]))
+        try:
+            rc = _show_diff(sys.argv[2:])
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (as `| head -n 1` does): stop quietly,
+            # with stdout on devnull so that the exit's own flush has nowhere to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            rc = 0
+        sys.exit(rc)
     _record(sys.argv[2:])

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_draws, dense_w, field_blocks, naive_w_b, run_blocks, window_weights
+from oracles import (
+    dense_draws,
+    dense_w,
+    field_blocks,
+    naive_w_b,
+    run_blocks,
+    run_draws,
+    window_weights,
+)
 
 from monotest import (
     BootConfig,
@@ -25,6 +33,7 @@ from monotest import (
     run_report,
 )
 from monotest import statistic
+from monotest.bootstrap import bootstrap_run
 from monotest.scales import EPANECHNIKOV, UNIFORM, build_basic_set, build_z_local_set
 
 TWO_POINT = Sample(x=[0.25, 0.75], y=[1.0, 0.0])
@@ -644,19 +653,9 @@ def test_tied_panels_have_a_column_per_run_and_one_cell_per_block():
     assert len(seen) == 3
 
 
-def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
-    # The panels of a tied z-cell field are (block x span) over tie runs:
-    # four of them hold at most FIELD_BLOCK * (runs + 1) * 8 bytes each.
-    # With draws the field adds the sorted n x B copy of e, one cell's run
-    # sums E (runs x B), one block's draws (FIELD_BLOCK x B), the
-    # FIELD_BLOCK-column temporary that forms E (n x FIELD_BLOCK), the kept
-    # rows and one B-vector of maxima per block (each cell may end in a
-    # partial block).  Panels over observations, ten times wider here, do
-    # not fit.
-    sample, set_, sig = _tied_zcell_case()
-    n, B = sample.n, 100
-    runs = np.unique(sample.x).size
-    e = np.random.default_rng(5).standard_normal((n, B))
+def _draw_memory(sample, set_, sig, B):
+    """Traced peaks of the field alone and with B draws of a panel made before tracing starts."""
+    e = np.random.default_rng(5).standard_normal((sample.n, B))
     peaks = {}
     for name, run in (
         ("field", lambda: evaluate_field(sample, set_, sig)),
@@ -668,16 +667,113 @@ def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    allocs = statistic.field_allocations(sample, set_, B)
-    (_, panel), (_, kept), (_, run_sums), (_, multipliers) = allocs
+    return peaks
+
+
+def _held_draws_bound(sample, set_, B, cells):
+    """What draws add on tied x or z-cells: the held run sums and no n x B term.
+
+    Beside every cell's run sums E (c x runs x B) and the kept rows, the
+    field holds one block's draws (FIELD_BLOCK x B) and one B-vector of
+    maxima per block (each cell may end in a partial block).  While it
+    forms E it gathers FIELD_BLOCK columns of e at a time and multiplies
+    them by a z-factor: two (n x FIELD_BLOCK) temporaries.
+    """
+    (_, panel), (_, kept), (name, run_sums) = statistic.field_allocations(sample, set_, B)
+    runs, block = np.unique(sample.x).size, statistic.FIELD_BLOCK
+    assert name == f"the {cells} x {runs} x {B} run sums"
+    assert run_sums == cells * runs * B * 8 and cells * runs <= sample.n
+    blocks = -(-set_.p // block) + cells
+    return run_sums + kept + (block + blocks) * B * 8 + 2 * sample.n * block * 8
+
+
+def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
+    # The panels of a tied z-cell field are (block x span) over tie runs:
+    # four of them hold at most FIELD_BLOCK * (runs + 1) * 8 bytes each.
+    # Panels over observations, ten times wider here, do not fit.  With
+    # draws, c * runs <= n, so the field holds every cell's run sums of e
+    # and no n x B panel: a sorted copy of e (7.6 MiB here) would break the
+    # bound, which is 12.7 MiB against the 17.2 MiB such a copy brings.
+    sample, set_, sig = _tied_zcell_case()
+    n, B = sample.n, 500
+    runs = np.unique(sample.x).size
+    peaks = _draw_memory(sample, set_, sig, B)
+    panel = statistic.field_allocations(sample, set_)[0][1]
     field_bound = 4 * panel + 24 * set_.p * 8 + 16 * n * 8
     assert panel == statistic.FIELD_BLOCK * (runs + 1) * 8
     assert 4 * statistic.FIELD_BLOCK * (n + 1) * 8 > 2 * field_bound
     assert peaks["field"] < field_bound, (peaks, field_bound)
-    blocks = -(-set_.p // statistic.FIELD_BLOCK) + 3
-    draws_bound = multipliers + run_sums + statistic.FIELD_BLOCK * B * 8
-    draws_bound += n * statistic.FIELD_BLOCK * 8 + kept + blocks * B * 8
-    assert peaks["draws"] < field_bound + draws_bound, (peaks, field_bound + draws_bound)
+    draws_bound = _held_draws_bound(sample, set_, B, cells=3)
+    assert draws_bound < n * B * 8 + 2 * statistic.KEEP_BYTES
+    assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
+
+
+def test_peak_memory_of_a_tied_x_field_holds_its_run_sums():
+    # tied x without z-cells is one cell: the field holds the runs x B run
+    # sums of e (0.8 MiB here) and no n x B panel (7.6 MiB), so the draws
+    # stay under 6.9 MiB where a sorted copy of e brings 12.9 MiB
+    sample, set_, sig = _tied_zcell_case()
+    set_ = build_basic_set(sample.x)
+    B = 500
+    peaks = _draw_memory(sample, set_, sig, B)
+    draws_bound = _held_draws_bound(sample, set_, B, cells=1)
+    assert draws_bound < sample.n * B * 8
+    assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
+
+
+@st.composite
+def _held_choice_config(draw):
+    # x on a grid of m values, c z-cells in 0 to 2 dimensions (0: one cell),
+    # and n on either side of c * m: n = m leaves x free of ties
+    d = draw(st.sampled_from([0, 1, 2]))
+    grid = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=6, unique=True))
+    m = len(grid)
+    c = 1
+    if d:
+        point = st.tuples(*[st.floats(0.0, 1.0)] * d)
+        locs = draw(st.lists(point, min_size=1, max_size=3, unique=True))
+        bws = draw(st.lists(st.sampled_from([0.3, 0.6, 2.0]), min_size=1, max_size=2, unique=True))
+        c = len(locs) * len(bws)
+    held = c == 1 or draw(st.booleans())
+    n = draw(st.integers(c * m, c * m + 10) if held else st.integers(m, c * m - 1))
+    x = grid + draw(st.lists(st.sampled_from(grid), min_size=n - m, max_size=n - m))
+    x = 0.25 * np.array(draw(st.permutations(x)), dtype=float)
+    y = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d)))
+    sample = Sample(x=x, y=y, z=z.reshape(n, d) if d else None)
+    set_ = build_basic_set(x, k=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    if d:
+        set_ = build_z_local_set(set_, z_locs=locs, z_bws=bws)
+    return sample, set_, held
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_held_choice_config(), st.sampled_from([2, 64]), st.integers(0, 2**32 - 1))
+def test_held_run_sums_and_sorted_panel_give_the_same_bits(config, block, seed):
+    # c * m <= n holds every cell's run sums, c * m > n the sorted panel and
+    # one cell's at a time; either way b, V, t and every rung's maxima have
+    # the bits of the draw-free field and of the dense draws.  Two kept rows
+    # make the ladder rebuild blocks, which alternate between cells
+    sample, set_, held = config
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.5, 2.0, sample.n)
+    cfg = BootConfig(B=20, seed=seed)
+    names = [name for name, _ in statistic.field_allocations(sample, set_, cfg.B)]
+    assert any("multiplier panel" in name for name in names) == (
+        not held or (sample.z is None and np.unique(sample.x).size == sample.n)
+    )
+    with mock.patch.object(statistic, "FIELD_BLOCK", block):
+        with mock.patch.object(statistic, "KEEP_BYTES", 2 * 8 * cfg.B):
+            try:
+                run = bootstrap_run(sample, sig, set_, cfg)
+            except DegenerateVarianceError:
+                return
+        plain = evaluate_field(sample, set_, sig)
+        dense = run_draws(sample, set_, sig, cfg)
+    for name in ("b", "v_hat", "t", "active_ids"):
+        assert getattr(run.field, name).tobytes() == getattr(plain, name).tobytes(), name
+    for rung in run.ladder:
+        assert rung.maxima.tobytes() == dense[rung.ids].max(axis=0).tobytes()
 
 
 _BLAS_PROBE = """
