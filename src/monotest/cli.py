@@ -85,51 +85,19 @@ def _column_positions(path: str, reader, names) -> list[int]:
     return positions
 
 
-def _parse_in_bulk(path: str, names) -> np.ndarray | None:
-    """Every row's named cells as one float array, or None if a row is short or a cell fails.
-
-    numpy parses each cell with Python's float(), which strips whitespace as
-    the cell loop does, so an accepted file gets the loop's bits.  None
-    (rows of blank cells, short or non-numeric rows, non-finite values)
-    leaves the message to the loop; empty lines are skipped here too.  The
-    cells stream into the array, so no row's strings outlive it.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        at = _column_positions(path, reader, names)
-        try:
-            table = np.fromiter((row[j] for row in reader if row for j in at), dtype=float)
-        except (IndexError, ValueError):
-            return None
-    return table.reshape(-1, len(names)) if np.isfinite(table).all() else None
-
-
-def _parse_cells(path: str, names) -> np.ndarray:
-    """The named columns cell by cell, naming the first bad cell's row and column."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        idx = dict(zip(names, _column_positions(path, reader, names)))
-        cols: dict[str, list[float]] = {name: [] for name in names}
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            for name in names:
-                j = idx[name]
-                cell = row[j].strip() if j < len(row) else ""
-                if cell == "":
-                    raise DataError(f"{path}: blank cell at row {rownum}, column {name!r}")
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at row {rownum}, column {name!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: non-finite value {cell!r} at row {rownum}, column {name!r}"
-                    )
-                cols[name].append(v)
-    return np.array(list(cols.values()), dtype=float).T
+def _cell_value(path: str, row, rownum: int, j: int, name: str) -> float:
+    """Cell j of a row as a float, or the DataError that names its row and column."""
+    cell = row[j].strip() if j < len(row) else ""
+    where = f"at row {rownum}, column {name!r}"
+    if cell == "":
+        raise DataError(f"{path}: blank cell {where}")
+    try:
+        v = float(cell)
+    except ValueError:
+        raise DataError(f"{path}: non-numeric cell {cell!r} {where}") from None
+    if not math.isfinite(v):
+        raise DataError(f"{path}: non-finite value {cell!r} {where}")
+    return v
 
 
 def load_columns(path: str, names) -> dict[str, np.ndarray]:
@@ -138,17 +106,36 @@ def load_columns(path: str, names) -> dict[str, np.ndarray]:
     Rejects a requested column that is missing or named twice in the header,
     blank or non-numeric cells (naming the row and column), non-finite
     values, and files with fewer than two data rows.  Rows of blank cells
-    are skipped.  All cells are parsed at once, and cell by cell only when
-    that fails, so each message names the first bad cell.
+    are skipped.  One pass reads the file: each row's named cells are parsed
+    at once, and a row is read cell by cell only when that fails or its sum
+    is not finite, so each message names the first bad cell.
     """
     names = list(dict.fromkeys(names))  # a repeated name is read once
-    table = _parse_in_bulk(path, names)
-    if table is None:
-        table = _parse_cells(path, names)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        at = _column_positions(path, reader, names)
+
+        def rows():
+            for rownum, row in enumerate(reader, start=2):
+                try:
+                    # float() strips whitespace as the cell check does, so the bits agree
+                    vals = [float(row[j]) for j in at]
+                    clean = math.isfinite(sum(vals))
+                except (IndexError, ValueError):
+                    clean = False
+                if clean:
+                    yield vals
+                elif any(cell.strip() for cell in row):  # a row of blank cells is skipped
+                    # cell by cell: the first bad cell raises, and finite values
+                    # whose sum overflows pass
+                    yield [_cell_value(path, row, rownum, j, name) for j, name in zip(at, names)]
+
+        # the rows stream into the array, so no row's values outlive it
+        table = np.fromiter(itertools.chain.from_iterable(rows()), dtype=float)
+    table = table.reshape(-1, len(names))
     n = table.shape[0]
     if n < 2:
         raise DataError(f"{path}: need at least two data rows, found {n}")
-    # one contiguous array per column, as the cell loop built them
     return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
 
 

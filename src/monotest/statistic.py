@@ -42,9 +42,9 @@ per-draw maximum, offers them to a store of the R = min(p, KEEP_BYTES //
 (8 * B)) rows with the highest t, and drops them.  With c cells and
 c * m <= n, the field forms every cell's E before the blocks start,
 FIELD_BLOCK columns of e at a time, and holds those c * m * B numbers in
-place of e; otherwise it holds a sorted copy of e and forms one cell's E
-at a time.  Either way it keeps no reference to e, so a temporary e is
-freed before the blocks start.  A selection reads a block's maximum if it
+place of e, so a temporary e is freed before the blocks start; otherwise
+it holds e itself, not a sorted copy, and forms one cell's E at a time
+from e's rows in sorted order.  A selection reads a block's maximum if it
 holds the whole block, and else the kept rows, and rebuilds a block with
 the same block step from what the field holds only when one of the
 selection's rows in it is not kept.  ``field_allocations`` lists the
@@ -293,13 +293,13 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     with no warning.
 
     With c cells of m runs, c * m <= n, the engine forms every cell's E
-    before it returns and keeps no reference to e; otherwise it keeps the
-    sorted copy of e and forms one cell's E at a time, when the cell
-    changes.  When every run is one observation and the set has no z-cells,
-    the runs are the sorted observations, E is the sorted e itself, and the
-    step skips Z, YZ and max zf.  Everything runs once per block but the
-    window products of a general k, one per scale from the block's one pair
-    matrix.
+    before it returns and keeps no reference to e; otherwise it keeps e
+    itself and forms one cell's E at a time, from e's rows in sorted order,
+    when the cell changes.  When every run is one observation and the set
+    has no z-cells, the runs are the sorted observations, E is the sorted e
+    itself, and the step skips Z, YZ and max zf.  Everything runs once per
+    block but the window products of a general k, one per scale from the
+    block's one pair matrix.
     """
     xs = sample.x[order]
     ys = sample.y[order]
@@ -325,24 +325,21 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     def z_factor(c):
         return np.ones(xs.size) if zs is None else _z_factor(set_, zs, rep[c])
 
-    def run_sums(cells, src, rows):
-        # each cell's E from src[rows], FIELD_BLOCK columns at a time: no n x B temporary
-        Es = [np.empty((first.size, src.shape[1])) for _ in cells]
-        for c0 in range(0, src.shape[1], FIELD_BLOCK):
+    def run_sums(cells):
+        # each cell's E from e's rows in sorted order, FIELD_BLOCK columns at a
+        # time: no n x B temporary
+        Es = [np.empty((first.size, e.shape[1])) for _ in cells]
+        for c0 in range(0, e.shape[1], FIELD_BLOCK):
             part = slice(c0, c0 + FIELD_BLOCK)
-            chunk = src[rows, part]
+            chunk = e[order, part]
             for c, E in zip(cells, Es):
                 E[:, part] = np.add.reduceat(z_factor(c)[:, None] * chunk, first, axis=0)
         return Es
 
-    held = es = None
-    if e is not None:
-        if runs_are_obs:
-            held = [e[order]]
-        elif rep.size * first.size <= xs.size:
-            held = run_sums(range(rep.size), e, order)
-        else:
-            es = e[order]
+    held = None
+    if e is not None and (runs_are_obs or rep.size * first.size <= xs.size):
+        held = [e[order]] if runs_are_obs else run_sums(range(rep.size))
+        e = None  # the draws read what is held, so a temporary e can go
     current = {}
 
     def cell(c):
@@ -358,8 +355,8 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
             dy = ys - np.repeat(yf, np.diff(np.append(first, xs.size)))
             Z, YZ, S2 = (np.add.reduceat(v, first) for v in (zf, zf * dy, zf * zf * sig2))
             sums = (Z, YZ, S2, np.maximum.reduceat(zf, first))
-            if es is not None:
-                E = run_sums([c], es, slice(None))[0]
+            if e is not None:
+                E = run_sums([c])[0]
         current.update(c=c, sums=sums, E=E)
         return sums, E
 
@@ -420,7 +417,7 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
     draws read: the sorted n x B multiplier panel when the runs are the
     observations and there are no z-cells; else, with c cells and
     c * m <= n, every cell's m x B run sums of the multipliers; else the
-    sorted panel and one cell's run sums.
+    multiplier panel itself, not a sorted copy, and one cell's run sums.
     """
     n, m = sample.n, _distinct(sample.x).size
     panel = f"each {FIELD_BLOCK} x {m + 1} block panel ({m} tie runs)"
@@ -467,10 +464,9 @@ class KeptDraws:
     ids rebuild the same blocks on every call, and the store never holds
     more than its R kept rows.
 
-    ``ids`` are the kept scales: of the scales with V > 0, the at most
-    ``kept_rows(p, B)`` with the highest t, less any found inactive.
-    ``rows`` holds their draws, one row per id.  ``rebuilt`` counts the
-    blocks built again.
+    The kept scales are, of the scales with V > 0, the at most
+    ``kept_rows(p, B)`` with the highest t, less any found inactive, each
+    with its row of draws.  ``rebuilt`` counts the blocks built again.
     """
 
     def __init__(self, p: int, B: int, blocks: list, draw_block):
@@ -489,14 +485,6 @@ class KeptDraws:
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
         self.rebuilt = 0
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._id[self._id >= 0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows[self._id >= 0]
 
     def _add(self, j: int, b_rows, v_rows, d) -> None:
         """Fold block j's draws d into its maximum and offer its rows with V > 0."""
@@ -571,9 +559,9 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         field's ``draws`` is a ``KeptDraws`` of
         sum_i w_i(s) / sqrt(V(s)) * e_i, formed block by block from the
         engine's panels.  The field holds the run sums of e of every cell
-        when they are no larger than e, and else a sorted copy of e, and
-        drops its own reference to e, so a temporary e is freed before the
-        blocks start.
+        when they are no larger than e, and drops its own reference to e,
+        so a temporary e is freed before the blocks start; else it holds e
+        itself, not a sorted copy.
 
     Raises
     ------
@@ -607,7 +595,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             e = e.reshape(sample.n, -1)
             B = e.shape[1]
         blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], e)
-        # the engine holds the run sums or the sorted copy, so a temporary e goes here
+        # unless the engine holds e itself, a temporary e goes here
         del e
         if B is not None:
             def rebuild(j):  # the loop's step again, so its draws have the same bits

@@ -1,9 +1,76 @@
-"""Naive oracles for the field engine and the ladder, and dense views of the weights and draws."""
+"""Naive oracles for the CSV loader, the field engine and the ladder; dense weights and draws."""
+
+import csv
+import math
 
 import numpy as np
 
-from monotest import quantile_upper, statistic
+from monotest import DataError, quantile_upper, statistic
 from monotest.scales import EPANECHNIKOV
+
+
+def _column_positions(path: str, reader, names) -> list[int]:
+    """Read the header row and give each name's position in it."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    positions = []
+    for name in names:
+        at = [j for j, h in enumerate(header) if h == name]
+        if not at:
+            raise DataError(f"{path}: missing column {name!r} (header: {header})")
+        if len(at) > 1:
+            raise DataError(
+                f"{path}: column {name!r} appears more than once in the header "
+                f"(positions {', '.join(str(j + 1) for j in at)})"
+            )
+        positions.append(at[0])
+    return positions
+
+
+def parse_cells(path: str, names) -> np.ndarray:
+    """The named columns cell by cell, naming the first bad cell's row and column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        idx = dict(zip(names, _column_positions(path, reader, names)))
+        cols: dict[str, list[float]] = {name: [] for name in names}
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            for name in names:
+                j = idx[name]
+                cell = row[j].strip() if j < len(row) else ""
+                if cell == "":
+                    raise DataError(f"{path}: blank cell at row {rownum}, column {name!r}")
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric cell {cell!r} at row {rownum}, column {name!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise DataError(
+                        f"{path}: non-finite value {cell!r} at row {rownum}, column {name!r}"
+                    )
+                cols[name].append(v)
+    return np.array(list(cols.values()), dtype=float).T
+
+
+def load_columns(path, names):
+    """``cli.load_columns`` by the cell loop: a dict of contiguous columns, or its DataError."""
+    names = list(dict.fromkeys(names))
+    table = parse_cells(path, names)
+    n = table.shape[0]
+    if n < 2:
+        raise DataError(f"{path}: need at least two data rows, found {n}")
+    return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
+
+
+def kept_draws(draws):
+    """A ``KeptDraws`` store's kept scale ids and their rows of draws, in store order."""
+    held = draws._id >= 0
+    return draws._id[held], draws._rows[held]
 
 
 def kernel_Q(x1, x2, x, h, k=0.0, kernel=EPANECHNIKOV):

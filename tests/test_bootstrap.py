@@ -22,7 +22,7 @@ from monotest import (
 from monotest.bootstrap import CV_METHODS
 from monotest.cli import load_columns
 from monotest.scales import build_z_local_set
-from oracles import naive_ladder, run_blocks, run_draws
+from oracles import kept_draws, naive_ladder, run_blocks, run_draws
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -112,8 +112,9 @@ def test_run_is_deterministic():
     run2 = bootstrap_run(sample, sig, set_, cfg)
     dense = run_draws(sample, set_, sig, cfg)
     for run in (run1, run2):
-        np.testing.assert_array_equal(run.field.draws.rows, dense[run.field.draws.ids])
-    np.testing.assert_array_equal(run1.field.draws.ids, run2.field.draws.ids)
+        ids, rows = kept_draws(run.field.draws)
+        np.testing.assert_array_equal(rows, dense[ids])
+    np.testing.assert_array_equal(kept_draws(run1.field.draws)[0], kept_draws(run2.field.draws)[0])
     assert len(run1.ladder) == len(run2.ladder)
     for r1, r2 in zip(run1.ladder, run2.ladder):
         assert (r1.c, r1.c_gamma) == (r2.c, r2.c_gamma)
@@ -123,7 +124,8 @@ def test_run_is_deterministic():
     cfg3 = BootConfig(B=cfg.B, seed=cfg.seed + 1)
     run3 = bootstrap_run(sample, sig, set_, cfg3)
     other = run_draws(sample, set_, sig, cfg3)
-    np.testing.assert_array_equal(run3.field.draws.rows, other[run3.field.draws.ids])
+    ids, rows = kept_draws(run3.field.draws)
+    np.testing.assert_array_equal(rows, other[ids])
     assert not np.array_equal(dense, other)
     assert not np.array_equal(run1.rung("pi").maxima, run3.rung("pi").maxima)
 
@@ -150,9 +152,10 @@ def test_draws_shape_and_maxima():
         inactive = np.setdiff1d(np.arange(p), run.field.active_ids)
         assert np.all(dense[inactive] == -np.inf)
         # every row fits: all active scales are kept, with the engine's bits
-        np.testing.assert_array_equal(np.sort(run.field.draws.ids), run.field.active_ids)
-        np.testing.assert_array_equal(run.field.draws.rows, dense[run.field.draws.ids])
-        assert run.field.draws.rows.shape == (run.field.active_ids.size, 64)
+        ids, rows = kept_draws(run.field.draws)
+        np.testing.assert_array_equal(np.sort(ids), run.field.active_ids)
+        np.testing.assert_array_equal(rows, dense[ids])
+        assert rows.shape == (run.field.active_ids.size, 64)
         np.testing.assert_array_equal(run.rung("pi").maxima, dense.max(axis=0))
         for rung in run.ladder:
             np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
@@ -359,16 +362,17 @@ def test_streamed_ladder_matches_dense_draws():
             dense, _, warnings = _assert_ladder_is_naive(run, sample, sig, set_, cfg)
         field = run.field
         draws = field.draws
+        ids, rows = kept_draws(draws)
         kept = min(keep, set_.p)
-        assert draws.ids.size <= kept
+        assert ids.size <= kept
         # when every scale fits, every row is kept and no block is rebuilt
         assert draws.rebuilt == 0 or kept < set_.p
-        assert set(draws.ids.tolist()) <= set(field.active_ids.tolist())
-        np.testing.assert_array_equal(draws.rows, dense[draws.ids])
+        assert set(ids.tolist()) <= set(field.active_ids.tolist())
+        np.testing.assert_array_equal(rows, dense[ids])
         # the kept scales are those with the highest t
-        rest = np.setdiff1d(field.active_ids, draws.ids)
-        if rest.size and draws.ids.size:
-            assert field.t[rest].max() <= field.t[draws.ids].min()
+        rest = np.setdiff1d(field.active_ids, ids)
+        if rest.size and ids.size:
+            assert field.t[rest].max() <= field.t[ids].min()
         dim = (field.v_hat > 0.0) & np.isnan(field.t)
         seen["rebuilt"] += draws.rebuilt > 0
         seen["evicted"] += int(np.count_nonzero(field.v_hat > 0.0)) > kept
@@ -410,7 +414,7 @@ def test_fallback_rung_reads_the_kept_row_that_attains_T():
         run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
     top = np.flatnonzero(run.field.t == run.field.T)
     assert run.warnings == ("one-step selection was empty; kept the scales that attain T",)
-    np.testing.assert_array_equal(run.field.draws.ids, top)
+    np.testing.assert_array_equal(kept_draws(run.field.draws)[0], top)
     np.testing.assert_array_equal(run.rung("os").ids, top)
     assert run.rung("sd") is run.rung("os")
     assert counts == [0, 0]
@@ -453,6 +457,7 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     cfg = BootConfig(B=B, seed=5)
     run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
     field, draws = run.field, run.field.draws
+    kept_ids = kept_draws(draws)[0]
     blocks = [rows for rows, *_ in run_blocks(sample, set_, statistic._sort_order(sample))]
 
     def needed(ids):
@@ -460,7 +465,7 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
         wanted[ids] = True
         return sum(
             not wanted[rows[field.v_hat[rows] > 0.0]].all()
-            and np.setdiff1d(rows[wanted[rows]], draws.ids).size > 0
+            and np.setdiff1d(rows[wanted[rows]], kept_ids).size > 0
             for rows in blocks
         )
 

@@ -31,6 +31,7 @@ from monotest.cli import MODEL_FLAGS, SIGMA_FLAGS
 from monotest.scales import KERNELS
 from monotest.sigma import SIGMA_ESTIMATORS
 from monotest.cli import _json_value, _prepare_case, _render_json, _z_grid
+import oracles
 
 
 def _write(path, text):
@@ -89,6 +90,13 @@ def test_load_columns_skips_blank_rows(tmp_path):
     np.testing.assert_array_equal(cols["x"], [1.0, 3.0])
 
 
+def test_load_columns_skips_only_rows_blank_in_every_cell(tmp_path):
+    # a row with a cell left in an unrequested column is read, not skipped
+    path = _write(tmp_path / "a.csv", "x,y,note\n1,2,a\n,,b\n3,4,c\n")
+    with pytest.raises(DataError, match=r"blank cell at row 3, column 'x'"):
+        load_columns(path, ["x", "y"])
+
+
 def test_load_columns_empty_file(tmp_path):
     path = _write(tmp_path / "a.csv", "")
     with pytest.raises(DataError, match="empty file"):
@@ -144,6 +152,28 @@ def test_load_columns_needs_two_rows(tmp_path):
         load_columns(path, ["x", "y"])
 
 
+def test_load_columns_keeps_finite_cells_whose_sum_overflows(tmp_path):
+    path = _write(tmp_path / "a.csv", "x,y\n1e308,1e308\n-1e308,-1.5e308\n")
+    cols = load_columns(path, ["x", "y"])
+    np.testing.assert_array_equal(cols["y"], [1e308, -1.5e308])
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("1,2\n3,4\n5,6\n", None),
+    ("1,2\n,,,\n3,4\n5,6\n", None),  # a row of blank cells mid-file
+    ("1,2\n,,,\n3,foo\n5,6\n", "non-numeric cell 'foo' at row 4"),
+])
+def test_load_columns_opens_its_file_once(tmp_path, rows, error):
+    path = _write(tmp_path / "a.csv", "x,y\n" + rows)
+    with mock.patch("builtins.open", wraps=open) as opened:
+        if error is None:
+            assert load_columns(path, ["x", "y"])["x"].size == 3
+        else:
+            with pytest.raises(DataError, match=error):
+                load_columns(path, ["x", "y"])
+    assert opened.call_count == 1
+
+
 _GOOD_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
@@ -157,10 +187,10 @@ _BAD_CELLS = st.sampled_from(
 )
 
 
-def _load_outcome(path, names):
-    """load_columns' columns as bytes, or its DataError message."""
+def _load_outcome(load, path, names):
+    """A loader's columns as bytes, or its DataError message."""
     try:
-        return [col.tobytes() for col in load_columns(path, names).values()]
+        return [col.tobytes() for col in load(path, names).values()]
     except DataError as exc:
         return str(exc)
 
@@ -180,20 +210,17 @@ def _csv_rows(draw):
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_csv_rows(), st.sampled_from([["x"], ["x", "y"], ["y", "w", "x"]]), st.booleans())
-def test_bulk_parse_gives_the_bits_and_messages_of_the_cell_loop(tmp_path, config, names, bom):
-    # the bulk parse takes every clean file, with the cell loop's bits, and
-    # load_columns gives the loop's columns or the loop's DataError
+def test_load_columns_gives_the_bits_and_messages_of_the_cell_loop(tmp_path, config, names, bom):
+    # load_columns reads the file once and gives the cell loop's columns, bit
+    # for bit, or the loop's DataError; a clean file names no bad cell
     clean, rows = config
     text = ("\ufeff" if bom else "") + "x,y,w\n" + "".join(",".join(r) + "\n" for r in rows)
     path = _write(tmp_path / "cells.csv", text)
-    bulk = cli._parse_in_bulk(path, names)
-    if bulk is not None:
-        loop = cli._parse_cells(path, names)
-        assert bulk.shape == loop.shape and bulk.tobytes() == loop.tobytes()
-    assert bulk is not None or not clean
-    got = _load_outcome(path, names)
-    with mock.patch.object(cli, "_parse_in_bulk", lambda *args: None):
-        assert got == _load_outcome(path, names)
+    with mock.patch("builtins.open", wraps=open) as opened:
+        got = _load_outcome(load_columns, path, names)
+    assert opened.call_count == 1
+    assert got == _load_outcome(oracles.load_columns, path, names)
+    assert not clean or isinstance(got, list) or "at least two data rows" in got
 
 
 def test_load_columns_and_prepare_case_keep_row_and_z_order(tmp_path):

@@ -15,6 +15,7 @@ from oracles import (
     dense_draws,
     dense_w,
     field_blocks,
+    kept_draws,
     naive_w_b,
     run_blocks,
     run_draws,
@@ -287,8 +288,9 @@ def _inactive_rows_are_minus_inf(draws, field):
 def _check_kept(field, dense):
     """The field's kept rows and maxima against the dense draws, bit for bit."""
     kept = field.draws
-    assert set(kept.ids.tolist()) <= set(field.active_ids.tolist())
-    np.testing.assert_array_equal(kept.rows, dense[kept.ids])
+    ids, rows = kept_draws(kept)
+    assert set(ids.tolist()) <= set(field.active_ids.tolist())
+    np.testing.assert_array_equal(rows, dense[ids])
     np.testing.assert_array_equal(kept.maxima(field.active_ids), dense.max(axis=0))
     ids = field.active_ids[::2]
     np.testing.assert_array_equal(kept.maxima(ids), dense[ids].max(axis=0))
@@ -466,7 +468,7 @@ def test_whole_blocks_answer_from_their_maxima():
         field = evaluate_field(sample, set_, sig, e)
     dense = dense_draws(sample, set_, sig, e)
     draws = field.draws
-    assert draws.ids.size == 3 and set_.p > 4 * statistic.FIELD_BLOCK
+    assert kept_draws(draws)[0].size == 3 and set_.p > 4 * statistic.FIELD_BLOCK
     # no scale with 0 < V <= tau, which would keep its block from being whole
     np.testing.assert_array_equal(np.flatnonzero(field.v_hat > 0.0), field.active_ids)
     ids = field.active_ids
@@ -721,6 +723,27 @@ def test_peak_memory_of_a_tied_x_field_holds_its_run_sums():
     assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
 
 
+def test_peak_memory_of_a_z_cell_field_on_few_ties_holds_e_itself():
+    # x on a 1,000-point grid (846 runs here) and three z-cells: c * runs > n,
+    # so the field forms one cell's run sums at a time from e's rows in
+    # sorted order and holds e itself.  Beside one cell's E and the kept
+    # rows the draws add what _held_draws_bound counts, and no n x B term:
+    # a sorted copy of e (7.6 MiB) brings 19.8 MiB against the 14.2 MiB bound.
+    rng = np.random.default_rng(79)
+    n, B = 2000, 500
+    x = rng.integers(-500, 500, n) / 500.0
+    sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
+    set_ = build_z_local_set(build_basic_set(x), [(1 / 6,), (0.5,), (5 / 6,)], [1 / 3])
+    peaks = _draw_memory(sample, set_, rng.uniform(0.5, 2.0, n), B)
+    _, (_, kept), (name, one_cell), _ = statistic.field_allocations(sample, set_, B)
+    runs, block = np.unique(x).size, statistic.FIELD_BLOCK
+    assert name == f"the {runs} x {B} run sums of one cell" and 3 * runs > n
+    blocks = -(-set_.p // block) + 3
+    draws_bound = one_cell + kept + (block + blocks) * B * 8 + 2 * n * block * 8
+    assert draws_bound < one_cell + kept + n * B * 8
+    assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
+
+
 @st.composite
 def _held_choice_config(draw):
     # x on a grid of m values, c z-cells in 0 to 2 dimensions (0: one cell),
@@ -897,9 +920,9 @@ def test_apply_reproduces_t():
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
     field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40), y)
     # the rows are w / sqrt(v): their draws for e = y recover the t values
-    ids = field.draws.ids
+    ids, rows = kept_draws(field.draws)
     np.testing.assert_array_equal(np.sort(ids), field.active_ids)
-    np.testing.assert_allclose(field.draws.rows[:, 0], field.t[ids], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(rows[:, 0], field.t[ids], rtol=0, atol=1e-10)
 
 
 def test_sensitivity_matches_field():
