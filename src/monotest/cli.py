@@ -35,7 +35,9 @@ import numpy as np
 
 from .bootstrap import CV_METHODS, BootConfig, TestReport, run_report
 from .errors import DataError, DegenerateVarianceError
-from .models import additive_adjust, endogenous_adjust, partial_linear_adjust, selection_adjust
+from .models import (
+    _check_not_flat, additive_adjust, endogenous_adjust, partial_linear_adjust, selection_adjust,
+)
 from .scales import KERNELS, _distinct, build_basic_set, build_custom_set, build_z_local_set
 from .sigma import estimate_sigma
 from .simlab import NOISES, McDesign, results_to_csv, results_to_text, run_mc
@@ -270,6 +272,7 @@ def _prepare_case(args):
         base = endogenous_adjust(Sample(x, y, z=np.column_stack([cols[c] for c in u_cols])), **opts)
     elif model == "selection":
         base, warnings = selection_adjust(base, cols[args.d_col], **opts)
+    _check_not_flat(model, y, base.y)
 
     kernel = KERNELS[args.kernel]
     if args.h_set:

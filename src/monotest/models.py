@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DegenerateVarianceError
 from .scales import _distinct
 from .sigma import SeriesFit, poly_series_fit, series_fit
 from .statistic import Sample
@@ -26,6 +26,25 @@ from .statistic import Sample
 __all__ = ["partial_linear_adjust", "additive_adjust", "endogenous_adjust", "selection_adjust"]
 
 PSCORE_CLAMP = 1e-3
+
+# A tested y is constant up to rounding when its spread is within
+# FLAT_EPS * eps * max|y| of the y that was read.  y exactly linear in the
+# controls leaves a spread of at most 72 eps * max|y| after any adapter
+# (degrees up to 12, 40 to 10,000 rows), so 1,024 leaves a margin, and y
+# with any signal above about 2e-13 of its level stays clear of it.
+FLAT_EPS = 1024
+
+
+def _check_not_flat(model: str, y_read, y) -> None:
+    """Raise DegenerateVarianceError, naming the model, if y is constant up to rounding."""
+    # Python floats: a spread past the largest double is inf, with no warning
+    spread = float(np.max(y)) - float(np.min(y))
+    top = float(np.max(np.abs(y_read)))
+    if spread <= FLAT_EPS * np.finfo(float).eps * top:
+        raise DegenerateVarianceError(
+            f"{model} model: the y it tests is constant up to rounding (spread {spread:.3g},"
+            f" max |y| read {top:.3g}); nothing to test"
+        )
 
 
 def _check_correction_degree(L: int) -> None:

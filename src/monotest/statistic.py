@@ -37,20 +37,20 @@ each window on its own, so no window weights outlive their block.
 Given bootstrap multipliers e (n x B), the engine forms each block's draws
 as one matrix product of its panel with E, the m x B run sums of zf * e
 for the block's cell (the sorted e itself when the runs are the
-observations and there are no z-cells), folds them into the block's
-per-draw maximum, offers them to a store of the R = min(p, KEEP_BYTES //
-(8 * B)) rows with the highest t, and drops them.  With c cells and
-c * m <= n, the field forms every cell's E before the blocks start,
+observations and there are no z-cells) and folds them into the block's
+per-draw maximum.  It holds them too when all p rows fit in the budget of
+R = min(p, KEEP_BYTES // (8 * B)) rows, and else drops them.  With c cells
+and c * m <= n, the field forms every cell's E before the blocks start,
 FIELD_BLOCK columns of e at a time, and holds those c * m * B numbers in
 place of e, so a temporary e is freed before the blocks start; otherwise
 it holds e itself, not a sorted copy, and forms one cell's E at a time
 from e's rows in sorted order.  A selection reads a block's maximum if it
-holds the whole block, and else the kept rows, and rebuilds a block with
-the same block step from what the field holds only when one of the
-selection's rows in it is not kept.  ``field_allocations`` lists the
-largest of these arrays with their sizes, and a field that cannot allocate
-one, in its own pass or in a block it rebuilds later, raises a MemoryError
-that names them all.
+holds the whole block, and else the block's held draws, or rebuilds the
+block with the same block step from what the field holds, and holds it
+while the budget has room.  ``field_allocations`` lists the largest of
+these arrays with their sizes, and a field that cannot allocate one, in
+its own pass or in a block it rebuilds later, raises a MemoryError that
+names them all.
 """
 
 from __future__ import annotations
@@ -83,16 +83,15 @@ VAR_FLOOR = 1e-300
 # z-cells); each block costs fixed Python overhead.
 FIELD_BLOCK = 64
 
-# A field with B bootstrap draws keeps the draws of at most
-# KEEP_BYTES // (8 * B) scales, those with the highest t.  Every selected set
-# of the critical-value ladder is an upper set of the active t, so a set that
-# fits needs no block built again.  A fallback keeps the scales that attain
-# T, whose rows are kept unless more than R scales tie there.
-# 8 MiB is 2,097 rows at B = 500: every row of an n = 200 set (p = 800).
-# On the benchmark's seed-0 inputs (n = 2000), the z-cell set with ties has
-# a one-step set of 1,385 scales and rebuilds no block; the partial-linear
-# set's ladder runs 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 8,
-# 6 and 6 blocks, each one that its set holds in part, with a row not kept.
+# A field with B bootstrap draws holds the draws of at most
+# R = KEEP_BYTES // (8 * B) scales, in whole blocks: every block of its pass
+# when all p rows fit, else each block that a selection rebuilds while room
+# is left, so a later selection reads it again.  8 MiB is 2,097 rows at
+# B = 500: every row of an n = 200 set (p = 800), which rebuilds no block.
+# On the benchmark's seed-0 inputs (n = 2000), the partial-linear set's
+# ladder runs 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 11, 1
+# and 0 blocks; the z-cell set with ties runs 3,015 -> 1,385 -> 1,375 and
+# rebuilds 17 and 0.  Both hold every block they rebuild (768 and 1,088 rows).
 KEEP_BYTES = 8 << 20
 
 
@@ -141,8 +140,10 @@ class StudentizedField:
     ``draws`` is None unless ``evaluate_field`` was given an array e with n
     rows in observation order.  Then it is a ``KeptDraws``: the per-draw
     maxima of sum_i a_i(s) * e_i, a_i(s) = w_i(s) / sqrt(v_hat(s)), over
-    any set of active scales, and the rows of the kept scales.  With
-    e_i = sigma_i * eps_i a column of e gives one bootstrap draw.
+    any set of active scales, read from each block's folded maximum, from
+    the draws of whole blocks held within a budget of rows, or from a block
+    built again.  With e_i = sigma_i * eps_i a column of e gives one
+    bootstrap draw.
     """
 
     b: np.ndarray
@@ -159,6 +160,7 @@ def _sort_order(sample: Sample) -> np.ndarray:
     return np.argsort(sample.x, kind="stable")
 
 
+@np.errstate(over="ignore")  # a u of +-inf still falls on its side of the bound
 def _window_bounds(xs, sx, sh, support):
     """Each scale's window sorted[lo : hi], the points with |(x - s.x) / h| < support.
 
@@ -246,6 +248,7 @@ def _pair_weights(kx, m, xr, lo, hi, k):
     return w
 
 
+@np.errstate(over="ignore")  # a z far outside the cell, in units of z_bw, has weight 0
 def _z_factor(set_: ScaleSet, zs: np.ndarray, r: int) -> np.ndarray:
     """Scale r's z-cell factor at each row of zs, a product over coordinates taken in order."""
     bw, loc = set_.z_bw[r], set_.z_loc[r]
@@ -405,7 +408,7 @@ def _sigma_values(sigma, n: int) -> np.ndarray:
 
 
 def kept_rows(p: int, B: int) -> int:
-    """How many scales' draws a field of p scales and B draws keeps."""
+    """The budget of draw rows that a field of p scales and B draws may hold."""
     return min(p, max(1, KEEP_BYTES // (8 * B)))
 
 
@@ -413,9 +416,9 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
     """The largest arrays a field allocates, as (name, bytes) pairs; with B draws, theirs too.
 
     They are a block's panels over the m tie runs of x, a handful at once,
-    a general k's pair matrix, and with draws the kept rows and what the
-    draws read: the sorted n x B multiplier panel when the runs are the
-    observations and there are no z-cells; else, with c cells and
+    a general k's pair matrix, and with draws the budget of held draws and
+    what the draws read: the sorted n x B multiplier panel when the runs are
+    the observations and there are no z-cells; else, with c cells and
     c * m <= n, every cell's m x B run sums of the multipliers; else the
     multiplier panel itself, not a sorted copy, and one cell's run sums.
     """
@@ -426,7 +429,7 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
         out.append((f"the {m + 1} x {m + 1} pair matrix of k = {set_.k}", (m + 1) ** 2 * 8))
     if B is not None:
         rows = kept_rows(set_.p, B)
-        out.append((f"{rows} kept rows of {B} draws", rows * B * 8))
+        out.append((f"at most {rows} x {B} held draws", rows * B * 8))
         c = 1 if set_.z_loc is None else _cells(set_)[0].size
         if m == n and set_.z_loc is None:
             out.append((f"the {n} x {B} multiplier panel", n * B * 8))
@@ -454,19 +457,17 @@ class KeptDraws:
     ``maxima(ids)`` gives the per-draw maxima of the draws over any set of
     active scale ids, by one rule for every block.  A block whose rows with
     V > 0 are all in the set answers with the maximum folded in as the
-    engine formed it.  Any other block's rows in the set are read from the
-    kept rows, and the block is rebuilt when one of them is not kept.  A
-    rebuilt block has the same panel, scaling and product shape, so every
-    draw has the same bits whichever way it is read, and the maxima are
-    exact.  A block with a row of 0 < V <= tau folded that row in, but no
-    set of active ids holds it, so the rule never reads that maximum.  No
-    call leaves anything for the next but the count ``rebuilt``: the same
-    ids rebuild the same blocks on every call, and the store never holds
-    more than its R kept rows.
+    engine formed it.  Any other block's rows in the set are read from its
+    held draws, or from the block rebuilt when it is not held.  A rebuilt
+    block has the same panel, scaling and product shape, so every draw has
+    the same bits whichever way it is read, and the maxima are exact.  A
+    block with a row of 0 < V <= tau folded that row in, but no set of
+    active ids holds it, so the rule never reads that maximum.
 
-    The kept scales are, of the scales with V > 0, the at most
-    ``kept_rows(p, B)`` with the highest t, less any found inactive, each
-    with its row of draws.  ``rebuilt`` counts the blocks built again.
+    The store holds the draws of whole blocks in one buffer of
+    ``kept_rows(p, B)`` rows: every block of the field's pass when all p
+    rows fit, else each block that a call rebuilds while room is left, so a
+    later call reads it again.  ``rebuilt`` counts the blocks built again.
     """
 
     def __init__(self, p: int, B: int, blocks: list, draw_block):
@@ -475,68 +476,45 @@ class KeptDraws:
         self._block_of = np.full(p, -1, dtype=np.intp)
         for j, rows in enumerate(blocks):
             self._block_of[rows] = j
-        keep = kept_rows(p, B)
-        # the store starts empty: every row has id -1, and rows from _used on
-        # have never held a draw
-        self._id = np.full(keep, -1, dtype=np.intp)
-        self._t = np.empty(keep)
-        self._rows = np.empty((keep, B))
-        self._used = 0
+        # the budget: one buffer that the held blocks fill in turn from its first row
+        self._rows = np.empty((kept_rows(p, B), B))
+        self._free = 0
+        self._hold_pass = self._rows.shape[0] == p
+        self._held = {}  # block -> its rows of the buffer, one per scale of the block
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
         self.rebuilt = 0
 
-    def _add(self, j: int, b_rows, v_rows, d) -> None:
-        """Fold block j's draws d into its maximum and offer its rows with V > 0."""
-        live = np.flatnonzero(v_rows > 0.0)
-        self._folded[j] = live.size
-        if live.size < d.shape[0]:
-            d = d[live]
-        self._block_max[j] = d.max(axis=0, initial=-np.inf)
-        # t exactly as the field computes it
-        t = b_rows[live] / np.sqrt(v_rows[live])
-        # newcomers first take the rows never used, in order; of the kept rows
-        # and the newcomers left over, that many with the lowest t go, and each
-        # newcomer that stays takes the row of one that goes
-        used = self._used
-        top = self._used = min(self._t.size, used + live.size)
-        fresh = top - used
-        self._rows[used:top] = d[:fresh]
-        self._t[used:top] = t[:fresh]
-        self._id[used:top] = self._blocks[j][live[:fresh]]
-        over = live.size - fresh
-        goes = np.zeros(top + over, dtype=bool)
-        goes[np.argpartition(np.concatenate((self._t[:top], t[fresh:])), over - 1)[:over]] = True
-        out = np.flatnonzero(goes[:top])
-        comers = fresh + np.flatnonzero(~goes[top:])
-        self._rows[out] = d[comers]
-        self._t[out] = t[comers]
-        self._id[out] = self._blocks[j][live[comers]]
+    def _hold(self, j: int, d) -> None:
+        """Copy block j's draws d into the buffer if they fit in the rows left."""
+        end = self._free + d.shape[0]
+        if end <= self._rows.shape[0]:
+            self._held[j] = self._rows[self._free : end]
+            self._held[j][:] = d
+            self._free = end
 
-    def _finish(self, active: np.ndarray) -> None:
-        """Drop the kept rows of scales with 0 < V <= tau."""
-        # an empty row's id -1 reads some scale's flag, and stays -1 either way
-        self._id[~active[self._id]] = -1
+    def _add(self, j: int, v_rows, d) -> None:
+        """Fold block j's draws d into its maximum over its rows with V > 0."""
+        live = v_rows > 0.0
+        self._folded[j] = np.count_nonzero(live)
+        self._block_max[j] = (d if live.all() else d[live]).max(axis=0, initial=-np.inf)
+        if self._hold_pass:
+            self._hold(j, d)
 
     def maxima(self, ids) -> np.ndarray:
         """Per-draw maxima of the draws over the given active scale ids."""
         ids = np.asarray(ids, dtype=np.intp)
-        j_of = self._block_of[ids]
-        nblocks = self._folded.size
-        whole = np.bincount(j_of, minlength=nblocks) == self._folded
-        out = self._block_max[whole].max(axis=0, initial=-np.inf)
-        # want[-1] is False, so an empty row's id -1 selects nothing
-        want = np.zeros(self._block_of.size + 1, dtype=bool)
-        want[ids[~whole[j_of]]] = True
-        kept = np.flatnonzero(want[self._id])
-        want[self._id] = False
-        # FIELD_BLOCK rows at a time: no copy is larger than a block's draws
-        for k in range(0, kept.size, FIELD_BLOCK):
-            np.maximum(out, self._rows[kept[k : k + FIELD_BLOCK]].max(axis=0), out=out)
-        for j in np.flatnonzero(np.bincount(j_of[want[ids]], minlength=nblocks)):
-            self.rebuilt += 1
-            d = self._draw_block(j)[want[self._blocks[j]]]
-            np.maximum(out, d.max(axis=0), out=out)
+        count = np.bincount(self._block_of[ids], minlength=self._folded.size)
+        out = self._block_max[count == self._folded].max(axis=0, initial=-np.inf)
+        want = np.zeros(self._block_of.size, dtype=bool)
+        want[ids] = True
+        for j in np.flatnonzero((count > 0) & (count != self._folded)):
+            d = self._held.get(j)
+            if d is None:
+                self.rebuilt += 1
+                d = self._draw_block(j)
+                self._hold(j, d)
+            np.maximum(out, d[want[self._blocks[j]]].max(axis=0), out=out)
         return out
 
 
@@ -607,7 +585,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
         for j, rows in enumerate(blocks):
             w, b[rows], v[rows], absmax[rows], d = step(rows)
             if draws is not None:
-                draws._add(j, b[rows], v[rows], d)
+                draws._add(j, v[rows], d)
             del w, d  # before the engine builds the next block
     except MemoryError:
         raise _out_of_memory(sample, set_, B) from None
@@ -616,8 +594,6 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     if not active.any():
         raise DegenerateVarianceError("degenerate variance on every scale")
     active_ids = np.flatnonzero(active)
-    if draws is not None:
-        draws._finish(active)
     t = np.full(p, np.nan)
     root_v = np.sqrt(v[active])
     t[active] = b[active] / root_v

@@ -67,10 +67,9 @@ def load_columns(path, names):
     return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
 
 
-def kept_draws(draws):
-    """A ``KeptDraws`` store's kept scale ids and their rows of draws, in store order."""
-    held = draws._id >= 0
-    return draws._id[held], draws._rows[held]
+def draw_rows(draws, ids):
+    """The draws of the given active scales, one row each: scale s's row is ``maxima([s])``."""
+    return np.array([draws.maxima([s]) for s in ids])
 
 
 def kernel_Q(x1, x2, x, h, k=0.0, kernel=EPANECHNIKOV):

@@ -22,7 +22,7 @@ from monotest import (
 from monotest.bootstrap import CV_METHODS
 from monotest.cli import load_columns
 from monotest.scales import build_z_local_set
-from oracles import kept_draws, naive_ladder, run_blocks, run_draws
+from oracles import draw_rows, naive_ladder, run_blocks, run_draws
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -112,9 +112,8 @@ def test_run_is_deterministic():
     run2 = bootstrap_run(sample, sig, set_, cfg)
     dense = run_draws(sample, set_, sig, cfg)
     for run in (run1, run2):
-        ids, rows = kept_draws(run.field.draws)
-        np.testing.assert_array_equal(rows, dense[ids])
-    np.testing.assert_array_equal(kept_draws(run1.field.draws)[0], kept_draws(run2.field.draws)[0])
+        ids = run.field.active_ids
+        np.testing.assert_array_equal(draw_rows(run.field.draws, ids), dense[ids])
     assert len(run1.ladder) == len(run2.ladder)
     for r1, r2 in zip(run1.ladder, run2.ladder):
         assert (r1.c, r1.c_gamma) == (r2.c, r2.c_gamma)
@@ -124,8 +123,8 @@ def test_run_is_deterministic():
     cfg3 = BootConfig(B=cfg.B, seed=cfg.seed + 1)
     run3 = bootstrap_run(sample, sig, set_, cfg3)
     other = run_draws(sample, set_, sig, cfg3)
-    ids, rows = kept_draws(run3.field.draws)
-    np.testing.assert_array_equal(rows, other[ids])
+    ids = run3.field.active_ids
+    np.testing.assert_array_equal(draw_rows(run3.field.draws, ids), other[ids])
     assert not np.array_equal(dense, other)
     assert not np.array_equal(run1.rung("pi").maxima, run3.rung("pi").maxima)
 
@@ -151,11 +150,12 @@ def test_draws_shape_and_maxima():
         assert dense.shape == (p, 64)
         inactive = np.setdiff1d(np.arange(p), run.field.active_ids)
         assert np.all(dense[inactive] == -np.inf)
-        # every row fits: all active scales are kept, with the engine's bits
-        ids, rows = kept_draws(run.field.draws)
-        np.testing.assert_array_equal(np.sort(ids), run.field.active_ids)
+        # every row fits: the pass holds every block, so each active row reads
+        # back with the engine's bits and no block is rebuilt
+        ids = run.field.active_ids
+        rows = draw_rows(run.field.draws, ids)
         np.testing.assert_array_equal(rows, dense[ids])
-        assert rows.shape == (run.field.active_ids.size, 64)
+        assert rows.shape == (ids.size, 64)
         np.testing.assert_array_equal(run.rung("pi").maxima, dense.max(axis=0))
         for rung in run.ladder:
             np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
@@ -320,9 +320,9 @@ def test_ladder_matches_naive_three_blocks():
 
 
 def _streamed_cases(count):
-    # a few scales kept, or every one; basic, k = 0.5 and z-cell sets, steep
-    # quiet samples that empty the selections, and sigma that is zero or
-    # tiny on part of the support, so V is 0 or falls below tau there; then
+    # a budget of a few rows, or of every one; basic, k = 0.5 and z-cell sets,
+    # steep quiet samples that empty the selections, and sigma that is zero
+    # or tiny on part of the support, so V is 0 or falls below tau there; then
     # the pinned cases that empty only the step-down set
     rng = np.random.default_rng(1313)
     for i in range(count):
@@ -346,43 +346,74 @@ def _streamed_cases(count):
         yield sample, sig, set_, cfg, [1, 3, 2 * set_.p][i % 3], [statistic.FIELD_BLOCK, 5][i % 2]
 
 
+def _rebuilds_by_the_rule(blocks, v_hat, keep, calls):
+    """How many blocks each ``maxima`` call rebuilds, for the ids of each call in turn.
+
+    A call reads a block whose rows with V > 0 are all in its ids from the
+    folded maximum, and any other block it touches from the store, or
+    rebuilds it when the store does not hold it.  With a budget of ``keep``
+    rows, the pass holds every block when all p rows fit; else a rebuilt
+    block is held while it fits in the rows left.
+    """
+    p = v_hat.size
+    room = min(keep, p)
+    held = set(range(len(blocks))) if room == p else set()
+    counts = []
+    for ids in calls:
+        wanted = np.zeros(p, dtype=bool)
+        wanted[ids] = True
+        counts.append(0)
+        for j, rows in enumerate(blocks):
+            whole = wanted[rows[v_hat[rows] > 0.0]].all()
+            if wanted[rows].any() and not whole and j not in held:
+                counts[-1] += 1
+                if rows.size <= room:
+                    room -= rows.size
+                    held.add(j)
+    return counts
+
+
 def test_streamed_ladder_matches_dense_draws():
     seen = dict.fromkeys(
-        ["rebuilt", "evicted", "os over kept", "dim block", "os fallback", "sd fallback",
-         "z-cells", "k = 0.5", "all kept"],
+        ["held in the pass", "held after a rebuild", "budget full", "dim block", "os fallback",
+         "sd fallback", "z-cells", "k = 0.5"],
         0,
     )
     for sample, sig, set_, cfg, keep, block in _streamed_cases(240):
         with mock.patch.object(statistic, "FIELD_BLOCK", block), \
                 mock.patch.object(statistic, "KEEP_BYTES", keep * 8 * cfg.B):
             try:
-                run = bootstrap_run(sample, sig, set_, cfg)
+                run, counts = _run_counting_rebuilds(sample, sig, set_, cfg)
             except DegenerateVarianceError:
                 continue
             dense, _, warnings = _assert_ladder_is_naive(run, sample, sig, set_, cfg)
-        field = run.field
-        draws = field.draws
-        ids, rows = kept_draws(draws)
-        kept = min(keep, set_.p)
-        assert ids.size <= kept
-        # when every scale fits, every row is kept and no block is rebuilt
-        assert draws.rebuilt == 0 or kept < set_.p
-        assert set(ids.tolist()) <= set(field.active_ids.tolist())
-        np.testing.assert_array_equal(rows, dense[ids])
-        # the kept scales are those with the highest t
-        rest = np.setdiff1d(field.active_ids, ids)
-        if rest.size and ids.size:
-            assert field.t[rest].max() <= field.t[ids].min()
+            order = statistic._sort_order(sample)
+            blocks = [rows for rows, *_ in run_blocks(sample, set_, order)]
+            field = run.field
+            draws = field.draws
+            # every rung once more after the ladder: a block that an earlier call
+            # rebuilt and held is read from the store, one the budget had no
+            # room for is rebuilt again, and the maxima keep their bits
+            again = []
+            for rung in run.ladder:
+                before = draws.rebuilt
+                np.testing.assert_array_equal(draws.maxima(rung.ids), rung.maxima)
+                again.append(draws.rebuilt - before)
+        calls = [rung.ids for rung in run.ladder] * 2
+        assert counts + again == _rebuilds_by_the_rule(blocks, field.v_hat, keep, calls)
+        held_all = keep >= set_.p
+        assert draws.rebuilt == 0 or not held_all
+        ids = field.active_ids
+        np.testing.assert_array_equal(draw_rows(draws, ids), dense[ids])
         dim = (field.v_hat > 0.0) & np.isnan(field.t)
-        seen["rebuilt"] += draws.rebuilt > 0
-        seen["evicted"] += int(np.count_nonzero(field.v_hat > 0.0)) > kept
-        seen["os over kept"] += run.rung("os").ids.size > kept
+        seen["held in the pass"] += held_all
+        seen["held after a rebuild"] += any(a < c for a, c in zip(again, counts))
+        seen["budget full"] += any(again)
         seen["dim block"] += bool(dim.any())
         seen["os fallback"] += any(w.startswith("one-step") for w in warnings)
         seen["sd fallback"] += any(w.startswith("step-down") for w in warnings)
         seen["z-cells"] += set_.z_loc is not None
         seen["k = 0.5"] += set_.k == 0.5
-        seen["all kept"] += kept >= set_.p
     assert min(seen.values()) >= 5, seen
 
 
@@ -401,32 +432,37 @@ def _run_counting_rebuilds(sample, sigma, set_, cfg):
         return bootstrap_run(sample, sigma, set_, cfg), counts
 
 
-def test_fallback_rung_reads_the_kept_row_that_attains_T():
-    # the golden steep.csv with residual sigma empties the one-step set; with
-    # R = 1 the one kept row is the scale that attains T, which the emptied
-    # set keeps, so no rung rebuilds a block
+def test_fallback_rung_rebuilds_the_block_that_attains_T():
+    # the golden steep.csv with residual sigma empties the one-step set, which
+    # keeps the scale that attains T.  Neither budget holds the pass's 120
+    # rows, so the fallback rung rebuilds that scale's block.  A budget of one
+    # row has no room for it, and the next call rebuilds it again; a budget
+    # of FIELD_BLOCK rows holds it, and the next call reads it from the store
     cols = load_columns(str(GOLDEN / "steep.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
     sigma = estimate_sigma(sample, "residual")
     set_ = build_basic_set(sample.x)
     cfg = BootConfig(B=60, seed=5)
-    with mock.patch.object(statistic, "KEEP_BYTES", 8 * cfg.B):
-        run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
-    top = np.flatnonzero(run.field.t == run.field.T)
-    assert run.warnings == ("one-step selection was empty; kept the scales that attain T",)
-    np.testing.assert_array_equal(kept_draws(run.field.draws)[0], top)
-    np.testing.assert_array_equal(run.rung("os").ids, top)
-    assert run.rung("sd") is run.rung("os")
-    assert counts == [0, 0]
     dense = run_draws(sample, set_, sigma, cfg)
-    for rung in run.ladder:
-        np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
+    for keep in (1, statistic.FIELD_BLOCK):
+        with mock.patch.object(statistic, "KEEP_BYTES", keep * 8 * cfg.B):
+            run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
+        top = np.flatnonzero(run.field.t == run.field.T)
+        assert run.warnings == ("one-step selection was empty; kept the scales that attain T",)
+        np.testing.assert_array_equal(run.rung("os").ids, top)
+        assert run.rung("sd") is run.rung("os")
+        assert counts == [0, 1] and keep < set_.p
+        for rung in run.ladder:
+            np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
+        draws = run.field.draws
+        np.testing.assert_array_equal(draws.maxima(top), dense[top].max(axis=0))
+        assert draws.rebuilt == (2 if keep == 1 else 1), keep
 
 
 @pytest.mark.parametrize("keep", [1, None])
 def test_fallback_keeps_every_scale_tied_at_T(keep):
     # x on a grid of step 0.25 gives two scales the same t = T; an emptied
-    # one-step set keeps both, also when only one row is kept
+    # one-step set keeps both, also with a budget of one draw row
     x = np.repeat(np.linspace(0.0, 1.0, 5), 3)
     sample = Sample(x=x, y=20.0 * x)
     sig = np.full(x.size, 1e-3)
@@ -445,11 +481,12 @@ def test_fallback_keeps_every_scale_tied_at_T(keep):
 
 @pytest.mark.parametrize("B", [8000, 20000])
 def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
-    # the golden main.csv at seed 5: R = 8 MiB / (8 B) kept rows leave the
-    # one-step set short of rows.  A call reads each block its ids hold whole
-    # from the folded maximum, the rest from the kept rows, and rebuilds every
-    # block with a wanted row that is not kept; nothing carries to the next
-    # call, so the same ids rebuild the same blocks every time
+    # the golden main.csv at seed 5: a budget of R = 8 MiB / (8 B) rows is
+    # short of the 240 scales, so the pass holds no block.  A call reads each
+    # block its ids hold whole from the folded maximum, and rebuilds each
+    # other block it touches that the store does not hold; the store holds a
+    # rebuilt block while it fits in the rows left, and a later call reads
+    # it there.  R = 131 rows hold two full blocks, R = 52 rows none
     cols = load_columns(str(GOLDEN / "main.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
     sigma = estimate_sigma(sample, "rice")
@@ -457,24 +494,21 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     cfg = BootConfig(B=B, seed=5)
     run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
     field, draws = run.field, run.field.draws
-    kept_ids = kept_draws(draws)[0]
     blocks = [rows for rows, *_ in run_blocks(sample, set_, statistic._sort_order(sample))]
-
-    def needed(ids):
-        wanted = np.zeros(set_.p, dtype=bool)
-        wanted[ids] = True
-        return sum(
-            not wanted[rows[field.v_hat[rows] > 0.0]].all()
-            and np.setdiff1d(rows[wanted[rows]], kept_ids).size > 0
-            for rows in blocks
-        )
-
-    assert counts == [needed(rung.ids) for rung in run.ladder]
+    keep = statistic.kept_rows(set_.p, B)
+    assert keep == {8000: 131, 20000: 52}[B] < set_.p
+    calls = [rung.ids for rung in run.ladder]
+    assert counts == _rebuilds_by_the_rule(blocks, field.v_hat, keep, calls)
     dense = run_draws(sample, set_, sigma, cfg)
     for rung in run.ladder:
         np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
     os_ids = run.rung("os").ids
+    again = []
     for _ in range(2):
         before = draws.rebuilt
         np.testing.assert_array_equal(draws.maxima(os_ids), dense[os_ids].max(axis=0))
-        assert draws.rebuilt - before == needed(os_ids) > 0
+        again.append(draws.rebuilt - before)
+    assert counts + again == _rebuilds_by_the_rule(blocks, field.v_hat, keep, calls + [os_ids] * 2)
+    # R = 131 holds two of the three blocks the one-step set rebuilds, so the
+    # step-down set and each repeat rebuild only the third; R = 52 holds none
+    assert (counts, again) == {8000: ([0, 3, 1], [1, 1]), 20000: ([0, 3, 3], [3, 3])}[B]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from monotest import DataError, Sample, run_report, BootConfig, build_basic_set, estimate_sigma
 from monotest import build_custom_set
 from monotest import SIGMA_METHODS
-from monotest import cli, statistic
+from monotest import cli, models, statistic
 from monotest.cli import (
     build_parser,
     load_columns,
@@ -657,7 +657,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     head = f"out of memory: {p} scales x 40 observations need "
     panels = f"0.0 MiB for each {block} x 41 block panel (40 tie runs)"
     draws = (
-        f", 0.0 MiB for {statistic.kept_rows(p, 20)} kept rows of 20 draws,"
+        f", 0.0 MiB for at most {statistic.kept_rows(p, 20)} x 20 held draws,"
         " 0.0 MiB for the 40 x 20 multiplier panel"
     )
     assert main(["test", path, "--h-set", "0.5,0.25", "--boot", "20"]) == 2
@@ -688,7 +688,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     panels = f"0.2 MiB for each {block} x 401 block panel (400 tie runs)"
     pair = ", 1.2 MiB for the 401 x 401 pair matrix of k = 0.5"
     draws = (
-        ", 3.1 MiB for 400 kept rows of 1000 draws, 3.1 MiB for the 1 x 400 x 1000 run sums"
+        ", 3.1 MiB for at most 400 x 1000 held draws, 3.1 MiB for the 1 x 400 x 1000 run sums"
     )
     for argv, want in [
         (["test", path, "--boot", "1000"], panels + draws),
@@ -706,10 +706,11 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
 
 
 def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
-    # a block that the ladder rebuilds after the field's pass (the store keeps
-    # 3 rows of 50 draws) gives the pass's message: the failure is simulated in
-    # every block step after the pass, so nothing large is allocated
-    pair_weights, finish = statistic._pair_weights, statistic.KeptDraws._finish
+    # a block that the ladder rebuilds after the field's pass (a budget of 3
+    # rows of 50 draws holds no block of the pass) gives the pass's message:
+    # the failure is simulated in every block step from the first maxima
+    # call on, so nothing large is allocated
+    pair_weights, maxima = statistic._pair_weights, statistic.KeptDraws.maxima
     rebuilds = []
 
     def out_of_memory_after_the_pass(*args):
@@ -718,20 +719,20 @@ def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
             raise MemoryError()
         return pair_weights(*args)
 
-    def finish_the_pass(draws, active):
-        finish(draws, active)
-        rebuilds.append(0)
+    def maxima_after_the_pass(draws, ids):
+        rebuilds[:] = rebuilds or [0]
+        return maxima(draws, ids)
 
     monkeypatch.setattr(statistic, "KEEP_BYTES", 3 * 8 * 50)
     monkeypatch.setattr(statistic, "_pair_weights", out_of_memory_after_the_pass)
-    monkeypatch.setattr(statistic.KeptDraws, "_finish", finish_the_pass)
+    monkeypatch.setattr(statistic.KeptDraws, "maxima", maxima_after_the_pass)
     path = _data_csv(tmp_path, n=60)
     sample = Sample(*(load_columns(path, ["x", "y"]).values()))
     set_ = build_basic_set(sample.x)
     want = (
         f"out of memory: {set_.p} scales x 60 observations need 0.0 MiB for each"
-        f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for 3 kept rows"
-        " of 50 draws, 0.0 MiB for the 60 x 50 multiplier panel; use fewer scales, rows or draws"
+        f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for at most 3 x 50"
+        " held draws, 0.0 MiB for the 60 x 50 multiplier panel; use fewer scales, rows or draws"
     )
     with pytest.raises(MemoryError) as err:
         run_report(sample, estimate_sigma(sample, "rice"), set_, BootConfig(B=50))
@@ -870,6 +871,8 @@ _FUZZ_X = {
 _FUZZ_BAD = [()] * 12 + [("--boot", "abc"), ("--cv", "PI"), ("--kernel", "gauss"), ("--k", "x")]
 # the degree flags; a run gives those its model or sigma method reads, 0 to past the 40 rows
 _FUZZ_DEGREES = ("--first-stage-degree", "--L", "--pscore-degree", "--sigma-degree")
+# --h-set and --z-bw lists: none, zero, negative, subnormal, huge and repeated widths
+_FUZZ_WIDTHS = (None, "0", "-0.5", "1e-320", "1e308", "0.5,0.5", "0.3,1e-320,0.3")
 
 
 def _finite_floats(value):
@@ -891,10 +894,11 @@ def _finite_floats(value):
     st.sampled_from(["0", "0.5", "1"]), st.sampled_from(sorted(KERNELS)),
     st.sampled_from(["test", "diag"]), st.sampled_from(_FUZZ_BAD), st.integers(0, 2**16),
     st.lists(st.none() | st.integers(0, 45), min_size=4, max_size=4),
+    st.sampled_from(_FUZZ_WIDTHS), st.sampled_from(_FUZZ_WIDTHS),
 )
 def test_every_exit_is_a_finite_report_or_one_error_json(
     tmp_path_factory, capfd, n, x_form, y_scale, z_scale, u_scale, model, sigma, k, kernel,
-    cmd, bad, seed, degrees,
+    cmd, bad, seed, degrees, h_set, z_bw,
 ):
     # whatever the data's magnitudes and the flags, a run exits 0 with a
     # finite report and nothing on stderr, or 2 or 3 with exactly one
@@ -913,6 +917,8 @@ def test_every_exit_is_a_finite_report_or_one_error_json(
     reads = (*MODEL_FLAGS[model], *SIGMA_FLAGS[sigma])
     for flag, value in zip(_FUZZ_DEGREES, degrees):
         argv += [flag, str(value)] if value is not None and flag in reads else []
+    argv += [f"--h-set={h_set}"] if h_set else []
+    argv += [f"--z-bw={z_bw}"] if z_bw and "--z-bw" in reads else []
     capfd.readouterr()
     rc = main(argv)
     out, err = capfd.readouterr()
@@ -921,6 +927,57 @@ def test_every_exit_is_a_finite_report_or_one_error_json(
         assert out == "" and json.loads(err)["schema"] == "monotest/error1", (argv, err)
     else:
         assert err == "" and _finite_floats(list(json.loads(out).values())), (argv, out)
+
+
+def test_subnormal_widths_exit_3_without_a_warning(tmp_path, capfd):
+    # a width of 1e-320 puts u = (x - s.x) / h out at +-inf: the window
+    # bounds and the z-cell factors still place it outside, so every scale is
+    # inactive and the run exits 3, with no overflow warning (warnings are
+    # errors here).  On tied x the field forms every cell's run sums, and so
+    # its z-factors, before the blocks start
+    rng = np.random.default_rng(3)
+    x = np.round(rng.uniform(-2.0, 2.0, 40)) / 2.0
+    cols = zip(x, x + 0.3 * rng.standard_normal(40), rng.uniform(-1.0, 1.0, 40))
+    path = _write_rows(tmp_path / "s.csv", ["x", "y", "z"], cols)
+    zcells = ["--model", "nonparametric-z", "--z-cols", "z"]
+    for cmd in (["test", path, "--boot", "20"], ["diag", path]):
+        for flags in (
+            ["--h-set", "1e-320"], [*zcells, "--z-bw", "1e-320"],
+            [*zcells, "--h-set", "1e-320", "--z-bw", "1e-320"],
+        ):
+            capfd.readouterr()
+            assert main([*cmd, *flags]) == 3, flags
+            out, err = capfd.readouterr()
+            assert out == "" and json.loads(err)["error"] == "DegenerateVarianceError", flags
+
+
+def test_y_flat_after_the_model_exits_3_naming_the_model(tmp_path, capsys):
+    # y exactly linear in what each model removes (a constant for the models
+    # that remove nothing) leaves a tested y that is constant up to rounding:
+    # exit 3, naming the model.  A slope of 1e-9 in x on top runs
+    rng = np.random.default_rng(11)
+    n = 60
+    x, z, u = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+    d = (rng.uniform(size=n) < 0.5 + 0.3 * z).astype(float)
+    xe = x + 0.5 * u
+    z_hat = models.series_fit(u[:, None], xe, 3, ["u[0] block"]).residuals
+    p_hat = np.clip(models._additive_fit(x, z[:, None], d, 3).fitted, 1e-3, 1.0 - 1e-3)
+    flat = {
+        "simple": (x, np.full(n, 3.0)), "nonparametric-z": (x, np.full(n, 3.0)),
+        "partial-linear": (x, 3.0 + 2.0 * z), "additive": (x, 3.0 + 2.0 * z),
+        "endogenous": (xe, 3.0 + 2.0 * z_hat), "selection": (x, 3.0 + 2.0 * p_hat),
+    }
+    assert sorted(flat) == sorted(MODEL_FLAGS)
+    for model, (xm, y) in flat.items():
+        for slope, rc in ((0.0, 3), (1e-9, 0)):
+            cols = zip(xm, y + slope * xm, z, u, d)
+            path = _write_rows(tmp_path / f"{model}.csv", "xyzud", cols)
+            argv = ["test", path, "--model", model, *_FUZZ_MODELS[model], "--boot", "20"]
+            assert main(argv) == rc, (model, slope)
+            err = capsys.readouterr().err
+            if rc:
+                want = f"{model} model: the y it tests is constant up to rounding ("
+                assert json.loads(err)["message"].startswith(want), err
 
 
 def test_parser_rejects_unknown_choice(tmp_path, capsys):

@@ -95,8 +95,8 @@ CASES = {
     # set keeps the scale that attains T and the step-down pass from it keeps
     # it too; a one-point window leaves one of the 120 scales inactive
     "test_fallback": ["test", "steep.csv", "--sigma", "residual", *FAST],
-    # B = 20,000 keeps R = 52 of 240 scales' draws, so the store evicts rows and
-    # the one-step and step-down sets rebuild blocks
+    # B = 20,000 gives a budget of R = 52 draw rows for 240 scales, less than a
+    # full block, so the one-step and step-down sets rebuild blocks
     "test_evict_rebuild": ["test", "main.csv", "--boot", "20000", "--seed", "5"],
 }
 

@@ -8,6 +8,7 @@ from oracles import power_series_fitted
 
 from monotest import (
     DataError,
+    DegenerateVarianceError,
     Sample,
     additive_adjust,
     endogenous_adjust,
@@ -16,6 +17,7 @@ from monotest import (
     selection_adjust,
     series_fit,
 )
+from monotest import models
 
 
 def _additive_fit(x, z, y, L):
@@ -358,3 +360,15 @@ def test_selection_removes_selection_bias():
     want = adj.x - np.mean(adj.x)
     rms = float(np.sqrt(np.mean((got - want) ** 2)))
     assert rms < 0.1
+
+
+def test_flat_y_is_a_spread_within_flat_eps_of_the_y_read():
+    # the bound is FLAT_EPS * eps * max|y read|: a spread at it raises and
+    # names the model, twice it passes, and a spread past the largest
+    # double is inf, with no warning
+    y_read = np.array([-1.0, 4.0])
+    bound = models.FLAT_EPS * np.finfo(float).eps * 4.0
+    with pytest.raises(DegenerateVarianceError, match="^additive model: the y it tests is const"):
+        models._check_not_flat("additive", y_read, np.array([4.0, 4.0 + bound]))
+    models._check_not_flat("additive", y_read, np.array([4.0, 4.0 + 2.0 * bound]))
+    models._check_not_flat("simple", [1.7e308], np.array([-1.7e308, 1.7e308]))

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from oracles import (
     dense_draws,
     dense_w,
+    draw_rows,
     field_blocks,
-    kept_draws,
     naive_w_b,
     run_blocks,
     run_draws,
@@ -285,15 +285,13 @@ def _inactive_rows_are_minus_inf(draws, field):
     return bool(np.all(draws[off] == -np.inf))
 
 
-def _check_kept(field, dense):
-    """The field's kept rows and maxima against the dense draws, bit for bit."""
-    kept = field.draws
-    ids, rows = kept_draws(kept)
-    assert set(ids.tolist()) <= set(field.active_ids.tolist())
-    np.testing.assert_array_equal(rows, dense[ids])
-    np.testing.assert_array_equal(kept.maxima(field.active_ids), dense.max(axis=0))
-    ids = field.active_ids[::2]
-    np.testing.assert_array_equal(kept.maxima(ids), dense[ids].max(axis=0))
+def _check_draws(field, dense):
+    """The field's draw rows and maxima against the dense draws, bit for bit."""
+    draws, ids = field.draws, field.active_ids
+    np.testing.assert_array_equal(draw_rows(draws, ids), dense[ids])
+    np.testing.assert_array_equal(draws.maxima(ids), dense.max(axis=0))
+    ids = ids[::2]
+    np.testing.assert_array_equal(draws.maxima(ids), dense[ids].max(axis=0))
 
 
 def _check_field_against_naive(sample, set_):
@@ -303,7 +301,7 @@ def _check_field_against_naive(sample, set_):
     scales, the dense rows w / sqrt(V), each entry (W_r / sqrt(V)) * zf_i
     (the run sums of zf * e are single products zf_i * 1.0), so they equal
     the engine rows scaled before expansion bit for bit; the other rows are -inf.
-    The field keeps some of those rows, with the same bits.
+    The field's draws read back every one of those rows with the same bits.
     """
     W, b = dense_w(sample, set_)
     for r in range(set_.p):
@@ -325,7 +323,7 @@ def _check_field_against_naive(sample, set_):
     scale[active] = 1.0 / root_v
     np.testing.assert_array_equal(dense[active], dense_w(sample, set_, scale)[0][active])
     assert _inactive_rows_are_minus_inf(dense, field)
-    _check_kept(field, dense)
+    _check_draws(field, dense)
     assert field.A_n == np.max(np.abs(W[active]).max(axis=1) / root_v)
     return W, b
 
@@ -376,7 +374,7 @@ def test_draws_match_naive_rows(config, block, seed):
         got = dense_draws(sample, set_, sig, e)
     assert got.shape == (set_.p, 3)
     assert _inactive_rows_are_minus_inf(got, field)
-    _check_kept(field, got)
+    _check_draws(field, got)
     for r in field.active_ids:
         w = naive_w_b(sample, set_, r)[0]
         a = w / np.sqrt(np.sum(sig * sig * w * w))
@@ -409,7 +407,7 @@ def test_draws_on_spans_mixing_ties_match_naive(config, block, seed):
     active = np.zeros(set_.p, dtype=bool)
     active[field.active_ids] = True
     assert _inactive_rows_are_minus_inf(draws, field)
-    _check_kept(field, draws)
+    _check_draws(field, draws)
     for r in range(set_.p):
         w, b, scale_w, scale_b = naive_w_b(sample, set_, r)
         assert abs(field.b[r] - b) <= 1e-10 * scale_b
@@ -452,12 +450,13 @@ def test_draws_skip_inactive_scales_within_and_across_blocks():
     ids = field.active_ids
     np.testing.assert_allclose(draws[ids], dense[ids] @ e, rtol=1e-13, atol=1e-15)
     assert _inactive_rows_are_minus_inf(draws, field)
-    _check_kept(field, draws)
+    _check_draws(field, draws)
 
 
 def test_whole_blocks_answer_from_their_maxima():
-    # three kept rows of five blocks: the active set less its last scale
-    # holds every block whole but the last, so only that one may be rebuilt
+    # a budget of three rows for five blocks holds no block of the pass: the
+    # active set less its last scale holds every block whole but the last,
+    # so only that one may be rebuilt
     rng = np.random.default_rng(14)
     x = rng.uniform(-1.0, 1.0, 100)
     sample = Sample(x=x, y=x + 0.3 * rng.standard_normal(100))
@@ -466,9 +465,9 @@ def test_whole_blocks_answer_from_their_maxima():
     e = rng.standard_normal((100, 40))
     with mock.patch.object(statistic, "KEEP_BYTES", 3 * 8 * 40):
         field = evaluate_field(sample, set_, sig, e)
+        assert statistic.kept_rows(set_.p, 40) == 3 and set_.p > 4 * statistic.FIELD_BLOCK
     dense = dense_draws(sample, set_, sig, e)
     draws = field.draws
-    assert kept_draws(draws)[0].size == 3 and set_.p > 4 * statistic.FIELD_BLOCK
     # no scale with 0 < V <= tau, which would keep its block from being whole
     np.testing.assert_array_equal(np.flatnonzero(field.v_hat > 0.0), field.active_ids)
     ids = field.active_ids
@@ -502,7 +501,7 @@ def test_field_block_size_changes_no_bits(n, digits, k, zcell, seed):
         with mock.patch.object(statistic, "FIELD_BLOCK", block):
             f = evaluate_field(sample, set_, sig, e)
             draws = dense_draws(sample, set_, sig, e)
-            _check_kept(f, draws)
+            _check_draws(f, draws)
             dense = dense_draws(sample, set_, sig, np.eye(n))
             fields.append((dense_w(sample, set_), dense, f, draws))
     arrays, dense, f, draws = fields[-1]
@@ -571,12 +570,12 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     # b's (y - y_lo) * w panel comes after g is dropped), and no panel
     # outlives its block.  Beside them there are
     # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
-    # masks) and a few n-vectors.  A test run adds the kept draws, one row of
-    # B for each of at most kept_rows(p, B) scales, one B-vector of maxima
+    # masks) and a few n-vectors.  A test run adds the held draws, at most
+    # kept_rows(p, B) rows of B in whole blocks, one B-vector of maxima
     # per block, and a single n x B multiplier panel: the bootstrap hands the
     # sigma-scaled panel over as a temporary, and the field drops it once it
     # holds the sorted copy.  Two panels meet only before the blocks start,
-    # so the run stays well under the kept rows plus one and a half panels.
+    # so the run stays well under the held rows plus one and a half panels.
     # B is large enough that p rows of draws would be several times that.
     rng = np.random.default_rng(71)
     n, B = 2000, 500
@@ -594,12 +593,12 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    (_, panel), (_, kept), (_, multipliers) = statistic.field_allocations(sample, set_, B)
+    (_, panel), (_, held), (_, multipliers) = statistic.field_allocations(sample, set_, B)
     field_bound = 4 * panel + 24 * set_.p * 8 + 16 * n * 8
     assert panel == statistic.FIELD_BLOCK * (n + 1) * 8
     assert peaks["field"] < field_bound, (peaks, field_bound)
     blocks = -(-set_.p // statistic.FIELD_BLOCK)
-    boot_bound = kept + 1.5 * multipliers + blocks * B * 8
+    boot_bound = held + 1.5 * multipliers + blocks * B * 8
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
@@ -675,18 +674,18 @@ def _draw_memory(sample, set_, sig, B):
 def _held_draws_bound(sample, set_, B, cells):
     """What draws add on tied x or z-cells: the held run sums and no n x B term.
 
-    Beside every cell's run sums E (c x runs x B) and the kept rows, the
+    Beside every cell's run sums E (c x runs x B) and the held draws, the
     field holds one block's draws (FIELD_BLOCK x B) and one B-vector of
     maxima per block (each cell may end in a partial block).  While it
     forms E it gathers FIELD_BLOCK columns of e at a time and multiplies
     them by a z-factor: two (n x FIELD_BLOCK) temporaries.
     """
-    (_, panel), (_, kept), (name, run_sums) = statistic.field_allocations(sample, set_, B)
+    (_, panel), (_, held), (name, run_sums) = statistic.field_allocations(sample, set_, B)
     runs, block = np.unique(sample.x).size, statistic.FIELD_BLOCK
     assert name == f"the {cells} x {runs} x {B} run sums"
     assert run_sums == cells * runs * B * 8 and cells * runs <= sample.n
     blocks = -(-set_.p // block) + cells
-    return run_sums + kept + (block + blocks) * B * 8 + 2 * sample.n * block * 8
+    return run_sums + held + (block + blocks) * B * 8 + 2 * sample.n * block * 8
 
 
 def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
@@ -726,8 +725,8 @@ def test_peak_memory_of_a_tied_x_field_holds_its_run_sums():
 def test_peak_memory_of_a_z_cell_field_on_few_ties_holds_e_itself():
     # x on a 1,000-point grid (846 runs here) and three z-cells: c * runs > n,
     # so the field forms one cell's run sums at a time from e's rows in
-    # sorted order and holds e itself.  Beside one cell's E and the kept
-    # rows the draws add what _held_draws_bound counts, and no n x B term:
+    # sorted order and holds e itself.  Beside one cell's E and the held
+    # draws the draws add what _held_draws_bound counts, and no n x B term:
     # a sorted copy of e (7.6 MiB) brings 19.8 MiB against the 14.2 MiB bound.
     rng = np.random.default_rng(79)
     n, B = 2000, 500
@@ -735,12 +734,12 @@ def test_peak_memory_of_a_z_cell_field_on_few_ties_holds_e_itself():
     sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
     set_ = build_z_local_set(build_basic_set(x), [(1 / 6,), (0.5,), (5 / 6,)], [1 / 3])
     peaks = _draw_memory(sample, set_, rng.uniform(0.5, 2.0, n), B)
-    _, (_, kept), (name, one_cell), _ = statistic.field_allocations(sample, set_, B)
+    _, (_, held), (name, one_cell), _ = statistic.field_allocations(sample, set_, B)
     runs, block = np.unique(x).size, statistic.FIELD_BLOCK
     assert name == f"the {runs} x {B} run sums of one cell" and 3 * runs > n
     blocks = -(-set_.p // block) + 3
-    draws_bound = one_cell + kept + (block + blocks) * B * 8 + 2 * n * block * 8
-    assert draws_bound < one_cell + kept + n * B * 8
+    draws_bound = one_cell + held + (block + blocks) * B * 8 + 2 * n * block * 8
+    assert draws_bound < one_cell + held + n * B * 8
     assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
 
 
@@ -775,8 +774,8 @@ def _held_choice_config(draw):
 def test_held_run_sums_and_sorted_panel_give_the_same_bits(config, block, seed):
     # c * m <= n holds every cell's run sums, c * m > n the sorted panel and
     # one cell's at a time; either way b, V, t and every rung's maxima have
-    # the bits of the draw-free field and of the dense draws.  Two kept rows
-    # make the ladder rebuild blocks, which alternate between cells
+    # the bits of the draw-free field and of the dense draws.  A budget of two
+    # rows makes the ladder rebuild blocks, which alternate between cells
     sample, set_, held = config
     rng = np.random.default_rng(seed)
     sig = rng.uniform(0.5, 2.0, sample.n)
@@ -920,8 +919,8 @@ def test_apply_reproduces_t():
     set_ = build_custom_set([0.3, 0.5, 0.7], [0.4, 0.2])
     field = evaluate_field(Sample(x=x, y=y), set_, np.ones(40), y)
     # the rows are w / sqrt(v): their draws for e = y recover the t values
-    ids, rows = kept_draws(field.draws)
-    np.testing.assert_array_equal(np.sort(ids), field.active_ids)
+    ids = field.active_ids
+    rows = draw_rows(field.draws, ids)
     np.testing.assert_allclose(rows[:, 0], field.t[ids], rtol=0, atol=1e-10)
 
 
