@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scales import ScaleSet
-from .statistic import KeptDraws, Sample, StudentizedField, _sigma_values, evaluate_field
+from .statistic import (
+    CHUNK_ROWS,
+    KeptDraws,
+    Sample,
+    StudentizedField,
+    _sigma_values,
+    evaluate_field,
+)
 from .sigma import SigmaEstimate
 
 __all__ = [
@@ -167,14 +174,20 @@ def p_value(T: float, boot_maxima) -> float:
     return float((1 + np.count_nonzero(m >= T)) / (m.size + 1))
 
 
-def _multipliers(seed: int, sig: np.ndarray, B: int) -> np.ndarray:
-    """The n x B panel sigma_i * eps[i, b], eps from the seed's Philox stream, scaled in place.
+def _multipliers(seed: int, sig: np.ndarray, B: int):
+    """The panel sigma_i * eps[i, b], eps from the seed's Philox stream, in chunks of rows.
 
-    Passed as a temporary, so evaluate_field holds its only reference.
+    Yields ``CHUNK_ROWS`` x B chunks (the last may be shorter), each drawn
+    and scaled in place as it is asked for.  Successive row chunks of a
+    Philox stream are the bits of one (n, B) call, so the chunks in order
+    are that panel, and no n x B array is ever made here.
     """
-    eps = np.random.Generator(np.random.Philox(key=seed)).standard_normal((sig.size, B))
-    eps *= sig[:, None]
-    return eps
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    for i in range(0, sig.size, CHUNK_ROWS):
+        scale = sig[i : i + CHUNK_ROWS, None]
+        eps = gen.standard_normal((scale.size, B))
+        eps *= scale
+        yield eps
 
 
 def _rung(ids: np.ndarray, draws: KeptDraws, cfg: BootConfig) -> Rung:

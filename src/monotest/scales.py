@@ -37,13 +37,15 @@ __all__ = [
 ]
 
 
-def epanechnikov(t):
+def epanechnikov(t, out=None):
     """Epanechnikov weight 0.75 * (1 - t**2) on (-1, 1), zero outside.
 
-    Accepts scalars or arrays; scalars come back as plain floats.
+    Accepts scalars or arrays; scalars come back as plain floats.  An array
+    ``out`` of t's shape receives the weights, and may be t itself; else t
+    is never written.
     """
     arr = np.asarray(t, dtype=float)
-    out = np.square(np.atleast_1d(arr))  # a fresh array: t itself is never written
+    out = np.square(np.atleast_1d(arr), out=out)
     np.subtract(1.0, out, out=out)
     out *= 0.75
     # 1 - t*t > 0 exactly when |t| < 1; fmax also maps NaN to 0
@@ -51,11 +53,14 @@ def epanechnikov(t):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def uniform(t):
-    """Uniform weight: 1 on (-1, 1), zero outside."""
+def uniform(t, out=None):
+    """Uniform weight: 1 on (-1, 1), zero outside; ``out`` as for ``epanechnikov``."""
     arr = np.asarray(t, dtype=float)
-    out = (np.abs(arr) < 1.0).astype(float)
-    return float(out) if out.ndim == 0 else out
+    if out is None:
+        out = (np.abs(arr) < 1.0).astype(float)
+        return float(out) if out.ndim == 0 else out
+    np.abs(arr, out=out)
+    return np.less(out, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,8 @@ class Kernel:
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_radius: float = 1.0
 
-    def __call__(self, t):
-        return self.evaluator(t)
+    def __call__(self, t, out=None):
+        return self.evaluator(t) if out is None else self.evaluator(t, out=out)
 
 
 EPANECHNIKOV = Kernel("epanechnikov", epanechnikov)

@@ -31,30 +31,35 @@ observation and there are no z-cells, the runs are the observations and
 the step skips the run sums.
 
 Memory: with m runs (m <= n), a block's panels are (FIELD_BLOCK x span)
-with span <= m + 1, and the engine keeps a handful of them only while it
-works on that block, and a general k its (span x span) pair matrix.  V sums
-each window on its own, so no window weights outlive their block.
-Given bootstrap multipliers e (n x B), the engine forms each block's draws
-as one matrix product of its panel with E, the m x B run sums of zf * e
-for the block's cell (the sorted e itself when the runs are the
-observations and there are no z-cells) and folds them into the block's
-per-draw maximum.  It holds them too when all p rows fit in the budget of
-R = min(p, KEEP_BYTES // (8 * B)) rows, and else drops them.  With c cells
-and c * m <= n, the field forms every cell's E before the blocks start,
-FIELD_BLOCK columns of e at a time, and holds those c * m * B numbers in
-place of e, so a temporary e is freed before the blocks start; otherwise
-it holds e itself, not a sorted copy, and forms one cell's E at a time
-from e's rows in sorted order.  A selection reads a block's maximum if it
-holds the whole block, and else the block's held draws, or rebuilds the
-block with the same block step from what the field holds, and holds it
-while the budget has room.  ``field_allocations`` lists the largest of
-these arrays with their sizes, and a field that cannot allocate one, in
-its own pass or in a block it rebuilds later, raises a MemoryError that
-names them all.
+with span <= m + 1.  Every block writes them into the same four
+workspaces, sized for the field's largest block, and a general k adds its
+(span x span) pair matrix.  V sums each window on its own, so no window
+weights outlive their block.  Given bootstrap multipliers e, n rows in
+observation order as one array or as a stream of row chunks, the engine
+forms each block's draws, into one (FIELD_BLOCK x B) buffer, as one matrix
+product of its panel with E, the m x B run sums of zf * e for the block's
+cell (the sorted e itself when the runs are the observations and there
+are no z-cells), and folds them into the block's per-draw maximum.  It
+holds them too when all p rows fit in the budget of
+R = min(p, KEEP_BYTES // (8 * B)) rows, and else drops them.  The field
+reads e's chunks once, before the blocks start, into what it holds: the
+sorted e, each chunk written to its sorted rows; or, with c cells and
+c * m <= n, every cell's E, each chunk added in; otherwise e itself, not
+a sorted copy, from which it forms one cell's E at a time.  So a stream
+never makes an n x B array beside what the field holds.  A selection
+reads a block's maximum if it holds the whole block, and else the
+block's held draws, or rebuilds the block with the same block step from
+what the field holds, and holds it while the budget has room.
+``field_allocations`` lists the largest of these arrays with their
+sizes, and a field that cannot allocate one, in its own pass or in a
+block it rebuilds later, raises a MemoryError that names them all.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -82,6 +87,12 @@ VAR_FLOOR = 1e-300
 # which saves work where windows are short next to it (small bandwidths,
 # z-cells); each block costs fixed Python overhead.
 FIELD_BLOCK = 64
+
+# The field reads the bootstrap multipliers CHUNK_ROWS observations at a
+# time: the bootstrap draws them in chunks of that many rows, and the run
+# sums add any chunk in slices of that many, so neither makes a temporary
+# that grows with n.  At B = 500 a chunk is 250 KiB.
+CHUNK_ROWS = 64
 
 # A field with B bootstrap draws holds the draws of at most
 # R = KEEP_BYTES // (8 * B) scales, in whole blocks: every block of its pass
@@ -137,7 +148,7 @@ class StudentizedField:
     ``T`` is the maximum of t over ``active_ids``.  ``A_n`` is the largest
     influence max |w_i(s)| / sqrt(v_hat(s)).
 
-    ``draws`` is None unless ``evaluate_field`` was given an array e with n
+    ``draws`` is None unless ``evaluate_field`` was given multipliers e, n
     rows in observation order.  Then it is a ``KeptDraws``: the per-draw
     maxima of sum_i a_i(s) * e_i, a_i(s) = w_i(s) / sqrt(v_hat(s)), over
     any set of active scales, read from each block's folded maximum, from
@@ -185,14 +196,19 @@ def _window_bounds(xs, sx, sh, support):
     return pos[0], pos[1]
 
 
-def _running_sums(panel: np.ndarray) -> np.ndarray:
-    """Running sums along each row of a panel, after a leading zero column.
+def _panel(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols entries of a flat workspace, as a C-ordered (rows x cols) panel."""
+    return work[: rows * cols].reshape(rows, cols)
+
+
+def _running_sums(panel: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Running sums along each row of a panel, after a leading zero column, in a workspace.
 
     The panel is zero before each row's window, and an accumulate adds
     strictly left to right, so within the window these equal
     ``np.concatenate(([0.0], np.cumsum(window)))`` bit for bit.
     """
-    out = np.empty((panel.shape[0], panel.shape[1] + 1))
+    out = _panel(work, panel.shape[0], panel.shape[1] + 1)
     out[:, 0] = 0.0
     np.cumsum(panel, axis=1, out=out[:, 1:])
     return out
@@ -213,35 +229,39 @@ def _window_sums(panel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.add.reduceat(panel.reshape(-1), ends)[::2]
 
 
-def _pair_weights(kx, m, xr, lo, hi, k):
+def _pair_weights(kx, m, xr, lo, hi, k, work):
     """W of one block: kx_r times its window's sum of sign(x_j - x_r) * |x_j - x_r|**k * m_j.
 
     kx is the kernel panel and m the mass panel, kx times the runs' summed
     z-cell factor, over runs lo.min():hi.max().  k = 0 and 1 take running
     sums along the rows; any other k forms the span's pair matrix once, and
-    each window reads its own square of it, so its sum is its own.
+    each window reads its own square of it, so its sum is its own.  ``work``
+    is three flat workspaces: m's (free when m is kx) and two free ones; W
+    is formed in the last.
     """
     rows, width = m.shape
     a = int(lo.min())
     xw = xr[a : a + width]
+    w = _panel(work[2], rows, width)
     if k == 0.0:
         # the mass after each run - the mass before it
-        cs = _running_sums(m)
-        w = cs[np.arange(rows), hi - a][:, None] - cs[:, 1:]
+        cs = _running_sums(m, work[1])
+        np.subtract(cs[np.arange(rows), hi - a][:, None], cs[:, 1:], out=w)
         w -= cs[:, :-1]
     elif k == 1.0:
-        xc = xw - xr[lo][:, None]  # window-relative: no cancellation far from 0
-        cg = _running_sums(m)
-        cxg = _running_sums(m * xc)
+        xc = np.subtract(xw, xr[lo][:, None], out=w)  # window-relative: no cancellation far from 0
         ends = (np.arange(rows), hi - a)
-        w = cxg[ends][:, None] - xc * cg[ends][:, None]
+        cg = _running_sums(m, work[1])[ends]
+        cxg = _running_sums(np.multiply(m, xc, out=_panel(work[0], rows, width)), work[1])[ends]
+        xc *= cg[:, None]
+        np.subtract(cxg[:, None], xc, out=w)
     else:
         pair = xw - xw[:, None]
         np.abs(pair, out=pair)
         pair **= k
         # the runs are sorted and distinct, so sign(x_j - x_i) is sign(j - i)
         np.negative(pair, out=pair, where=np.tri(width, k=-1, dtype=bool))
-        w = np.zeros_like(m)
+        w.fill(0.0)
         for r, (l, h) in enumerate(zip((lo - a).tolist(), (hi - a).tolist())):
             w[r, l:h] = pair[l:h, l:h] @ m[r, l:h]
     w *= kx
@@ -268,7 +288,45 @@ def _cells(set_: ScaleSet):
     return rep, cell_of.reshape(-1)
 
 
-def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray, e=None):
+def _add_run_sums(E, runs, zf, chunk, work) -> None:
+    """Add a chunk of observations' zf * e into their runs' sums E, in observation order.
+
+    E is (cells x m x B), ``runs`` the run of each of the chunk's rows and
+    ``zf`` their (cells x rows) z-cell factors, or None for 1.  Each rank
+    adds the k-th row of every run in the chunk with one fancy ``+=``, for
+    all cells at once; a run is in a rank at most once, so no sum loses an
+    addend.  So each run's sum is ((-0.0 + a_1) + a_2) + ... over its rows
+    in observation order, the same bits whatever the chunks.  That is not
+    ``np.add.reduceat``'s sum, which adds a run's rows after its first
+    pairwise, and no streamed sum can give it for a run of three or more.
+    ``work`` is three flat buffers, of rows x B and twice cells x rows x B
+    entries, so the sums allocate nothing per chunk.
+    """
+    cells, B = E.shape[0], E.shape[2]
+    # every index is in range; take's default mode would copy through a buffer of out's size
+    take = functools.partial(np.take, mode="clip")
+    o = np.argsort(runs, kind="stable")
+    start = np.flatnonzero(np.diff(runs[o], prepend=-1))
+    count = np.diff(np.append(start, runs.size))
+    for k in range(int(count.max(initial=0))):
+        at = o[start[count > k] + k]
+        r, size = runs[at], cells * at.size * B
+        a = take(chunk, at, axis=0, out=_panel(work[0], at.size, B))
+        if zf is not None:
+            a = np.multiply(zf[:, at, None], a, out=work[1][:size].reshape(cells, at.size, B))
+        s = take(E, r, axis=1, out=work[2][:size].reshape(cells, at.size, B))
+        s += a
+        E[:, r] = s
+
+
+def _sum_work(cells: int, m: int, B: int) -> list:
+    """The buffers of ``_add_run_sums`` for chunks of at most CHUNK_ROWS rows over m runs."""
+    rows = min(CHUNK_ROWS, m)
+    return [np.empty(rows * B), np.empty(cells * rows * B), np.empty(cells * rows * B)]
+
+
+def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray,
+                  e=None, B=None):
     """The blocks of live scales, every scale's window of runs, and the block step.
 
     The columns are the tie runs of x in sorted order ``order``: run r is
@@ -288,22 +346,27 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     shift of y moves no bit of b.  V sums W * W * S2 over each window, for
     S2 the run sums of zf * zf * sig2 and the sorted variances ``sig2``,
     and max|w| is max |W| * max zf, taken before any scaling.  Given the
-    multipliers ``e`` (n x B, in observation order), the step scales W in
-    place to W / sqrt(V), 0 where V = 0, and its draws are one product of
-    that panel with the span's rows of E, the run sums of zf * e of the
-    block's cell; else the draws are None.  A block stepped again has
-    the same bits.  A b or V that overflows to inf or NaN raises DataError,
-    with no warning.
+    multipliers ``e``, (start, chunk) pairs of B columns that fill n rows in
+    observation order, the step scales W in place to W / sqrt(V), 0 where
+    V = 0, and its draws are one product of that panel with the span's rows
+    of E, the run sums of zf * e of the block's cell (``_add_run_sums``);
+    else the draws are None.  A block stepped again has the same bits.  A b
+    or V that overflows to inf or NaN raises DataError, with no warning.
 
-    With c cells of m runs, c * m <= n, the engine forms every cell's E
-    before it returns and keeps no reference to e; otherwise it keeps e
-    itself and forms one cell's E at a time, from e's rows in sorted order,
-    when the cell changes.  When every run is one observation and the set
-    has no z-cells, the runs are the sorted observations, E is the sorted e
-    itself, and the step skips Z, YZ and max zf.  Everything runs once per
+    The step writes its panels into four flat workspaces of the largest
+    block's rows x (span + 1), and its draws into one (rows x B) buffer,
+    which the engine holds as long as the step: W and the draws are views
+    that the next step overwrites.  The engine reads e's chunks once, before
+    it returns, and keeps none.  When every run is one observation and the
+    set has no z-cells, the runs are the sorted observations: it writes each
+    chunk to its sorted rows, E is that sorted e, and the step skips Z, YZ
+    and max zf.  Else, with c cells of m runs and c * m <= n, it adds each
+    chunk into every cell's E; otherwise it holds e itself and forms one
+    cell's E at a time when the cell changes.  Everything runs once per
     block but the window products of a general k, one per scale from the
     block's one pair matrix.
     """
+    n = sample.n
     xs = sample.x[order]
     ys = sample.y[order]
     first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
@@ -323,26 +386,38 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         ids = ids[np.argsort(cell_of[ids], kind="stable")]
         groups = np.split(ids, np.flatnonzero(np.diff(cell_of[ids])) + 1)
     blocks = [g[s : s + FIELD_BLOCK] for g in groups for s in range(0, g.size, FIELD_BLOCK)]
-    runs_are_obs = zs is None and first.size == xs.size
+    runs_are_obs = zs is None and first.size == n
+    # each observation's run, in observation order
+    run_of = np.empty(n, dtype=np.intp)
+    run_of[order] = np.repeat(np.arange(first.size), np.diff(np.append(first, n)))
 
-    def z_factor(c):
-        return np.ones(xs.size) if zs is None else _z_factor(set_, zs, rep[c])
-
-    def run_sums(cells):
-        # each cell's E from e's rows in sorted order, FIELD_BLOCK columns at a
-        # time: no n x B temporary
-        Es = [np.empty((first.size, e.shape[1])) for _ in cells]
-        for c0 in range(0, e.shape[1], FIELD_BLOCK):
-            part = slice(c0, c0 + FIELD_BLOCK)
-            chunk = e[order, part]
-            for c, E in zip(cells, Es):
-                E[:, part] = np.add.reduceat(z_factor(c)[:, None] * chunk, first, axis=0)
-        return Es
-
-    held = None
-    if e is not None and (runs_are_obs or rep.size * first.size <= xs.size):
-        held = [e[order]] if runs_are_obs else run_sums(range(rep.size))
-        e = None  # the draws read what is held, so a temporary e can go
+    held = None  # (cells x m x B): every cell's E, or the sorted e as one cell's
+    if e is not None:
+        if runs_are_obs:
+            held = np.empty((1, n, B))
+            where = np.empty(n, dtype=np.intp)
+            where[order] = np.arange(n)
+            for i, chunk in e:
+                held[0, where[i : i + chunk.shape[0]]] = chunk
+        elif rep.size * first.size <= n:
+            held = np.full((rep.size, first.size, B), -0.0)
+            zf = None if zs is None else np.array([_z_factor(set_, sample.z, c) for c in rep])
+            buffers = _sum_work(rep.size, first.size, B)
+            for i, chunk in e:
+                for j in range(0, chunk.shape[0], CHUNK_ROWS):
+                    part = chunk[j : j + CHUNK_ROWS]
+                    r = slice(i + j, i + j + part.shape[0])
+                    _add_run_sums(held, run_of[r], None if zf is None else zf[:, r], part, buffers)
+            del buffers
+        else:
+            e_obs = None
+            for i, chunk in e:
+                if chunk.shape[0] == n:
+                    e_obs = chunk  # an array of n rows is held itself, not copied
+                    continue
+                if e_obs is None:
+                    e_obs = np.empty((n, B))
+                e_obs[i : i + chunk.shape[0]] = chunk
     current = {}
 
     def cell(c):
@@ -354,28 +429,40 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         if runs_are_obs:
             sums = (None, None, sig2, None)
         else:
-            zf = z_factor(c)
-            dy = ys - np.repeat(yf, np.diff(np.append(first, xs.size)))
+            zf = np.ones(n) if zs is None else _z_factor(set_, zs, rep[c])
+            dy = ys - np.repeat(yf, np.diff(np.append(first, n)))
             Z, YZ, S2 = (np.add.reduceat(v, first) for v in (zf, zf * dy, zf * zf * sig2))
             sums = (Z, YZ, S2, np.maximum.reduceat(zf, first))
-            if e is not None:
-                E = run_sums([c])[0]
+            if B is not None and held is None:
+                E = np.full((1, first.size, B), -0.0)
+                zc = _z_factor(set_, sample.z, rep[c])[None]
+                buffers = _sum_work(1, first.size, B)
+                for i in range(0, n, CHUNK_ROWS):
+                    r = slice(i, i + CHUNK_ROWS)
+                    _add_run_sums(E, run_of[r], zc[:, r], e_obs[r], buffers)
+                E = E[0]
         current.update(c=c, sums=sums, E=E)
         return sums, E
 
+    spans = [rows.size * (int(hi[rows].max() - lo[rows].min()) + 1) for rows in blocks]
+    work = [np.empty(max(spans, default=0)) for _ in range(4)]
+    block_draws = None if B is None else np.empty((max(map(len, blocks), default=0), B))
+
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name
     def step(rows):
-        # a function, so that none of its panels outlives the block
         wlo, whi = lo[rows], hi[rows]
         a = int(wlo.min())
         span = slice(a, int(whi.max()))
+        width = span.stop - a
         (Z, YZ, S2, ZM), E = cell(cell_of[rows[0]])
         # the kernel is zero where |u| >= support, which is outside the window
-        kx = np.asarray(set_.kernel((xr[span] - sx[rows, None]) / sh[rows, None]), dtype=float)
-        m = kx if Z is None else kx * Z[span]
-        w = _pair_weights(kx, m, xr, wlo, whi, k)
-        del kx, m  # before one more panel: b's terms, then |w|, then W * W * S2
-        panel = np.subtract(yf[span], yf[wlo][:, None])
+        kx = np.subtract(xr[span], sx[rows, None], out=_panel(work[0], rows.size, width))
+        kx /= sh[rows, None]
+        set_.kernel(kx, out=kx)
+        m = kx if Z is None else np.multiply(kx, Z[span], out=_panel(work[1], rows.size, width))
+        w = _pair_weights(kx, m, xr, wlo, whi, k, work[1:])
+        # kx and m are spent: b's terms, then |w|, then W * W * S2 take kx's workspace
+        panel = np.subtract(yf[span], yf[wlo][:, None], out=kx)
         if Z is not None:
             panel *= Z[span]
             panel += YZ[span]
@@ -388,13 +475,12 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         np.multiply(w, w, out=panel)
         panel *= S2[span]
         v = _window_sums(panel, wlo - a, whi - a)
-        del panel  # before the draws
         if not (np.isfinite(b).all() and np.isfinite(v).all()):
             raise DataError("the field overflows: b or V is not finite; rescale x or y")
         if E is None:
             return w, b, v, absmax, None
         w *= np.divide(1.0, np.sqrt(v), out=np.zeros(v.size), where=v > 0.0)[:, None]
-        return w, b, v, absmax, w @ E[span]
+        return w, b, v, absmax, np.matmul(w, E[span], out=block_draws[: rows.size])
 
     return blocks, lo, hi, step
 
@@ -415,12 +501,14 @@ def kept_rows(p: int, B: int) -> int:
 def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> list[tuple]:
     """The largest arrays a field allocates, as (name, bytes) pairs; with B draws, theirs too.
 
-    They are a block's panels over the m tie runs of x, a handful at once,
-    a general k's pair matrix, and with draws the budget of held draws and
-    what the draws read: the sorted n x B multiplier panel when the runs are
-    the observations and there are no z-cells; else, with c cells and
-    c * m <= n, every cell's m x B run sums of the multipliers; else the
-    multiplier panel itself, not a sorted copy, and one cell's run sums.
+    They are a block's panels over the m tie runs of x, four workspaces of
+    at most that size, a general k's pair matrix, and with draws the budget
+    of held draws and what the draws read: the sorted n x B multiplier
+    panel when the runs are the observations and there are no z-cells;
+    else, with c cells and c * m <= n, every cell's m x B run sums of the
+    multipliers; else the multiplier panel itself, not a sorted copy, and
+    one cell's run sums.  The multipliers are read a chunk of rows at a
+    time, so no other n x B array is made.
     """
     n, m = sample.n, _distinct(sample.x).size
     panel = f"each {FIELD_BLOCK} x {m + 1} block panel ({m} tie runs)"
@@ -432,7 +520,7 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
         out.append((f"at most {rows} x {B} held draws", rows * B * 8))
         c = 1 if set_.z_loc is None else _cells(set_)[0].size
         if m == n and set_.z_loc is None:
-            out.append((f"the {n} x {B} multiplier panel", n * B * 8))
+            out.append((f"the {n} x {B} sorted multiplier panel", n * B * 8))
         elif c * m <= n:
             out.append((f"the {c} x {m} x {B} run sums", c * m * B * 8))
         else:
@@ -449,6 +537,11 @@ def _out_of_memory(sample: Sample, set_: ScaleSet, B: int | None) -> MemoryError
         f"out of memory: {set_.p} scales x {sample.n} observations need {need};"
         " use fewer scales, rows or draws"
     )
+
+
+def _masked_max(d: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The columns' maxima over the rows of d where ``rows`` is True, without copying them."""
+    return d.max(axis=0, where=rows[:, None], initial=-np.inf)
 
 
 class KeptDraws:
@@ -505,7 +598,7 @@ class KeptDraws:
         """Per-draw maxima of the draws over the given active scale ids."""
         ids = np.asarray(ids, dtype=np.intp)
         count = np.bincount(self._block_of[ids], minlength=self._folded.size)
-        out = self._block_max[count == self._folded].max(axis=0, initial=-np.inf)
+        out = _masked_max(self._block_max, count == self._folded)
         want = np.zeros(self._block_of.size, dtype=bool)
         want[ids] = True
         for j in np.flatnonzero((count > 0) & (count != self._folded)):
@@ -514,8 +607,34 @@ class KeptDraws:
                 self.rebuilt += 1
                 d = self._draw_block(j)
                 self._hold(j, d)
-            np.maximum(out, d[want[self._blocks[j]]].max(axis=0), out=out)
+            np.maximum(out, _masked_max(d, want[self._blocks[j]]), out=out)
         return out
+
+
+def _row_chunks(e, n: int):
+    """e's rows in observation order as (start, chunk) pairs of 2-D chunks.
+
+    An iterator is a stream of chunks; anything else is an array of n rows,
+    one chunk (a 1-D e is one draw).  The chunks must fill n rows, all with
+    the first chunk's columns, or DataError is raised as they are read.
+    """
+    if not isinstance(e, Iterator):
+        e = np.asarray(e, dtype=float)
+        if e.ndim == 0 or e.shape[0] != n:
+            raise DataError(f"e must have one row per observation ({n})")
+        e = iter([e.reshape(n, -1)])
+    start, B = 0, None
+    for chunk in e:
+        chunk = np.asarray(chunk, dtype=float)
+        if chunk.ndim != 2 or B not in (None, chunk.shape[1]):
+            raise DataError(f"each chunk of e must be 2-D with {B} columns, got shape {chunk.shape}")
+        B = chunk.shape[1]
+        start += chunk.shape[0]
+        if start > n:
+            break
+        yield start - chunk.shape[0], chunk
+    if start != n:
+        raise DataError(f"the chunks of e must give one row per observation ({n})")
 
 
 def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> StudentizedField:
@@ -532,20 +651,23 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     sigma : SigmaEstimate or array_like
         Per-observation standard deviations (entries may be negative for
         residual-based estimates; only their squares enter V).
-    e : array_like, optional
-        n rows in observation order, one column per draw.  If given, the
-        field's ``draws`` is a ``KeptDraws`` of
-        sum_i w_i(s) / sqrt(V(s)) * e_i, formed block by block from the
-        engine's panels.  The field holds the run sums of e of every cell
-        when they are no larger than e, and drops its own reference to e,
-        so a temporary e is freed before the blocks start; else it holds e
-        itself, not a sorted copy.
+    e : array_like or iterator of array_like, optional
+        n rows in observation order, one column per draw: an array, or an
+        iterator of 2-D row chunks in order that together give the n rows
+        (the bootstrap's stream).  If given, the field's ``draws`` is a
+        ``KeptDraws`` of sum_i w_i(s) / sqrt(V(s)) * e_i, formed block by
+        block from the engine's panels.  The field reads the chunks once
+        into what it holds: the sorted e without ties or z-cells, else the
+        run sums of e of every cell when they are no larger than e, else e
+        itself, not a sorted copy.  An array and any chunking of its rows
+        give the same bits.
 
     Raises
     ------
     DataError
         If z-cells do not match the sample's z columns, sigma or e has the
-        wrong length, or b or V overflows.
+        wrong length, e's chunks do not give n rows of one width, or b or V
+        overflows.
     DegenerateVarianceError
         If every scale is inactive, which signals a data/bandwidth mismatch.
     MemoryError
@@ -567,13 +689,12 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
     B = draws = None
     try:
         if e is not None:
-            e = np.asarray(e, dtype=float)
-            if e.ndim == 0 or e.shape[0] != sample.n:
-                raise DataError(f"e must have one row per observation ({sample.n})")
-            e = e.reshape(sample.n, -1)
-            B = e.shape[1]
-        blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], e)
-        # unless the engine holds e itself, a temporary e goes here
+            e = _row_chunks(e, sample.n)
+            head = next(e)
+            B = head[1].shape[1]
+            e = itertools.chain([head], e)
+            del head  # so that the engine holds no chunk once it has read it
+        blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], e, B)
         del e
         if B is not None:
             def rebuild(j):  # the loop's step again, so its draws have the same bits

@@ -147,12 +147,14 @@ def _z_factor(sample, set_, order, r):
 def run_blocks(sample, set_, order):
     """The engine's (rows, lo, hi, W, b) per block, in its block order, on run columns.
 
-    The block step runs without multipliers, so W is the raw panel; lo and
-    hi bound each window in runs.
+    The block step runs without multipliers, so W is the raw panel, copied
+    out of the workspace that the next step overwrites; lo and hi bound
+    each window in runs.
     """
     blocks, lo, hi, step = statistic._field_engine(sample, set_, order, np.ones(sample.n))
     for rows in blocks:
-        yield (rows, lo[rows], hi[rows], *step(rows)[:2])
+        W, b = step(rows)[:2]
+        yield rows, lo[rows], hi[rows], W.copy(), b
 
 
 def field_blocks(sample, set_, order, scale=None):
@@ -194,13 +196,27 @@ def dense_w(sample, set_, scale=None):
     return W, b
 
 
+def run_sums(values, start):
+    """Each run's sum of the rows of values, added one row at a time from -0.0 in sorted order.
+
+    The engine's run sums of zf * e, by rank in the run rather than by
+    chunk: rank j adds the j-th row of every run that has one.
+    """
+    E = np.full((start.size - 1, values.shape[1]), -0.0)
+    length = np.diff(start)
+    for j in range(length.max()):
+        has = length > j
+        E[has] += values[start[:-1][has] + j]
+    return E
+
+
 def dense_draws(sample, set_, sigma, e):
     """Every scale's draws for the columns of e, in a dense p x B matrix.
 
     Each block of the engine gives the rows of its scales as one product of
     its run panel, scaled to W / sqrt(V), with the block's span of the run
-    sums E_r = sum over run r of zf_i * e_i (the sorted e itself when every
-    run is one observation and there are no z-cells): the shape the engine
+    sums E_r of zf_i * e_i (``run_sums``; the sorted e itself when every run
+    is one observation and there are no z-cells): the shape the engine
     uses, so the rows have its bits.  The rows of inactive scales are -inf,
     so they attain no maximum.
     """
@@ -212,9 +228,10 @@ def dense_draws(sample, set_, sigma, e):
     for rows, lo, hi, W, _ in run_blocks(sample, set_, order):
         zf = _z_factor(sample, set_, order, rows[0])
         E = es
-        if zf is not None or start.size <= sample.n:
-            zf = np.ones(sample.n) if zf is None else zf
-            E = np.add.reduceat(zf[:, None] * es, start[:-1], axis=0)
+        if zf is not None:
+            E = run_sums(zf[:, None] * es, start)
+        elif start.size <= sample.n:
+            E = run_sums(es, start)
         v = field.v_hat[rows]
         f = np.zeros(rows.size)
         f[v > 0.0] = 1.0 / np.sqrt(v[v > 0.0])

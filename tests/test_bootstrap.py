@@ -10,6 +10,7 @@ from monotest import (
     BootConfig,
     DegenerateVarianceError,
     Sample,
+    bootstrap,
     bootstrap_run,
     build_basic_set,
     build_custom_set,
@@ -25,6 +26,21 @@ from monotest.scales import build_z_local_set
 from oracles import draw_rows, naive_ladder, run_blocks, run_draws
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "n, B",
+    [(2 * statistic.CHUNK_ROWS + 7, 5), (statistic.CHUNK_ROWS - 3, 4), (3 * statistic.CHUNK_ROWS, 1)],
+)
+def test_multiplier_chunks_are_the_bits_of_one_panel(n, B):
+    # n not a multiple of the chunk rows, n below them, and one draw
+    rng = np.random.default_rng(n)
+    sig = rng.uniform(-2.0, 2.0, n)
+    chunks = list(bootstrap._multipliers(2**40 + n, sig, B))
+    assert all(c.shape == (statistic.CHUNK_ROWS, B) for c in chunks[:-1])
+    assert 0 < chunks[-1].shape[0] <= statistic.CHUNK_ROWS
+    panel = np.random.Generator(np.random.Philox(key=2**40 + n)).standard_normal((n, B))
+    assert np.concatenate(chunks).tobytes() == (panel * sig[:, None]).tobytes()
 
 
 def test_quantile_upper_order_statistics():

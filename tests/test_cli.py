@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from monotest import DataError, Sample, run_report, BootConfig, build_basic_set, estimate_sigma
@@ -658,7 +658,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     panels = f"0.0 MiB for each {block} x 41 block panel (40 tie runs)"
     draws = (
         f", 0.0 MiB for at most {statistic.kept_rows(p, 20)} x 20 held draws,"
-        " 0.0 MiB for the 40 x 20 multiplier panel"
+        " 0.0 MiB for the 40 x 20 sorted multiplier panel"
     )
     assert main(["test", path, "--h-set", "0.5,0.25", "--boot", "20"]) == 2
     obj = _stderr_error(capsys)
@@ -676,12 +676,12 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     obj = _stderr_error(capsys)
     assert obj["error"] == "MemoryError"
     assert obj["message"].startswith("out of memory: ") and obj["message"].endswith(hint)
-    assert "the 30 x 20 multiplier panel" in obj["message"]
+    assert "the 30 x 20 sorted multiplier panel" in obj["message"]
     # the panels span tie runs: 4,000 rows on 400 distinct x state m = 400, not n,
     # and the draws name the m x B run sums the field holds in place of the
-    # n x B multipliers.  A z-cell set without ties holds the sorted multipliers
-    # and one cell's run sums.  A k other than 0 and 1 adds one (m + 1) x (m + 1)
-    # pair matrix per block
+    # n x B multipliers.  A z-cell set without ties holds the multipliers
+    # themselves, not sorted, and one cell's run sums.  A k other than 0 and
+    # 1 adds one (m + 1) x (m + 1) pair matrix per block
     x = np.repeat(np.linspace(0.0, 4.0, 400), 10)
     path = _write_rows(tmp_path / "tied.csv", ["x", "y", "z"], zip(x, np.sin(x), np.cos(x)))
     head = "out of memory: 400 scales x 4000 observations need "
@@ -732,7 +732,8 @@ def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
     want = (
         f"out of memory: {set_.p} scales x 60 observations need 0.0 MiB for each"
         f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for at most 3 x 50"
-        " held draws, 0.0 MiB for the 60 x 50 multiplier panel; use fewer scales, rows or draws"
+        " held draws, 0.0 MiB for the 60 x 50 sorted multiplier panel; use fewer scales, rows or"
+        " draws"
     )
     with pytest.raises(MemoryError) as err:
         run_report(sample, estimate_sigma(sample, "rice"), set_, BootConfig(B=50))
@@ -884,7 +885,7 @@ def _finite_floats(value):
 # no shrink phase: a failure reports its first example, which is small
 # already, where shrinking it took Hypothesis's five-minute limit
 @settings(
-    max_examples=150, deadline=None, derandomize=True, phases=[Phase.generate],
+    max_examples=150, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate],
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
@@ -895,6 +896,24 @@ def _finite_floats(value):
     st.sampled_from(["test", "diag"]), st.sampled_from(_FUZZ_BAD), st.integers(0, 2**16),
     st.lists(st.none() | st.integers(0, 45), min_size=4, max_size=4),
     st.sampled_from(_FUZZ_WIDTHS), st.sampled_from(_FUZZ_WIDTHS),
+)
+# a subnormal --h-set that reaches the field, and its multipliers, on each
+# held form: sorted e (uniform x), the run sums (grid x) and z-cells on grid
+# x; each exits 3 with a DegenerateVarianceError
+@example(
+    n=40, x_form="uniform", y_scale=1.0, z_scale=1.0, u_scale=1.0, model="simple",
+    sigma="rice", k="0", kernel="epanechnikov", cmd="test", bad=(), seed=0,
+    degrees=[None] * 4, h_set="1e-320", z_bw=None,
+)
+@example(
+    n=40, x_form="grid", y_scale=1.0, z_scale=1.0, u_scale=1.0, model="simple",
+    sigma="rice", k="0", kernel="epanechnikov", cmd="test", bad=(), seed=0,
+    degrees=[None] * 4, h_set="1e-320", z_bw=None,
+)
+@example(
+    n=40, x_form="grid", y_scale=1.0, z_scale=1.0, u_scale=1.0, model="nonparametric-z",
+    sigma="rice", k="0", kernel="epanechnikov", cmd="test", bad=(), seed=0,
+    degrees=[None] * 4, h_set="1e-320", z_bw=None,
 )
 def test_every_exit_is_a_finite_report_or_one_error_json(
     tmp_path_factory, capfd, n, x_form, y_scale, z_scale, u_scale, model, sigma, k, kernel,

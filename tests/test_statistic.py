@@ -229,8 +229,9 @@ def test_weight_panels_stay_c_ordered_on_ties():
     for k in (0.0, 0.5, 1.0):
         set_ = build_basic_set(x, k=k)
         for s in (set_, build_z_local_set(set_, z_locs=[(0.5,)], z_bws=[0.4])):
-            for rows, lo, hi, w, b in run_blocks(sample, s, order):
-                assert w.flags.c_contiguous, (k, rows[0])
+            blocks, _, _, step = statistic._field_engine(sample, s, order, np.ones(x.size))
+            for rows in blocks:
+                assert step(rows)[0].flags.c_contiguous, (k, rows[0])
 
 
 @st.composite
@@ -564,19 +565,18 @@ def test_pair_weights_keep_the_bits_of_each_window_alone(n, digits, k, zcell, bl
 
 
 def test_peak_memory_is_four_block_panels_plus_the_draws():
-    # On this tie-free k = 0 set the engine holds at most four (block x span)
-    # panels of at most FIELD_BLOCK * (n + 1) * 8 bytes at once: the kernel
-    # panel g, its running sums and w (evaluating the kernel takes fewer, and
-    # b's (y - y_lo) * w panel comes after g is dropped), and no panel
-    # outlives its block.  Beside them there are
-    # about twenty p-vectors (scale arrays, window bounds, b, V, max|w|, t and
-    # masks) and a few n-vectors.  A test run adds the held draws, at most
-    # kept_rows(p, B) rows of B in whole blocks, one B-vector of maxima
-    # per block, and a single n x B multiplier panel: the bootstrap hands the
-    # sigma-scaled panel over as a temporary, and the field drops it once it
-    # holds the sorted copy.  Two panels meet only before the blocks start,
-    # so the run stays well under the held rows plus one and a half panels.
-    # B is large enough that p rows of draws would be several times that.
+    # On this tie-free k = 0 set the engine holds four (block x span)
+    # workspaces of at most FIELD_BLOCK * (n + 1) * 8 bytes, which every
+    # block's panels reuse: the kernel panel g, its running sums and w (b's
+    # (y - y_lo) * w panel takes g's once g is spent).  Beside them there
+    # are about twenty p-vectors (scale arrays, window bounds, b, V, max|w|,
+    # t and masks) and a few n-vectors.  A test run adds the held draws, at
+    # most kept_rows(p, B) rows of B in whole blocks, one B-vector of maxima
+    # per block, the block of each scale, a few n-vectors, and a single
+    # n x B multiplier panel, the sorted one: the bootstrap hands the
+    # multipliers over in chunks, so beside it there is one chunk or the
+    # block's draws, never a second panel.  B is large enough that p rows
+    # of draws would be several times that.
     rng = np.random.default_rng(71)
     n, B = 2000, 500
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
@@ -598,10 +598,35 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     assert panel == statistic.FIELD_BLOCK * (n + 1) * 8
     assert peaks["field"] < field_bound, (peaks, field_bound)
     blocks = -(-set_.p // statistic.FIELD_BLOCK)
-    boot_bound = held + 1.5 * multipliers + blocks * B * 8
+    chunk = max(statistic.CHUNK_ROWS, statistic.FIELD_BLOCK) * B * 8
+    assert multipliers == n * B * 8
+    boot_bound = held + multipliers + chunk + blocks * B * 8 + set_.p * 8 + 4 * n * 8
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
+
+
+def test_peak_memory_of_a_large_tie_free_test_holds_one_multiplier_panel():
+    # n = 20,000 without ties: the field holds the sorted n x B multipliers
+    # (32 MB), written chunk by chunk, and never a second n x B array; the
+    # narrow windows keep the four workspaces small.  A bootstrap that
+    # made the n x B panel before the field sorted it would hold 2 n B 8.
+    rng = np.random.default_rng(83)
+    n, B = 20_000, 200
+    sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
+    set_ = build_custom_set(np.linspace(-0.05, 0.05, 40), [0.01, 0.02])
+    order = statistic._sort_order(sample)
+    panel = max(W.shape[0] * (W.shape[1] + 1) for *_, W, _ in run_blocks(sample, set_, order)) * 8
+    held = statistic.kept_rows(set_.p, B) * B * 8
+    tracemalloc.start()
+    try:
+        run_report(sample, np.ones(n), set_, BootConfig(B=B))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * n * B * 8 + held + 4 * panel
+    assert 2 * n * B * 8 > bound
+    assert peak < bound, (peak, bound)
 
 
 def test_peak_memory_of_a_general_k_field_adds_one_pair_matrix():
@@ -676,16 +701,16 @@ def _held_draws_bound(sample, set_, B, cells):
 
     Beside every cell's run sums E (c x runs x B) and the held draws, the
     field holds one block's draws (FIELD_BLOCK x B) and one B-vector of
-    maxima per block (each cell may end in a partial block).  While it
-    forms E it gathers FIELD_BLOCK columns of e at a time and multiplies
-    them by a z-factor: two (n x FIELD_BLOCK) temporaries.
+    maxima per block (each cell may end in a partial block), the block of
+    each scale and a few n-vectors.  It adds e into E a chunk of rows at a
+    time, so no temporary of that grows with n.
     """
     (_, panel), (_, held), (name, run_sums) = statistic.field_allocations(sample, set_, B)
     runs, block = np.unique(sample.x).size, statistic.FIELD_BLOCK
     assert name == f"the {cells} x {runs} x {B} run sums"
     assert run_sums == cells * runs * B * 8 and cells * runs <= sample.n
     blocks = -(-set_.p // block) + cells
-    return run_sums + held + (block + blocks) * B * 8 + 2 * sample.n * block * 8
+    return run_sums + held + (block + blocks) * B * 8 + set_.p * 8 + 4 * sample.n * 8
 
 
 def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
@@ -796,6 +821,66 @@ def test_held_run_sums_and_sorted_panel_give_the_same_bits(config, block, seed):
         assert getattr(run.field, name).tobytes() == getattr(plain, name).tobytes(), name
     for rung in run.ladder:
         assert rung.maxima.tobytes() == dense[rung.ids].max(axis=0).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _field_config(),
+    st.sampled_from([2, 64]),
+    st.booleans(),
+    st.lists(st.integers(0, 30), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_stream_of_row_chunks_gives_the_bits_of_one_array(config, block, singles, cuts, seed):
+    # e as one array and as uneven chunks of rows (empty, 1-row, or all
+    # 1-row) give the same b, V, t, draw rows and maxima on every held form:
+    # the sorted e, every cell's run sums (c * m <= n) and e itself; a
+    # budget of two rows makes the maxima rebuild blocks
+    sample, set_ = config
+    n = sample.n
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.5, 2.0, n)
+    e = rng.normal(size=(n, 3))
+    ends = range(n + 1) if singles else sorted({0, n, *(c for c in cuts if c <= n)})
+    chunks = [e[a:b] for a, b in zip(ends, ends[1:])]
+    fields = []
+    with mock.patch.object(statistic, "FIELD_BLOCK", block), \
+            mock.patch.object(statistic, "KEEP_BYTES", 2 * 8 * 3):
+        for given_e in (e, iter(chunks)):
+            try:
+                fields.append(evaluate_field(sample, set_, sig, given_e))
+            except DegenerateVarianceError:
+                fields.append(None)
+        one, streamed = fields
+        if one is None:
+            assert streamed is None
+            return
+        for name in ("b", "v_hat", "t", "active_ids"):
+            assert getattr(one, name).tobytes() == getattr(streamed, name).tobytes(), name
+        ids = one.active_ids
+        assert draw_rows(one.draws, ids).tobytes() == draw_rows(streamed.draws, ids).tobytes()
+        for some in (ids, ids[::2], ids[1:]):
+            assert one.draws.maxima(some).tobytes() == streamed.draws.maxima(some).tobytes()
+
+
+def test_a_stream_that_does_not_fill_n_rows_of_one_width_raises():
+    rng = np.random.default_rng(17)
+    sample = Sample(x=rng.uniform(-1, 1, 30), y=rng.normal(size=30))
+    set_ = build_basic_set(sample.x)
+    e = rng.normal(size=(30, 4))
+    for chunks in (
+        [],
+        [e[:10], e[10:29]],
+        [e, e[:1]],
+        [e[:10], e[10:], np.zeros((1, 4))],
+        [e[:10], e[10:, :3]],
+        [e[:10], e[10:, 0]],
+        [e[:0, :2], e],
+    ):
+        with pytest.raises(DataError):
+            evaluate_field(sample, set_, np.ones(30), iter(chunks))
+    field = evaluate_field(sample, set_, np.ones(30), iter([e[:0], e[:7], e[7:], e[30:]]))
+    assert field.draws.maxima(field.active_ids).shape == (4,)
 
 
 _BLAS_PROBE = """
