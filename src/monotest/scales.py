@@ -65,14 +65,19 @@ def uniform(t, out=None):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Compactly supported weight function, zero outside (-support_radius, support_radius)."""
+    """Compactly supported weight function, zero outside (-support_radius, support_radius).
+
+    ``evaluator(t, out=None)`` gives the weights at t; an array ``out`` of
+    t's shape, t itself allowed, receives them, so the field engine
+    evaluates the kernel in place.
+    """
 
     name: str
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[..., np.ndarray]
     support_radius: float = 1.0
 
     def __call__(self, t, out=None):
-        return self.evaluator(t) if out is None else self.evaluator(t, out=out)
+        return self.evaluator(t, out=out)
 
 
 EPANECHNIKOV = Kernel("epanechnikov", epanechnikov)

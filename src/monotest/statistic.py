@@ -57,7 +57,6 @@ block it rebuilds later, raises a MemoryError that names them all.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -303,18 +302,18 @@ def _add_run_sums(E, runs, zf, chunk, work) -> None:
     entries, so the sums allocate nothing per chunk.
     """
     cells, B = E.shape[0], E.shape[2]
-    # every index is in range; take's default mode would copy through a buffer of out's size
-    take = functools.partial(np.take, mode="clip")
     o = np.argsort(runs, kind="stable")
     start = np.flatnonzero(np.diff(runs[o], prepend=-1))
     count = np.diff(np.append(start, runs.size))
     for k in range(int(count.max(initial=0))):
         at = o[start[count > k] + k]
         r, size = runs[at], cells * at.size * B
-        a = take(chunk, at, axis=0, out=_panel(work[0], at.size, B))
+        # every index is in range: "clip" only spares the copy through a
+        # buffer of out's size that take's default mode makes
+        a = np.take(chunk, at, axis=0, mode="clip", out=_panel(work[0], at.size, B))
         if zf is not None:
             a = np.multiply(zf[:, at, None], a, out=work[1][:size].reshape(cells, at.size, B))
-        s = take(E, r, axis=1, out=work[2][:size].reshape(cells, at.size, B))
+        s = np.take(E, r, axis=1, mode="clip", out=work[2][:size].reshape(cells, at.size, B))
         s += a
         E[:, r] = s
 
