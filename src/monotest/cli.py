@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("--reps", type=int, default=1000)
     p_mc.add_argument(
-        "--threads", type=int, default=1, help="worker processes, at most --reps and the CPU count"
+        "--threads", type=int, default=1,
+        help="worker processes, at most --reps and the CPUs this process may run on",
     )
     p_mc.add_argument("--format", default="csv", choices=("csv", "text"))
     p_mc.add_argument("--out", default="", help="output path (default: stdout)")

@@ -142,6 +142,13 @@ def _mc_rep(args):
     return (True, *(report.T > c for c in report.critical_values))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, under any cpuset or affinity mask; cpu_count counts all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_pool(workers: int):
     """A process pool whose workers run BLAS on one thread each.
 
@@ -186,8 +193,9 @@ def run_mc(
 
     A repeated design, sigma method or cv method counts once, in the order
     first seen.  Replications are independent tasks; with parallelism > 1
-    they are run in one process pool of at most min(parallelism, reps, CPU
-    count) workers, and per-replication seeding makes the proportions
+    they are run in one process pool of at most min(parallelism, reps,
+    usable CPUs) workers, the usable CPUs being this process's affinity set
+    where the OS keeps one; per-replication seeding makes the proportions
     identical to a serial run.  The workers run BLAS on one thread each,
     and this process on its default; a rejection decided within rounding
     of its critical value could therefore differ from a serial run.  A
@@ -209,7 +217,7 @@ def run_mc(
         list(dict.fromkeys(v)) for v in (designs, sigma_methods, cv_methods)
     )
     # a worker beyond the replications or the cores would only wait
-    workers = min(parallelism, reps, os.cpu_count() or 1)
+    workers = min(parallelism, reps, _usable_cpus())
     for cv in cv_methods:
         if cv not in CV_METHODS:
             raise ValueError(f"unknown critical-value method {cv!r}")

@@ -20,27 +20,31 @@ union of its windows.  A cell is one (z_loc, z_bw) row of a z-local set;
 a set without z-cells has one cell whose z-factor zf is 1.  Observation i
 of run r has w_i = W_r * zf_i, so each cell needs only the run sums of zf,
 zf * (y - y_first) and zf^2 * sigma^2 and the run maxima of zf, and a
-block never mixes cells.  The kernel is zero outside each window, so
-running sums along the rows give W in O(span) per scale for k in {0, 1};
-any other k forms one pair matrix per block, read by each window.  The
-weights of a window sum to zero, so b(s) = sum_i (Y_i - Y_lo(s)) w_i(s)
-for the sorted Y_lo(s) at the window's first point.  The engine sums b
-that way and V over each window's own runs, so both depend on the window
-alone, and a constant Y gives b = +0 exactly.  When every run is one
-observation and there are no z-cells, the runs are the observations and
-the step skips the run sums.
+block never mixes cells.  Nor does it mix bandwidths, unless one has fewer
+than FIELD_BLOCK live scales in the cell: then it shares a block with the
+next, so a set of few locations keeps its block count.  The kernel is zero
+outside each window, so running sums along the rows give W in O(span) per
+scale for k in {0, 1}; any other k forms one pair matrix per block, read
+by each window.  The weights of a window sum to zero, so
+b(s) = sum_i (Y_i - Y_lo(s)) w_i(s) for the sorted Y_lo(s) at the
+window's first point.  The engine sums b that way and V over each
+window's own runs, so both depend on the window alone, and a constant Y
+gives b = +0 exactly.  When every run is one observation and there are
+no z-cells, the runs are the observations and the step skips the run
+sums.
 
 Memory: with m runs (m <= n), a block's panels are (FIELD_BLOCK x span)
-with span <= m + 1.  Every block writes them into the same four
-workspaces, sized for the field's largest block, and a general k adds its
-(span x span) pair matrix.  V sums each window on its own, so no window
-weights outlive their block.  Given bootstrap multipliers e, n rows in
-observation order as one array or as a stream of row chunks, the engine
-forms each block's draws, into one (FIELD_BLOCK x B) buffer, as one matrix
-product of its panel with E, the m x B run sums of zf * e for the block's
-cell (the sorted e itself when the runs are the observations and there
-are no z-cells), and folds them into the block's per-draw maximum.  It
-holds them too when all p rows fit in the budget of
+with span <= m + 1.  Every block of the field's pass writes them into the
+same four workspaces, sized for the pass's largest block, and a general k
+adds its (span x span) pair matrix; the workspaces go when the pass ends.
+V sums each window on its own, so no window weights outlive their block.
+Given bootstrap multipliers e, n rows in observation order as one array
+or as a stream of row chunks, the engine forms each block's draws, into
+one (FIELD_BLOCK x B) buffer of the pass, as one matrix product of its
+panel with E, the m x B run sums of zf * e for the block's cell (the
+sorted e itself when the runs are the observations and there are no
+z-cells), and folds them into the block's per-draw maximum.  It holds
+them too when all p rows fit in the budget of
 R = min(p, KEEP_BYTES // (8 * B)) rows, and else drops them.  The field
 reads e's chunks once, before the blocks start, into what it holds: the
 sorted e, each chunk written to its sorted rows; or, with c cells and
@@ -48,11 +52,12 @@ c * m <= n, every cell's E, each chunk added in; otherwise e itself, not
 a sorted copy, from which it forms one cell's E at a time.  So a stream
 never makes an n x B array beside what the field holds.  A selection
 reads a block's maximum if it holds the whole block, and else the
-block's held draws, or rebuilds the block with the same block step from
-what the field holds, and holds it while the budget has room.
-``field_allocations`` lists the largest of these arrays with their
-sizes, and a field that cannot allocate one, in its own pass or in a
-block it rebuilds later, raises a MemoryError that names them all.
+block's held draws if they hold every row it reads there, or rebuilds the
+block with the same block step from what the field holds, in workspaces
+sized to that block, and holds the block's rows it reads while the budget
+has room.  ``field_allocations`` lists the largest of these arrays with
+their sizes, and a field that cannot allocate one, in its own pass or in
+a block it rebuilds later, raises a MemoryError that names them all.
 """
 
 from __future__ import annotations
@@ -94,14 +99,15 @@ FIELD_BLOCK = 64
 CHUNK_ROWS = 64
 
 # A field with B bootstrap draws holds the draws of at most
-# R = KEEP_BYTES // (8 * B) scales, in whole blocks: every block of its pass
-# when all p rows fit, else each block that a selection rebuilds while room
-# is left, so a later selection reads it again.  8 MiB is 2,097 rows at
-# B = 500: every row of an n = 200 set (p = 800), which rebuilds no block.
-# On the benchmark's seed-0 inputs (n = 2000), the partial-linear set's
-# ladder runs 10,000 -> 2,184 -> 2,121 -> 2,116 scales and rebuilds 11, 1
-# and 0 blocks; the z-cell set with ties runs 3,015 -> 1,385 -> 1,375 and
-# rebuilds 17 and 0.  Both hold every block they rebuild (768 and 1,088 rows).
+# R = KEEP_BYTES // (8 * B) scales: every row of its pass when all p rows
+# fit, else the rows a selection reads of each block it rebuilds, while
+# room is left, so a later selection, a subset of this one, reads them
+# again.  8 MiB is 2,097 rows at B = 500: every row of an n = 200 set
+# (p = 800), which rebuilds no block.  On the benchmark's seed-0 inputs
+# (n = 2000), the partial-linear set's ladder runs 10,000 -> 2,184 -> 2,121
+# -> 2,116 scales and rebuilds 8, 1 and 0 of its 160 blocks; the z-cell set
+# with ties runs 3,015 -> 1,385 -> 1,375 and rebuilds 21 and 0 of its 60.
+# Both hold the rows they read of every block they rebuild (246 and 545).
 KEEP_BYTES = 8 << 20
 
 
@@ -332,17 +338,19 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     sorted[first[r] : first[r + 1]].  A scale is live when its window,
     runs lo:hi, holds at least two runs; the others have w = 0 and b = 0
     and are in no block.  ``blocks`` lists the scale ids of each block, at
-    most FIELD_BLOCK live scales of one cell, in id order within the cell.
+    most FIELD_BLOCK live scales of one cell, in id order within the cell;
+    the ids of a bandwidth with FIELD_BLOCK live scales or more in the cell
+    end a block, so only a bandwidth with fewer shares one with the next.
 
-    ``step(rows)`` gives a block's (W, b, V, max|w|, draws).  ``W`` is the
-    (rows x span) panel over runs lo.min():hi.max(), zero outside each
-    window; observation i of run r has w_i = W_r * zf_i, for zf_i its
-    z-cell factor (1 without z-cells).  ``b`` is each scale's test function,
-    the sum over its window of (YZ + Z * (y_first - y_lo)) * W, with Z, YZ
-    the run sums of zf and zf * (y - y_first), y_first the run's first
-    sorted y and y_lo that of the window's first run; its first cell is
-    (+0) * (W >= 0), so constant y gives b = +0, and on lattice y a dyadic
-    shift of y moves no bit of b.  V sums W * W * S2 over each window, for
+    ``step(rows, work=None)`` gives a block's (W, b, V, max|w|, draws).
+    ``W`` is the (rows x span) panel over runs lo.min():hi.max(), zero
+    outside each window; observation i of run r has w_i = W_r * zf_i, for
+    zf_i its z-cell factor (1 without z-cells).  ``b`` is each scale's test
+    function, the sum over its window of (YZ + Z * (y_first - y_lo)) * W,
+    with Z, YZ the run sums of zf and zf * (y - y_first), y_first the run's
+    first sorted y and y_lo that of the window's first run; its first cell
+    is (+0) * (W >= 0), so constant y gives b = +0, and on lattice y a
+    dyadic shift of y moves no bit of b.  V sums W * W * S2 over each window, for
     S2 the run sums of zf * zf * sig2 and the sorted variances ``sig2``,
     and max|w| is max |W| * max zf, taken before any scaling.  Given the
     multipliers ``e``, (start, chunk) pairs of B columns that fill n rows in
@@ -352,16 +360,17 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     else the draws are None.  A block stepped again has the same bits.  A b
     or V that overflows to inf or NaN raises DataError, with no warning.
 
-    The step writes its panels into four flat workspaces of the largest
-    block's rows x (span + 1), and its draws into one (rows x B) buffer,
-    which the engine holds as long as the step: W and the draws are views
-    that the next step overwrites.  The engine reads e's chunks once, before
-    it returns, and keeps none.  When every run is one observation and the
-    set has no z-cells, the runs are the sorted observations: it writes each
-    chunk to its sorted rows, E is that sorted e, and the step skips Z, YZ
-    and max zf.  Else, with c cells of m runs and c * m <= n, it adds each
-    chunk into every cell's E; otherwise it holds e itself and forms one
-    cell's E at a time when the cell changes.  Everything runs once per
+    The step writes its panels into four flat workspaces and its draws
+    into one (rows x B) buffer: ``work``, the ``_workspaces`` of a group of
+    blocks that the caller holds across their steps, so W and the draws are
+    views that the next step overwrites; or, without it, workspaces sized
+    to this block, which go with the views it returns.  The engine reads
+    e's chunks once, before it returns, and keeps none.  When every run is
+    one observation and the set has no z-cells, the runs are the sorted
+    observations: it writes each chunk to its sorted rows, E is that sorted
+    e, and the step skips Z, YZ and max zf.  Else, with c cells of m runs
+    and c * m <= n, it adds each chunk into every cell's E; otherwise it
+    holds e itself and forms one cell's E at a time when the cell changes.  Everything runs once per
     block but the window products of a general k, one per scale from the
     block's one pair matrix.
     """
@@ -384,7 +393,13 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         rep, cell_of = _cells(set_)
         ids = ids[np.argsort(cell_of[ids], kind="stable")]
         groups = np.split(ids, np.flatnonzero(np.diff(cell_of[ids])) + 1)
-    blocks = [g[s : s + FIELD_BLOCK] for g in groups for s in range(0, g.size, FIELD_BLOCK)]
+    blocks = []
+    for g in groups:
+        # a bandwidth of FIELD_BLOCK live scales or more ends its cell's block,
+        # so only a smaller one shares a block with the next bandwidth
+        edges = np.flatnonzero(sh[g][1:] != sh[g][:-1]) + 1
+        for part in np.split(g, edges[np.diff(edges, prepend=0) >= FIELD_BLOCK]):
+            blocks += [part[s : s + FIELD_BLOCK] for s in range(0, part.size, FIELD_BLOCK)]
     runs_are_obs = zs is None and first.size == n
     # each observation's run, in observation order
     run_of = np.empty(n, dtype=np.intp)
@@ -443,12 +458,9 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         current.update(c=c, sums=sums, E=E)
         return sums, E
 
-    spans = [rows.size * (int(hi[rows].max() - lo[rows].min()) + 1) for rows in blocks]
-    work = [np.empty(max(spans, default=0)) for _ in range(4)]
-    block_draws = None if B is None else np.empty((max(map(len, blocks), default=0), B))
-
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name
-    def step(rows):
+    def step(rows, work=None):
+        work, block_draws = work or _workspaces([rows], lo, hi, B)
         wlo, whi = lo[rows], hi[rows]
         a = int(wlo.min())
         span = slice(a, int(whi.max()))
@@ -482,6 +494,13 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         return w, b, v, absmax, np.matmul(w, E[span], out=block_draws[: rows.size])
 
     return blocks, lo, hi, step
+
+
+def _workspaces(blocks, lo, hi, B):
+    """Four flat panel workspaces and a draws buffer that fit each of the blocks' steps."""
+    size = max((rows.size * int(hi[rows].max() - lo[rows].min() + 1) for rows in blocks), default=0)
+    draws = None if B is None else np.empty((max(map(len, blocks), default=0), B))
+    return [np.empty(size) for _ in range(4)], draws
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -556,10 +575,13 @@ class KeptDraws:
     block with a row of 0 < V <= tau folded that row in, but no set of
     active ids holds it, so the rule never reads that maximum.
 
-    The store holds the draws of whole blocks in one buffer of
-    ``kept_rows(p, B)`` rows: every block of the field's pass when all p
-    rows fit, else each block that a call rebuilds while room is left, so a
-    later call reads it again.  ``rebuilt`` counts the blocks built again.
+    The store holds draws in one buffer of ``kept_rows(p, B)`` rows: every
+    row of the field's pass when all p rows fit, else the rows in a call's
+    ids of each block the call rebuilds, while room is left.  A later call
+    reads a held block from the buffer when it holds every row the call
+    reads there, and else rebuilds it, as a call on another set would.  The
+    ladder's sets are nested upper sets of t, so its later rungs read no
+    row an earlier rung did not.  ``rebuilt`` counts the blocks built again.
     """
 
     def __init__(self, p: int, B: int, blocks: list, draw_block):
@@ -568,21 +590,22 @@ class KeptDraws:
         self._block_of = np.full(p, -1, dtype=np.intp)
         for j, rows in enumerate(blocks):
             self._block_of[rows] = j
-        # the budget: one buffer that the held blocks fill in turn from its first row
+        # the budget: one buffer that the held rows fill in turn from its first row
         self._rows = np.empty((kept_rows(p, B), B))
         self._free = 0
         self._hold_pass = self._rows.shape[0] == p
-        self._held = {}  # block -> its rows of the buffer, one per scale of the block
+        self._held = {}  # block -> (which of its rows are held, their rows of the buffer)
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
         self.rebuilt = 0
 
-    def _hold(self, j: int, d) -> None:
-        """Copy block j's draws d into the buffer if they fit in the rows left."""
-        end = self._free + d.shape[0]
+    def _hold(self, j: int, d, rows) -> None:
+        """Copy block j's draws d at ``rows``, a mask of its rows, into the buffer if they fit."""
+        end = self._free + np.count_nonzero(rows)
         if end <= self._rows.shape[0]:
-            self._held[j] = self._rows[self._free : end]
-            self._held[j][:] = d
+            # every index is in range: "clip" spares take's copy through a buffer
+            out = self._rows[self._free : end]
+            self._held[j] = rows, np.take(d, np.flatnonzero(rows), axis=0, mode="clip", out=out)
             self._free = end
 
     def _add(self, j: int, v_rows, d) -> None:
@@ -591,7 +614,7 @@ class KeptDraws:
         self._folded[j] = np.count_nonzero(live)
         self._block_max[j] = (d if live.all() else d[live]).max(axis=0, initial=-np.inf)
         if self._hold_pass:
-            self._hold(j, d)
+            self._hold(j, d, np.ones(d.shape[0], dtype=bool))
 
     def maxima(self, ids) -> np.ndarray:
         """Per-draw maxima of the draws over the given active scale ids."""
@@ -601,12 +624,15 @@ class KeptDraws:
         want = np.zeros(self._block_of.size, dtype=bool)
         want[ids] = True
         for j in np.flatnonzero((count > 0) & (count != self._folded)):
-            d = self._held.get(j)
-            if d is None:
+            rows = want[self._blocks[j]]
+            held, d = self._held.get(j, (None, None))
+            if held is not None and not (rows & ~held).any():
+                rows = rows[held]
+            else:
                 self.rebuilt += 1
                 d = self._draw_block(j)
-                self._hold(j, d)
-            np.maximum(out, _masked_max(d, want[self._blocks[j]]), out=out)
+                self._hold(j, d, rows)
+            np.maximum(out, _masked_max(d, rows), out=out)
         return out
 
 
@@ -693,7 +719,7 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             B = head[1].shape[1]
             e = itertools.chain([head], e)
             del head  # so that the engine holds no chunk once it has read it
-        blocks, _, _, step = _field_engine(sample, set_, order, (sig * sig)[order], e, B)
+        blocks, lo, hi, step = _field_engine(sample, set_, order, (sig * sig)[order], e, B)
         del e
         if B is not None:
             def rebuild(j):  # the loop's step again, so its draws have the same bits
@@ -702,11 +728,15 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
                 except MemoryError:
                     raise _out_of_memory(sample, set_, B) from None
             draws = KeptDraws(p, B, blocks, rebuild)
+        # the pass's workspaces fit its widest block and go when it ends: a
+        # rebuild forms its block in workspaces of its own size
+        work = _workspaces(blocks, lo, hi, B)
         for j, rows in enumerate(blocks):
-            w, b[rows], v[rows], absmax[rows], d = step(rows)
+            w, b[rows], v[rows], absmax[rows], d = step(rows, work)
             if draws is not None:
                 draws._add(j, v[rows], d)
             del w, d  # before the engine builds the next block
+        del work
     except MemoryError:
         raise _out_of_memory(sample, set_, B) from None
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)

@@ -147,14 +147,14 @@ def _z_factor(sample, set_, order, r):
 def run_blocks(sample, set_, order):
     """The engine's (rows, lo, hi, W, b) per block, in its block order, on run columns.
 
-    The block step runs without multipliers, so W is the raw panel, copied
-    out of the workspace that the next step overwrites; lo and hi bound
+    The block step runs without multipliers, so W is the raw panel, in
+    workspaces of the block's own, as a rebuild forms it; lo and hi bound
     each window in runs.
     """
     blocks, lo, hi, step = statistic._field_engine(sample, set_, order, np.ones(sample.n))
     for rows in blocks:
         W, b = step(rows)[:2]
-        yield rows, lo[rows], hi[rows], W.copy(), b
+        yield rows, lo[rows], hi[rows], W, b
 
 
 def field_blocks(sample, set_, order, scale=None):

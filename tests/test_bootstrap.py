@@ -366,26 +366,32 @@ def _rebuilds_by_the_rule(blocks, v_hat, keep, calls):
     """How many blocks each ``maxima`` call rebuilds, for the ids of each call in turn.
 
     A call reads a block whose rows with V > 0 are all in its ids from the
-    folded maximum, and any other block it touches from the store, or
-    rebuilds it when the store does not hold it.  With a budget of ``keep``
-    rows, the pass holds every block when all p rows fit; else a rebuilt
-    block is held while it fits in the rows left.
+    folded maximum, and any other block it touches from the store when the
+    store holds every row of the block in its ids, or else rebuilds it.
+    With a budget of ``keep`` rows, the pass holds every row of every block
+    when all p rows fit; else a rebuilt block's rows in the call's ids are
+    held, in place of any it held before, while they fit in the rows left.
     """
     p = v_hat.size
     room = min(keep, p)
-    held = set(range(len(blocks))) if room == p else set()
+    held = {}
+    if room == p:
+        held = {j: np.ones(rows.size, dtype=bool) for j, rows in enumerate(blocks)}
+        room -= sum(rows.size for rows in blocks)
     counts = []
     for ids in calls:
         wanted = np.zeros(p, dtype=bool)
         wanted[ids] = True
         counts.append(0)
         for j, rows in enumerate(blocks):
-            whole = wanted[rows[v_hat[rows] > 0.0]].all()
-            if wanted[rows].any() and not whole and j not in held:
-                counts[-1] += 1
-                if rows.size <= room:
-                    room -= rows.size
-                    held.add(j)
+            need = wanted[rows]
+            whole = need[v_hat[rows] > 0.0].all()
+            if not need.any() or whole or (j in held and not (need & ~held[j]).any()):
+                continue
+            counts[-1] += 1
+            if need.sum() <= room:
+                room -= need.sum()
+                held[j] = need
     return counts
 
 
@@ -451,9 +457,9 @@ def _run_counting_rebuilds(sample, sigma, set_, cfg):
 def test_fallback_rung_rebuilds_the_block_that_attains_T():
     # the golden steep.csv with residual sigma empties the one-step set, which
     # keeps the scale that attains T.  Neither budget holds the pass's 120
-    # rows, so the fallback rung rebuilds that scale's block.  A budget of one
-    # row has no room for it, and the next call rebuilds it again; a budget
-    # of FIELD_BLOCK rows holds it, and the next call reads it from the store
+    # rows, so the fallback rung rebuilds that scale's block.  Either budget
+    # holds the block's one row in the rung's ids, so the next call reads it
+    # from the store
     cols = load_columns(str(GOLDEN / "steep.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
     sigma = estimate_sigma(sample, "residual")
@@ -472,7 +478,7 @@ def test_fallback_rung_rebuilds_the_block_that_attains_T():
             np.testing.assert_array_equal(rung.maxima, dense[rung.ids].max(axis=0))
         draws = run.field.draws
         np.testing.assert_array_equal(draws.maxima(top), dense[top].max(axis=0))
-        assert draws.rebuilt == (2 if keep == 1 else 1), keep
+        assert draws.rebuilt == 1, keep
 
 
 @pytest.mark.parametrize("keep", [1, None])
@@ -498,11 +504,13 @@ def test_fallback_keeps_every_scale_tied_at_T(keep):
 @pytest.mark.parametrize("B", [8000, 20000])
 def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     # the golden main.csv at seed 5: a budget of R = 8 MiB / (8 B) rows is
-    # short of the 240 scales, so the pass holds no block.  A call reads each
-    # block its ids hold whole from the folded maximum, and rebuilds each
-    # other block it touches that the store does not hold; the store holds a
-    # rebuilt block while it fits in the rows left, and a later call reads
-    # it there.  R = 131 rows hold two full blocks, R = 52 rows none
+    # short of the 240 scales, so the pass holds no block.  Its 80 locations
+    # give each of the three bandwidths a block of 64 scales and one of 16.
+    # A call reads each block its ids hold whole from the folded maximum, and
+    # rebuilds each other block it touches unless the store holds every row
+    # of the block in its ids; the store holds a rebuilt block's rows in the
+    # call's ids while they fit in the rows left, and a later call reads
+    # them there.  R = 131 rows hold them all, R = 52 rows only the first two
     cols = load_columns(str(GOLDEN / "main.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
     sigma = estimate_sigma(sample, "rice")
@@ -525,6 +533,8 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
         np.testing.assert_array_equal(draws.maxima(os_ids), dense[os_ids].max(axis=0))
         again.append(draws.rebuilt - before)
     assert counts + again == _rebuilds_by_the_rule(blocks, field.v_hat, keep, calls + [os_ids] * 2)
-    # R = 131 holds two of the three blocks the one-step set rebuilds, so the
-    # step-down set and each repeat rebuild only the third; R = 52 holds none
-    assert (counts, again) == {8000: ([0, 3, 1], [1, 1]), 20000: ([0, 3, 3], [3, 3])}[B]
+    # the one-step set rebuilds the first bandwidth's two blocks and the
+    # second's first block, and reads 27, 6 and 50 or 51 of their rows.
+    # R = 131 holds all three, so the step-down set and each repeat rebuild
+    # nothing; R = 52 holds the first two, so they rebuild only the third
+    assert (counts, again) == {8000: ([0, 3, 0], [0, 0]), 20000: ([0, 3, 1], [1, 1])}[B]

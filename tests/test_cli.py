@@ -28,6 +28,7 @@ from monotest.cli import (
     report_to_json,
 )
 from monotest.cli import MODEL_FLAGS, SIGMA_FLAGS
+from monotest.bootstrap import CV_METHODS
 from monotest.scales import KERNELS
 from monotest.sigma import SIGMA_ESTIMATORS
 from monotest.cli import _json_value, _prepare_case, _render_json, _z_grid
@@ -946,6 +947,75 @@ def test_every_exit_is_a_finite_report_or_one_error_json(
         assert out == "" and json.loads(err)["schema"] == "monotest/error1", (argv, err)
     else:
         assert err == "" and _finite_floats(list(json.loads(out).values())), (argv, out)
+
+
+# one mc run in three adds an invalid flag value, which argparse reads last:
+# no design case, a size below 2, unknown methods, bad levels and counts
+_MC_BAD = [()] * 28 + [
+    ("--cases", "5"), ("--cases", "0,2"), ("--sizes", "1"), ("--sizes", "x"), ("--sigma", "bogus"),
+    ("--cv", "PI"), ("--cv", "sd,bonferroni"), ("--alpha", "1.5"), ("--gamma", "0.2"),
+    ("--seed", "-1"), ("--threads", "0"), ("--boot", "abc"), ("--reps", "0"), ("--format", "json"),
+]
+_MC_HEADER = "noise,case,n,method,proportion,reps,B,seed"
+
+
+def _mc_table_rows(out, fmt, noises):
+    """The proportions of an mc table in either format, one list per row; asserts its layout."""
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0] == _MC_HEADER and len(lines) > 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 8 and row[0] in noises for row in rows)
+        return [[float(row[4])] for row in rows]
+    rows = []
+    blocks = out.rstrip("\n").split("\n\n")
+    assert [b.split("  ", 1)[0] for b in blocks] == [f"noise={noise}" for noise in noises]
+    for block in blocks:
+        _, header, *lines = block.split("\n")
+        assert header.split()[:2] == ["case", "method"] and lines
+        for line in lines:
+            cells = line.split()[2:]
+            assert len(cells) == len(header.split()) - 2
+            rows.append([float(c) for c in cells if c != "-"])
+    return rows
+
+
+@settings(
+    max_examples=80, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate],
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    st.lists(st.integers(6, 14), min_size=1, max_size=2), st.integers(1, 3), st.integers(1, 20),
+    st.lists(st.sampled_from(SIGMA_METHODS), max_size=2),
+    st.lists(st.sampled_from(CV_METHODS), max_size=3),
+    st.sampled_from(["normal", "uniform", "both"]), st.sampled_from(["csv", "text"]),
+    st.sampled_from(_MC_BAD), st.integers(0, 2**16),
+)
+def test_every_mc_exit_is_a_table_or_one_error_json(
+    capfd, cases, sizes, reps, boot, sigmas, cvs, noise, fmt, bad, seed,
+):
+    # tiny cells: a sample of 6 to 14 rows can fail its replications, and
+    # an empty method list takes the default.  A run exits 0 with a table of
+    # one row per noise, case, size, sigma and cv method and nothing on
+    # stderr, or 2 with exactly one monotest/error1 JSON on fd 2
+    argv = ["mc", "--cases", ",".join(map(str, cases)), "--sizes", ",".join(map(str, sizes))]
+    argv += ["--reps", str(reps), "--boot", str(boot), "--noise", noise, "--format", fmt]
+    argv += ["--seed", str(seed), "--sigma", ",".join(sigmas), "--cv", ",".join(cvs), *bad]
+    capfd.readouterr()
+    rc = main(argv)
+    out, err = capfd.readouterr()
+    assert rc in (0, 2), (argv, rc)
+    if rc:
+        assert out == "" and json.loads(err)["schema"] == "monotest/error1", (argv, err)
+        return
+    assert err == "" and not bad, (argv, err)
+    noises = ["normal", "uniform"] if noise == "both" else [noise]
+    rows = _mc_table_rows(out, fmt, noises)
+    per_noise = len(set(cases)) * len(set(sigmas) or {"rice"}) * len(set(cvs) or CV_METHODS)
+    width = 1 if fmt == "csv" else len(set(sizes))
+    assert len(rows) == len(noises) * per_noise * len(set(sizes)) // width, (argv, out)
+    assert all(len(row) == width and all(0.0 <= v <= 1.0 for v in row) for row in rows), out
 
 
 def test_subnormal_widths_exit_3_without_a_warning(tmp_path, capfd):

@@ -1,11 +1,13 @@
 """Monte Carlo harness: designs, seeding, aggregation, and serialization."""
 
+import contextlib
 import math
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +123,8 @@ def test_run_mc_pool_is_capped_by_reps_and_cpus(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(simlab, "_worker_pool", SerialPool)
+    # without an affinity set the machine's CPU count caps the pool
+    monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
     designs = [McDesign(3, 40)]
     for cpus, parallelism, reps, pool in (
         (8, 1, 3, None),
@@ -137,6 +141,26 @@ def test_run_mc_pool_is_capped_by_reps_and_cpus(monkeypatch):
         # every replication has its own seed, so the pool size cannot show
         serial = run_mc(designs, ["rice"], reps=reps, B=20, seed=5)
         assert results_to_csv(got) == results_to_csv(serial)
+
+
+def test_run_mc_pool_is_capped_by_the_cpus_this_process_may_use(monkeypatch):
+    # under a cpuset or an affinity mask the process may run on fewer CPUs
+    # than the machine has: the affinity set caps the pool, not cpu_count
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=lambda fn, args, chunksize=1: map(fn, args)))
+
+    monkeypatch.setattr(simlab, "_worker_pool", pool)
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: 64)
+    designs = [McDesign(3, 40)]
+    for affinity, parallelism, pool_size in (({0}, 8, None), ({2, 5, 7}, 8, 3), ({2, 5, 7}, 2, 2)):
+        monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+        sizes.clear()
+        got = run_mc(designs, ["rice"], reps=12, B=20, seed=5, parallelism=parallelism)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert results_to_csv(got) == results_to_csv(run_mc(designs, ["rice"], reps=12, B=20, seed=5))
 
 
 @pytest.mark.parametrize("before", [None, "3"])
@@ -190,7 +214,7 @@ def test_guarded_caller_script_parallel_table_matches_serial(tmp_path):
     assert len(lines) == 8 and lines[:4] == lines[4:]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs run_mc serially")
+@pytest.mark.skipif(simlab._usable_cpus() < 2, reason="one CPU runs run_mc serially")
 def test_unguarded_caller_script_fails_instead_of_hanging(tmp_path):
     # each worker runs the caller script again, which starts a pool of its own
     proc = _run_python(tmp_path, """

@@ -33,7 +33,7 @@ from monotest import (
     evaluate_field,
     run_report,
 )
-from monotest import statistic
+from monotest import bootstrap, statistic
 from monotest.bootstrap import bootstrap_run
 from monotest.scales import EPANECHNIKOV, UNIFORM, build_basic_set, build_z_local_set
 
@@ -604,6 +604,84 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
+
+
+def test_the_ladder_peaks_below_the_field_pass():
+    # the shape above with y rising in x, so that the one-step set cuts
+    # blocks and the ladder rebuilds them.  The pass's four workspaces,
+    # sized for its widest block, go when the pass ends; a rebuild forms its
+    # panels in workspaces of its own block's size and holds only its rows
+    # in the rung's ids.  So the field leaves less than the pass's peak less
+    # those workspaces, and the ladder's traced peak stays below the pass's
+    rng = np.random.default_rng(71)
+    n, B = 2000, 500
+    x = rng.uniform(-1, 1, n)
+    sample = Sample(x=x, y=x + rng.normal(size=n))
+    set_ = build_basic_set(sample.x)
+    sig = estimate_sigma(sample, "rice")
+    traced = []
+    field = bootstrap.evaluate_field
+
+    def pass_then_reset(*args):
+        out = field(*args)
+        traced.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return out
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(bootstrap, "evaluate_field", pass_then_reset):
+            run = bootstrap_run(sample, sig, set_, BootConfig(B=B))
+        traced.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    (left, pass_peak), (_, ladder_peak) = traced
+    panel = statistic.field_allocations(sample, set_)[0][1]
+    assert run.field.draws.rebuilt > 0 and run.rung("os").ids.size < set_.p
+    assert left + 4 * panel < pass_peak, (traced, panel)
+    assert ladder_peak < pass_peak, traced
+
+
+def _bandwidths_of_blocks(sample, set_):
+    """Each block's distinct bandwidths and z-cells, in the engine's block order."""
+    order = statistic._sort_order(sample)
+    blocks = statistic._field_engine(sample, set_, order, np.ones(sample.n))[0]
+    cells = np.zeros(set_.p) if set_.z_loc is None else statistic._cells(set_)[1]
+    return [(np.unique(set_.h[rows]).size, np.unique(cells[rows]).size) for rows in blocks]
+
+
+def test_no_block_mixes_bandwidths_or_cells():
+    # 300 locations give every bandwidth more than FIELD_BLOCK live scales:
+    # the basic set, an --h-set list and a z-local set each hold one
+    # bandwidth and one cell per block, where FIELD_BLOCK ids in a row would
+    # put a bandwidth's widest windows beside the next one's first
+    rng = np.random.default_rng(17)
+    n = 300
+    x = rng.uniform(-1, 1, n)
+    sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
+    basic = build_basic_set(x)
+    for set_ in (
+        basic,
+        build_custom_set(np.unique(x), [0.9, 0.5, 0.3, 0.2]),
+        build_z_local_set(basic, [(1 / 6,), (0.5,), (5 / 6,)], [1 / 3]),
+    ):
+        layout = _bandwidths_of_blocks(sample, set_)
+        assert layout and all(mix == (1, 1) for mix in layout), set_.p
+        assert set_.p % statistic.FIELD_BLOCK  # FIELD_BLOCK ids in a row would mix
+
+
+def test_few_locations_keep_the_block_count():
+    # 2 locations x 200 bandwidths: each bandwidth has two live scales, so
+    # they share blocks as before, FIELD_BLOCK live scales to a block
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-1, 1, 400)
+    sample = Sample(x=x, y=rng.normal(size=400))
+    set_ = build_custom_set([-0.2, 0.3], np.geomspace(0.5, 1.5, 200))
+    order = statistic._sort_order(sample)
+    blocks = statistic._field_engine(sample, set_, order, np.ones(sample.n))[0]
+    live = sum(rows.size for rows in blocks)
+    assert live == set_.p == 400
+    assert len(blocks) == -(-live // statistic.FIELD_BLOCK) == 7
 
 
 def test_peak_memory_of_a_large_tie_free_test_holds_one_multiplier_panel():
