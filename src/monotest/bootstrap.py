@@ -104,11 +104,13 @@ class BootRun:
     """Everything one wild-bootstrap pass produces, on a single shared panel.
 
     ``field.draws`` is the ``KeptDraws`` of t*_b(s): it gives the per-draw
-    maxima over any set of active scales, and holds the draws of whole
-    blocks within a fixed budget of rows, so a rung reads again a block that
-    an earlier rung rebuilt.  ``ladder`` holds the selected sets in step order:
-    the plug-in set, the one-step set, then every set the step-down passes
-    move to; the last pass, counted in ``stepdown_iterations``, moves nowhere.
+    maxima over any set of active scales.  It holds the pass's draws when
+    they fit in KEEP_BYTES, and else keeps each partly read block's maximum
+    over the rows read, so a rung that reads the same rows of a block as an
+    earlier rung does not rebuild it.  ``ladder`` holds the selected sets in
+    step order: the plug-in set, the one-step set, then every set the
+    step-down passes move to; the last pass, counted in
+    ``stepdown_iterations``, moves nowhere.
     """
 
     field: StudentizedField

@@ -39,25 +39,26 @@ same four workspaces, sized for the pass's largest block, and a general k
 adds its (span x span) pair matrix; the workspaces go when the pass ends.
 V sums each window on its own, so no window weights outlive their block.
 Given bootstrap multipliers e, n rows in observation order as one array
-or as a stream of row chunks, the engine forms each block's draws, into
-one (FIELD_BLOCK x B) buffer of the pass, as one matrix product of its
-panel with E, the m x B run sums of zf * e for the block's cell (the
-sorted e itself when the runs are the observations and there are no
-z-cells), and folds them into the block's per-draw maximum.  It holds
-them too when all p rows fit in the budget of
-R = min(p, KEEP_BYTES // (8 * B)) rows, and else drops them.  The field
-reads e's chunks once, before the blocks start, into what it holds: the
-sorted e, each chunk written to its sorted rows; or, with c cells and
+or as a stream of row chunks, the engine forms each block's draws as one
+matrix product of its panel with E, the m x B run sums of zf * e for the
+block's cell (the sorted e itself when the runs are the observations and
+there are no z-cells), and folds them into the block's per-draw maximum.
+When all p rows of B draws fit in KEEP_BYTES, the product writes them
+straight into the block's rows of one held buffer; else into one
+(FIELD_BLOCK x B) buffer of the pass, and no draw outlives its block.  The
+field reads e's chunks once, before the blocks start, into what it holds:
+the sorted e, each chunk written to its sorted rows; or, with c cells and
 c * m <= n, every cell's E, each chunk added in; otherwise e itself, not
 a sorted copy, from which it forms one cell's E at a time.  So a stream
 never makes an n x B array beside what the field holds.  A selection
 reads a block's maximum if it holds the whole block, and else the
-block's held draws if they hold every row it reads there, or rebuilds the
-block with the same block step from what the field holds, in workspaces
-sized to that block, and holds the block's rows it reads while the budget
-has room.  ``field_allocations`` lists the largest of these arrays with
-their sizes, and a field that cannot allocate one, in its own pass or in
-a block it rebuilds later, raises a MemoryError that names them all.
+block's held draws, or the per-draw maximum kept from the last selection
+that read the same rows of the block; or else it rebuilds the block with
+the same block step from what the field holds, in workspaces sized to
+that block, and keeps only the maximum over the rows it reads there.
+``field_allocations`` lists the largest of these arrays with their sizes,
+and a field that cannot allocate one, in its own pass or in a block it
+rebuilds later, raises a MemoryError that names them all.
 """
 
 from __future__ import annotations
@@ -98,16 +99,15 @@ FIELD_BLOCK = 64
 # that grows with n.  At B = 500 a chunk is 250 KiB.
 CHUNK_ROWS = 64
 
-# A field with B bootstrap draws holds the draws of at most
-# R = KEEP_BYTES // (8 * B) scales: every row of its pass when all p rows
-# fit, else the rows a selection reads of each block it rebuilds, while
-# room is left, so a later selection, a subset of this one, reads them
-# again.  8 MiB is 2,097 rows at B = 500: every row of an n = 200 set
-# (p = 800), which rebuilds no block.  On the benchmark's seed-0 inputs
-# (n = 2000), the partial-linear set's ladder runs 10,000 -> 2,184 -> 2,121
-# -> 2,116 scales and rebuilds 8, 1 and 0 of its 160 blocks; the z-cell set
-# with ties runs 3,015 -> 1,385 -> 1,375 and rebuilds 21 and 0 of its 60.
-# Both hold the rows they read of every block they rebuild (246 and 545).
+# A field with B bootstrap draws holds every draw of its pass when all p
+# rows fit in KEEP_BYTES, and else holds none: of each block a selection
+# reads in part it keeps only the per-draw maximum over the rows read, so
+# a later selection that reads the same rows there rebuilds nothing.
+# 8 MiB is 2,097 rows at B = 500: every row of an n = 200 set (p = 800),
+# which rebuilds no block.  On the benchmark's seed-0 inputs (n = 2000),
+# the partial-linear set's ladder runs 10,000 -> 2,184 -> 2,121 -> 2,116
+# scales and rebuilds 8, 7 and 3 of its 160 blocks; the z-cell set with
+# ties runs 3,015 -> 1,385 -> 1,375 and rebuilds 21 and 9 of its 60.
 KEEP_BYTES = 8 << 20
 
 
@@ -157,9 +157,9 @@ class StudentizedField:
     rows in observation order.  Then it is a ``KeptDraws``: the per-draw
     maxima of sum_i a_i(s) * e_i, a_i(s) = w_i(s) / sqrt(v_hat(s)), over
     any set of active scales, read from each block's folded maximum, from
-    the draws of whole blocks held within a budget of rows, or from a block
-    built again.  With e_i = sigma_i * eps_i a column of e gives one
-    bootstrap draw.
+    the pass's draws when they fit in KEEP_BYTES, from a block's maximum
+    kept for the rows a selection read, or from a block built again.  With
+    e_i = sigma_i * eps_i a column of e gives one bootstrap draw.
     """
 
     b: np.ndarray
@@ -298,36 +298,36 @@ def _add_run_sums(E, runs, zf, chunk, work) -> None:
 
     E is (cells x m x B), ``runs`` the run of each of the chunk's rows and
     ``zf`` their (cells x rows) z-cell factors, or None for 1.  Each rank
-    adds the k-th row of every run in the chunk with one fancy ``+=``, for
-    all cells at once; a run is in a rank at most once, so no sum loses an
+    adds the k-th row of every run in the chunk with one fancy ``+=``, one
+    cell at a time; a run is in a rank at most once, so no sum loses an
     addend.  So each run's sum is ((-0.0 + a_1) + a_2) + ... over its rows
     in observation order, the same bits whatever the chunks.  That is not
     ``np.add.reduceat``'s sum, which adds a run's rows after its first
     pairwise, and no streamed sum can give it for a run of three or more.
-    ``work`` is three flat buffers, of rows x B and twice cells x rows x B
-    entries, so the sums allocate nothing per chunk.
+    ``work`` is three flat buffers of rows x B entries, so the sums
+    allocate nothing per chunk.
     """
-    cells, B = E.shape[0], E.shape[2]
+    B = E.shape[2]
     o = np.argsort(runs, kind="stable")
     start = np.flatnonzero(np.diff(runs[o], prepend=-1))
     count = np.diff(np.append(start, runs.size))
     for k in range(int(count.max(initial=0))):
         at = o[start[count > k] + k]
-        r, size = runs[at], cells * at.size * B
+        r = runs[at]
         # every index is in range: "clip" only spares the copy through a
         # buffer of out's size that take's default mode makes
         a = np.take(chunk, at, axis=0, mode="clip", out=_panel(work[0], at.size, B))
-        if zf is not None:
-            a = np.multiply(zf[:, at, None], a, out=work[1][:size].reshape(cells, at.size, B))
-        s = np.take(E, r, axis=1, mode="clip", out=work[2][:size].reshape(cells, at.size, B))
-        s += a
-        E[:, r] = s
+        za = _panel(work[1], at.size, B)
+        for c, Ec in enumerate(E):
+            add = a if zf is None else np.multiply(zf[c, at, None], a, out=za)
+            s = np.take(Ec, r, axis=0, mode="clip", out=_panel(work[2], at.size, B))
+            s += add
+            Ec[r] = s
 
 
-def _sum_work(cells: int, m: int, B: int) -> list:
+def _sum_work(m: int, B: int) -> list:
     """The buffers of ``_add_run_sums`` for chunks of at most CHUNK_ROWS rows over m runs."""
-    rows = min(CHUNK_ROWS, m)
-    return [np.empty(rows * B), np.empty(cells * rows * B), np.empty(cells * rows * B)]
+    return [np.empty(min(CHUNK_ROWS, m) * B) for _ in range(3)]
 
 
 def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.ndarray,
@@ -342,7 +342,8 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     the ids of a bandwidth with FIELD_BLOCK live scales or more in the cell
     end a block, so only a bandwidth with fewer shares one with the next.
 
-    ``step(rows, work=None)`` gives a block's (W, b, V, max|w|, draws).
+    ``step(rows, work=None, out=None)`` gives a block's (W, b, V, max|w|,
+    draws).
     ``W`` is the (rows x span) panel over runs lo.min():hi.max(), zero
     outside each window; observation i of run r has w_i = W_r * zf_i, for
     zf_i its z-cell factor (1 without z-cells).  ``b`` is each scale's test
@@ -360,17 +361,18 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     else the draws are None.  A block stepped again has the same bits.  A b
     or V that overflows to inf or NaN raises DataError, with no warning.
 
-    The step writes its panels into four flat workspaces and its draws
-    into one (rows x B) buffer: ``work``, the ``_workspaces`` of a group of
-    blocks that the caller holds across their steps, so W and the draws are
-    views that the next step overwrites; or, without it, workspaces sized
-    to this block, which go with the views it returns.  The engine reads
-    e's chunks once, before it returns, and keeps none.  When every run is
-    one observation and the set has no z-cells, the runs are the sorted
-    observations: it writes each chunk to its sorted rows, E is that sorted
-    e, and the step skips Z, YZ and max zf.  Else, with c cells of m runs
-    and c * m <= n, it adds each chunk into every cell's E; otherwise it
-    holds e itself and forms one cell's E at a time when the cell changes.  Everything runs once per
+    The step writes its panels into four flat workspaces: ``work``, the
+    ``_workspaces`` of a group of blocks that the caller holds across their
+    steps, so W is a view that the next step overwrites; or, without it,
+    workspaces sized to this block, which go with the view it returns.  It
+    writes the draws into the first rows of ``out``, or else a new
+    (rows x B) array.  The engine reads e's chunks once, before it returns,
+    and keeps none.  When every run is one observation and the set has no
+    z-cells, the runs are the sorted observations: it writes each chunk to
+    its sorted rows, E is that sorted e, and the step skips Z, YZ and
+    max zf.  Else, with c cells of m runs and c * m <= n, it adds each
+    chunk into every cell's E; otherwise it holds e itself and forms one
+    cell's E at a time when the cell changes.  Everything runs once per
     block but the window products of a general k, one per scale from the
     block's one pair matrix.
     """
@@ -416,7 +418,7 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         elif rep.size * first.size <= n:
             held = np.full((rep.size, first.size, B), -0.0)
             zf = None if zs is None else np.array([_z_factor(set_, sample.z, c) for c in rep])
-            buffers = _sum_work(rep.size, first.size, B)
+            buffers = _sum_work(first.size, B)
             for i, chunk in e:
                 for j in range(0, chunk.shape[0], CHUNK_ROWS):
                     part = chunk[j : j + CHUNK_ROWS]
@@ -450,7 +452,7 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
             if B is not None and held is None:
                 E = np.full((1, first.size, B), -0.0)
                 zc = _z_factor(set_, sample.z, rep[c])[None]
-                buffers = _sum_work(1, first.size, B)
+                buffers = _sum_work(first.size, B)
                 for i in range(0, n, CHUNK_ROWS):
                     r = slice(i, i + CHUNK_ROWS)
                     _add_run_sums(E, run_of[r], zc[:, r], e_obs[r], buffers)
@@ -459,8 +461,8 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         return sums, E
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name
-    def step(rows, work=None):
-        work, block_draws = work or _workspaces([rows], lo, hi, B)
+    def step(rows, work=None, out=None):
+        work = work or _workspaces([rows], lo, hi)
         wlo, whi = lo[rows], hi[rows]
         a = int(wlo.min())
         span = slice(a, int(whi.max()))
@@ -491,16 +493,16 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         if E is None:
             return w, b, v, absmax, None
         w *= np.divide(1.0, np.sqrt(v), out=np.zeros(v.size), where=v > 0.0)[:, None]
-        return w, b, v, absmax, np.matmul(w, E[span], out=block_draws[: rows.size])
+        out = np.empty((rows.size, B)) if out is None else out[: rows.size]
+        return w, b, v, absmax, np.matmul(w, E[span], out=out)
 
     return blocks, lo, hi, step
 
 
-def _workspaces(blocks, lo, hi, B):
-    """Four flat panel workspaces and a draws buffer that fit each of the blocks' steps."""
+def _workspaces(blocks, lo, hi):
+    """Four flat panel workspaces that fit each of the blocks' steps."""
     size = max((rows.size * int(hi[rows].max() - lo[rows].min() + 1) for rows in blocks), default=0)
-    draws = None if B is None else np.empty((max(map(len, blocks), default=0), B))
-    return [np.empty(size) for _ in range(4)], draws
+    return [np.empty(size) for _ in range(4)]
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -511,17 +513,13 @@ def _sigma_values(sigma, n: int) -> np.ndarray:
     return sig
 
 
-def kept_rows(p: int, B: int) -> int:
-    """The budget of draw rows that a field of p scales and B draws may hold."""
-    return min(p, max(1, KEEP_BYTES // (8 * B)))
-
-
 def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> list[tuple]:
     """The largest arrays a field allocates, as (name, bytes) pairs; with B draws, theirs too.
 
     They are a block's panels over the m tie runs of x, four workspaces of
-    at most that size, a general k's pair matrix, and with draws the budget
-    of held draws and what the draws read: the sorted n x B multiplier
+    at most that size, a general k's pair matrix, and with draws the draws
+    that the pass holds when all p rows fit in KEEP_BYTES, else a block's
+    draws, and what the draws read: the sorted n x B multiplier
     panel when the runs are the observations and there are no z-cells;
     else, with c cells and c * m <= n, every cell's m x B run sums of the
     multipliers; else the multiplier panel itself, not a sorted copy, and
@@ -534,8 +532,10 @@ def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> l
     if set_.k not in (0.0, 1.0):
         out.append((f"the {m + 1} x {m + 1} pair matrix of k = {set_.k}", (m + 1) ** 2 * 8))
     if B is not None:
-        rows = kept_rows(set_.p, B)
-        out.append((f"at most {rows} x {B} held draws", rows * B * 8))
+        if set_.p * B * 8 <= KEEP_BYTES:
+            out.append((f"at most {set_.p} x {B} held draws", set_.p * B * 8))
+        else:
+            out.append((f"each {FIELD_BLOCK} x {B} block of draws", FIELD_BLOCK * B * 8))
         c = 1 if set_.z_loc is None else _cells(set_)[0].size
         if m == n and set_.z_loc is None:
             out.append((f"the {n} x {B} sorted multiplier panel", n * B * 8))
@@ -568,20 +568,23 @@ class KeptDraws:
     ``maxima(ids)`` gives the per-draw maxima of the draws over any set of
     active scale ids, by one rule for every block.  A block whose rows with
     V > 0 are all in the set answers with the maximum folded in as the
-    engine formed it.  Any other block's rows in the set are read from its
-    held draws, or from the block rebuilt when it is not held.  A rebuilt
-    block has the same panel, scaling and product shape, so every draw has
-    the same bits whichever way it is read, and the maxima are exact.  A
-    block with a row of 0 < V <= tau folded that row in, but no set of
-    active ids holds it, so the rule never reads that maximum.
+    engine formed it.  Any other block it touches answers with the maximum
+    over its rows in the set: read from the pass's draws when the store
+    holds them, else kept from the last call whose rows there were the
+    same, else taken from the block rebuilt.  A rebuilt block has the same
+    panel, scaling and product shape, so every draw has the same bits
+    whichever way it is read, and the maxima are exact.  A block with a row
+    of 0 < V <= tau folded that row in, but no set of active ids holds it,
+    so the rule never reads that maximum.
 
-    The store holds draws in one buffer of ``kept_rows(p, B)`` rows: every
-    row of the field's pass when all p rows fit, else the rows in a call's
-    ids of each block the call rebuilds, while room is left.  A later call
-    reads a held block from the buffer when it holds every row the call
-    reads there, and else rebuilds it, as a call on another set would.  The
-    ladder's sets are nested upper sets of t, so its later rungs read no
-    row an earlier rung did not.  ``rebuilt`` counts the blocks built again.
+    The store holds the draws of every block of the pass, in one
+    (live scales x B) buffer that the pass writes into, when all p rows of
+    B draws fit in KEEP_BYTES; then it never rebuilds.  Else it holds no
+    draw: it keeps, for each block it read in part, that block's rows in
+    the call's ids and their per-draw maximum, and drops a rebuilt block's
+    draws as soon as it has reduced them.  The ladder's sets are nested
+    upper sets of t, so a later rung rebuilds only the blocks whose rows in
+    the set change.  ``rebuilt`` counts the blocks built again.
     """
 
     def __init__(self, p: int, B: int, blocks: list, draw_block):
@@ -590,31 +593,37 @@ class KeptDraws:
         self._block_of = np.full(p, -1, dtype=np.intp)
         for j, rows in enumerate(blocks):
             self._block_of[rows] = j
-        # the budget: one buffer that the held rows fill in turn from its first row
-        self._rows = np.empty((kept_rows(p, B), B))
-        self._free = 0
-        self._hold_pass = self._rows.shape[0] == p
-        self._held = {}  # block -> (which of its rows are held, their rows of the buffer)
+        self._held = None  # each block's draws of the pass, views of one buffer
+        if p * B * 8 <= KEEP_BYTES:
+            held = np.empty((sum(map(len, blocks)), B))
+            self._held = np.split(held, np.cumsum([len(rows) for rows in blocks[:-1]]))
+        self._parts = {}  # block -> (its rows in the last call's ids, their per-draw maximum)
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
         self.rebuilt = 0
 
-    def _hold(self, j: int, d, rows) -> None:
-        """Copy block j's draws d at ``rows``, a mask of its rows, into the buffer if they fit."""
-        end = self._free + np.count_nonzero(rows)
-        if end <= self._rows.shape[0]:
-            # every index is in range: "clip" spares take's copy through a buffer
-            out = self._rows[self._free : end]
-            self._held[j] = rows, np.take(d, np.flatnonzero(rows), axis=0, mode="clip", out=out)
-            self._free = end
+    def _pass_outs(self):
+        """Where the pass writes each block's draws: its held rows, else one buffer of the pass."""
+        if self._held is not None:
+            return self._held
+        buffer = np.empty((max(map(len, self._blocks), default=0), self._block_max.shape[1]))
+        return itertools.repeat(buffer, len(self._blocks))
 
     def _add(self, j: int, v_rows, d) -> None:
         """Fold block j's draws d into its maximum over its rows with V > 0."""
         live = v_rows > 0.0
         self._folded[j] = np.count_nonzero(live)
         self._block_max[j] = (d if live.all() else d[live]).max(axis=0, initial=-np.inf)
-        if self._hold_pass:
-            self._hold(j, d, np.ones(d.shape[0], dtype=bool))
+
+    def _part_max(self, j: int, rows) -> np.ndarray:
+        """Block j's per-draw maximum over ``rows``, a mask of its rows."""
+        if self._held is not None:
+            return _masked_max(self._held[j], rows)
+        kept = self._parts.get(j)
+        if kept is None or not np.array_equal(kept[0], rows):
+            self.rebuilt += 1
+            kept = self._parts[j] = rows, _masked_max(self._draw_block(j), rows)
+        return kept[1]
 
     def maxima(self, ids) -> np.ndarray:
         """Per-draw maxima of the draws over the given active scale ids."""
@@ -624,15 +633,7 @@ class KeptDraws:
         want = np.zeros(self._block_of.size, dtype=bool)
         want[ids] = True
         for j in np.flatnonzero((count > 0) & (count != self._folded)):
-            rows = want[self._blocks[j]]
-            held, d = self._held.get(j, (None, None))
-            if held is not None and not (rows & ~held).any():
-                rows = rows[held]
-            else:
-                self.rebuilt += 1
-                d = self._draw_block(j)
-                self._hold(j, d, rows)
-            np.maximum(out, _masked_max(d, rows), out=out)
+            np.maximum(out, self._part_max(j, want[self._blocks[j]]), out=out)
         return out
 
 
@@ -730,13 +731,14 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             draws = KeptDraws(p, B, blocks, rebuild)
         # the pass's workspaces fit its widest block and go when it ends: a
         # rebuild forms its block in workspaces of its own size
-        work = _workspaces(blocks, lo, hi, B)
-        for j, rows in enumerate(blocks):
-            w, b[rows], v[rows], absmax[rows], d = step(rows, work)
+        work = _workspaces(blocks, lo, hi)
+        outs = itertools.repeat(None) if draws is None else draws._pass_outs()
+        for j, (rows, out) in enumerate(zip(blocks, outs)):
+            w, b[rows], v[rows], absmax[rows], d = step(rows, work, out)
             if draws is not None:
                 draws._add(j, v[rows], d)
-            del w, d  # before the engine builds the next block
-        del work
+            del w, d, out  # before the engine builds the next block
+        del work, outs
     except MemoryError:
         raise _out_of_memory(sample, set_, B) from None
     tau = max(VAR_RTOL * float(v.max(initial=0.0)), VAR_FLOOR)

@@ -366,18 +366,15 @@ def _rebuilds_by_the_rule(blocks, v_hat, keep, calls):
     """How many blocks each ``maxima`` call rebuilds, for the ids of each call in turn.
 
     A call reads a block whose rows with V > 0 are all in its ids from the
-    folded maximum, and any other block it touches from the store when the
-    store holds every row of the block in its ids, or else rebuilds it.
-    With a budget of ``keep`` rows, the pass holds every row of every block
-    when all p rows fit; else a rebuilt block's rows in the call's ids are
-    held, in place of any it held before, while they fit in the rows left.
+    folded maximum.  With a budget of ``keep`` rows, the pass holds every
+    row of every block when all p rows fit, and then no block is rebuilt.
+    Else a call rebuilds any other block it touches unless the last call
+    that read the block in part had the same rows of it in its ids.
     """
     p = v_hat.size
-    room = min(keep, p)
-    held = {}
-    if room == p:
-        held = {j: np.ones(rows.size, dtype=bool) for j, rows in enumerate(blocks)}
-        room -= sum(rows.size for rows in blocks)
+    if keep >= p:
+        return [0] * len(calls)
+    kept = {}
     counts = []
     for ids in calls:
         wanted = np.zeros(p, dtype=bool)
@@ -385,20 +382,18 @@ def _rebuilds_by_the_rule(blocks, v_hat, keep, calls):
         counts.append(0)
         for j, rows in enumerate(blocks):
             need = wanted[rows]
-            whole = need[v_hat[rows] > 0.0].all()
-            if not need.any() or whole or (j in held and not (need & ~held[j]).any()):
+            if not need.any() or need[v_hat[rows] > 0.0].all():
                 continue
-            counts[-1] += 1
-            if need.sum() <= room:
-                room -= need.sum()
-                held[j] = need
+            if j not in kept or not np.array_equal(kept[j], need):
+                counts[-1] += 1
+                kept[j] = need
     return counts
 
 
 def test_streamed_ladder_matches_dense_draws():
     seen = dict.fromkeys(
-        ["held in the pass", "held after a rebuild", "budget full", "dim block", "os fallback",
-         "sd fallback", "z-cells", "k = 0.5"],
+        ["held in the pass", "kept maximum read again", "rebuilt again", "dim block",
+         "os fallback", "sd fallback", "z-cells", "k = 0.5"],
         0,
     )
     for sample, sig, set_, cfg, keep, block in _streamed_cases(240):
@@ -413,9 +408,9 @@ def test_streamed_ladder_matches_dense_draws():
             blocks = [rows for rows, *_ in run_blocks(sample, set_, order)]
             field = run.field
             draws = field.draws
-            # every rung once more after the ladder: a block that an earlier call
-            # rebuilt and held is read from the store, one the budget had no
-            # room for is rebuilt again, and the maxima keep their bits
+            # every rung once more after the ladder: a block that the last call
+            # to read it in part read with the same rows answers from the maximum
+            # kept then, any other is rebuilt again, and the maxima keep their bits
             again = []
             for rung in run.ladder:
                 before = draws.rebuilt
@@ -429,8 +424,8 @@ def test_streamed_ladder_matches_dense_draws():
         np.testing.assert_array_equal(draw_rows(draws, ids), dense[ids])
         dim = (field.v_hat > 0.0) & np.isnan(field.t)
         seen["held in the pass"] += held_all
-        seen["held after a rebuild"] += any(a < c for a, c in zip(again, counts))
-        seen["budget full"] += any(again)
+        seen["kept maximum read again"] += any(a < c for a, c in zip(again, counts))
+        seen["rebuilt again"] += any(again)
         seen["dim block"] += bool(dim.any())
         seen["os fallback"] += any(w.startswith("one-step") for w in warnings)
         seen["sd fallback"] += any(w.startswith("step-down") for w in warnings)
@@ -457,9 +452,9 @@ def _run_counting_rebuilds(sample, sigma, set_, cfg):
 def test_fallback_rung_rebuilds_the_block_that_attains_T():
     # the golden steep.csv with residual sigma empties the one-step set, which
     # keeps the scale that attains T.  Neither budget holds the pass's 120
-    # rows, so the fallback rung rebuilds that scale's block.  Either budget
-    # holds the block's one row in the rung's ids, so the next call reads it
-    # from the store
+    # rows, so the fallback rung rebuilds that scale's block.  The store
+    # keeps the block's maximum over its one row in the rung's ids, so the
+    # next call on those ids reads it there
     cols = load_columns(str(GOLDEN / "steep.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
     sigma = estimate_sigma(sample, "residual")
@@ -503,14 +498,12 @@ def test_fallback_keeps_every_scale_tied_at_T(keep):
 
 @pytest.mark.parametrize("B", [8000, 20000])
 def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
-    # the golden main.csv at seed 5: a budget of R = 8 MiB / (8 B) rows is
-    # short of the 240 scales, so the pass holds no block.  Its 80 locations
-    # give each of the three bandwidths a block of 64 scales and one of 16.
-    # A call reads each block its ids hold whole from the folded maximum, and
-    # rebuilds each other block it touches unless the store holds every row
-    # of the block in its ids; the store holds a rebuilt block's rows in the
-    # call's ids while they fit in the rows left, and a later call reads
-    # them there.  R = 131 rows hold them all, R = 52 rows only the first two
+    # the golden main.csv at seed 5: p x B draws of the 240 scales do not fit
+    # in KEEP_BYTES, so the pass holds none.  Its 80 locations give each of
+    # the three bandwidths a block of 64 scales and one of 16.  A call reads
+    # each block its ids hold whole from the folded maximum, and rebuilds
+    # each other block it touches unless the last call that read the block
+    # in part read the same rows of it; it keeps the maximum over those rows
     cols = load_columns(str(GOLDEN / "main.csv"), ["x", "y"])
     sample = Sample(cols["x"], cols["y"])
     sigma = estimate_sigma(sample, "rice")
@@ -519,8 +512,8 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
     run, counts = _run_counting_rebuilds(sample, sigma, set_, cfg)
     field, draws = run.field, run.field.draws
     blocks = [rows for rows, *_ in run_blocks(sample, set_, statistic._sort_order(sample))]
-    keep = statistic.kept_rows(set_.p, B)
-    assert keep == {8000: 131, 20000: 52}[B] < set_.p
+    keep = statistic.KEEP_BYTES // (8 * B)
+    assert keep < set_.p
     calls = [rung.ids for rung in run.ladder]
     assert counts == _rebuilds_by_the_rule(blocks, field.v_hat, keep, calls)
     dense = run_draws(sample, set_, sigma, cfg)
@@ -534,7 +527,31 @@ def test_each_maxima_call_rebuilds_the_blocks_its_ids_need(B):
         again.append(draws.rebuilt - before)
     assert counts + again == _rebuilds_by_the_rule(blocks, field.v_hat, keep, calls + [os_ids] * 2)
     # the one-step set rebuilds the first bandwidth's two blocks and the
-    # second's first block, and reads 27, 6 and 50 or 51 of their rows.
-    # R = 131 holds all three, so the step-down set and each repeat rebuild
-    # nothing; R = 52 holds the first two, so they rebuild only the third
-    assert (counts, again) == {8000: ([0, 3, 0], [0, 0]), 20000: ([0, 3, 1], [1, 1])}[B]
+    # second's first block, and reads 27, 6 and 51 (B = 8,000) or 50 of
+    # their rows.  The step-down set drops one row of the third block, so
+    # it rebuilds that block, and so does the first repeat of the one-step
+    # set; the second repeat reads every maximum it needs as kept
+    assert (counts, again) == ([0, 3, 1], [1, 0])
+
+
+@pytest.mark.parametrize("B", [20, 8000])
+def test_a_repeated_maxima_call_rebuilds_nothing(B):
+    # the golden main.csv's 240 scales: at B = 20 the pass holds every draw
+    # and never rebuilds; at B = 8,000 it holds none, and a call on the ids
+    # of the call before it reads each partly read block's kept maximum
+    cols = load_columns(str(GOLDEN / "main.csv"), ["x", "y"])
+    sample = Sample(cols["x"], cols["y"])
+    sigma = estimate_sigma(sample, "rice")
+    set_ = build_basic_set(sample.x)
+    cfg = BootConfig(B=B, seed=5)
+    run = bootstrap_run(sample, sigma, set_, cfg)
+    draws = run.field.draws
+    assert (set_.p * B * 8 <= statistic.KEEP_BYTES) == (B == 20)
+    rebuilt = draws.rebuilt
+    assert (rebuilt > 0) == (B == 8000)
+    for rung in run.ladder:
+        first = draws.maxima(rung.ids)
+        before = draws.rebuilt
+        np.testing.assert_array_equal(draws.maxima(rung.ids), first)
+        np.testing.assert_array_equal(first, rung.maxima)
+        assert draws.rebuilt == before

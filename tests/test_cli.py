@@ -658,7 +658,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     head = f"out of memory: {p} scales x 40 observations need "
     panels = f"0.0 MiB for each {block} x 41 block panel (40 tie runs)"
     draws = (
-        f", 0.0 MiB for at most {statistic.kept_rows(p, 20)} x 20 held draws,"
+        f", 0.0 MiB for at most {p} x 20 held draws,"
         " 0.0 MiB for the 40 x 20 sorted multiplier panel"
     )
     assert main(["test", path, "--h-set", "0.5,0.25", "--boot", "20"]) == 2
@@ -708,7 +708,7 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
 
 def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
     # a block that the ladder rebuilds after the field's pass (a budget of 3
-    # rows of 50 draws holds no block of the pass) gives the pass's message:
+    # rows of 50 draws holds no draw of the pass) gives the pass's message:
     # the failure is simulated in every block step from the first maxima
     # call on, so nothing large is allocated
     pair_weights, maxima = statistic._pair_weights, statistic.KeptDraws.maxima
@@ -732,9 +732,9 @@ def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
     set_ = build_basic_set(sample.x)
     want = (
         f"out of memory: {set_.p} scales x 60 observations need 0.0 MiB for each"
-        f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for at most 3 x 50"
-        " held draws, 0.0 MiB for the 60 x 50 sorted multiplier panel; use fewer scales, rows or"
-        " draws"
+        f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for each"
+        f" {statistic.FIELD_BLOCK} x 50 block of draws, 0.0 MiB for the 60 x 50 sorted multiplier"
+        " panel; use fewer scales, rows or draws"
     )
     with pytest.raises(MemoryError) as err:
         run_report(sample, estimate_sigma(sample, "rice"), set_, BootConfig(B=50))

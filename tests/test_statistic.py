@@ -455,7 +455,7 @@ def test_draws_skip_inactive_scales_within_and_across_blocks():
 
 
 def test_whole_blocks_answer_from_their_maxima():
-    # a budget of three rows for five blocks holds no block of the pass: the
+    # a budget of three rows of 40 draws holds no draw of the pass: the
     # active set less its last scale holds every block whole but the last,
     # so only that one may be rebuilt
     rng = np.random.default_rng(14)
@@ -466,7 +466,7 @@ def test_whole_blocks_answer_from_their_maxima():
     e = rng.standard_normal((100, 40))
     with mock.patch.object(statistic, "KEEP_BYTES", 3 * 8 * 40):
         field = evaluate_field(sample, set_, sig, e)
-        assert statistic.kept_rows(set_.p, 40) == 3 and set_.p > 4 * statistic.FIELD_BLOCK
+        assert set_.p * 40 * 8 > statistic.KEEP_BYTES and set_.p > 4 * statistic.FIELD_BLOCK
     dense = dense_draws(sample, set_, sig, e)
     draws = field.draws
     # no scale with 0 < V <= tau, which would keep its block from being whole
@@ -570,13 +570,13 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
     # block's panels reuse: the kernel panel g, its running sums and w (b's
     # (y - y_lo) * w panel takes g's once g is spent).  Beside them there
     # are about twenty p-vectors (scale arrays, window bounds, b, V, max|w|,
-    # t and masks) and a few n-vectors.  A test run adds the held draws, at
-    # most kept_rows(p, B) rows of B in whole blocks, one B-vector of maxima
-    # per block, the block of each scale, a few n-vectors, and a single
-    # n x B multiplier panel, the sorted one: the bootstrap hands the
-    # multipliers over in chunks, so beside it there is one chunk or the
-    # block's draws, never a second panel.  B is large enough that p rows
-    # of draws would be several times that.
+    # t and masks) and a few n-vectors.  A test run adds two B-vectors of
+    # maxima per block (folded, and kept for the rows a rung reads), the
+    # block of each scale, a few n-vectors, and a single n x B multiplier
+    # panel, the sorted one: the bootstrap hands the multipliers over in
+    # chunks, so beside it there is one chunk or a block's draws, never a
+    # second panel.  B is large enough that p rows of draws would be several
+    # times that, so the pass holds no draw.
     rng = np.random.default_rng(71)
     n, B = 2000, 500
     sample = Sample(x=rng.uniform(-1, 1, n), y=rng.normal(size=n))
@@ -593,14 +593,15 @@ def test_peak_memory_is_four_block_panels_plus_the_draws():
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    (_, panel), (_, held), (_, multipliers) = statistic.field_allocations(sample, set_, B)
+    (_, panel), (name, block), (_, multipliers) = statistic.field_allocations(sample, set_, B)
     field_bound = 4 * panel + 24 * set_.p * 8 + 16 * n * 8
     assert panel == statistic.FIELD_BLOCK * (n + 1) * 8
     assert peaks["field"] < field_bound, (peaks, field_bound)
-    blocks = -(-set_.p // statistic.FIELD_BLOCK)
-    chunk = max(statistic.CHUNK_ROWS, statistic.FIELD_BLOCK) * B * 8
+    assert name == f"each {statistic.FIELD_BLOCK} x {B} block of draws"
+    chunk = max(statistic.CHUNK_ROWS * B * 8, block)
     assert multipliers == n * B * 8
-    boot_bound = held + multipliers + chunk + blocks * B * 8 + set_.p * 8 + 4 * n * 8
+    maxima = 2 * _block_count(sample, set_) * B * 8
+    boot_bound = multipliers + chunk + maxima + set_.p * 8 + 4 * n * 8
     assert set_.p * B * 8 > 4 * statistic.KEEP_BYTES
     assert peaks["test"] - peaks["field"] < boot_bound, (peaks, boot_bound)
     assert evaluate_field(sample, set_, sig).active_ids.size > 0.9 * set_.p
@@ -610,9 +611,10 @@ def test_the_ladder_peaks_below_the_field_pass():
     # the shape above with y rising in x, so that the one-step set cuts
     # blocks and the ladder rebuilds them.  The pass's four workspaces,
     # sized for its widest block, go when the pass ends; a rebuild forms its
-    # panels in workspaces of its own block's size and holds only its rows
-    # in the rung's ids.  So the field leaves less than the pass's peak less
-    # those workspaces, and the ladder's traced peak stays below the pass's
+    # panels in workspaces of its own block's size and keeps only the
+    # per-draw maximum over its rows in the rung's ids.  So the field leaves
+    # less than the pass's peak less those workspaces, and the ladder's
+    # traced peak stays below the pass's
     rng = np.random.default_rng(71)
     n, B = 2000, 500
     x = rng.uniform(-1, 1, n)
@@ -640,6 +642,12 @@ def test_the_ladder_peaks_below_the_field_pass():
     assert run.field.draws.rebuilt > 0 and run.rung("os").ids.size < set_.p
     assert left + 4 * panel < pass_peak, (traced, panel)
     assert ladder_peak < pass_peak, traced
+
+
+def _block_count(sample, set_):
+    """The number of blocks the engine makes of a set's live scales."""
+    order = statistic._sort_order(sample)
+    return len(statistic._field_engine(sample, set_, order, np.ones(sample.n))[0])
 
 
 def _bandwidths_of_blocks(sample, set_):
@@ -695,7 +703,7 @@ def test_peak_memory_of_a_large_tie_free_test_holds_one_multiplier_panel():
     set_ = build_custom_set(np.linspace(-0.05, 0.05, 40), [0.01, 0.02])
     order = statistic._sort_order(sample)
     panel = max(W.shape[0] * (W.shape[1] + 1) for *_, W, _ in run_blocks(sample, set_, order)) * 8
-    held = statistic.kept_rows(set_.p, B) * B * 8
+    held = statistic.field_allocations(sample, set_, B)[1][1]
     tracemalloc.start()
     try:
         run_report(sample, np.ones(n), set_, BootConfig(B=B))
@@ -777,18 +785,21 @@ def _draw_memory(sample, set_, sig, B):
 def _held_draws_bound(sample, set_, B, cells):
     """What draws add on tied x or z-cells: the held run sums and no n x B term.
 
-    Beside every cell's run sums E (c x runs x B) and the held draws, the
-    field holds one block's draws (FIELD_BLOCK x B) and one B-vector of
-    maxima per block (each cell may end in a partial block), the block of
-    each scale and a few n-vectors.  It adds e into E a chunk of rows at a
-    time, so no temporary of that grows with n.
+    Beside every cell's run sums E (c x runs x B) the field holds the
+    draws of its pass when all p rows fit in KEEP_BYTES, else one block's
+    draws (FIELD_BLOCK x B), whichever ``field_allocations`` names; two
+    B-vectors of maxima per block (folded, and kept for the rows a call
+    reads), the block of each scale and a few n-vectors.  It adds e into E
+    a chunk of rows at a time, through three (rows x B) buffers, so no
+    temporary of that grows with n.
     """
-    (_, panel), (_, held), (name, run_sums) = statistic.field_allocations(sample, set_, B)
+    (_, panel), (_, draws), (name, run_sums) = statistic.field_allocations(sample, set_, B)
     runs, block = np.unique(sample.x).size, statistic.FIELD_BLOCK
     assert name == f"the {cells} x {runs} x {B} run sums"
     assert run_sums == cells * runs * B * 8 and cells * runs <= sample.n
-    blocks = -(-set_.p // block) + cells
-    return run_sums + held + (block + blocks) * B * 8 + set_.p * 8 + 4 * sample.n * 8
+    sums = 3 * min(statistic.CHUNK_ROWS, runs) * B * 8
+    maxima = 2 * _block_count(sample, set_) * B * 8
+    return run_sums + draws + sums + maxima + set_.p * 8 + 4 * sample.n * 8
 
 
 def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
@@ -797,7 +808,7 @@ def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
     # Panels over observations, ten times wider here, do not fit.  With
     # draws, c * runs <= n, so the field holds every cell's run sums of e
     # and no n x B panel: a sorted copy of e (7.6 MiB here) would break the
-    # bound, which is 12.7 MiB against the 17.2 MiB such a copy brings.
+    # bound, which is 3.8 MiB against the 10.4 MiB such a copy brings.
     sample, set_, sig = _tied_zcell_case()
     n, B = sample.n, 500
     runs = np.unique(sample.x).size
@@ -808,14 +819,14 @@ def test_peak_memory_of_a_tied_z_cell_field_counts_runs():
     assert 4 * statistic.FIELD_BLOCK * (n + 1) * 8 > 2 * field_bound
     assert peaks["field"] < field_bound, (peaks, field_bound)
     draws_bound = _held_draws_bound(sample, set_, B, cells=3)
-    assert draws_bound < n * B * 8 + 2 * statistic.KEEP_BYTES
+    assert draws_bound < n * B * 8
     assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
 
 
 def test_peak_memory_of_a_tied_x_field_holds_its_run_sums():
     # tied x without z-cells is one cell: the field holds the runs x B run
     # sums of e (0.8 MiB here) and no n x B panel (7.6 MiB), so the draws
-    # stay under 6.9 MiB where a sorted copy of e brings 12.9 MiB
+    # stay under 5.6 MiB where a sorted copy of e brings 12.3 MiB
     sample, set_, sig = _tied_zcell_case()
     set_ = build_basic_set(sample.x)
     B = 500
@@ -828,21 +839,23 @@ def test_peak_memory_of_a_tied_x_field_holds_its_run_sums():
 def test_peak_memory_of_a_z_cell_field_on_few_ties_holds_e_itself():
     # x on a 1,000-point grid (846 runs here) and three z-cells: c * runs > n,
     # so the field forms one cell's run sums at a time from e's rows in
-    # sorted order and holds e itself.  Beside one cell's E and the held
+    # sorted order and holds e itself.  Beside one cell's E and one block's
     # draws the draws add what _held_draws_bound counts, and no n x B term:
-    # a sorted copy of e (7.6 MiB) brings 19.8 MiB against the 14.2 MiB bound.
+    # a sorted copy of e (7.6 MiB) brings 12.7 MiB against the 7.8 MiB bound
     rng = np.random.default_rng(79)
     n, B = 2000, 500
     x = rng.integers(-500, 500, n) / 500.0
     sample = Sample(x=x, y=rng.normal(size=n), z=rng.uniform(0, 1, (n, 1)))
     set_ = build_z_local_set(build_basic_set(x), [(1 / 6,), (0.5,), (5 / 6,)], [1 / 3])
     peaks = _draw_memory(sample, set_, rng.uniform(0.5, 2.0, n), B)
-    _, (_, held), (name, one_cell), _ = statistic.field_allocations(sample, set_, B)
+    _, (what, draws), (name, one_cell), _ = statistic.field_allocations(sample, set_, B)
     runs, block = np.unique(x).size, statistic.FIELD_BLOCK
     assert name == f"the {runs} x {B} run sums of one cell" and 3 * runs > n
-    blocks = -(-set_.p // block) + 3
-    draws_bound = one_cell + held + (block + blocks) * B * 8 + 2 * n * block * 8
-    assert draws_bound < one_cell + held + n * B * 8
+    assert what == f"each {block} x {B} block of draws"
+    sums = 3 * statistic.CHUNK_ROWS * B * 8
+    maxima = 2 * _block_count(sample, set_) * B * 8
+    draws_bound = one_cell + draws + sums + maxima + 2 * n * block * 8
+    assert draws_bound < one_cell + draws + n * B * 8
     assert peaks["draws"] - peaks["field"] < draws_bound, (peaks, draws_bound)
 
 
