@@ -34,18 +34,21 @@ no z-cells, the runs are the observations and the step skips the run
 sums.
 
 Memory: with m runs (m <= n), a block's panels are (FIELD_BLOCK x span)
-with span <= m + 1.  Every block of the field's pass writes them into the
-same four workspaces, sized for the pass's largest block, and a general k
-adds its (span x span) pair matrix; the workspaces go when the pass ends.
-V sums each window on its own, so no window weights outlive their block.
-Given bootstrap multipliers e, n rows in observation order as one array
-or as a stream of row chunks, the engine forms each block's draws as one
-matrix product of its panel with E, the m x B run sums of zf * e for the
-block's cell (the sorted e itself when the runs are the observations and
-there are no z-cells), and folds them into the block's per-draw maximum.
-When all p rows of B draws fit in KEEP_BYTES, the product writes them
-straight into the block's rows of one held buffer; else into one
-(FIELD_BLOCK x B) buffer of the pass, and no draw outlives its block.  The
+with span <= m.  Every block of the field's pass writes into the same two
+flat panels, sized for the pass's largest block, which go when the pass
+ends: the kernel panel, over which W is formed in place, and the scratch
+panel, which takes the running sums, one column wider, and a chunk's
+temporary as W is formed from them, then the window products of b, |W|
+and V, then the block's draws.  A general k adds its (span x span)
+pair matrix.  V sums each window on its own, so no window weights outlive
+their block.  Given bootstrap multipliers e, n rows in observation order
+as one array or as a stream of row chunks, the engine forms each block's
+draws as one matrix product of its panel with E, the m x B run sums of
+zf * e for the block's cell (the sorted e itself when the runs are the
+observations and there are no z-cells), and folds them into the block's
+per-draw maximum.  When all p rows of B draws fit in KEEP_BYTES, the
+product writes them straight into the block's rows of one held buffer;
+else into the scratch panel, and no draw outlives its block.  The
 field reads e's chunks once, before the blocks start, into what it holds:
 the sorted e, each chunk written to its sorted rows; or, with c cells and
 c * m <= n, every cell's E, each chunk added in; otherwise e itself, not
@@ -54,8 +57,9 @@ never makes an n x B array beside what the field holds.  A selection
 reads a block's maximum if it holds the whole block, and else the
 block's held draws, or the per-draw maximum kept from the last selection
 that read the same rows of the block; or else it rebuilds the block with
-the same block step from what the field holds, in workspaces sized to
-that block, and keeps only the maximum over the rows it reads there.
+the same block step from what the field holds and the pass's V, in two
+panels sized to that block, and keeps only the maximum over the rows it
+reads there.
 ``field_allocations`` lists the largest of these arrays with their sizes,
 and a field that cannot allocate one, in its own pass or in a block it
 rebuilds later, raises a MemoryError that names them all.
@@ -98,6 +102,13 @@ FIELD_BLOCK = 64
 # sums add any chunk in slices of that many, so neither makes a temporary
 # that grows with n.  At B = 500 a chunk is 250 KiB.
 CHUNK_ROWS = 64
+
+# k = 0 combines its running sums into W, and k = 1 on z-cells forms its
+# mass times x - x_lo, this many columns at a time, through a (FIELD_BLOCK
+# x _CHUNK_COLS) temporary at the end of the scratch panel: 32 KiB, where a
+# third panel would be 1 MiB at 2,000 distinct x.  The chunks change no
+# bit; each costs fixed Python overhead.
+_CHUNK_COLS = 64
 
 # A field with B bootstrap draws holds every draw of its pass when all p
 # rows fit in KEEP_BYTES, and else holds none: of each block a selection
@@ -206,19 +217,6 @@ def _panel(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return work[: rows * cols].reshape(rows, cols)
 
 
-def _running_sums(panel: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Running sums along each row of a panel, after a leading zero column, in a workspace.
-
-    The panel is zero before each row's window, and an accumulate adds
-    strictly left to right, so within the window these equal
-    ``np.concatenate(([0.0], np.cumsum(window)))`` bit for bit.
-    """
-    out = _panel(work, panel.shape[0], panel.shape[1] + 1)
-    out[:, 0] = 0.0
-    np.cumsum(panel, axis=1, out=out[:, 1:])
-    return out
-
-
 def _window_sums(panel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Each row's sum over its window, the cells lo:hi of a C-ordered panel.
 
@@ -234,43 +232,70 @@ def _window_sums(panel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.add.reduceat(panel.reshape(-1), ends)[::2]
 
 
-def _pair_weights(kx, m, xr, lo, hi, k, work):
-    """W of one block: kx_r times its window's sum of sign(x_j - x_r) * |x_j - x_r|**k * m_j.
+def _pair_weights(kx, Z, xr, lo, hi, k, scratch):
+    """W of one block, formed in place over its kernel panel kx.
 
-    kx is the kernel panel and m the mass panel, kx times the runs' summed
-    z-cell factor, over runs lo.min():hi.max().  k = 0 and 1 take running
-    sums along the rows; any other k forms the span's pair matrix once, and
-    each window reads its own square of it, so its sum is its own.  ``work``
-    is three flat workspaces: m's (free when m is kx) and two free ones; W
-    is formed in the last.
+    W_r is kx_r times its window's sum of sign(x_j - x_r) * |x_j - x_r|**k
+    * m_j, for the mass m = kx * Z, Z the span's run sums of the z-cell
+    factor (m = kx when Z is None), over runs lo.min():hi.max().  k = 0 and
+    1 take running sums of the mass along the rows in the flat ``scratch``;
+    where a step reads them while it writes W, or needs m beside another
+    panel, it runs _CHUNK_COLS columns at a time through a temporary at the
+    scratch's end, so no third panel exists.  Any other k forms the span's
+    pair matrix once, and each window reads its own square of it into the
+    scratch, so its sum is its own.
     """
-    rows, width = m.shape
+    rows, width = kx.shape
     a = int(lo.min())
     xw = xr[a : a + width]
-    w = _panel(work[2], rows, width)
-    if k == 0.0:
-        # the mass after each run - the mass before it
-        cs = _running_sums(m, work[1])
-        np.subtract(cs[np.arange(rows), hi - a][:, None], cs[:, 1:], out=w)
-        w -= cs[:, :-1]
-    elif k == 1.0:
-        xc = np.subtract(xw, xr[lo][:, None], out=w)  # window-relative: no cancellation far from 0
-        ends = (np.arange(rows), hi - a)
-        cg = _running_sums(m, work[1])[ends]
-        cxg = _running_sums(np.multiply(m, xc, out=_panel(work[0], rows, width)), work[1])[ends]
-        xc *= cg[:, None]
-        np.subtract(cxg[:, None], xc, out=w)
-    else:
+    if k not in (0.0, 1.0):
         pair = xw - xw[:, None]
         np.abs(pair, out=pair)
         pair **= k
         # the runs are sorted and distinct, so sign(x_j - x_i) is sign(j - i)
         np.negative(pair, out=pair, where=np.tri(width, k=-1, dtype=bool))
+        w = _panel(scratch, rows, width)
         w.fill(0.0)
         for r, (l, h) in enumerate(zip((lo - a).tolist(), (hi - a).tolist())):
-            w[r, l:h] = pair[l:h, l:h] @ m[r, l:h]
-    w *= kx
-    return w
+            w[r, l:h] = pair[l:h, l:h] @ (kx[r, l:h] if Z is None else kx[r, l:h] * Z[l:h])
+        kx *= w
+        return kx
+    # the running sums through each run and through the run before it, after
+    # a leading zero column.  A row is zero before its window and an
+    # accumulate adds strictly left to right, so within the window they are
+    # np.cumsum of the window, bit for bit, whatever the span
+    cs = _panel(scratch, rows, width + 1)
+    cs[:, 0] = 0.0
+    through, before = cs[:, 1:], cs[:, :-1]
+    np.cumsum(kx if Z is None else np.multiply(kx, Z, out=through), axis=1, out=through)
+    ends = (np.arange(rows), hi - a)
+    total = cs[ends][:, None]  # each window's mass
+    chunks = [slice(j, min(j + _CHUNK_COLS, width)) for j in range(0, width, _CHUNK_COLS)]
+    temps = [_panel(scratch[cs.size :], rows, c.stop - c.start) for c in chunks]
+    if k == 0.0:
+        # the mass after each run - the mass before it
+        for c, t in zip(chunks, temps):
+            np.subtract(total, through[:, c], out=t)
+            t -= before[:, c]
+            kx[:, c] *= t
+        return kx
+    # the running sums of m * xc, for xc = x - x_lo, window-relative so that
+    # nothing cancels far from 0
+    x_lo = xr[lo][:, None]
+    xc = np.subtract(xw, x_lo, out=through)
+    if Z is None:
+        xc *= kx
+    else:
+        for c, m in zip(chunks, temps):
+            xc[:, c] *= np.multiply(kx[:, c], Z[c], out=m)
+    np.cumsum(through, axis=1, out=through)
+    cxg = cs[ends][:, None]
+    # the running sums are spent: xc * total takes their panel
+    xc = np.subtract(xw, x_lo, out=_panel(scratch, rows, width))
+    xc *= total
+    np.subtract(cxg, xc, out=xc)
+    kx *= xc
+    return kx
 
 
 @np.errstate(over="ignore")  # a z far outside the cell, in units of z_bw, has weight 0
@@ -342,8 +367,8 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     the ids of a bandwidth with FIELD_BLOCK live scales or more in the cell
     end a block, so only a bandwidth with fewer shares one with the next.
 
-    ``step(rows, work=None, out=None)`` gives a block's (W, b, V, max|w|,
-    draws).
+    ``step(rows, work=None, out=None, v=None)`` gives a block's (W, b, V,
+    max|w|, draws).
     ``W`` is the (rows x span) panel over runs lo.min():hi.max(), zero
     outside each window; observation i of run r has w_i = W_r * zf_i, for
     zf_i its z-cell factor (1 without z-cells).  ``b`` is each scale's test
@@ -360,21 +385,25 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
     of E, the run sums of zf * e of the block's cell (``_add_run_sums``);
     else the draws are None.  A block stepped again has the same bits.  A b
     or V that overflows to inf or NaN raises DataError, with no warning.
+    Given the block's V ``v`` as the pass found it, the step skips b, V,
+    max|w| and the overflow check, which the pass made, and gives None for
+    b and max|w|: a rebuild needs only the draws.
 
-    The step writes its panels into four flat workspaces: ``work``, the
-    ``_workspaces`` of a group of blocks that the caller holds across their
-    steps, so W is a view that the next step overwrites; or, without it,
-    workspaces sized to this block, which go with the view it returns.  It
-    writes the draws into the first rows of ``out``, or else a new
-    (rows x B) array.  The engine reads e's chunks once, before it returns,
-    and keeps none.  When every run is one observation and the set has no
-    z-cells, the runs are the sorted observations: it writes each chunk to
-    its sorted rows, E is that sorted e, and the step skips Z, YZ and
-    max zf.  Else, with c cells of m runs and c * m <= n, it adds each
-    chunk into every cell's E; otherwise it holds e itself and forms one
-    cell's E at a time when the cell changes.  Everything runs once per
-    block but the window products of a general k, one per scale from the
-    block's one pair matrix.
+    The step writes into two flat panels: ``work``, the ``_workspaces`` of
+    a group of blocks that the caller holds across their steps, so W is a
+    view that the next step overwrites; or, without it, two sized to this
+    block, which go with the views it returns.  W is formed over the kernel
+    panel; the scratch panel takes the running sums, the window products
+    and the draws, unless they go into the first rows of ``out``.  The
+    engine reads e's chunks once, before it returns, and keeps none.  When
+    every run is one observation and the set has no z-cells, the runs are
+    the sorted observations: it writes each chunk to its sorted rows, E is
+    that sorted e, and the step skips Z, YZ and max zf.  Else, with c cells
+    of m runs and c * m <= n, it adds each chunk into every cell's E;
+    otherwise it holds e itself and forms one cell's E at a time when the
+    cell changes.  Everything runs once per block but the window products
+    of a general k, one per scale from the block's one pair matrix, and
+    the chunked steps of ``_pair_weights``, once per chunk of columns.
     """
     n = sample.n
     xs = sample.x[order]
@@ -461,48 +490,55 @@ def _field_engine(sample: Sample, set_: ScaleSet, order: np.ndarray, sig2: np.nd
         return sums, E
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name
-    def step(rows, work=None, out=None):
-        work = work or _workspaces([rows], lo, hi)
+    def step(rows, work=None, out=None, v=None):
+        kernel, scratch = work or _workspaces([rows], lo, hi, B or 0)
         wlo, whi = lo[rows], hi[rows]
         a = int(wlo.min())
         span = slice(a, int(whi.max()))
         width = span.stop - a
         (Z, YZ, S2, ZM), E = cell(cell_of[rows[0]])
         # the kernel is zero where |u| >= support, which is outside the window
-        kx = np.subtract(xr[span], sx[rows, None], out=_panel(work[0], rows.size, width))
+        kx = np.subtract(xr[span], sx[rows, None], out=_panel(kernel, rows.size, width))
         kx /= sh[rows, None]
         set_.kernel(kx, out=kx)
-        m = kx if Z is None else np.multiply(kx, Z[span], out=_panel(work[1], rows.size, width))
-        w = _pair_weights(kx, m, xr, wlo, whi, k, work[1:])
-        # kx and m are spent: b's terms, then |w|, then W * W * S2 take kx's workspace
-        panel = np.subtract(yf[span], yf[wlo][:, None], out=kx)
-        if Z is not None:
-            panel *= Z[span]
-            panel += YZ[span]
-        panel *= w
-        b = _window_sums(panel, wlo - a, whi - a)
-        np.abs(w, out=panel)
-        if ZM is not None:
-            panel *= ZM[span]
-        absmax = panel.max(axis=1)
-        np.multiply(w, w, out=panel)
-        panel *= S2[span]
-        v = _window_sums(panel, wlo - a, whi - a)
-        if not (np.isfinite(b).all() and np.isfinite(v).all()):
-            raise DataError("the field overflows: b or V is not finite; rescale x or y")
+        w = _pair_weights(kx, None if Z is None else Z[span], xr, wlo, whi, k, scratch)
+        b = absmax = None
+        if v is None:
+            # b's terms, then |w|, then W * W * S2 take the scratch panel
+            panel = np.subtract(yf[span], yf[wlo][:, None], out=_panel(scratch, rows.size, width))
+            if Z is not None:
+                panel *= Z[span]
+                panel += YZ[span]
+            panel *= w
+            b = _window_sums(panel, wlo - a, whi - a)
+            np.abs(w, out=panel)
+            if ZM is not None:
+                panel *= ZM[span]
+            absmax = panel.max(axis=1)
+            np.multiply(w, w, out=panel)
+            panel *= S2[span]
+            v = _window_sums(panel, wlo - a, whi - a)
+            if not (np.isfinite(b).all() and np.isfinite(v).all()):
+                raise DataError("the field overflows: b or V is not finite; rescale x or y")
         if E is None:
             return w, b, v, absmax, None
         w *= np.divide(1.0, np.sqrt(v), out=np.zeros(v.size), where=v > 0.0)[:, None]
-        out = np.empty((rows.size, B)) if out is None else out[: rows.size]
+        out = _panel(scratch, rows.size, B) if out is None else out[: rows.size]
         return w, b, v, absmax, np.matmul(w, E[span], out=out)
 
     return blocks, lo, hi, step
 
 
-def _workspaces(blocks, lo, hi):
-    """Four flat panel workspaces that fit each of the blocks' steps."""
-    size = max((rows.size * int(hi[rows].max() - lo[rows].min() + 1) for rows in blocks), default=0)
-    return [np.empty(size) for _ in range(4)]
+def _workspaces(blocks, lo, hi, B=0):
+    """The flat kernel and scratch panels that fit each of the blocks' steps.
+
+    The scratch takes a block's running sums, one more column than its
+    span, and the temporary of a chunk of columns, or its B draws.
+    """
+    shapes = [(rows.size, int(hi[rows].max() - lo[rows].min())) for rows in blocks]
+    kernel = max((r * c for r, c in shapes), default=0)
+    scratch = max((r * max(c + 1 + min(_CHUNK_COLS, c), B) for r, c in shapes), default=0)
+    return np.empty(kernel), np.empty(scratch)
 
 
 def _sigma_values(sigma, n: int) -> np.ndarray:
@@ -516,26 +552,30 @@ def _sigma_values(sigma, n: int) -> np.ndarray:
 def field_allocations(sample: Sample, set_: ScaleSet, B: int | None = None) -> list[tuple]:
     """The largest arrays a field allocates, as (name, bytes) pairs; with B draws, theirs too.
 
-    They are a block's panels over the m tie runs of x, four workspaces of
-    at most that size, a general k's pair matrix, and with draws the draws
-    that the pass holds when all p rows fit in KEEP_BYTES, else a block's
-    draws, and what the draws read: the sorted n x B multiplier
-    panel when the runs are the observations and there are no z-cells;
-    else, with c cells and c * m <= n, every cell's m x B run sums of the
-    multipliers; else the multiplier panel itself, not a sorted copy, and
-    one cell's run sums.  The multipliers are read a chunk of rows at a
-    time, so no other n x B array is made.
+    They are the two panels of a block over the m tie runs of x, at most
+    FIELD_BLOCK rows each: the kernel panel, in which W is formed, and the
+    scratch panel, which takes the running sums and a chunk's temporary,
+    the window products, and the block's draws unless the pass holds them;
+    a general k's pair matrix; and with draws the draws that the pass holds
+    when all p rows fit in KEEP_BYTES, and what the draws read: the sorted
+    n x B multiplier panel when the runs are the observations and there are
+    no z-cells; else, with c cells and c * m <= n, every cell's m x B run
+    sums of the multipliers; else the multiplier panel itself, not a sorted
+    copy, and one cell's run sums.  The multipliers are read a chunk of
+    rows at a time, so no other n x B array is made.
     """
     n, m = sample.n, _distinct(sample.x).size
-    panel = f"each {FIELD_BLOCK} x {m + 1} block panel ({m} tie runs)"
-    out = [(panel, FIELD_BLOCK * (m + 1) * 8)]
+    held = B is not None and set_.p * B * 8 <= KEEP_BYTES
+    cols = max(m + 1 + min(_CHUNK_COLS, m), 0 if B is None or held else B)
+    out = [
+        (f"the {FIELD_BLOCK} x {m} kernel panel ({m} tie runs)", FIELD_BLOCK * m * 8),
+        (f"the {FIELD_BLOCK} x {cols} scratch panel", FIELD_BLOCK * cols * 8),
+    ]
     if set_.k not in (0.0, 1.0):
         out.append((f"the {m + 1} x {m + 1} pair matrix of k = {set_.k}", (m + 1) ** 2 * 8))
     if B is not None:
-        if set_.p * B * 8 <= KEEP_BYTES:
+        if held:
             out.append((f"at most {set_.p} x {B} held draws", set_.p * B * 8))
-        else:
-            out.append((f"each {FIELD_BLOCK} x {B} block of draws", FIELD_BLOCK * B * 8))
         c = 1 if set_.z_loc is None else _cells(set_)[0].size
         if m == n and set_.z_loc is None:
             out.append((f"the {n} x {B} sorted multiplier panel", n * B * 8))
@@ -580,9 +620,11 @@ class KeptDraws:
     The store holds the draws of every block of the pass, in one
     (live scales x B) buffer that the pass writes into, when all p rows of
     B draws fit in KEEP_BYTES; then it never rebuilds.  Else it holds no
-    draw: it keeps, for each block it read in part, that block's rows in
-    the call's ids and their per-draw maximum, and drops a rebuilt block's
-    draws as soon as it has reduced them.  The ladder's sets are nested
+    draw: the pass writes each block's draws into its scratch panel, and
+    the store keeps, for each block it read in part, that block's rows in
+    the call's ids and their per-draw maximum.  A rebuild forms the
+    block's draws in a scratch panel of its own, from the pass's V, and
+    drops them as soon as it has reduced them.  The ladder's sets are nested
     upper sets of t, so a later rung rebuilds only the blocks whose rows in
     the set change.  ``rebuilt`` counts the blocks built again.
     """
@@ -601,13 +643,6 @@ class KeptDraws:
         self._folded = np.zeros(len(blocks), dtype=np.intp)  # rows in each block maximum
         self._block_max = np.empty((len(blocks), B))
         self.rebuilt = 0
-
-    def _pass_outs(self):
-        """Where the pass writes each block's draws: its held rows, else one buffer of the pass."""
-        if self._held is not None:
-            return self._held
-        buffer = np.empty((max(map(len, self._blocks), default=0), self._block_max.shape[1]))
-        return itertools.repeat(buffer, len(self._blocks))
 
     def _add(self, j: int, v_rows, d) -> None:
         """Fold block j's draws d into its maximum over its rows with V > 0."""
@@ -722,17 +757,20 @@ def evaluate_field(sample: Sample, set_: ScaleSet, sigma, e=None) -> Studentized
             del head  # so that the engine holds no chunk once it has read it
         blocks, lo, hi, step = _field_engine(sample, set_, order, (sig * sig)[order], e, B)
         del e
+        held = None
         if B is not None:
-            def rebuild(j):  # the loop's step again, so its draws have the same bits
+            def rebuild(j):  # the loop's step with the pass's V, so its draws have the same bits
                 try:
-                    return step(blocks[j])[4]
+                    return step(blocks[j], v=v[blocks[j]])[4]
                 except MemoryError:
                     raise _out_of_memory(sample, set_, B) from None
             draws = KeptDraws(p, B, blocks, rebuild)
-        # the pass's workspaces fit its widest block and go when it ends: a
-        # rebuild forms its block in workspaces of its own size
-        work = _workspaces(blocks, lo, hi)
-        outs = itertools.repeat(None) if draws is None else draws._pass_outs()
+            held = draws._held
+        # the pass's panels fit its widest block and go when it ends: a
+        # rebuild forms its block in panels of its own size.  The scratch
+        # takes each block's draws unless the pass holds them
+        work = _workspaces(blocks, lo, hi, (B or 0) if held is None else 0)
+        outs = itertools.repeat(None) if held is None else held
         for j, (rows, out) in enumerate(zip(blocks, outs)):
             w, b[rows], v[rows], absmax[rows], d = step(rows, work, out)
             if draws is not None:

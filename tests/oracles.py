@@ -148,8 +148,8 @@ def run_blocks(sample, set_, order):
     """The engine's (rows, lo, hi, W, b) per block, in its block order, on run columns.
 
     The block step runs without multipliers, so W is the raw panel, in
-    workspaces of the block's own, as a rebuild forms it; lo and hi bound
-    each window in runs.
+    panels of the block's own, as a rebuild forms it; lo and hi bound each
+    window in runs.
     """
     blocks, lo, hi, step = statistic._field_engine(sample, set_, order, np.ones(sample.n))
     for rows in blocks:

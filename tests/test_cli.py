@@ -656,7 +656,10 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     path = _data_csv(tmp_path, n=40)
     p = np.unique(load_columns(path, ["x"])["x"]).size * 2
     head = f"out of memory: {p} scales x 40 observations need "
-    panels = f"0.0 MiB for each {block} x 41 block panel (40 tie runs)"
+    panels = (
+        f"0.0 MiB for the {block} x 40 kernel panel (40 tie runs),"
+        f" 0.0 MiB for the {block} x 81 scratch panel"
+    )
     draws = (
         f", 0.0 MiB for at most {p} x 20 held draws,"
         " 0.0 MiB for the 40 x 20 sorted multiplier panel"
@@ -686,7 +689,10 @@ def test_exit_2_on_memory_error(tmp_path, monkeypatch, capsys):
     x = np.repeat(np.linspace(0.0, 4.0, 400), 10)
     path = _write_rows(tmp_path / "tied.csv", ["x", "y", "z"], zip(x, np.sin(x), np.cos(x)))
     head = "out of memory: 400 scales x 4000 observations need "
-    panels = f"0.2 MiB for each {block} x 401 block panel (400 tie runs)"
+    panels = (
+        f"0.2 MiB for the {block} x 400 kernel panel (400 tie runs),"
+        f" 0.2 MiB for the {block} x 465 scratch panel"
+    )
     pair = ", 1.2 MiB for the 401 x 401 pair matrix of k = 0.5"
     draws = (
         ", 3.1 MiB for at most 400 x 1000 held draws, 3.1 MiB for the 1 x 400 x 1000 run sums"
@@ -731,9 +737,9 @@ def test_exit_2_on_memory_error_in_a_rebuild(tmp_path, monkeypatch, capsys):
     sample = Sample(*(load_columns(path, ["x", "y"]).values()))
     set_ = build_basic_set(sample.x)
     want = (
-        f"out of memory: {set_.p} scales x 60 observations need 0.0 MiB for each"
-        f" {statistic.FIELD_BLOCK} x 61 block panel (60 tie runs), 0.0 MiB for each"
-        f" {statistic.FIELD_BLOCK} x 50 block of draws, 0.0 MiB for the 60 x 50 sorted multiplier"
+        f"out of memory: {set_.p} scales x 60 observations need 0.0 MiB for the"
+        f" {statistic.FIELD_BLOCK} x 60 kernel panel (60 tie runs), 0.1 MiB for the"
+        f" {statistic.FIELD_BLOCK} x 121 scratch panel, 0.0 MiB for the 60 x 50 sorted multiplier"
         " panel; use fewer scales, rows or draws"
     )
     with pytest.raises(MemoryError) as err:
